@@ -43,7 +43,7 @@ from .serialize import (
 )
 from .stability import check_stability
 from .surface import blow_up, crossing_points
-from .upsilon import outer_search
+from .upsilon import STRATEGIES, outer_search
 
 SEED_ENV_VAR = "FILTSTAB_SEED"
 
@@ -78,12 +78,12 @@ class RunManifest:
         }
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR, "0")
+def _default_seed() -> Optional[int]:
+    """``FILTSTAB_SEED`` (0 when unset); None when malformed, which main reports."""
     try:
-        return int(raw)
+        return int(os.environ.get(SEED_ENV_VAR, "0"))
     except ValueError:
-        return 0
+        return None
 
 
 def _load_document(path: str) -> Any:
@@ -186,8 +186,23 @@ def _cmd_blowup(args: argparse.Namespace) -> dict:
 
 
 def _cmd_upsilon(args: argparse.Namespace) -> dict:
-    config, fc, _ = parse_config(_load_document(args.input))
+    for flag, value in (
+        ("--rank", args.rank),
+        ("--budget", args.budget),
+        ("--max-denominator", args.max_denominator),
+    ):
+        if value < 1:
+            raise DocumentParseError(f"must be a positive integer, got {value}", flag)
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
+    if not strategies or not set(strategies) <= set(STRATEGIES):
+        raise DocumentParseError(
+            f"expected a comma-separated subset of {','.join(STRATEGIES)}, "
+            f"got {args.strategies!r}",
+            "--strategies",
+        )
+    config, fc, _ = parse_config(_load_document(args.input))
+    if fc is None and "user" in strategies:
+        raise DocumentParseError("'user' needs a filtered_configuration", "--strategies")
     supplied = (fc,) if fc is not None else ()
     if fc is not None and "user" not in strategies:
         strategies = strategies + ("user",)
@@ -335,6 +350,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         options=_manifest_options(args),
     )
     try:
+        if getattr(args, "seed", 0) is None:
+            raise DocumentParseError(
+                f"not an integer: {os.environ[SEED_ENV_VAR]!r}", SEED_ENV_VAR
+            )
         result = args.func(args)
     except DocumentParseError as error:
         print(f"parse error: {error}", file=sys.stderr)

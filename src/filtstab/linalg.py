@@ -1,18 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Subspaces of Q^r are stored in reduced row echelon form, which is a canonical
-representative of the row space: two subspaces are equal exactly when their
-stored bases are identical, so they can be hashed, deduplicated and compared
-deterministically.  All arithmetic uses ``fractions.Fraction``; there is no
-floating point anywhere in this module.
+A subspace of Q^r is stored by its canonical integer basis: the rows of its
+reduced row echelon form, each scaled to coprime integers with a positive
+pivot.  Two subspaces are equal exactly when their stored bases are
+identical, so they can be hashed, deduplicated and compared
+deterministically.  All kernels run through one fraction-free integer
+elimination; ``Fraction`` appears only where input rows are scaled to
+integers and where the rational echelon rows are derived for output.
 """
-
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -44,114 +45,90 @@ def rational_to_string(value: Fraction | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _as_row(row: Sequence, width: int) -> tuple[Fraction, ...]:
+def _integer_row(row: Sequence, width: int) -> tuple[int, ...]:
+    """``row`` scaled by the lcm of its denominators to an integer row."""
     if len(row) != width:
         raise DimensionMismatchError(
             f"row has length {len(row)}, expected {width}"
         )
-    return tuple(Fraction(x) for x in row)
+    if all(type(x) is int for x in row):
+        return tuple(row)
+    values = [Fraction(x) for x in row]
+    scale = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
-def _rref(rows: Iterable[Sequence[Fraction]], width: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Reduced row echelon form of the given rows, zero rows dropped."""
-    work = [list(_as_row(r, width)) for r in rows]
-    pivot_row = 0
-    for col in range(width):
-        pivot = None
-        for i in range(pivot_row, len(work)):
-            if work[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
-        lead = work[pivot_row][col]
-        if lead != 1:
-            work[pivot_row] = [x / lead for x in work[pivot_row]]
-        for i in range(len(work)):
-            if i != pivot_row and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(work):
-            break
-    return tuple(tuple(r) for r in work[:pivot_row] if any(x != 0 for x in r))
+def _eliminate(rows: Iterable[Sequence[int]], width: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical integer basis of the row space of the integer ``rows``.
 
-
-def _primitive_int_row(row: Sequence[Fraction]) -> tuple[int, ...]:
-    scale = lcm(*(x.denominator for x in row)) if row else 1
-    ints = [int(x * scale) for x in row]
-    common = gcd(*ints) if ints else 1
-    if common > 1:
-        ints = [v // common for v in ints]
-    return tuple(ints)
-
-
-@lru_cache(maxsize=1 << 16)
-def _integer_rows(subspace: "Subspace") -> tuple[tuple[int, ...], ...]:
-    return tuple(_primitive_int_row(row) for row in subspace.rows)
-
-
-@lru_cache(maxsize=1 << 17)
-def _stacked_rank(
-    rows_a: tuple[tuple[int, ...], ...],
-    rows_b: tuple[tuple[int, ...], ...],
-    width: int,
-) -> int:
-    # fraction-free integer elimination; only the rank is needed
-    work = [list(r) for r in rows_a + rows_b]
+    Gauss-Jordan elimination without division: clearing a column replaces a
+    row by ``lead * row - entry * pivot_row`` and divides out its content
+    (the gcd of its entries).  Pivot rows are made primitive with a positive
+    pivot before use, so the result is in canonical form.
+    """
+    work = [list(r) for r in rows]
     rank = 0
     for col in range(width):
-        pivot = None
-        for i in range(rank, len(work)):
-            if work[i][col]:
-                pivot = i
-                break
+        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
         if pivot is None:
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        lead = work[rank][col]
-        for i in range(rank + 1, len(work)):
-            entry = work[i][col]
-            if entry:
-                row = work[i]
-                top = work[rank]
-                work[i] = [lead * x - entry * y for x, y in zip(row, top)]
+        top = work[pivot]
+        content = gcd(*top) if top[col] > 0 else -gcd(*top)
+        if content != 1:
+            top = [x // content for x in top]
+        work[pivot] = work[rank]
+        work[rank] = top
+        lead = top[col]
+        for i, row in enumerate(work):
+            entry = row[col]
+            if entry and i != rank:
+                row = [lead * x - entry * y for x, y in zip(row, top)]
+                content = gcd(*row)
+                work[i] = [x // content for x in row] if content > 1 else row
         rank += 1
         if rank == len(work):
             break
-    return rank
+    return tuple(tuple(r) for r in work[:rank])
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Q^r, held as a reduced-row-echelon basis.
+    """A linear subspace of Q^r, held by its canonical integer basis.
 
+    ``rows`` gives the same reduced row echelon form over the rationals.
     Construct through :func:`span`, :meth:`zero` or :meth:`full`; the raw
-    constructor only accepts rows that are already in canonical form.
+    constructor only accepts a canonical basis.
     """
 
     ambient_dim: int
-    rows: tuple[tuple[Fraction, ...], ...] = ()
+    basis: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
         if self.ambient_dim < 1:
             raise InvariantError("ambient dimension must be positive")
-        rows = tuple(_as_row(r, self.ambient_dim) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        last_pivot = -1
-        for r_index, row in enumerate(rows):
-            pivot = next((j for j, x in enumerate(row) if x != 0), None)
+        basis = tuple(tuple(r) for r in self.basis)
+        object.__setattr__(self, "basis", basis)
+        pivots = []
+        for row in basis:
+            if len(row) != self.ambient_dim:
+                raise DimensionMismatchError(
+                    f"row has length {len(row)}, expected {self.ambient_dim}"
+                )
+            if any(type(x) is not int for x in row):
+                raise InvariantError("basis entries must be integers")
+            pivot = next((j for j, x in enumerate(row) if x), None)
             if pivot is None:
                 raise InvariantError("zero row in subspace basis")
-            if pivot <= last_pivot:
+            if pivots and pivot <= pivots[-1]:
                 raise InvariantError("basis rows are not in echelon order")
-            if row[pivot] != 1:
-                raise InvariantError("pivot entries must be 1")
-            for other_index, other in enumerate(rows):
-                if other_index != r_index and other[pivot] != 0:
-                    raise InvariantError("pivot columns must be cleared")
-            last_pivot = pivot
+            if row[pivot] < 0:
+                raise InvariantError("pivot entries must be positive")
+            if gcd(*row) != 1:
+                raise InvariantError("basis rows must be primitive")
+            pivots.append(pivot)
+        for row in basis:
+            if sum(1 for p in pivots if row[p]) != 1:
+                raise InvariantError("pivot columns must be cleared")
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -160,40 +137,52 @@ class Subspace:
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         rows = tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(ambient_dim))
-            for i in range(ambient_dim)
+            tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)
         )
         return cls(ambient_dim, rows)
 
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The reduced row echelon basis over Q: each basis row over its pivot."""
+        out = []
+        for row in self.basis:
+            lead = next(x for x in row if x)
+            out.append(tuple(Fraction(x, lead) for x in row))
+        return tuple(out)
+
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.basis)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.basis
 
     def is_full(self) -> bool:
-        return len(self.rows) == self.ambient_dim
+        return len(self.basis) == self.ambient_dim
 
     def contains_vector(self, vector: Sequence) -> bool:
-        vec = list(_as_row(vector, self.ambient_dim))
-        for row in self.rows:
-            pivot = next(j for j, x in enumerate(row) if x != 0)
-            if vec[pivot] != 0:
-                factor = vec[pivot]
-                vec = [a - factor * b for a, b in zip(vec, row)]
-        return all(x == 0 for x in vec)
+        row = _integer_row(vector, self.ambient_dim)
+        return len(_eliminate(self.basis + (row,), self.ambient_dim)) == self.dim
 
     def contains(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return all(self.contains_vector(row) for row in other.rows)
+        return self.intersection_dim(other) == other.dim
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        # Zassenhaus: reduce [A | A; B | 0]; the rows whose left half vanishes
+        # carry the canonical basis of the intersection in their right half.
         self._check_ambient(other)
-        return _intersect_cached(self, other)
+        n = self.ambient_dim
+        if self.is_zero() or other.is_full():
+            return self
+        if other.is_zero() or self.is_full():
+            return other
+        zero = (0,) * n
+        stacked = [row + row for row in self.basis] + [row + zero for row in other.basis]
+        reduced = _eliminate(stacked, 2 * n)
+        return Subspace(n, tuple(row[n:] for row in reduced if not any(row[:n])))
 
     def intersection_dim(self, other: "Subspace") -> int:
-        """dim(self ∩ other), via ranks over the integers (fast path)."""
+        """dim(self ∩ other) = dim self + dim other - dim(self + other)."""
         self._check_ambient(other)
         if self.is_zero() or other.is_zero():
             return 0
@@ -201,14 +190,14 @@ class Subspace:
             return other.dim
         if other.is_full():
             return self.dim
-        joined = _stacked_rank(
-            _integer_rows(self), _integer_rows(other), self.ambient_dim
-        )
-        return self.dim + other.dim - joined
+        joined = _eliminate(self.basis + other.basis, self.ambient_dim)
+        return self.dim + other.dim - len(joined)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return span(self.rows + other.rows, self.ambient_dim)
+        return Subspace(
+            self.ambient_dim, _eliminate(self.basis + other.basis, self.ambient_dim)
+        )
 
     def __and__(self, other: "Subspace") -> "Subspace":
         return self.intersect(other)
@@ -236,22 +225,5 @@ def span(rows: Iterable[Sequence], ambient_dim: int) -> Subspace:
     Idempotent and invariant under row shuffles and invertible row
     operations; dependent rows collapse.
     """
-    return Subspace(ambient_dim, _rref(rows, ambient_dim))
-
-
-@lru_cache(maxsize=1 << 16)
-def _intersect_cached(a: Subspace, b: Subspace) -> Subspace:
-    # Zassenhaus: row-reduce [A | A; B | 0]; rows whose left half vanishes
-    # carry a basis of the intersection in their right half.
-    n = a.ambient_dim
-    if a.is_zero() or b.is_zero():
-        return Subspace.zero(n)
-    if a.is_full():
-        return b
-    if b.is_full():
-        return a
-    zero = (Fraction(0),) * n
-    stacked = [row + row for row in a.rows] + [row + zero for row in b.rows]
-    reduced = _rref(stacked, 2 * n)
-    inter_rows = [row[n:] for row in reduced if all(x == 0 for x in row[:n])]
-    return span(inter_rows, n)
+    integer_rows = [_integer_row(r, ambient_dim) for r in rows]
+    return Subspace(ambient_dim, _eliminate(integer_rows, ambient_dim))

@@ -38,7 +38,7 @@ from .errors import (
     SingularFormError,
 )
 from .filtration import FilteredConfiguration, Filtration, joint_step_multiplicities
-from .linalg import _rref, span
+from .linalg import span
 from .stability import Certainty, StabilityVerdict, Status, check_stability
 from .surface import DivisorConfiguration
 
@@ -203,10 +203,8 @@ def canonical_weights(shape: WeightShape) -> tuple[Fraction, ...]:
 def _balance_nullspace(qp: QuadraticPair) -> list[tuple[Fraction, ...]]:
     """Exact basis of the subspace cut out by the balance constraints."""
     size = qp.shape.size
-    reduced = _rref(qp.balance, size)
-    pivots = []
-    for row in reduced:
-        pivots.append(next(j for j, x in enumerate(row) if x != 0))
+    reduced = span(qp.balance, size).rows
+    pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
     free = [c for c in range(size) if c not in pivots]
     basis = []
     for f in free:

@@ -47,6 +47,38 @@ def console_script_command(name: str) -> list[str]:
     return [sys.executable, "-c", f"import {module} as entry; entry.{attr}()"]
 
 
+def reference_rref(rows, width: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Reduced row echelon form over ``Fraction`` (Gauss-Jordan), zero rows dropped.
+
+    The reference the integer kernel of ``filtstab.linalg`` is checked against.
+    """
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivot_row = 0
+    for col in range(width):
+        pivot = next((i for i in range(pivot_row, len(work)) if work[i][col] != 0), None)
+        if pivot is None:
+            continue
+        work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
+        lead = work[pivot_row][col]
+        work[pivot_row] = [x / lead for x in work[pivot_row]]
+        for i in range(len(work)):
+            if i != pivot_row and work[i][col] != 0:
+                factor = work[i][col]
+                work[i] = [a - factor * b for a, b in zip(work[i], work[pivot_row])]
+        pivot_row += 1
+    return tuple(tuple(r) for r in work[:pivot_row])
+
+
+def reference_intersection(rows_a, rows_b, width: int) -> tuple[tuple[Fraction, ...], ...]:
+    """RREF basis of span(rows_a) ∩ span(rows_b) by Zassenhaus over ``Fraction``."""
+    zero = [Fraction(0)] * width
+    stacked = [list(r) + list(r) for r in rows_a] + [list(r) + zero for r in rows_b]
+    reduced = reference_rref(stacked, 2 * width)
+    return reference_rref(
+        [row[width:] for row in reduced if all(x == 0 for x in row[:width])], width
+    )
+
+
 def random_invertible_rows(rng: random.Random, rank: int, height: int = 5) -> list[list[int]]:
     while True:
         rows = [[rng.randint(-height, height) for _ in range(rank)] for _ in range(rank)]

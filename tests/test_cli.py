@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from filtstab.cli import main
 from filtstab.fixtures import three_concurrent_lines, three_generic_lines, two_lines
 from filtstab.serialize import (
@@ -236,6 +238,24 @@ def test_upsilon_strategies_flag(tmp_path):
     assert report["result"]["search_log"]["strategies"] == "random,generic"
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--budget", "0"),
+        ("--rank", "0"),
+        ("--strategies", "bogus"),
+        ("--strategies", "user"),
+        ("--max-denominator", "0"),
+    ],
+)
+def test_upsilon_bad_flag_exits_2(tmp_path, capsys, flag, value):
+    config, _ = three_generic_lines()
+    path = write_document(tmp_path, "triangle.json", input_document(config))
+    argv = ["upsilon", "--input", path, "--rank", "2", "--budget", "3", "--quiet"]
+    assert main(argv + [flag, value]) == 2
+    assert f"{flag}: " in capsys.readouterr().err
+
+
 def test_csv_format(tmp_path):
     config, fc = two_lines()
     path = write_document(tmp_path, "two.json", input_document(config, fc))
@@ -246,7 +266,7 @@ def test_csv_format(tmp_path):
     assert "result.report.c2,0" in text
 
 
-def test_seed_env_variable(tmp_path, monkeypatch):
+def test_seed_env_variable(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FILTSTAB_SEED", "77")
     config, _ = three_generic_lines()
     path = write_document(tmp_path, "triangle.json", input_document(config))
@@ -269,6 +289,14 @@ def test_seed_env_variable(tmp_path, monkeypatch):
     report = read_report(out)
     manifest = report["manifest"]
     assert manifest["options"]["seed"] == 77
+
+    monkeypatch.setenv("FILTSTAB_SEED", "abc")
+    argv = ["upsilon", "--input", path, "--rank", "2", "--budget", "6", "--quiet"]
+    assert main(argv + ["--output", str(out)]) == 2
+    assert "FILTSTAB_SEED" in capsys.readouterr().err
+    # an explicit --seed overrides the malformed variable
+    assert main(argv + ["--seed", "77", "--output", str(out)]) == code
+    assert read_report(out)["manifest"]["options"]["seed"] == 77
 
 
 def test_console_script_entry_points():

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +12,8 @@ from filtstab import (
     rational_to_string,
     span,
 )
+
+from helpers import reference_intersection, reference_rref
 
 
 class TestRationalLiterals:
@@ -73,6 +74,24 @@ class TestSpan:
             Subspace(2, ((Fraction(2), Fraction(0)),))
         with pytest.raises(InvariantError):
             Subspace(2, ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
+        for basis in (
+            ((-1, 2),),  # negative pivot
+            ((2, 4),),  # not primitive
+            ((1, 1), (0, 1)),  # pivot column not cleared
+            ((1, Fraction(1, 2)),),  # non-integer entry
+            ((1, 0), (0, 0)),  # zero row
+        ):
+            with pytest.raises(InvariantError):
+                Subspace(2, basis)
+        s = span([(1, Fraction(1, 2), 3), (Fraction(-2, 3), 0, 1)], 3)
+        assert s.basis == ((2, 0, -3), (0, 1, 9))
+        same = Subspace(3, s.basis)
+        assert same == s and hash(same) == hash(s)
+        assert span(s.rows, 3) == s
+        assert s.rows == (
+            (Fraction(1), Fraction(0), Fraction(-3, 2)),
+            (Fraction(0), Fraction(1), Fraction(9)),
+        )
 
 
 class TestIntersectAndSum:
@@ -167,14 +186,41 @@ def test_membership_and_containment():
     assert plane.contains(Subspace.zero(3))
 
 
-def test_intersection_cache_consistency():
-    rng = random.Random(11)
-    for _ in range(50):
-        n = rng.randint(2, 4)
-        a = span([[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))], n)
-        b = span([[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))], n)
-        meet = a.intersect(b)
-        assert a.contains(meet) and b.contains(meet)
-        join = a + b
-        assert join.contains(a) and join.contains(b)
-        assert meet.dim + join.dim == a.dim + b.dim
+def _rational_vectors(ambient):
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return st.lists(entries, min_size=ambient, max_size=ambient)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(_rational_vectors(n), max_size=n + 1),
+            st.lists(_rational_vectors(n), max_size=n + 1),
+            _rational_vectors(n),
+        )
+    )
+)
+def test_kernel_matches_fraction_reference(data):
+    n, rows_a, rows_b, vector = data
+    a, b = span(rows_a, n), span(rows_b, n)
+    ref_a, ref_b = reference_rref(rows_a, n), reference_rref(rows_b, n)
+    assert a.rows == ref_a and b.rows == ref_b
+
+    meet, join = a.intersect(b), a + b
+    ref_meet = reference_intersection(ref_a, ref_b, n)
+    assert meet.rows == ref_meet
+    assert join.rows == reference_rref(ref_a + ref_b, n)
+    assert a.intersection_dim(b) == b.intersection_dim(a) == len(ref_meet)
+    assert meet.dim + join.dim == a.dim + b.dim
+
+    assert a.contains(b) == (len(reference_rref(ref_a + ref_b, n)) == len(ref_a))
+    assert a.contains(meet) and b.contains(meet) and join.contains(a) and join.contains(b)
+    inside = [sum(column) for column in zip(*rows_a)] or [0] * n
+    for v in (vector, inside):
+        in_a = len(reference_rref(ref_a + (tuple(v),), n)) == len(ref_a)
+        assert a.contains_vector(v) == in_a
+
+    assert (a.sort_key() < b.sort_key()) == ((len(ref_a), ref_a) < (len(ref_b), ref_b))
+    assert (a == b) == (ref_a == ref_b)
