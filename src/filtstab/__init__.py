@@ -44,10 +44,12 @@ from .filtration import (
 from .linalg import Rat, Subspace, rational_from_string, rational_to_string, span
 from .stability import (
     Certainty,
+    ExactCandidates,
     StabilityVerdict,
     Status,
     candidate_subspaces,
     check_stability,
+    exact_candidates,
     parabolic_degree,
 )
 from .surface import (

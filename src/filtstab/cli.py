@@ -155,7 +155,15 @@ def _cmd_chern(args: argparse.Namespace) -> dict:
     return result
 
 
+def _check_counts(minimum: int, counts: Sequence[tuple[str, int]]) -> None:
+    """Reject a count flag below ``minimum`` as a parse error naming the flag."""
+    for flag, value in counts:
+        if value < minimum:
+            raise DocumentParseError(f"must be at least {minimum}, got {value}", flag)
+
+
 def _cmd_stability(args: argparse.Namespace) -> dict:
+    _check_counts(0, (("--samples", args.samples), ("--depth", args.depth)))
     config, fc, _ = parse_config(_load_document(args.input))
     if fc is None:
         raise DocumentValidationError(
@@ -186,13 +194,12 @@ def _cmd_blowup(args: argparse.Namespace) -> dict:
 
 
 def _cmd_upsilon(args: argparse.Namespace) -> dict:
-    for flag, value in (
+    _check_counts(1, (
         ("--rank", args.rank),
         ("--budget", args.budget),
         ("--max-denominator", args.max_denominator),
-    ):
-        if value < 1:
-            raise DocumentParseError(f"must be a positive integer, got {value}", flag)
+    ))
+    _check_counts(0, (("--samples", args.samples),))
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
     if not strategies or not set(strategies) <= set(STRATEGIES):
         raise DocumentParseError(

@@ -165,6 +165,10 @@ class Subspace:
         return len(_eliminate(self.basis + (row,), self.ambient_dim)) == self.dim
 
     def contains(self, other: "Subspace") -> bool:
+        if other.dim >= self.dim:
+            # a subspace contains one of at least its dimension only if equal
+            self._check_ambient(other)
+            return other == self
         return self.intersection_dim(other) == other.dim
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -201,6 +205,21 @@ class Subspace:
 
     def __and__(self, other: "Subspace") -> "Subspace":
         return self.intersect(other)
+
+    def annihilator(self) -> "Subspace":
+        """The vectors orthogonal to this subspace under the standard pairing."""
+        n = self.ambient_dim
+        pivots = [next(j for j, x in enumerate(row) if x) for row in self.basis]
+        vectors = []
+        for free in range(n):
+            if free in pivots:
+                continue
+            vector = [Fraction(0)] * n
+            vector[free] = Fraction(1)
+            for row, pivot in zip(self.rows, pivots):
+                vector[pivot] = -row[free]
+            vectors.append(vector)
+        return span(vectors, n)
 
     def sort_key(self) -> tuple:
         """Deterministic total order: by dimension, then by basis entries."""

@@ -6,12 +6,17 @@ degree
     sum_i  deg(D_i) * sum_a a * dim(gr_a of the filtration F_i induced on V)
 
 is non-negative; stability demands a strictly negative degree for every
-proper V.  For rank 2 the degree of a line depends only on which flag lines
-contain it, so the condition can be decided exactly by checking each distinct
-flag line plus one generic line.  For higher rank the oracle is one-sided:
-witnesses of non-stability are exact certificates, while a clean sweep over
-the explored subspaces (flag-step closure plus seeded random samples) only
-supports a heuristic verdict.
+proper V.  The degree of a line depends only on the set of flag steps that
+contain it, and grows with that set; dually, the degree of a hyperplane
+grows with the set of flag steps it contains.  So lines reach their maximal
+degree at a generic line of some intersection of flag steps, and hyperplanes
+at a generic hyperplane through some sum of flag steps.  At ranks 2 and 3
+every proper subspace is a line or a hyperplane, so these finitely many,
+weight-independent candidates (:func:`exact_candidates`) decide stability
+exactly.  For higher rank the oracle is one-sided: witnesses of
+non-stability are exact certificates, while a clean sweep over the explored
+subspaces (flag-step closure plus seeded random samples) only supports a
+heuristic verdict.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -108,14 +114,13 @@ def parabolic_degree(
     return total
 
 
-def _proper_flag_steps(fc: FilteredConfiguration) -> list[Subspace]:
-    steps = {
+def _proper_flag_steps(fc: FilteredConfiguration) -> frozenset[Subspace]:
+    return frozenset(
         space
         for filt in fc.filtrations
         for _, space in filt.steps
         if 0 < space.dim < fc.rank
-    }
-    return sorted(steps, key=Subspace.sort_key)
+    )
 
 
 def _closure(
@@ -161,14 +166,95 @@ def candidate_subspaces(
     return tuple(subspaces)
 
 
-def _generic_line(avoid: Sequence[Subspace], rank: int) -> Subspace:
-    """A line distinct from every line in ``avoid``."""
-    taken = {s for s in avoid if s.dim == 1}
-    for k in range(len(taken) + 1):
-        candidate = span([[1] + [k**j for j in range(1, rank)]], rank)
-        if candidate not in taken:
-            return candidate
-    raise AssertionError("unreachable: tried more lines than were avoided")
+def _moment_point(basis: Sequence[Sequence[int]], k: int) -> list[int]:
+    """sum_j k^j b_j over the rows b_j of ``basis`` (with 0^0 = 1)."""
+    return [
+        sum(k**j * row[c] for j, row in enumerate(basis)) for c in range(len(basis[0]))
+    ]
+
+
+def _generic_line(member: Subspace, steps: Iterable[Subspace]) -> Subspace:
+    """A line of ``member`` lying in no flag step that does not contain ``member``.
+
+    The moment-curve points of ``member``'s canonical basis are tried for
+    k = 0, 1, ...; a step meeting ``member`` in a proper subspace holds at
+    most dim - 1 of them (the roots of a nonzero polynomial of degree
+    < dim), so the range below always yields a line.
+    """
+    if member.dim == 1:
+        return member
+    avoid = [step for step in steps if not step.contains(member)]
+    for k in range(len(avoid) * (member.dim - 1) + 1):
+        line = span([_moment_point(member.basis, k)], member.ambient_dim)
+        if not any(step.contains(line) for step in avoid):
+            return line
+    raise AssertionError("unreachable: more roots than the degree allows")
+
+
+def _generic_hyperplane(member: Subspace, steps: Iterable[Subspace]) -> Subspace:
+    """A hyperplane through ``member`` containing no flag step outside ``member``.
+
+    Its normal is the first moment-curve point of the annihilator of
+    ``member`` that vanishes on none of those steps; the same root count as
+    in :func:`_generic_line` bounds the search.
+    """
+    if member.dim == member.ambient_dim - 1:
+        return member
+    avoid = [step for step in steps if not member.contains(step)]
+    normals = member.annihilator()
+    for k in range(len(avoid) * (normals.dim - 1) + 1):
+        normal = span([_moment_point(normals.basis, k)], member.ambient_dim)
+        hyperplane = normal.annihilator()
+        if not any(hyperplane.contains(step) for step in avoid):
+            return hyperplane
+    raise AssertionError("unreachable: more roots than the degree allows")
+
+
+@dataclass(frozen=True)
+class ExactCandidates:
+    """Subspaces whose degrees decide stability for any weights on some flags.
+
+    ``steps`` is the set of proper flag steps the candidates were built
+    from; they depend on nothing else, so one set serves every weighting of
+    those flags.
+    """
+
+    steps: frozenset[Subspace]
+    subspaces: tuple[Subspace, ...]
+
+
+def exact_candidates(fc: FilteredConfiguration) -> Optional[ExactCandidates]:
+    """The finite candidate set that decides stability at rank 2 or 3.
+
+    Lines: one generic line (:func:`_generic_line`) in each member of the
+    intersection closure of the proper flag steps, the full space included.
+    Any line V lies in exactly the flag steps containing the meet M of the
+    steps through V, and so does the generic line of M, so both have the
+    same degree.  Hyperplanes, at rank 3: dually, one generic hyperplane
+    through each member of the sum closure, the zero space included.  At
+    rank 2 the hyperplanes are the lines again and only the line half is
+    built: the distinct flag lines plus one generic line.  Returns None at
+    other ranks, where no exact method is implemented.
+    """
+    if fc.rank not in (2, 3):
+        return None
+    steps = _proper_flag_steps(fc)
+    # Up to rank 3 a line meets any subspace in itself or zero, and a plane
+    # plus any subspace is itself or the full space, so one round over pairs
+    # of distinct planes, and of distinct lines, closes the set of steps.
+    planes = [step for step in steps if step.dim == 2]
+    meets = steps | {a & b for a, b in combinations(planes, 2)} | {Subspace.full(fc.rank)}
+    subspaces = [
+        _generic_line(member, steps) for member in sorted(meets, key=Subspace.sort_key)
+    ]
+    if fc.rank == 3:
+        lines = [step for step in steps if step.dim == 1]
+        joins = steps | {a + b for a, b in combinations(lines, 2)} | {Subspace.zero(3)}
+        subspaces += [
+            _generic_hyperplane(member, steps)
+            for member in sorted(joins, key=Subspace.sort_key)
+        ]
+    return ExactCandidates(steps, tuple(subspaces))
 
 
 def _random_subspace(
@@ -249,16 +335,22 @@ def check_stability(
     depth: int = 3,
     cap: int = 512,
     sample_height: int = 5,
+    candidates: Optional[ExactCandidates] = None,
 ) -> StabilityVerdict:
     """Decide stability of a flag configuration.
 
-    ``mode`` is one of ``"auto"``, ``"exact2"`` or ``"heuristic"``.  The
-    rank-2 decision is exact: the degree of a line depends only on which
-    flag lines contain it, so every distinct flag line plus one generic line
-    exhausts the possible values.  The heuristic mode explores the flag-step
-    closure plus ``samples`` seeded random subspaces of every intermediate
-    dimension; destabilizing witnesses it finds are exact, a stable verdict
-    is not.
+    ``mode`` is one of ``"auto"``, ``"exact2"`` or ``"heuristic"``.  In
+    ``"auto"`` mode ranks 2 and 3 are decided exactly and without sampling,
+    by evaluating :func:`exact_candidates` (verdict metadata mode
+    ``"exact2"`` or ``"exact3"``); ``"exact2"`` does the same but insists on
+    rank 2.  ``candidates`` passes that set in precomputed, for instance once
+    per flag shape; it must have been built from the same flag subspaces,
+    and the sampling modes ignore it.
+    Above rank 3, and in ``"heuristic"`` mode, the check explores the
+    flag-step closure (``depth`` rounds, at most ``cap`` members) plus
+    ``samples`` seeded random subspaces of every intermediate dimension;
+    ``samples=0`` explores the closure only.  Destabilizing witnesses it
+    finds are exact, a stable verdict is not.
     """
     if len(fc.filtrations) != config.n_components:
         raise ShapeMismatchError(
@@ -267,6 +359,10 @@ def check_stability(
     _check_degrees_positive(fc, config)
     if mode not in ("auto", "exact2", "heuristic"):
         raise ValueError(f"unknown stability mode {mode!r}")
+    if samples < 0 or depth < 0:
+        raise ValueError("samples and depth must be non-negative")
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
     if mode == "exact2" and fc.rank != 2:
         raise ShapeMismatchError("exact2 mode requires rank 2")
 
@@ -277,11 +373,13 @@ def check_stability(
             {"mode": "vacuous"},
         )
 
-    if mode == "exact2" or (mode == "auto" and fc.rank == 2):
-        flag_lines = _proper_flag_steps(fc)
-        candidates = list(flag_lines) + [_generic_line(flag_lines, fc.rank)]
-        best, best_degree, degrees = _evaluate(candidates, fc, config)
-        metadata = {"mode": "exact2", "explored": len(candidates)}
+    if mode == "exact2" or (mode == "auto" and fc.rank <= 3):
+        if candidates is None:
+            candidates = exact_candidates(fc)
+        elif candidates.steps != _proper_flag_steps(fc):
+            raise ShapeMismatchError("candidates were built for other flag subspaces")
+        best, best_degree, degrees = _evaluate(candidates.subspaces, fc, config)
+        metadata = {"mode": f"exact{fc.rank}", "explored": len(candidates.subspaces)}
         return _verdict_from(best, best_degree, degrees, Certainty.EXACT, metadata)
 
     closure, capped = _closure(fc, depth, cap)
@@ -294,13 +392,13 @@ def check_stability(
             if candidate is not None and candidate not in seen:
                 seen.add(candidate)
                 sampled.append(candidate)
-    candidates = list(closure) + sampled
-    if not candidates:
-        candidates = [_generic_line([], fc.rank)]
-    best, best_degree, degrees = _evaluate(candidates, fc, config)
+    explored = list(closure) + sampled
+    if not explored:
+        explored = [_generic_line(Subspace.full(fc.rank), ())]
+    best, best_degree, degrees = _evaluate(explored, fc, config)
     metadata = {
         "mode": "heuristic",
-        "explored": len(candidates),
+        "explored": len(explored),
         "closure_size": len(closure),
         "closure_capped": capped,
         "samples": samples,

@@ -39,7 +39,13 @@ from .errors import (
 )
 from .filtration import FilteredConfiguration, Filtration, joint_step_multiplicities
 from .linalg import span
-from .stability import Certainty, StabilityVerdict, Status, check_stability
+from .stability import (
+    Certainty,
+    StabilityVerdict,
+    Status,
+    check_stability,
+    exact_candidates,
+)
 from .surface import DivisorConfiguration
 
 DEFAULT_FLAG_HEIGHT = 7
@@ -618,6 +624,8 @@ def outer_search(
         candidate_seed = (seed * 1_000_003 + index) & 0x7FFFFFFF
         qp = assemble_quadratics(shape_fc, config)
         shape = qp.shape
+        # weight-independent, so built once for the screen and the proposals
+        exact = exact_candidates(shape_fc)
 
         def screen(weights: Sequence[float]) -> bool:
             rationalized = _rationalize_ladder(weights, shape, max_denominator)
@@ -628,7 +636,7 @@ def outer_search(
                 return False
             verdict = check_stability(
                 candidate, config, mode="auto", samples=screen_samples,
-                seed=candidate_seed, depth=depth, cap=cap,
+                seed=candidate_seed, depth=depth, cap=cap, candidates=exact,
             )
             return verdict.status is Status.STABLE
 
@@ -668,7 +676,7 @@ def outer_search(
                 continue
             verdict = check_stability(
                 candidate, config, mode="auto", samples=samples,
-                seed=candidate_seed, depth=depth, cap=cap,
+                seed=candidate_seed, depth=depth, cap=cap, candidates=exact,
             )
             if verdict.status is Status.UNSTABLE:
                 counts["unstable"] += 1

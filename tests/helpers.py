@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 import sys
@@ -197,34 +198,42 @@ def random_realizable_config(rng: random.Random) -> DivisorConfiguration:
     return blow_up(random_arrangement(rng), Fraction(1, 100))
 
 
-def all_lines(height: int) -> list[Subspace]:
-    """Every line of Q^2 spanned by a primitive vector of coordinate height <= height."""
+def all_lines(height: int, rank: int = 2) -> list[Subspace]:
+    """Every line of Q^rank spanned by a primitive vector of coordinate height <= height."""
     lines = []
-    seen = set()
-    for a in range(-height, height + 1):
-        for b in range(-height, height + 1):
-            if (a, b) == (0, 0) or gcd(a, b) != 1:
-                continue
-            if a < 0 or (a == 0 and b < 0):
-                continue
-            line = span([[a, b]], 2)
-            if line not in seen:
-                seen.add(line)
-                lines.append(line)
+    for vector in itertools.product(range(-height, height + 1), repeat=rank):
+        first = next((x for x in vector if x), 0)
+        if first > 0 and gcd(*vector) == 1:
+            lines.append(span([vector], rank))
     return lines
+
+
+def _status_of(best: Fraction) -> Status:
+    if best > 0:
+        return Status.UNSTABLE
+    if best == 0:
+        return Status.SEMISTABLE
+    return Status.STABLE
 
 
 def brute_force_rank2(
     fc: FilteredConfiguration, config: DivisorConfiguration, height: int = 5
 ) -> tuple[Status, Fraction]:
     """Exhaustive stability verdict over all lines of bounded height."""
-    best = None
-    for line in all_lines(height):
-        degree = parabolic_degree(line, fc, config)
-        if best is None or degree > best:
-            best = degree
-    if best > 0:
-        return Status.UNSTABLE, best
-    if best == 0:
-        return Status.SEMISTABLE, best
-    return Status.STABLE, best
+    best = max(parabolic_degree(line, fc, config) for line in all_lines(height))
+    return _status_of(best), best
+
+
+def brute_force_rank3(
+    fc: FilteredConfiguration, config: DivisorConfiguration, height: int = 2
+) -> tuple[Status, Fraction]:
+    """Stability verdict over the lines of Q^3 of bounded height and their orthogonal planes.
+
+    Only subspaces of bounded height are tried, so the maximum is a lower
+    bound for the true maximal degree, and equal to it when a maximizer of
+    bounded height exists.
+    """
+    lines = all_lines(height, 3)
+    subspaces = lines + [line.annihilator() for line in lines]
+    best = max(parabolic_degree(s, fc, config) for s in subspaces)
+    return _status_of(best), best

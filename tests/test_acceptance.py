@@ -108,6 +108,27 @@ def test_criterion_3_bgi_harness():
     _passed(3, f"{stable_seen} exact-stable instances all had c2 >= 0 in {elapsed:.1f}s")
 
 
+def test_criterion_3_bgi_harness_rank3():
+    # Criterion 3 at rank 3, where stability is decided exactly as well.
+    start = time.monotonic()
+    rng = random.Random(20_010)
+    stable_seen = 0
+    for _ in range(400):
+        config = random_realizable_config(rng)
+        fc = random_balanced_configuration(rng, 3, config.n_components)
+        verdict = check_stability(fc, config)
+        assert verdict.certainty is Certainty.EXACT
+        if verdict.status is Status.STABLE:
+            stable_seen += 1
+            assert c2_trivial(fc, config) >= 0, (
+                f"stable configuration with negative c2: {fc}"
+            )
+    elapsed = time.monotonic() - start
+    assert elapsed < 120
+    assert stable_seen >= 10, "harness exercised too few stable instances"
+    _passed(3, f"rank 3: {stable_seen} exact-stable instances all had c2 >= 0 in {elapsed:.1f}s")
+
+
 def test_criterion_4_worked_instance_a():
     config, fc = two_lines()
     assert c2_trivial(fc, config) == 0

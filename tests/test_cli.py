@@ -256,6 +256,39 @@ def test_upsilon_bad_flag_exits_2(tmp_path, capsys, flag, value):
     assert f"{flag}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("stability", "--samples"),
+        ("stability", "--depth"),
+        ("upsilon", "--samples"),
+    ],
+)
+def test_negative_count_exits_2(tmp_path, capsys, command, flag):
+    config, fc = three_generic_lines()
+    path = write_document(tmp_path, "tgl.json", input_document(config, fc))
+    argv = [command, "--input", path, "--quiet"]
+    if command == "stability":
+        argv += ["--stability-mode", "heuristic"]
+    else:
+        argv += ["--rank", "2", "--budget", "2"]
+    out = tmp_path / "report.json"
+    assert main(argv + [flag, "-1", "--output", str(out)]) == 2
+    assert f"{flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_counts_explore_the_closure_only(tmp_path):
+    config, fc = three_generic_lines()
+    path = write_document(tmp_path, "tgl.json", input_document(config, fc))
+    out = tmp_path / "verdict.json"
+    argv = ["stability", "--input", path, "--stability-mode", "heuristic",
+            "--samples", "0", "--depth", "0", "--output", str(out)]
+    assert main(argv) == 0
+    metadata = read_report(out)["result"]["verdict"]["metadata"]
+    assert metadata["explored"] == metadata["closure_size"] == 3
+
+
 def test_csv_format(tmp_path):
     config, fc = two_lines()
     path = write_document(tmp_path, "two.json", input_document(config, fc))

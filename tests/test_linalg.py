@@ -177,6 +177,18 @@ def test_span_invariant_under_row_operations(data):
         assert span(modified, n) == base
 
 
+@settings(max_examples=60)
+@given(st.integers(1, 5).flatmap(_subspaces))
+def test_annihilator(subspace):
+    n = subspace.ambient_dim
+    normals = subspace.annihilator()
+    assert normals.dim == n - subspace.dim
+    for normal in normals.basis:
+        for row in subspace.basis:
+            assert sum(x * y for x, y in zip(normal, row)) == 0
+    assert normals.annihilator() == subspace
+
+
 def test_membership_and_containment():
     plane = span([(1, 0, 1), (0, 1, 1)], 3)
     assert plane.contains_vector((1, 1, 2))

@@ -15,18 +15,35 @@ from filtstab import (
     Subspace,
     candidate_subspaces,
     check_stability,
+    exact_candidates,
     parabolic_degree,
     span,
 )
 from filtstab.fixtures import three_generic_lines, two_lines
 from helpers import (
     brute_force_rank2,
+    brute_force_rank3,
     random_balanced_configuration,
+    random_balanced_weights_for,
     random_divisor_config,
 )
 
 F = Fraction
 E1 = span([(1, 0)], 2)
+
+
+def closed_under(combine, spaces):
+    """``spaces`` closed under a pairwise operation, by naive fixpoint iteration."""
+    members = set(spaces)
+    while True:
+        fresh = {combine(a, b) for a in members for b in members} - members
+        if not fresh:
+            return members
+        members |= fresh
+
+
+def proper_steps(fc):
+    return {s for f in fc.filtrations for _, s in f.steps if 0 < s.dim < fc.rank}
 
 
 class TestParabolicDegree:
@@ -205,7 +222,7 @@ class TestCheckStabilityGeneral:
         assert verdict.certainty is Certainty.EXACT
         assert verdict.witness == plane
 
-    def test_rank3_stable_is_heuristic(self):
+    def test_rank3_stable_is_exact(self):
         # four flag lines in general position: every line degree is
         # 2/3 - 3*(1/3) = -1/3 or lower, every plane holds at most two
         # flag lines and stays negative as well
@@ -225,8 +242,16 @@ class TestCheckStabilityGeneral:
         fc = FilteredConfiguration(3, flags)
         verdict = check_stability(fc, config, samples=100, seed=2)
         assert verdict.status is Status.STABLE
-        assert verdict.certainty is Certainty.HEURISTIC
+        assert verdict.certainty is Certainty.EXACT
         assert verdict.max_observed_degree == F(-1, 3)
+
+    @pytest.mark.parametrize(
+        "option", [{"samples": -1}, {"depth": -1}, {"cap": 0}]
+    )
+    def test_bad_exploration_counts_rejected(self, option):
+        config, fc = three_generic_lines()
+        with pytest.raises(ValueError):
+            check_stability(fc, config, mode="heuristic", **option)
 
     def test_heuristic_deterministic_in_seed(self):
         rng = random.Random(81)
@@ -235,3 +260,130 @@ class TestCheckStabilityGeneral:
         first = check_stability(fc, config, samples=60, seed=42)
         second = check_stability(fc, config, samples=60, seed=42)
         assert first == second
+
+
+class TestCheckStabilityRank3:
+    def test_at_least_brute_force_and_heuristic(self):
+        # flags spanned by rows of height 1, so every flag step and every
+        # meet and join of them has height <= 2 and is among the brute-force
+        # subspaces
+        rng = random.Random(91)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            config = random_divisor_config(rng, n)
+            fc = random_balanced_configuration(rng, 3, n, height=1, nontrivial=True)
+            verdict = check_stability(fc, config)
+            assert verdict.certainty is Certainty.EXACT
+            assert verdict.metadata["mode"] == "exact3"
+            sampled = check_stability(fc, config, mode="heuristic", samples=30, seed=5)
+            status, best = brute_force_rank3(fc, config, height=2)
+            assert verdict.max_observed_degree >= best
+            assert verdict.max_observed_degree >= sampled.max_observed_degree
+            if best >= 0:
+                assert verdict.status is status
+
+    def test_candidates_are_generic(self):
+        rng = random.Random(93)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            fc = random_balanced_configuration(
+                rng, 3, n, height=rng.randint(1, 3), nontrivial=True
+            )
+            steps = proper_steps(fc)
+            found = exact_candidates(fc).subspaces
+            lines = [c for c in found if c.dim == 1]
+            planes = [c for c in found if c.dim == 2]
+            assert len(lines) + len(planes) == len(found)
+            meets = closed_under(Subspace.intersect, steps | {Subspace.full(3)})
+            meets.discard(Subspace.zero(3))
+            assert len(lines) == len(meets)
+            for member in meets:
+                # exactly one candidate line lies in ``member`` and in
+                # exactly the flag steps that contain ``member``
+                through = {s for s in steps if s.contains(member)}
+                matches = [
+                    line for line in lines
+                    if member.contains(line)
+                    and {s for s in steps if s.contains(line)} == through
+                ]
+                assert len(matches) == 1
+            joins = closed_under(Subspace.__add__, steps | {Subspace.zero(3)})
+            joins.discard(Subspace.full(3))
+            assert len(planes) == len(joins)
+            for member in joins:
+                inside = {s for s in steps if member.contains(s)}
+                matches = [
+                    plane for plane in planes
+                    if plane.contains(member)
+                    and {s for s in steps if plane.contains(s)} == inside
+                ]
+                assert len(matches) == 1
+
+    def test_rank2_candidates_are_flag_lines_plus_one_generic_line(self):
+        config, fc = three_generic_lines()
+        flag_lines = sorted(proper_steps(fc), key=Subspace.sort_key)
+        found = exact_candidates(fc).subspaces
+        assert list(found[:-1]) == flag_lines
+        assert found[-1] not in flag_lines
+        verdict = check_stability(fc, config)
+        assert verdict.metadata == {"mode": "exact2", "explored": len(flag_lines) + 1}
+
+    def test_meet_of_two_flag_planes_is_the_only_witness(self):
+        # components A and B put the planes P = <e1,e2> and Q = <e1,e3> at
+        # weight 1/3; C, D, E put three lines in general position at 2/3.
+        # Their meet e1 has degree 1/3 + 1/3 - 3 * (2/3) * (1/3) = 0; every
+        # other line or plane has negative degree
+        full = Subspace.full(3)
+        planes = [span([(1, 0, 0), (0, 1, 0)], 3), span([(1, 0, 0), (0, 0, 1)], 3)]
+        lines = [span([v], 3) for v in ((1, 1, 1), (1, 2, 4), (1, 3, 9))]
+        flags = [Filtration(3, ((F(1, 3), p), (F(-2, 3), full))) for p in planes]
+        flags += [Filtration(3, ((F(2, 3), l), (F(-1, 3), full))) for l in lines]
+        names = ("A", "B", "C", "D", "E")
+        unit = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
+        config = DivisorConfiguration(names, (F(1), F(1)) + (F(2, 3),) * 3, unit)
+        fc = FilteredConfiguration(3, tuple(flags))
+        verdict = check_stability(fc, config)
+        assert verdict.status is Status.SEMISTABLE
+        assert verdict.certainty is Certainty.EXACT
+        assert verdict.witness == span([(1, 0, 0)], 3)
+        assert verdict.witness_degree == 0
+        found = exact_candidates(fc).subspaces
+        assert [c for c in found if parabolic_degree(c, fc, config) == 0] == [verdict.witness]
+        assert brute_force_rank3(fc, config, height=2) == (Status.SEMISTABLE, 0)
+
+    def test_no_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled a random subspace")
+
+        monkeypatch.setattr("filtstab.stability._random_subspace", refuse)
+        rng = random.Random(95)
+        for _ in range(10):
+            config = random_divisor_config(rng, 3)
+            fc = random_balanced_configuration(rng, 3, 3, nontrivial=True)
+            first = check_stability(fc, config, samples=100, seed=1)
+            assert first.certainty is Certainty.EXACT
+            assert check_stability(fc, config, samples=0, seed=2) == first
+
+    def test_precomputed_candidates(self):
+        rng = random.Random(97)
+        config = random_divisor_config(rng, 3)
+        fc = random_balanced_configuration(rng, 3, 3, nontrivial=True)
+        found = exact_candidates(fc)
+        for _ in range(5):
+            reweighted = FilteredConfiguration(
+                3,
+                tuple(
+                    f.with_weights(random_balanced_weights_for(rng, f))
+                    for f in fc.filtrations
+                ),
+            )
+            assert check_stability(reweighted, config, candidates=found) == (
+                check_stability(reweighted, config)
+            )
+        other = random_balanced_configuration(rng, 3, 3, nontrivial=True)
+        with pytest.raises(ShapeMismatchError):
+            check_stability(other, config, candidates=found)
+
+    def test_no_exact_set_above_rank_three(self):
+        rng = random.Random(99)
+        assert exact_candidates(random_balanced_configuration(rng, 4, 2)) is None

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from filtstab import (
+    BGIViolationError,
+    Certainty,
     DegenerateDegreeError,
     DivisorConfiguration,
     FilteredConfiguration,
@@ -279,3 +281,20 @@ class TestOuterSearch:
         config, _ = three_generic_lines()
         with pytest.raises(ValueError):
             outer_search(config, rank=2, budget=2, seed=0, strategies=("user",))
+
+    def test_rank3_search_is_exact(self):
+        config, _ = three_generic_lines()
+        estimate = outer_search(config, rank=3, budget=20, seed=7)
+        assert estimate.verdict.status is Status.STABLE
+        assert estimate.verdict.certainty is Certainty.EXACT
+        assert estimate.verdict.metadata["mode"] == "exact3"
+        assert estimate.search_log["bgi_rejected"] == 0
+        assert estimate.c2 >= 0
+
+    def test_rank3_stable_with_negative_c2_is_a_bgi_violation(self, monkeypatch):
+        # an exactly stable candidate with c2 < 0 can only come from a bug,
+        # so it stops the search instead of being dropped
+        monkeypatch.setattr("filtstab.upsilon.c2_trivial", lambda fc, config: F(-1))
+        config, _ = three_generic_lines()
+        with pytest.raises(BGIViolationError):
+            outer_search(config, rank=3, budget=20, seed=7)
