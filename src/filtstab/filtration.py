@@ -5,16 +5,24 @@ rational weights, with finitely many jumps.  It is stored as its jump data:
 a list of (weight, space) steps with strictly decreasing weights and strictly
 increasing spaces, the last space being all of Q^r.  The associated graded
 piece gr_a = F_a / F_{>a} is nonzero exactly at the step weights.
+
+Everything a subspace V sees of a flag is its step incidence, the
+dimensions dim(V ∩ F_s) for the steps s.  :meth:`Filtration.step_dims`
+reads them from one integer elimination against functionals adapted to the
+flag (:class:`~filtstab.linalg.ChainIncidence`), built once per flag and
+shared by every reweighting of it; the induced graded dimensions and the
+joint step multiplicities of two flags are differences of those numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import DimensionMismatchError, InvariantError
-from .linalg import Subspace, rational_to_string
+from .linalg import ChainIncidence, Subspace, rational_to_string
 
 
 @dataclass(frozen=True)
@@ -128,9 +136,7 @@ class Filtration:
         factor = Fraction(factor)
         if factor <= 0:
             raise InvariantError("scaling factor must be positive")
-        return Filtration(
-            self.ambient_dim, tuple((factor * w, s) for w, s in self.steps)
-        )
+        return self._reweighted(tuple(factor * w for w in self.weights()))
 
     def is_balanced(self) -> bool:
         return self.gr_spectrum().moment() == 0
@@ -144,9 +150,7 @@ class Filtration:
         shift = -self.gr_spectrum().moment() / self.ambient_dim
         if shift == 0:
             return self
-        return Filtration(
-            self.ambient_dim, tuple((w + shift, s) for w, s in self.steps)
-        )
+        return self._reweighted(tuple(w + shift for w in self.weights()))
 
     def with_weights(self, weights: Sequence[Fraction]) -> "Filtration":
         """Same flag, new weights (must still strictly decrease)."""
@@ -154,10 +158,23 @@ class Filtration:
             raise DimensionMismatchError(
                 f"{len(weights)} weights for {len(self.steps)} steps"
             )
-        return Filtration(
-            self.ambient_dim,
-            tuple((Fraction(w), s) for w, (_, s) in zip(weights, self.steps)),
-        )
+        return self._reweighted(weights)
+
+    def _reweighted(self, weights: Sequence[Fraction]) -> "Filtration":
+        out = Filtration(self.ambient_dim, tuple(zip(weights, self.spaces())))
+        if "incidence" in self.__dict__:
+            # same flag, so the adapted functionals carry over
+            out.__dict__["incidence"] = self.incidence
+        return out
+
+    @cached_property
+    def incidence(self) -> ChainIncidence:
+        """Integer functionals adapted to this flag; independent of the weights."""
+        return ChainIncidence.of(self.spaces())
+
+    def step_dims(self, subspace: Subspace) -> tuple[int, ...]:
+        """dim(V ∩ F_s) for every step space F_s, in step order (one elimination)."""
+        return self.incidence.intersection_dims(subspace)
 
     def induced_degree_vector(self, subspace: Subspace) -> tuple[tuple[Fraction, int], ...]:
         """Graded dimensions of the filtration induced on a subspace V.
@@ -172,8 +189,7 @@ class Filtration:
             )
         entries = []
         prev_dim = 0
-        for weight, space in self.steps:
-            here = subspace.intersection_dim(space)
+        for weight, here in zip(self.weights(), self.step_dims(subspace)):
             if here > prev_dim:
                 entries.append((weight, here - prev_dim))
             prev_dim = here
@@ -228,11 +244,14 @@ def joint_step_multiplicities(f: Filtration, g: Filtration) -> tuple[tuple[int, 
     the matrix sum to the rank.
     """
     _check_common_ambient(f, g)
-    f_spaces = [Subspace.zero(f.ambient_dim)] + list(f.spaces())
-    g_spaces = [Subspace.zero(g.ambient_dim)] + list(g.spaces())
-    dims = [
-        [fs.intersection_dim(gs) for gs in g_spaces] for fs in f_spaces
-    ]
+    # dims[s][t] = dim(F_s ∩ G_t), with a zero step 0 in front of each flag;
+    # the last step of f is the whole space, which meets G_t in G_t
+    g_spaces = g.spaces()
+    dims = (
+        [(0,) * (len(g_spaces) + 1)]
+        + [(0,) + g.step_dims(fs) for fs in f.spaces()[:-1]]
+        + [(0,) + tuple(gs.dim for gs in g_spaces)]
+    )
     return tuple(
         tuple(
             dims[s + 1][t + 1] - dims[s][t + 1] - dims[s + 1][t] + dims[s][t]

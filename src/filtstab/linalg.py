@@ -7,14 +7,18 @@ identical, so they can be hashed, deduplicated and compared
 deterministically.  All kernels run through one fraction-free integer
 elimination; ``Fraction`` appears only where input rows are scaled to
 integers and where the rational echelon rows are derived for output.
+:class:`ChainIncidence` uses the same elimination to read off the
+intersection dimensions of a subspace with every member of a flag at once.
 """
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, InvariantError
@@ -206,20 +210,32 @@ class Subspace:
     def __and__(self, other: "Subspace") -> "Subspace":
         return self.intersect(other)
 
-    def annihilator(self) -> "Subspace":
-        """The vectors orthogonal to this subspace under the standard pairing."""
+    def normals(self) -> dict[int, tuple[int, ...]]:
+        """One integer functional vanishing on this subspace per free column.
+
+        The functional of free column f is ``scale`` at f, zero at the other
+        free columns and ``-row[f] * scale / row[pivot]`` at each pivot,
+        where ``scale`` is the lcm of the pivot entries.  Together they form
+        a basis of the annihilator.
+        """
         n = self.ambient_dim
         pivots = [next(j for j, x in enumerate(row) if x) for row in self.basis]
-        vectors = []
+        scale = lcm(*(row[p] for row, p in zip(self.basis, pivots)))
+        normals = {}
         for free in range(n):
             if free in pivots:
                 continue
-            vector = [Fraction(0)] * n
-            vector[free] = Fraction(1)
-            for row, pivot in zip(self.rows, pivots):
-                vector[pivot] = -row[free]
-            vectors.append(vector)
-        return span(vectors, n)
+            vector = [0] * n
+            vector[free] = scale
+            for row, pivot in zip(self.basis, pivots):
+                vector[pivot] = -row[free] * (scale // row[pivot])
+            normals[free] = tuple(vector)
+        return normals
+
+    def annihilator(self) -> "Subspace":
+        """The vectors orthogonal to this subspace under the standard pairing."""
+        n = self.ambient_dim
+        return Subspace(n, _eliminate(self.normals().values(), n))
 
     def sort_key(self) -> tuple:
         """Deterministic total order: by dimension, then by basis entries."""
@@ -246,3 +262,51 @@ def span(rows: Iterable[Sequence], ambient_dim: int) -> Subspace:
     """
     integer_rows = [_integer_row(r, ambient_dim) for r in rows]
     return Subspace(ambient_dim, _eliminate(integer_rows, ambient_dim))
+
+
+@dataclass(frozen=True)
+class ChainIncidence:
+    """One elimination per subspace for its meets with every member of a chain.
+
+    For an increasing chain S_1 < ... < S_k of subspaces of Q^r,
+    ``functionals`` are integer rows psi_1, psi_2, ... such that the first
+    ``codims[s] = r - dim S_s`` of them span the annihilator of S_s: the
+    :meth:`Subspace.normals` of S_{k-1}, then those of S_{k-2} at the free
+    columns that are pivots of S_{k-1}, and so on.  Pivot columns only
+    grow along the chain, and each normal of S_s is zero at the other free
+    columns of S_s, so the rows are triangular on the free columns and
+    independent.  Then
+    dim(V ∩ S_s) is dim V minus the rank of the first ``codims[s]`` columns
+    of the matrix (psi_j . b) over the canonical basis rows b of V, and that
+    rank is the number of pivot columns below ``codims[s]`` after one
+    elimination of the whole matrix.
+    """
+
+    ambient_dim: int
+    codims: tuple[int, ...]
+    functionals: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def of(cls, chain: Sequence[Subspace]) -> "ChainIncidence":
+        n = chain[-1].ambient_dim
+        functionals: list[tuple[int, ...]] = []
+        free_above: dict[int, tuple[int, ...]] = {}
+        for space in reversed(chain):
+            normals = space.normals()
+            functionals += [v for free, v in normals.items() if free not in free_above]
+            free_above = normals
+        return cls(n, tuple(n - space.dim for space in chain), tuple(functionals))
+
+    def intersection_dims(self, subspace: Subspace) -> tuple[int, ...]:
+        """dim(subspace ∩ S_s) for every member S_s of the chain, in order."""
+        if subspace.ambient_dim != self.ambient_dim:
+            raise DimensionMismatchError(
+                f"subspace in Q^{subspace.ambient_dim}, chain in Q^{self.ambient_dim}"
+            )
+        values = [
+            [sum(map(mul, psi, row)) for psi in self.functionals]
+            for row in subspace.basis
+        ]
+        reduced = _eliminate(values, len(self.functionals))
+        pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
+        return tuple(subspace.dim - bisect_left(pivots, c) for c in self.codims)

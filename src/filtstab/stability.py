@@ -17,6 +17,15 @@ exactly.  For higher rank the oracle is one-sided: witnesses of
 non-stability are exact certificates, while a clean sweep over the explored
 subspaces (flag-step closure plus seeded random samples) only supports a
 heuristic verdict.
+
+Degrees are evaluated as integer dot products.  A subspace V enters only
+through its step incidence x_{i,s} = dim(V ∩ F_{i,s}) (one elimination per
+flag, see :meth:`~filtstab.filtration.Filtration.step_dims`), and by
+summation by parts the degree is sum_{i,s} C_{i,s} x_{i,s} / L with
+integers C_{i,s} = L deg(D_i) (a_{i,s} - a_{i,s+1}) (a_{i,k+1} = 0) and one
+common denominator L.  The incidences do not depend on the weights, so
+:class:`ExactCandidates` stores them with the candidates, and reweighting a
+flag shape costs one dot product per candidate.
 """
 
 from __future__ import annotations
@@ -26,6 +35,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -37,6 +48,10 @@ from .errors import (
 from .filtration import FilteredConfiguration
 from .linalg import Subspace, span
 from .surface import DivisorConfiguration
+
+# per component i and step s: dim(V ∩ F_{i,s}), or an integer coefficient C_{i,s}
+Incidence = tuple[tuple[int, ...], ...]
+DegreeForm = tuple[tuple[int, ...], ...]
 
 
 class Status(Enum):
@@ -105,13 +120,34 @@ def parabolic_degree(
         raise ShapeMismatchError(
             f"{len(fc.filtrations)} filtrations for {config.n_components} components"
         )
-    total = Fraction(0)
+    coefficients, denominator = _degree_form(fc, config)
+    return Fraction(_dot(coefficients, _incidence(subspace, fc)), denominator)
+
+
+def _degree_form(
+    fc: FilteredConfiguration, config: DivisorConfiguration
+) -> tuple[DegreeForm, int]:
+    """Integer coefficients C_{i,s} and denominator L of the degree form."""
+    rows = []
     for filt, degree in zip(fc.filtrations, config.degrees):
-        if degree == 0:
-            continue
-        for weight, mult in filt.induced_degree_vector(subspace):
-            total += weight * mult * degree
-    return total
+        weights = filt.weights()
+        rows.append([
+            degree * (w - w_next) for w, w_next in zip(weights, weights[1:] + (0,))
+        ])
+    denominator = lcm(*(c.denominator for row in rows for c in row))
+    coefficients = tuple(
+        tuple(c.numerator * (denominator // c.denominator) for c in row) for row in rows
+    )
+    return coefficients, denominator
+
+
+def _incidence(subspace: Subspace, fc: FilteredConfiguration) -> Incidence:
+    """dim(V ∩ F_{i,s}) for each component i and step s."""
+    return tuple(f.step_dims(subspace) for f in fc.filtrations)
+
+
+def _dot(coefficients: DegreeForm, incidence: Incidence) -> int:
+    return sum(sum(map(mul, row, dims)) for row, dims in zip(coefficients, incidence))
 
 
 def _proper_flag_steps(fc: FilteredConfiguration) -> frozenset[Subspace]:
@@ -133,9 +169,16 @@ def _closure(
         ordered = sorted(current, key=Subspace.sort_key)
         for a_index, a in enumerate(ordered):
             for b in ordered[a_index + 1:]:
-                for candidate in (a.intersect(b), a + b):
-                    if 0 < candidate.dim < fc.rank and candidate not in current:
-                        fresh.add(candidate)
+                join = a + b
+                if join.dim < fc.rank and join not in current:
+                    fresh.add(join)
+                # the meet is zero, or a or b (members already), whenever
+                # the dimension formula says so; only intersect otherwise
+                meet_dim = a.dim + b.dim - join.dim
+                if 0 < meet_dim < min(a.dim, b.dim):
+                    meet = a.intersect(b)
+                    if meet not in current:
+                        fresh.add(meet)
                 if len(current) + len(fresh) >= cap:
                     capped = True
                     break
@@ -159,8 +202,10 @@ def candidate_subspaces(
 
     The closure is iterated at most ``depth`` times and silently truncated at
     ``cap`` elements (the truncation is reported in verdict metadata when
-    used through :func:`check_stability`).  Every proper flag step is always
-    included.
+    used through :func:`check_stability`).  Members are kept in
+    :meth:`~filtstab.linalg.Subspace.sort_key` order, smallest dimension
+    first, so a cap below the number of proper flag steps drops flag steps
+    too.
     """
     subspaces, _ = _closure(fc, depth, cap)
     return tuple(subspaces)
@@ -214,13 +259,15 @@ def _generic_hyperplane(member: Subspace, steps: Iterable[Subspace]) -> Subspace
 class ExactCandidates:
     """Subspaces whose degrees decide stability for any weights on some flags.
 
-    ``steps`` is the set of proper flag steps the candidates were built
-    from; they depend on nothing else, so one set serves every weighting of
-    those flags.
+    ``flags`` holds the step spaces of each component's flag, the only
+    input the candidates depend on, so one set serves every weighting of
+    those flags.  ``incidences[n]`` is the step incidence of
+    ``subspaces[n]``: dim(V ∩ F_{i,s}) for each component i and step s.
     """
 
-    steps: frozenset[Subspace]
+    flags: tuple[tuple[Subspace, ...], ...]
     subspaces: tuple[Subspace, ...]
+    incidences: tuple[Incidence, ...]
 
 
 def exact_candidates(fc: FilteredConfiguration) -> Optional[ExactCandidates]:
@@ -254,7 +301,12 @@ def exact_candidates(fc: FilteredConfiguration) -> Optional[ExactCandidates]:
             _generic_hyperplane(member, steps)
             for member in sorted(joins, key=Subspace.sort_key)
         ]
-    return ExactCandidates(steps, tuple(subspaces))
+    incidences = tuple(_incidence(v, fc) for v in subspaces)
+    return ExactCandidates(_flags(fc), tuple(subspaces), incidences)
+
+
+def _flags(fc: FilteredConfiguration) -> tuple[tuple[Subspace, ...], ...]:
+    return tuple(f.spaces() for f in fc.filtrations)
 
 
 def _random_subspace(
@@ -270,34 +322,25 @@ def _random_subspace(
     return None
 
 
-def _evaluate(
-    candidates: Iterable[Subspace],
-    fc: FilteredConfiguration,
-    config: DivisorConfiguration,
-) -> tuple[Optional[Subspace], Optional[Fraction], list[Fraction]]:
-    best: Optional[Subspace] = None
-    best_degree: Optional[Fraction] = None
-    degrees: list[Fraction] = []
-    for candidate in candidates:
-        degree = parabolic_degree(candidate, fc, config)
-        degrees.append(degree)
-        if (
-            best_degree is None
-            or degree > best_degree
-            or (degree == best_degree and candidate.sort_key() < best.sort_key())
-        ):
-            best, best_degree = candidate, degree
-    return best, best_degree, degrees
-
-
 def _verdict_from(
-    best: Subspace,
-    best_degree: Fraction,
-    degrees: list[Fraction],
+    candidates: Sequence[Subspace],
+    numerators: Sequence[int],
+    denominator: int,
     certainty: Certainty,
     metadata: dict,
 ) -> StabilityVerdict:
-    observed = tuple(sorted(set(degrees)))
+    """The verdict from the degrees ``numerators[n] / denominator`` of ``candidates``.
+
+    The witness is a candidate of maximal degree, the first in sort order
+    among ties.
+    """
+    best_numerator = max(numerators)
+    best = min(
+        (c for c, n in zip(candidates, numerators) if n == best_numerator),
+        key=Subspace.sort_key,
+    )
+    best_degree = Fraction(best_numerator, denominator)
+    observed = tuple(sorted(Fraction(n, denominator) for n in set(numerators)))
     if best_degree > 0:
         return StabilityVerdict(
             Status.UNSTABLE, Certainty.EXACT, best, best_degree, best_degree,
@@ -344,8 +387,9 @@ def check_stability(
     by evaluating :func:`exact_candidates` (verdict metadata mode
     ``"exact2"`` or ``"exact3"``); ``"exact2"`` does the same but insists on
     rank 2.  ``candidates`` passes that set in precomputed, for instance once
-    per flag shape; it must have been built from the same flag subspaces,
-    and the sampling modes ignore it.
+    per flag shape, with the step incidences of its members, so each call
+    costs one dot product per candidate; it must have been built from the
+    same flags, component by component, and the sampling modes ignore it.
     Above rank 3, and in ``"heuristic"`` mode, the check explores the
     flag-step closure (``depth`` rounds, at most ``cap`` members) plus
     ``samples`` seeded random subspaces of every intermediate dimension;
@@ -373,14 +417,17 @@ def check_stability(
             {"mode": "vacuous"},
         )
 
+    coefficients, denominator = _degree_form(fc, config)
     if mode == "exact2" or (mode == "auto" and fc.rank <= 3):
         if candidates is None:
             candidates = exact_candidates(fc)
-        elif candidates.steps != _proper_flag_steps(fc):
-            raise ShapeMismatchError("candidates were built for other flag subspaces")
-        best, best_degree, degrees = _evaluate(candidates.subspaces, fc, config)
+        elif candidates.flags != _flags(fc):
+            raise ShapeMismatchError("candidates were built for other flags")
+        numerators = [_dot(coefficients, x) for x in candidates.incidences]
         metadata = {"mode": f"exact{fc.rank}", "explored": len(candidates.subspaces)}
-        return _verdict_from(best, best_degree, degrees, Certainty.EXACT, metadata)
+        return _verdict_from(
+            candidates.subspaces, numerators, denominator, Certainty.EXACT, metadata
+        )
 
     closure, capped = _closure(fc, depth, cap)
     rng = random.Random(seed)
@@ -395,7 +442,7 @@ def check_stability(
     explored = list(closure) + sampled
     if not explored:
         explored = [_generic_line(Subspace.full(fc.rank), ())]
-    best, best_degree, degrees = _evaluate(explored, fc, config)
+    numerators = [_dot(coefficients, _incidence(v, fc)) for v in explored]
     metadata = {
         "mode": "heuristic",
         "explored": len(explored),
@@ -405,4 +452,4 @@ def check_stability(
         "seed": seed,
         "sample_height": sample_height,
     }
-    return _verdict_from(best, best_degree, degrees, Certainty.HEURISTIC, metadata)
+    return _verdict_from(explored, numerators, denominator, Certainty.HEURISTIC, metadata)

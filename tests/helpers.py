@@ -21,6 +21,7 @@ from filtstab import (
     parabolic_degree,
     span,
 )
+from filtstab.stability import _proper_flag_steps
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -237,3 +238,90 @@ def brute_force_rank3(
     subspaces = lines + [line.annihilator() for line in lines]
     best = max(parabolic_degree(s, fc, config) for s in subspaces)
     return _status_of(best), best
+
+
+def three_planes() -> tuple[DivisorConfiguration, FilteredConfiguration]:
+    """Three planes A, B, C in Q^4 on degree-1 components, weights (1/2, -1/2).
+
+    A = <e1, e2>, B = <e3, e4>, C = <e1 + e3, e2 + e4>.  The transversal
+    W = <e1, e3> meets each plane in a line and has degree exactly 0.
+    """
+    config = DivisorConfiguration(
+        ("A", "B", "C"), (Fraction(1),) * 3, ((1, 1, 1), (1, 1, 1), (1, 1, 1))
+    )
+    half = Fraction(1, 2)
+    planes = (
+        span([[1, 0, 0, 0], [0, 1, 0, 0]], 4),
+        span([[0, 0, 1, 0], [0, 0, 0, 1]], 4),
+        span([[1, 0, 1, 0], [0, 1, 0, 1]], 4),
+    )
+    flags = tuple(Filtration(4, ((half, p), (-half, Subspace.full(4)))) for p in planes)
+    return config, FilteredConfiguration(4, flags)
+
+
+def reference_induced_degree_vector(filt: Filtration, subspace: Subspace):
+    """Induced graded dimensions, one ``intersection_dim`` per flag step."""
+    entries = []
+    prev_dim = 0
+    for weight, space in filt.steps:
+        here = subspace.intersection_dim(space)
+        if here > prev_dim:
+            entries.append((weight, here - prev_dim))
+        prev_dim = here
+    return tuple(entries)
+
+
+def reference_parabolic_degree(
+    subspace: Subspace, fc: FilteredConfiguration, config: DivisorConfiguration
+) -> Fraction:
+    """sum_i deg(D_i) sum_a a * mult, summed in Fractions from the reference vectors."""
+    total = Fraction(0)
+    for filt, degree in zip(fc.filtrations, config.degrees):
+        if degree == 0:
+            continue
+        for weight, mult in reference_induced_degree_vector(filt, subspace):
+            total += weight * mult * degree
+    return total
+
+
+def reference_joint_step_multiplicities(f: Filtration, g: Filtration):
+    """Joint step multiplicities by inclusion-exclusion over pairwise ``intersection_dim``."""
+    f_spaces = [Subspace.zero(f.ambient_dim)] + list(f.spaces())
+    g_spaces = [Subspace.zero(g.ambient_dim)] + list(g.spaces())
+    dims = [[fs.intersection_dim(gs) for gs in g_spaces] for fs in f_spaces]
+    return tuple(
+        tuple(
+            dims[s + 1][t + 1] - dims[s][t + 1] - dims[s + 1][t] + dims[s][t]
+            for t in range(len(g.steps))
+        )
+        for s in range(len(f.steps))
+    )
+
+
+def reference_closure(
+    fc: FilteredConfiguration, depth: int, cap: int
+) -> tuple[list[Subspace], bool]:
+    """The flag-step closure computing every pairwise meet and sum, capped."""
+    current = set(_proper_flag_steps(fc))
+    capped = False
+    for _ in range(depth):
+        fresh: set[Subspace] = set()
+        ordered = sorted(current, key=Subspace.sort_key)
+        for a_index, a in enumerate(ordered):
+            for b in ordered[a_index + 1:]:
+                for candidate in (a.intersect(b), a + b):
+                    if 0 < candidate.dim < fc.rank and candidate not in current:
+                        fresh.add(candidate)
+                if len(current) + len(fresh) >= cap:
+                    capped = True
+                    break
+            if capped:
+                break
+        current |= fresh
+        if capped or not fresh:
+            break
+    ordered = sorted(current, key=Subspace.sort_key)
+    if len(ordered) > cap:
+        ordered = ordered[:cap]
+        capped = True
+    return ordered, capped

@@ -1,0 +1,166 @@
+"""The integer incidence kernel against the per-step reference formulas."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from filtstab import (
+    DimensionMismatchError,
+    DivisorConfiguration,
+    FilteredConfiguration,
+    Filtration,
+    ShapeMismatchError,
+    Subspace,
+    check_stability,
+    exact_candidates,
+    joint_step_multiplicities,
+    parabolic_degree,
+    span,
+)
+from filtstab.linalg import ChainIncidence
+from helpers import (
+    random_balanced_configuration,
+    random_balanced_filtration,
+    random_balanced_weights_for,
+    random_divisor_config,
+    random_subspace,
+    reference_induced_degree_vector,
+    reference_joint_step_multiplicities,
+    reference_parabolic_degree,
+    three_planes,
+)
+
+F = Fraction
+
+
+def _flag(rng: random.Random, rank: int, steps: int) -> Filtration:
+    """A random flag with ``steps`` steps and random strictly decreasing weights."""
+    flag = random_balanced_filtration(rng, rank, height=2, steps=steps)
+    weights = sorted(
+        {F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(3 * steps)},
+        reverse=True,
+    )
+    while len(weights) < steps:
+        weights.append(weights[-1] - 1)
+    return flag.with_weights(sorted(rng.sample(weights, steps), reverse=True))
+
+
+def _candidates(rng: random.Random, fc: FilteredConfiguration) -> list[Subspace]:
+    """Random subspaces of every dimension, the flag steps, and their meets and sums."""
+    n = fc.rank
+    found = [random_subspace(rng, n, dim, height=2) for dim in range(n + 1)]
+    steps = sorted({s for f in fc.filtrations for s in f.spaces()}, key=Subspace.sort_key)
+    found += steps
+    for a in steps:
+        for b in steps:
+            found += [a & b, a + b]
+    return found
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    st.integers(0, 2**32),
+)
+def test_kernel_matches_per_step_reference(rank, degree_numerators, seed):
+    # trivial flags (one step) and zero-degree components both occur
+    rng = random.Random(seed)
+    flags = tuple(_flag(rng, rank, rng.randint(1, rank)) for _ in degree_numerators)
+    fc = FilteredConfiguration(rank, flags)
+    n = len(flags)
+    degrees = tuple(F(d, rng.randint(1, 3)) for d in degree_numerators)
+    config = DivisorConfiguration(
+        tuple(f"C{i}" for i in range(n)), degrees, tuple((1,) * n for _ in range(n))
+    )
+    for v in _candidates(rng, fc):
+        for filt in flags:
+            assert filt.step_dims(v) == tuple(v.intersection_dim(s) for s in filt.spaces())
+            assert filt.induced_degree_vector(v) == reference_induced_degree_vector(filt, v)
+        if 0 < v.dim < rank:
+            assert parabolic_degree(v, fc, config) == reference_parabolic_degree(v, fc, config)
+    for f in flags:
+        for g in flags:
+            assert joint_step_multiplicities(f, g) == reference_joint_step_multiplicities(f, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32))
+def test_functionals_are_adapted_to_the_flag(rank, seed):
+    rng = random.Random(seed)
+    flag = _flag(rng, rank, rng.randint(1, rank))
+    kernel = ChainIncidence.of(flag.spaces())
+    assert kernel.codims == tuple(rank - s.dim for s in flag.spaces())
+    assert all(type(x) is int for psi in kernel.functionals for x in psi)
+    for space, codim in zip(flag.spaces(), kernel.codims):
+        assert span(kernel.functionals[:codim], rank) == space.annihilator()
+
+
+def test_reweighted_flags_share_the_functionals():
+    rng = random.Random(7)
+    flag = random_balanced_filtration(rng, 4, steps=3)
+    kernel = flag.incidence
+    weights = random_balanced_weights_for(rng, flag)
+    assert flag.with_weights(weights).incidence is kernel
+    assert flag.scale(3).incidence is kernel
+    assert flag.with_weights(weights) == Filtration(4, tuple(zip(weights, flag.spaces())))
+
+
+def test_ambient_mismatch_rejected():
+    flag = Filtration.trivial(3)
+    with pytest.raises(DimensionMismatchError):
+        flag.step_dims(Subspace.full(2))
+
+
+def test_three_planes_transversal_has_degree_zero():
+    config, fc = three_planes()
+    w = span([(1, 0, 0, 0), (0, 0, 1, 0)], 4)
+    for filt in fc.filtrations:
+        assert filt.step_dims(w) == (1, 2)
+    assert parabolic_degree(w, fc, config) == 0
+    assert reference_parabolic_degree(w, fc, config) == 0
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_prebuilt_incidences_follow_reweighting(rank):
+    rng = random.Random(100 + rank)
+    for _ in range(5):
+        config = random_divisor_config(rng, 3)
+        fc = random_balanced_configuration(rng, rank, 3, nontrivial=True)
+        found = exact_candidates(fc)
+        assert found.incidences == tuple(
+            tuple(f.step_dims(v) for f in fc.filtrations) for v in found.subspaces
+        )
+        for _ in range(4):
+            reweighted = FilteredConfiguration(
+                rank,
+                tuple(
+                    f.with_weights(random_balanced_weights_for(rng, f))
+                    for f in fc.filtrations
+                ),
+            )
+            assert check_stability(reweighted, config, candidates=found) == (
+                check_stability(reweighted, config)
+            )
+
+
+def test_prebuilt_set_from_other_flags_rejected():
+    config = random_divisor_config(random.Random(3), 2)
+    e1, e2 = span([(1, 0)], 2), span([(0, 1)], 2)
+    full = Subspace.full(2)
+
+    def flag(line, top):
+        return Filtration(2, ((top, line), (-top, full)))
+
+    fc = FilteredConfiguration(2, (flag(e1, F(1, 2)), flag(e2, F(1, 4))))
+    found = exact_candidates(fc)
+    assert check_stability(fc, config, candidates=found) == check_stability(fc, config)
+    # the same set of flag steps, but on the other components
+    swapped = FilteredConfiguration(2, (flag(e2, F(1, 2)), flag(e1, F(1, 4))))
+    other = FilteredConfiguration(2, (flag(e1, F(1, 2)), flag(span([(1, 1)], 2), F(1, 4))))
+    for wrong in (swapped, other):
+        with pytest.raises(ShapeMismatchError):
+            check_stability(wrong, config, candidates=found)

@@ -20,12 +20,15 @@ from filtstab import (
     span,
 )
 from filtstab.fixtures import three_generic_lines, two_lines
+from filtstab.stability import _closure
 from helpers import (
     brute_force_rank2,
     brute_force_rank3,
     random_balanced_configuration,
     random_balanced_weights_for,
     random_divisor_config,
+    reference_closure,
+    three_planes,
 )
 
 F = Fraction
@@ -123,6 +126,36 @@ class TestCandidateSubspaces:
     def test_cap_is_respected(self):
         _, fc = three_generic_lines()
         assert len(candidate_subspaces(fc, cap=2)) <= 2
+
+    def test_small_cap_drops_flag_steps(self):
+        # three proper flag steps; the cap keeps the first in sort order only
+        _, fc = three_planes()
+        steps = sorted(proper_steps(fc), key=Subspace.sort_key)
+        assert len(steps) == 3
+        assert candidate_subspaces(fc, depth=0, cap=1) == (steps[0],)
+        assert candidate_subspaces(fc, depth=0, cap=3) == tuple(steps)
+
+    def test_closure_matches_naive_reference(self, monkeypatch):
+        # only meets that the dimension formula leaves open are computed
+        original = Subspace.intersect
+
+        def settled_meet_refused(a, b):
+            meet = original(a, b)
+            assert 0 < meet.dim < min(a.dim, b.dim)
+            return meet
+
+        rng = random.Random(41)
+        configurations = [three_planes()[1]] + [
+            random_balanced_configuration(rng, 4, rng.randint(2, 5), height=2)
+            for _ in range(8)
+        ]
+        for fc in configurations:
+            for depth in (0, 1, 2, 3):
+                for cap in (1, 4, 12, 512):
+                    expected = reference_closure(fc, depth, cap)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(Subspace, "intersect", settled_meet_refused)
+                        assert _closure(fc, depth, cap) == expected
 
 
 class TestCheckStabilityRank2:
