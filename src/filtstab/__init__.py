@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatchError,
     DocumentParseError,
     DocumentValidationError,
+    EmptyConeError,
     FiltstabError,
     ImproperSubspaceError,
     InvariantError,
@@ -69,6 +70,7 @@ from .upsilon import (
     outer_search,
     rationalize,
     shape_of,
+    stability_cone,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -47,6 +47,10 @@ class ConvergenceError(FiltstabError):
     """The inner minimizer produced no usable point within its iteration budget."""
 
 
+class EmptyConeError(ConvergenceError):
+    """A flag shape has no weights inside its stability cone."""
+
+
 class OrderingCollapseError(FiltstabError):
     """Rounding weights to bounded denominators merged or reordered flag steps."""
 

@@ -211,6 +211,13 @@ def candidate_subspaces(
     return tuple(subspaces)
 
 
+def closure_incidences(
+    fc: FilteredConfiguration, depth: int = 3, cap: int = 512
+) -> tuple[Incidence, ...]:
+    """Step incidences of :func:`candidate_subspaces`, which ignore the weights."""
+    return tuple(_incidence(v, fc) for v in candidate_subspaces(fc, depth, cap))
+
+
 def _moment_point(basis: Sequence[Sequence[int]], k: int) -> list[int]:
     """sum_j k^j b_j over the rows b_j of ``basis`` (with 0^0 = 1)."""
     return [

@@ -2,10 +2,12 @@
 
 With the flag subspaces frozen, both the second Chern number and the squared
 norm are quadratic forms in the step weights (the joint graded multiplicities
-depend only on the subspaces), so the inner problem is a generalized
-Rayleigh-quotient minimization on the balance subspace, solved in floating
-point and re-verified exactly after rationalizing the minimizer.  The outer
-loop walks a seeded stream of flag shapes, keeps the best configuration that
+depend only on the subspaces), and every candidate degree is linear in them:
+the stable weights of a shape form an open polyhedral cone, built exactly
+once per shape (:func:`stability_cone`).  The inner problem is a generalized
+Rayleigh-quotient minimization over balance ∩ cone, solved in floating point
+and re-verified exactly after rationalizing the minimizer.  The outer loop
+walks a seeded stream of flag shapes, keeps the best configuration that
 certifies stable, and reports the result as an upper bound, never as the
 true minimum.
 
@@ -24,14 +26,14 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
-from .chern import c2_trivial, norm_sq
 from .errors import (
     BGIViolationError,
     ConvergenceError,
     DegenerateDegreeError,
     DimensionMismatchError,
+    EmptyConeError,
     NoStableConfigurationError,
     OrderingCollapseError,
     ShapeMismatchError,
@@ -41,9 +43,11 @@ from .filtration import FilteredConfiguration, Filtration, joint_step_multiplici
 from .linalg import span
 from .stability import (
     Certainty,
+    Incidence,
     StabilityVerdict,
     Status,
     check_stability,
+    closure_incidences,
     exact_candidates,
 )
 from .surface import DivisorConfiguration
@@ -76,16 +80,6 @@ class WeightShape:
 
     def slot(self, component: int, step: int) -> int:
         return self.offsets[component] + step
-
-    def ordering_ok(self, weights: Sequence[float], margin: float = 1e-9) -> bool:
-        """Strictly decreasing weights within every component, with margin."""
-        scale = max(1.0, max((abs(float(w)) for w in weights), default=0.0))
-        for i, count in enumerate(self.step_counts):
-            base = self.offsets[i]
-            for s in range(count - 1):
-                if float(weights[base + s]) - float(weights[base + s + 1]) <= margin * scale:
-                    return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -222,11 +216,34 @@ def _balance_nullspace(qp: QuadraticPair) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-def _normalized(weights: np.ndarray) -> Optional[np.ndarray]:
-    peak = np.max(np.abs(weights))
-    if peak == 0 or not np.isfinite(peak):
-        return None
-    return weights * (0.5 / peak)
+ConeRows = tuple[tuple[Fraction, ...], ...]
+
+
+def stability_cone(shape: WeightShape, incidences: Sequence[Incidence]) -> ConeRows:
+    """Rows of the open cone {w : row . w < 0 for every row} of one flag shape.
+
+    A candidate subspace V gives the row g_V[i,s] = deg(D_i) (x_{i,s} -
+    x_{i,s-1}), with x_{i,s} = dim(V ∩ F_{i,s}) and x_{i,0} = 0, so by
+    summation by parts g_V . w is exactly the parabolic degree of V.  These
+    rows come first, in the order of ``incidences``; then one row
+    w_{i,s+1} - w_{i,s} per pair of adjacent steps.  With the incidences of
+    :func:`~filtstab.stability.exact_candidates` (ranks 2 and 3), weights
+    are stable exactly when they lie in the cone; with those of the
+    flag-step closure (higher rank), the cone contains the stable weights.
+    """
+    rows = []
+    for incidence in incidences:
+        row: list[Fraction] = []
+        for degree, dims in zip(shape.degrees, incidence):
+            row.extend(degree * (x - x_prev) for x, x_prev in zip(dims, (0,) + dims[:-1]))
+        rows.append(tuple(row))
+    for i, count in enumerate(shape.step_counts):
+        for s in range(count - 1):
+            row = [Fraction(0)] * shape.size
+            row[shape.slot(i, s)] = Fraction(-1)
+            row[shape.slot(i, s + 1)] = Fraction(1)
+            rows.append(tuple(row))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -241,20 +258,23 @@ class InnerResult:
 
 def inner_minimize(
     qp: QuadraticPair,
-    tolerance: float = 1e-10,
+    cone: Optional[ConeRows] = None,
+    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
     max_iter: int = 200,
-    stability_check: Optional[Callable[[Sequence[float]], bool]] = None,
-    ordering_margin: float = 1e-9,
 ) -> InnerResult:
-    """Minimize the Rayleigh quotient w^T A w / w^T B w on the balance subspace.
+    """Minimize the Rayleigh quotient w^T A w / w^T B w over balance ∩ ``cone``.
 
-    The unconstrained minimum over the subspace is the smallest generalized
-    eigenvalue of (A, B) there.  When the eigen-minimizer respects the strict
-    step ordering (and the optional stability screen), it is returned as an
-    interior minimum.  Otherwise ``boundary`` is set and a constrained local
-    search (sequential quadratic programming with the ordering inequalities,
-    run from deterministic feasible starts) supplies the best feasible value,
-    which can only be >= the eigenvalue.
+    ``cone`` holds the rows of :func:`stability_cone`; it defaults to the
+    ordering rows alone.  Weights come back at peak 1/2 with every
+    row . w <= -|row|_1 / ``max_denominator``: rounding and re-balancing in
+    :func:`rationalize` move each weight by at most 1 / ``max_denominator``,
+    which cannot push a row above zero.  The eigenvector of the smallest
+    generalized eigenvalue of (A, B) on the balance subspace is returned as
+    an interior minimum when it keeps that slack.  Otherwise one linear program (HiGHS) finds the widest slack t
+    the cone allows, raising :class:`EmptyConeError` when t <= 0 (thinner
+    cones keep t / 2), and SLSQP with all rows as one linear constraint,
+    from distinct deterministic starts, gives a ``boundary`` value >= the
+    eigenvalue.
     """
     basis = _balance_nullspace(qp)
     if not basis:
@@ -262,7 +282,7 @@ def inner_minimize(
             "only the zero weight vector satisfies the balance constraints"
         )
     n_mat = np.array([[float(x) for x in vec] for vec in basis]).T  # size x d
-    d = n_mat.shape[1]
+    size, d = n_mat.shape
     a = qp.a_float()
     b = qp.b_float()
     a_red = n_mat.T @ a @ n_mat
@@ -279,95 +299,82 @@ def inner_minimize(
     eigen_ratio = float(eigenvalues[0])
     v_min = eigenvectors[:, 0]
 
-    def admissible(w: np.ndarray) -> bool:
-        if not qp.shape.ordering_ok(w, ordering_margin):
-            return False
-        return stability_check is None or stability_check(tuple(w))
+    def peak_half(v: np.ndarray) -> np.ndarray:
+        peak = np.max(np.abs(n_mat @ v))
+        return v * (0.5 / peak) if peak > 0 else v
 
-    for v_signed in (v_min, -v_min):
-        w = _normalized(n_mat @ v_signed)
-        if w is not None and admissible(w):
-            return InnerResult(tuple(w), eigen_ratio, False, eigen_ratio)
+    if cone is None:
+        cone = stability_cone(qp.shape, ())
+    rows = np.unique(np.array([[float(x) for x in row] for row in cone]), axis=0)
+    slack = np.abs(rows).sum(axis=1)
+    margin = 1.0 / max_denominator
+    g = rows @ n_mat
 
-    # Boundary path: the eigen-minimizer is inadmissible, so optimize over
-    # the ordering polytope from deterministic feasible starts.
-    def reduced_coords(weights: Sequence[Fraction]) -> np.ndarray:
-        target = np.array([float(x) for x in weights])
-        coords, *_ = np.linalg.lstsq(n_mat, target, rcond=None)
-        return coords
+    for v in (peak_half(v_min), peak_half(-v_min)):
+        if np.all(g @ v <= -margin * slack):
+            return InnerResult(tuple(n_mat @ v), eigen_ratio, False, eigen_ratio)
 
-    def br_normalized(v: np.ndarray) -> Optional[np.ndarray]:
-        quad = float(v @ b_red @ v)
-        if quad <= 0 or not math.isfinite(quad):
-            return None
-        return v / math.sqrt(quad)
+    # Boundary path: maximize t with rows . w + t |row|_1 <= 0 and |w| <= 1/2.
+    box = np.vstack([n_mat, -n_mat])
+    lp = linprog(
+        np.r_[np.zeros(d), -1.0],
+        A_ub=np.block([[g, slack[:, None]], [box, np.zeros((2 * size, 1))]]),
+        b_ub=np.r_[np.zeros(len(g)), np.full(2 * size, 0.5)],
+        bounds=[(None, None)] * d + [(None, 1.0)],
+        method="highs",
+    )
+    if lp.status != 0:
+        raise ConvergenceError(f"the cone width program failed: {lp.message}")
+    if -lp.fun <= 1e-9:
+        raise EmptyConeError("the stability cone of this shape is empty")
+    margin = min(margin, -lp.fun / 2)
 
-    starts: list[np.ndarray] = []
-    for exact in (qp.shape.seed_weights, canonical_weights(qp.shape)):
-        v = br_normalized(reduced_coords(exact))
-        if v is not None:
-            starts.append(v)
-    v_eig = br_normalized(v_min)
-    if v_eig is not None and starts:
-        for t in (0.25, 0.5, 0.75):
-            blend = br_normalized((1 - t) * v_eig + t * starts[0])
-            if blend is not None:
-                starts.append(blend)
-
-    delta = 1e-6
-    ordering_rows = []
-    for i, count in enumerate(qp.shape.step_counts):
-        base = qp.shape.offsets[i]
-        for s in range(count - 1):
-            ordering_rows.append(n_mat[base + s] - n_mat[base + s + 1])
-    constraints = [
-        {
-            "type": "eq",
-            "fun": lambda v: float(v @ b_red @ v) - 1.0,
-            "jac": lambda v: 2.0 * (b_red @ v),
-        }
+    # the seed and canonical weights, blends of the first with the
+    # eigenvector, and the widest point of the cone; each distinct one once
+    starts = [
+        peak_half(np.linalg.lstsq(n_mat, np.array(w, dtype=float), rcond=None)[0])
+        for w in (qp.shape.seed_weights, canonical_weights(qp.shape))
     ]
-    for row in ordering_rows:
-        constraints.append(
-            {
-                "type": "ineq",
-                "fun": (lambda r: lambda v: float(r @ v) - delta)(row),
-                "jac": (lambda r: lambda v: r)(row),
-            }
-        )
+    v_eig = peak_half(v_min)
+    starts += [peak_half((1 - t) * v_eig + t * starts[0]) for t in (0.25, 0.5, 0.75)]
+    starts.append(lp.x[:d])
+    starts = [np.array(v) for v in dict.fromkeys(map(tuple, starts))]
 
-    candidates: list[np.ndarray] = list(starts)
-    for start in starts:
-        result = minimize(
-            lambda v: float(v @ a_red @ v),
-            start,
-            jac=lambda v: 2.0 * (a_red @ v),
-            method="SLSQP",
-            constraints=constraints,
-            options={"maxiter": max_iter, "ftol": tolerance},
-        )
-        if np.all(np.isfinite(result.x)):
-            candidates.append(result.x)
+    # the rows with their slack and the peak bound, as m_mat @ v <= bound
+    m_mat = np.vstack([g, box])
+    bound = np.r_[-margin * slack, np.full(2 * size, 0.5)]
+    constraint = {
+        "type": "ineq",
+        "fun": lambda v: bound - m_mat @ v,
+        "jac": lambda v: -m_mat,
+    }
 
-    best_w: Optional[np.ndarray] = None
+    def quotient(v: np.ndarray) -> float:
+        return float(v @ a_red @ v) / float(v @ b_red @ v)
+
+    def quotient_jac(v: np.ndarray) -> np.ndarray:
+        return 2.0 * (a_red @ v - quotient(v) * (b_red @ v)) / float(v @ b_red @ v)
+
+    candidates = starts + [
+        minimize(
+            quotient, start, jac=quotient_jac, method="SLSQP",
+            constraints=[constraint],
+            options={"maxiter": max_iter, "ftol": 1e-10},
+        ).x
+        for start in starts
+    ]
+
+    best_v: Optional[np.ndarray] = None
     best_ratio = math.inf
-    best_screened = False
-    for v in candidates:
-        quad = float(v @ b_red @ v)
-        if quad <= 0 or not math.isfinite(quad):
+    for v in map(peak_half, candidates):
+        if not np.all(g @ v <= 1e-9 - margin * slack):
             continue
-        w = _normalized(n_mat @ v)
-        if w is None or not qp.shape.ordering_ok(w, ordering_margin):
-            continue
-        ratio = float(v @ a_red @ v) / quad
-        screened = stability_check is None or stability_check(tuple(w))
-        if (screened, -ratio) > (best_screened, -best_ratio):
-            best_w, best_ratio, best_screened = w, ratio, screened
-    if best_w is None:
-        raise ConvergenceError(
-            "no ordering-feasible weight vector found within the iteration budget"
-        )
-    return InnerResult(tuple(best_w), best_ratio, True, eigen_ratio)
+        ratio = quotient(v)
+        if ratio < best_ratio:
+            best_v, best_ratio = v, ratio
+    if best_v is None:
+        raise ConvergenceError("no weight vector keeping the cone's slack was found")
+    return InnerResult(tuple(n_mat @ best_v), best_ratio, True, eigen_ratio)
 
 
 def rationalize(
@@ -529,21 +536,6 @@ def _with_weights(
     return FilteredConfiguration(fc.rank, tuple(new_filtrations))
 
 
-def _rationalize_ladder(
-    weights: Sequence[float],
-    shape: WeightShape,
-    max_denominator: int,
-) -> Optional[tuple[Fraction, ...]]:
-    ladder = [d for d in (8, 16, 32, 64, 128, 256) if d < max_denominator]
-    ladder.append(max_denominator)
-    for denominator in ladder:
-        try:
-            return rationalize(weights, shape, denominator)
-        except OrderingCollapseError:
-            continue
-    return None
-
-
 def outer_search(
     config: DivisorConfiguration,
     rank: int,
@@ -554,7 +546,6 @@ def outer_search(
     max_denominator: int = DEFAULT_MAX_DENOMINATOR,
     flag_height: int = DEFAULT_FLAG_HEIGHT,
     samples: int = 2000,
-    screen_samples: int = 64,
     depth: int = 3,
     cap: int = 512,
     progress: Optional[Callable[[int, int, Optional[Fraction]], None]] = None,
@@ -563,11 +554,14 @@ def outer_search(
 
     Iterates a deterministic, seed-driven stream of flag shapes (so a larger
     budget explores a superset and the best ratio is non-increasing in the
-    budget), minimizes the weight quadratic for each shape, rationalizes the
-    minimizer, and keeps the best configuration whose exact stability check
-    passes.  Every stable candidate is re-verified in exact arithmetic; a
-    stable candidate with negative c2 raises :class:`BGIViolationError`
-    because it can only come from a bug.
+    budget).  Each shape's cone comes from its exact candidates at ranks 2
+    and 3 and from its flag-step closure (``depth``, ``cap``) above; shapes
+    with an empty cone count as ``empty_cone``.  The minimizer over the cone
+    is rationalized at denominators up to ``max_denominator``, where it
+    stays in the cone, and kept when :func:`check_stability` (sampling with
+    ``samples`` above rank 3) calls it stable; c2 and the norm come from the
+    exact :class:`QuadraticPair`.  An exactly stable candidate with negative
+    c2 can only come from a bug and raises :class:`BGIViolationError`.
     """
     config.check()
     for name, degree in zip(config.names, config.degrees):
@@ -606,12 +600,12 @@ def outer_search(
         "skipped_trivial": 0,
         "skipped_singular": 0,
         "rounding_failures": 0,
+        "empty_cone": 0,
+        "solver_failures": 0,
         "boundary_hits": 0,
     }
 
-    best: Optional[tuple[Fraction, tuple]] = None
-    best_estimate: Optional[dict] = None
-
+    best: Optional[dict] = None
     for index in range(budget):
         strategy = chosen[index % len(chosen)]
         shape_fc = _make_shape(
@@ -619,104 +613,17 @@ def outer_search(
         )
         if shape_fc is None or shape_fc.is_trivial:
             counts["skipped_trivial"] += 1
-            continue
-        counts["candidates"] += 1
-        candidate_seed = (seed * 1_000_003 + index) & 0x7FFFFFFF
-        qp = assemble_quadratics(shape_fc, config)
-        shape = qp.shape
-        # weight-independent, so built once for the screen and the proposals
-        exact = exact_candidates(shape_fc)
-
-        def screen(weights: Sequence[float]) -> bool:
-            rationalized = _rationalize_ladder(weights, shape, max_denominator)
-            if rationalized is None:
-                return False
-            candidate = _with_weights(shape_fc, shape, rationalized)
-            if candidate.is_trivial:
-                return False
-            verdict = check_stability(
-                candidate, config, mode="auto", samples=screen_samples,
-                seed=candidate_seed, depth=depth, cap=cap, candidates=exact,
+        else:
+            counts["candidates"] += 1
+            candidate_seed = (seed * 1_000_003 + index) & 0x7FFFFFFF
+            found = _solve_shape(
+                shape_fc, config, counts, max_denominator,
+                samples, candidate_seed, depth, cap,
             )
-            return verdict.status is Status.STABLE
-
-        try:
-            inner = inner_minimize(qp, stability_check=screen)
-        except SingularFormError:
-            counts["skipped_singular"] += 1
-            continue
-        except ConvergenceError:
-            counts["rounding_failures"] += 1
-            continue
-        if inner.boundary:
-            counts["boundary_hits"] += 1
-
-        proposals: list[tuple[float, ...]] = [inner.weights]
-        canonical = tuple(float(x) for x in canonical_weights(shape))
-        proposals.append(canonical)
-        for t in (0.25, 0.5):
-            blend = tuple(
-                (1 - t) * a + t * b for a, b in zip(inner.weights, canonical)
-            )
-            proposals.append(blend)
-
-        seen_rationalized: set[tuple[Fraction, ...]] = set()
-        for proposal in proposals:
-            rationalized = _rationalize_ladder(proposal, shape, max_denominator)
-            if rationalized is None:
-                counts["rounding_failures"] += 1
-                continue
-            if rationalized in seen_rationalized:
-                continue
-            seen_rationalized.add(rationalized)
-            counts["proposals"] += 1
-            candidate = _with_weights(shape_fc, shape, rationalized)
-            if candidate.is_trivial:
-                counts["skipped_trivial"] += 1
-                continue
-            verdict = check_stability(
-                candidate, config, mode="auto", samples=samples,
-                seed=candidate_seed, depth=depth, cap=cap, candidates=exact,
-            )
-            if verdict.status is Status.UNSTABLE:
-                counts["unstable"] += 1
-                continue
-            if verdict.status is Status.SEMISTABLE:
-                counts["semistable"] += 1
-                continue
-            counts["stable"] += 1
-            c2 = c2_trivial(candidate, config)
-            if c2 < 0:
-                if verdict.certainty is Certainty.EXACT:
-                    raise BGIViolationError(
-                        f"exactly-certified stable configuration with c2 = {c2}: "
-                        "the inequality c2 >= 0 for stable balanced "
-                        "configurations has been violated, indicating an "
-                        "implementation bug"
-                    )
-                # c2 < 0 proves a heuristic stable verdict wrong (a
-                # destabilizer exists but was not sampled); drop the candidate
-                counts["bgi_rejected"] += 1
-                continue
-            norm_value = norm_sq(candidate, config)
-            ratio = c2 / norm_value
-            key = (ratio, candidate.sort_key())
-            if best is None or key < best:
-                eigen = inner.eigen_ratio
-                attained = (not inner.boundary) and (
-                    abs(float(ratio) - eigen) <= 1e-6 * max(1.0, abs(eigen))
-                )
-                best = key
-                best_estimate = {
-                    "configuration": candidate,
-                    "c2": c2,
-                    "norm_sq": norm_value,
-                    "ratio": ratio,
-                    "verdict": verdict,
-                    "attained": attained,
-                }
+            if found is not None and (best is None or _order(found) < _order(best)):
+                best = found
         if progress is not None:
-            progress(index + 1, budget, best[0] if best else None)
+            progress(index + 1, budget, best["ratio"] if best else None)
 
     log: dict[str, object] = {
         "budget": budget,
@@ -724,9 +631,87 @@ def outer_search(
         "strategies": ",".join(chosen),
         **counts,
     }
-    if best_estimate is None:
+    if best is None:
         raise NoStableConfigurationError(
             "no stable configuration found within the budget", log
         )
-    log["best_ratio"] = str(best_estimate["ratio"])
-    return UpsilonEstimate(search_log=log, **best_estimate)
+    log["best_ratio"] = str(best["ratio"])
+    return UpsilonEstimate(search_log=log, **best)
+
+
+def _order(estimate: dict) -> tuple:
+    return estimate["ratio"], estimate["configuration"].sort_key()
+
+
+def _solve_shape(
+    shape_fc: FilteredConfiguration,
+    config: DivisorConfiguration,
+    counts: dict[str, int],
+    max_denominator: int,
+    samples: int,
+    seed: int,
+    depth: int,
+    cap: int,
+) -> Optional[dict]:
+    """Minimize over one shape's cone, then certify the rationalized minimizer.
+
+    Returns the fields of an :class:`UpsilonEstimate` when the minimizer is
+    stable, else None; ``counts`` records what happened either way.
+    """
+    qp = assemble_quadratics(shape_fc, config)
+    shape = qp.shape
+    # weight-independent, so built once for the cone and the final check
+    exact = exact_candidates(shape_fc)
+    cone = stability_cone(
+        shape, exact.incidences if exact else closure_incidences(shape_fc, depth, cap)
+    )
+    try:
+        inner = inner_minimize(qp, cone, max_denominator)
+    except SingularFormError:
+        counts["skipped_singular"] += 1
+        return None
+    except EmptyConeError:
+        counts["empty_cone"] += 1
+        return None
+    except ConvergenceError:
+        counts["solver_failures"] += 1
+        return None
+    if inner.boundary:
+        counts["boundary_hits"] += 1
+    try:
+        rationalized = rationalize(inner.weights, shape, max_denominator)
+    except OrderingCollapseError:
+        counts["rounding_failures"] += 1
+        return None
+    counts["proposals"] += 1
+    candidate = _with_weights(shape_fc, shape, rationalized)
+    verdict = check_stability(
+        candidate, config, mode="auto", samples=samples,
+        seed=seed, depth=depth, cap=cap, candidates=exact,
+    )
+    counts[verdict.status.value] += 1
+    if verdict.status is not Status.STABLE:
+        return None
+    c2 = qp.c2_value(rationalized)
+    if c2 < 0:
+        if verdict.certainty is Certainty.EXACT:
+            raise BGIViolationError(
+                f"exactly-certified stable configuration with c2 = {c2}: "
+                "the inequality c2 >= 0 for stable balanced "
+                "configurations has been violated, indicating an "
+                "implementation bug"
+            )
+        # c2 < 0 proves a heuristic stable verdict wrong (a destabilizer
+        # exists but was not sampled); drop the candidate
+        counts["bgi_rejected"] += 1
+        return None
+    norm_value = qp.norm_value(rationalized)
+    ratio = c2 / norm_value
+    eigen = inner.eigen_ratio
+    attained = not inner.boundary and (
+        abs(float(ratio) - eigen) <= 1e-6 * max(1.0, abs(eigen))
+    )
+    return dict(
+        configuration=candidate, c2=c2, norm_sq=norm_value, ratio=ratio,
+        verdict=verdict, attained=attained,
+    )

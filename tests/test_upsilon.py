@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+import filtstab.upsilon as upsilon
 from filtstab import (
     BGIViolationError,
     Certainty,
     DegenerateDegreeError,
     DivisorConfiguration,
+    EmptyConeError,
     FilteredConfiguration,
     Filtration,
     NoStableConfigurationError,
@@ -19,12 +21,15 @@ from filtstab import (
     c2_trivial,
     canonical_weights,
     check_stability,
+    exact_candidates,
     inner_minimize,
     norm_sq,
     outer_search,
+    parabolic_degree,
     rationalize,
     shape_of,
     span,
+    stability_cone,
 )
 from filtstab.fixtures import three_generic_lines, two_lines
 from helpers import (
@@ -106,33 +111,38 @@ class TestInnerMinimize:
         assert result.ratio == pytest.approx(1.0, abs=1e-9)
         assert not result.boundary
 
-    def test_negative_definite_defers_to_stability(self):
-        # a single conic: the quotient is constantly -1, no weights are
-        # stable, so a stability screen forces the boundary path and the
-        # reported feasible value cannot beat the eigenvalue
+    def test_single_conic_has_an_empty_cone(self):
+        # a single conic: its flag line has degree 2 * w_top > 0 for every
+        # strictly ordered balanced weighting, so no weights are stable
         config = DivisorConfiguration(("Q",), (F(2),), ((4,),))
         fc = FilteredConfiguration(2, (two_step(span([(1, 0)], 2)),))
         qp = assemble_quadratics(fc, config)
-        shape = qp.shape
+        cone = stability_cone(qp.shape, exact_candidates(fc).incidences)
+        with pytest.raises(EmptyConeError):
+            inner_minimize(qp, cone)
+        with pytest.raises(NoStableConfigurationError) as info:
+            outer_search(config, rank=2, budget=12, seed=4)
+        log = info.value.search_log
+        assert log["candidates"] > 0
+        assert log["empty_cone"] == log["candidates"]
 
-        def screen(weights):
-            rationalized = rationalize(weights, shape, 64)
-            candidate = FilteredConfiguration(
-                2, (fc.filtrations[0].with_weights(rationalized),)
-            )
-            verdict = check_stability(candidate, config)
-            return verdict.status is Status.STABLE
+    def test_starts_are_distinct(self, monkeypatch):
+        # the seed weights of a generated shape equal its canonical weights,
+        # so the second start is skipped
+        starts = []
 
-        result = inner_minimize(qp, stability_check=screen)
-        assert result.boundary
-        assert result.eigen_ratio == pytest.approx(-1.0, abs=1e-9)
-        assert result.ratio >= result.eigen_ratio - 1e-9
-        # cross-check: the returned weights are indeed not stable
-        rationalized = rationalize(result.weights, shape, 64)
-        candidate = FilteredConfiguration(
-            2, (fc.filtrations[0].with_weights(rationalized),)
-        )
-        assert check_stability(candidate, config).status is Status.UNSTABLE
+        def recording_minimize(fun, x0, **kwargs):
+            starts.append(tuple(x0))
+            return real_minimize(fun, x0, **kwargs)
+
+        real_minimize = upsilon.minimize
+        monkeypatch.setattr(upsilon, "minimize", recording_minimize)
+        config, fc = three_generic_lines()
+        qp = assemble_quadratics(fc, config)
+        assert qp.shape.seed_weights == canonical_weights(qp.shape)
+        cone = stability_cone(qp.shape, exact_candidates(fc).incidences)
+        inner_minimize(qp, cone)
+        assert starts and len(set(starts)) == len(starts)
 
     def test_three_lines_feasible_value(self):
         config, fc = three_generic_lines()
@@ -160,11 +170,52 @@ class TestInnerMinimize:
         config, fc = three_generic_lines()
         qp = assemble_quadratics(fc, config)
         weights = canonical_weights(qp.shape)
-        assert qp.shape.ordering_ok([float(w) for w in weights])
+        assert all(sum(g * w for g, w in zip(row, weights)) < 0
+                   for row in stability_cone(qp.shape, ()))
         assert all(
             sum(w * m for w, m in zip(weights[qp.shape.offsets[i]:], mults)) == 0
             for i, mults in enumerate(qp.shape.mults)
         )
+
+
+class TestStabilityCone:
+    @staticmethod
+    def shapes(rank, count, seed):
+        rng = random.Random(seed)
+        while count:
+            n = rng.randint(1, 4)
+            config = random_divisor_config(rng, n)
+            fc = random_balanced_configuration(rng, rank, n)
+            if fc.is_trivial:
+                continue
+            reweighted = FilteredConfiguration(rank, tuple(
+                filt.with_weights(random_balanced_weights_for(rng, filt))
+                for filt in fc.filtrations
+            ))
+            count -= 1
+            yield config, reweighted
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_candidate_rows_are_parabolic_degrees(self, rank):
+        for config, fc in self.shapes(rank, 30, 401 + rank):
+            exact = exact_candidates(fc)
+            cone = stability_cone(shape_of(fc, config), exact.incidences)
+            flat = tuple(w for f in fc.filtrations for w in f.weights())
+            for subspace, row in zip(exact.subspaces, cone):
+                value = sum(g * w for g, w in zip(row, flat))
+                assert value == parabolic_degree(subspace, fc, config)
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_all_rows_negative_exactly_when_stable(self, rank):
+        verdicts = set()
+        for config, fc in self.shapes(rank, 200, 503 + rank):
+            cone = stability_cone(shape_of(fc, config), exact_candidates(fc).incidences)
+            flat = tuple(w for f in fc.filtrations for w in f.weights())
+            stable = check_stability(fc, config).status is Status.STABLE
+            inside = all(sum(g * w for g, w in zip(row, flat)) < 0 for row in cone)
+            assert inside == stable
+            verdicts.add(stable)
+        assert verdicts == {True, False}
 
 
 class TestRationalize:
@@ -207,6 +258,9 @@ class TestOuterSearch:
         config, _ = three_generic_lines()
         estimate = outer_search(config, rank=2, budget=40, seed=11)
         assert estimate.ratio <= F(1, 2)
+        # a float search that screened each point for stability, instead of
+        # constraining to the stability cone, stopped at 471/1378 here
+        assert estimate.ratio < F(471, 1378)
         assert estimate.verdict.status is Status.STABLE
         assert estimate.c2 >= 0
         assert estimate.norm_sq > 0
@@ -294,7 +348,9 @@ class TestOuterSearch:
     def test_rank3_stable_with_negative_c2_is_a_bgi_violation(self, monkeypatch):
         # an exactly stable candidate with c2 < 0 can only come from a bug,
         # so it stops the search instead of being dropped
-        monkeypatch.setattr("filtstab.upsilon.c2_trivial", lambda fc, config: F(-1))
+        monkeypatch.setattr(
+            "filtstab.upsilon.QuadraticPair.c2_value", lambda self, weights: F(-1)
+        )
         config, _ = three_generic_lines()
         with pytest.raises(BGIViolationError):
             outer_search(config, rank=3, budget=20, seed=7)
