@@ -42,14 +42,14 @@ from .filtration import (
     joint_step_multiplicities,
     product,
 )
-from .linalg import Rat, Subspace, rational_from_string, rational_to_string, span
+from .linalg import Subspace, rational_from_string, rational_to_string, span
 from .stability import (
+    Candidates,
     Certainty,
-    ExactCandidates,
     StabilityVerdict,
     Status,
-    candidate_subspaces,
     check_stability,
+    closure_candidates,
     exact_candidates,
     parabolic_degree,
 )

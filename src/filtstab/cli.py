@@ -90,8 +90,8 @@ def _load_document(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except FileNotFoundError as error:
-        raise DocumentParseError(f"cannot open input file: {error}", path) from error
+    except (OSError, UnicodeDecodeError) as error:
+        raise DocumentParseError(f"cannot read input file: {error}", path) from error
     except json.JSONDecodeError as error:
         raise DocumentParseError(
             f"invalid JSON at line {error.lineno} column {error.colno}: {error.msg}",
@@ -122,12 +122,19 @@ def _render(report: dict, output_format: str) -> str:
     return buffer.getvalue()
 
 
-def _emit(text: str, output_path: Optional[str]) -> None:
-    if output_path is None or output_path == "-":
+def _emit(report: dict, args: argparse.Namespace, code: int) -> int:
+    """Write ``report`` to ``--output`` (stdout by default); ``code``, or 2 if that fails."""
+    text = _render(report, args.output_format)
+    if args.output is None or args.output == "-":
         sys.stdout.write(text)
-    else:
-        with open(output_path, "w", encoding="utf-8") as handle:
+        return code
+    try:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as error:
+        print(f"parse error: --output: cannot write the report: {error}", file=sys.stderr)
+        return EXIT_PARSE
+    return code
 
 
 def _cmd_chern(args: argparse.Namespace) -> dict:
@@ -208,6 +215,10 @@ def _cmd_upsilon(args: argparse.Namespace) -> dict:
             "--strategies",
         )
     config, fc, _ = parse_config(_load_document(args.input))
+    if fc is not None and fc.rank != args.rank:
+        raise DocumentValidationError(
+            f"rank {fc.rank} does not match --rank {args.rank}", "filtered_configuration.rank"
+        )
     if fc is None and "user" in strategies:
         raise DocumentParseError("'user' needs a filtered_configuration", "--strategies")
     supplied = (fc,) if fc is not None else ()
@@ -374,18 +385,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "error": str(error),
             "search_log": error.search_log,
         }
-        _emit(_render(report, args.output_format), args.output)
         print(f"no stable configuration: {error}", file=sys.stderr)
-        return EXIT_NO_STABLE
+        return _emit(report, args, EXIT_NO_STABLE)
     except BGIViolationError as error:
         print(f"inequality violation (bug): {error}", file=sys.stderr)
         return EXIT_INEQUALITY
     except FiltstabError as error:
         print(f"validation error: {error}", file=sys.stderr)
         return EXIT_VALIDATION
-    report = {"manifest": manifest.to_doc(), "result": result}
-    _emit(_render(report, args.output_format), args.output)
-    return EXIT_OK
+    return _emit({"manifest": manifest.to_doc(), "result": result}, args, EXIT_OK)
 
 
 def main_entry() -> None:

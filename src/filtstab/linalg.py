@@ -23,8 +23,6 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, InvariantError
 
-Rat = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 

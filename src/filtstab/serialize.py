@@ -392,6 +392,11 @@ def parse_config(
                 f"{config.n_components} components",
                 "system_data.component_tables",
             )
+        if fc is not None and data.rank != fc.rank:
+            raise DocumentValidationError(
+                f"rank {data.rank} differs from filtered_configuration.rank {fc.rank}",
+                "system_data.rank",
+            )
     return config, fc, data
 
 

@@ -15,8 +15,8 @@ every proper subspace is a line or a hyperplane, so these finitely many,
 weight-independent candidates (:func:`exact_candidates`) decide stability
 exactly.  For higher rank the oracle is one-sided: witnesses of
 non-stability are exact certificates, while a clean sweep over the explored
-subspaces (flag-step closure plus seeded random samples) only supports a
-heuristic verdict.
+subspaces (the flag-step closure of :func:`closure_candidates` plus seeded
+random samples) only supports a heuristic verdict.
 
 Degrees are evaluated as integer dot products.  A subspace V enters only
 through its step incidence x_{i,s} = dim(V ∩ F_{i,s}) (one elimination per
@@ -24,7 +24,7 @@ flag, see :meth:`~filtstab.filtration.Filtration.step_dims`), and by
 summation by parts the degree is sum_{i,s} C_{i,s} x_{i,s} / L with
 integers C_{i,s} = L deg(D_i) (a_{i,s} - a_{i,s+1}) (a_{i,k+1} = 0) and one
 common denominator L.  The incidences do not depend on the weights, so
-:class:`ExactCandidates` stores them with the candidates, and reweighting a
+:class:`Candidates` stores them with the candidates, and reweighting a
 flag shape costs one dot product per candidate.
 """
 
@@ -52,6 +52,10 @@ from .surface import DivisorConfiguration
 # per component i and step s: dim(V ∩ F_{i,s}), or an integer coefficient C_{i,s}
 Incidence = tuple[tuple[int, ...], ...]
 DegreeForm = tuple[tuple[int, ...], ...]
+
+CLOSURE_CAP = 512
+# sampled subspaces are spanned by random integer rows with entries in [-5, 5]
+SAMPLE_HEIGHT = 5
 
 
 class Status(Enum):
@@ -195,29 +199,6 @@ def _closure(
     return ordered, capped
 
 
-def candidate_subspaces(
-    fc: FilteredConfiguration, depth: int = 3, cap: int = 512
-) -> tuple[Subspace, ...]:
-    """Proper flag steps closed under pairwise intersection and sum.
-
-    The closure is iterated at most ``depth`` times and silently truncated at
-    ``cap`` elements (the truncation is reported in verdict metadata when
-    used through :func:`check_stability`).  Members are kept in
-    :meth:`~filtstab.linalg.Subspace.sort_key` order, smallest dimension
-    first, so a cap below the number of proper flag steps drops flag steps
-    too.
-    """
-    subspaces, _ = _closure(fc, depth, cap)
-    return tuple(subspaces)
-
-
-def closure_incidences(
-    fc: FilteredConfiguration, depth: int = 3, cap: int = 512
-) -> tuple[Incidence, ...]:
-    """Step incidences of :func:`candidate_subspaces`, which ignore the weights."""
-    return tuple(_incidence(v, fc) for v in candidate_subspaces(fc, depth, cap))
-
-
 def _moment_point(basis: Sequence[Sequence[int]], k: int) -> list[int]:
     """sum_j k^j b_j over the rows b_j of ``basis`` (with 0^0 = 1)."""
     return [
@@ -243,41 +224,38 @@ def _generic_line(member: Subspace, steps: Iterable[Subspace]) -> Subspace:
     raise AssertionError("unreachable: more roots than the degree allows")
 
 
-def _generic_hyperplane(member: Subspace, steps: Iterable[Subspace]) -> Subspace:
-    """A hyperplane through ``member`` containing no flag step outside ``member``.
-
-    Its normal is the first moment-curve point of the annihilator of
-    ``member`` that vanishes on none of those steps; the same root count as
-    in :func:`_generic_line` bounds the search.
-    """
-    if member.dim == member.ambient_dim - 1:
-        return member
-    avoid = [step for step in steps if not member.contains(step)]
-    normals = member.annihilator()
-    for k in range(len(avoid) * (normals.dim - 1) + 1):
-        normal = span([_moment_point(normals.basis, k)], member.ambient_dim)
-        hyperplane = normal.annihilator()
-        if not any(hyperplane.contains(step) for step in avoid):
-            return hyperplane
-    raise AssertionError("unreachable: more roots than the degree allows")
-
-
 @dataclass(frozen=True)
-class ExactCandidates:
-    """Subspaces whose degrees decide stability for any weights on some flags.
+class Candidates:
+    """Subspaces whose degrees are evaluated for any weights on some flags.
 
     ``flags`` holds the step spaces of each component's flag, the only
     input the candidates depend on, so one set serves every weighting of
     those flags.  ``incidences[n]`` is the step incidence of
     ``subspaces[n]``: dim(V ∩ F_{i,s}) for each component i and step s.
+    An ``exact`` set (:func:`exact_candidates`) decides stability; any other
+    is a flag-step closure (:func:`closure_candidates`), and
+    ``closure_capped`` records whether its cap truncated it.
     """
 
     flags: tuple[tuple[Subspace, ...], ...]
     subspaces: tuple[Subspace, ...]
     incidences: tuple[Incidence, ...]
+    exact: bool
+    closure_capped: bool
 
 
-def exact_candidates(fc: FilteredConfiguration) -> Optional[ExactCandidates]:
+def _generic_lines(steps: frozenset[Subspace], rank: int) -> list[Subspace]:
+    """A generic line in each member of the intersection closure of ``steps``.
+
+    The full space is added.  Up to rank 3 a line meets any subspace in
+    itself or zero, so one round over pairs of distinct planes closes it.
+    """
+    planes = [step for step in steps if step.dim == 2]
+    meets = steps | {a & b for a, b in combinations(planes, 2)} | {Subspace.full(rank)}
+    return [_generic_line(member, steps) for member in sorted(meets, key=Subspace.sort_key)]
+
+
+def exact_candidates(fc: FilteredConfiguration) -> Optional[Candidates]:
     """The finite candidate set that decides stability at rank 2 or 3.
 
     Lines: one generic line (:func:`_generic_line`) in each member of the
@@ -285,31 +263,43 @@ def exact_candidates(fc: FilteredConfiguration) -> Optional[ExactCandidates]:
     Any line V lies in exactly the flag steps containing the meet M of the
     steps through V, and so does the generic line of M, so both have the
     same degree.  Hyperplanes, at rank 3: dually, one generic hyperplane
-    through each member of the sum closure, the zero space included.  At
-    rank 2 the hyperplanes are the lines again and only the line half is
-    built: the distinct flag lines plus one generic line.  Returns None at
-    other ranks, where no exact method is implemented.
+    through each member of the sum closure, the zero space included.
+    Taking annihilators reverses inclusion and turns sums into
+    intersections, so these are the annihilators of the generic lines of
+    the annihilated flag steps.  At rank 2 the hyperplanes are the lines
+    again and only the line half is built: the distinct flag lines plus one
+    generic line.  Returns None at other ranks, where no exact method is
+    implemented.  Like a :func:`closure_candidates` set at any rank, the
+    result can be passed to :func:`check_stability` as ``candidates``.
     """
     if fc.rank not in (2, 3):
         return None
     steps = _proper_flag_steps(fc)
-    # Up to rank 3 a line meets any subspace in itself or zero, and a plane
-    # plus any subspace is itself or the full space, so one round over pairs
-    # of distinct planes, and of distinct lines, closes the set of steps.
-    planes = [step for step in steps if step.dim == 2]
-    meets = steps | {a & b for a, b in combinations(planes, 2)} | {Subspace.full(fc.rank)}
-    subspaces = [
-        _generic_line(member, steps) for member in sorted(meets, key=Subspace.sort_key)
-    ]
+    subspaces = _generic_lines(steps, fc.rank)
     if fc.rank == 3:
-        lines = [step for step in steps if step.dim == 1]
-        joins = steps | {a + b for a, b in combinations(lines, 2)} | {Subspace.zero(3)}
-        subspaces += [
-            _generic_hyperplane(member, steps)
-            for member in sorted(joins, key=Subspace.sort_key)
-        ]
+        annihilated = frozenset(step.annihilator() for step in steps)
+        subspaces += [line.annihilator() for line in _generic_lines(annihilated, 3)]
     incidences = tuple(_incidence(v, fc) for v in subspaces)
-    return ExactCandidates(_flags(fc), tuple(subspaces), incidences)
+    return Candidates(_flags(fc), tuple(subspaces), incidences, True, False)
+
+
+def closure_candidates(
+    fc: FilteredConfiguration, depth: int = 3, cap: int = CLOSURE_CAP
+) -> Candidates:
+    """Proper flag steps closed under pairwise intersection and sum.
+
+    The closure is iterated at most ``depth`` times and truncated at ``cap``
+    members, which sets ``closure_capped`` (reported in the verdict metadata
+    of :func:`check_stability`).  Members are kept in
+    :meth:`~filtstab.linalg.Subspace.sort_key` order, smallest dimension
+    first, so a cap below the number of proper flag steps drops flag steps
+    too.
+    """
+    if depth < 0 or cap < 1:
+        raise ValueError("depth must be non-negative and cap at least 1")
+    subspaces, capped = _closure(fc, depth, cap)
+    incidences = tuple(_incidence(v, fc) for v in subspaces)
+    return Candidates(_flags(fc), tuple(subspaces), incidences, False, capped)
 
 
 def _flags(fc: FilteredConfiguration) -> tuple[tuple[Subspace, ...], ...]:
@@ -383,25 +373,27 @@ def check_stability(
     samples: int = 2000,
     seed: int = 0,
     depth: int = 3,
-    cap: int = 512,
-    sample_height: int = 5,
-    candidates: Optional[ExactCandidates] = None,
+    candidates: Optional[Candidates] = None,
 ) -> StabilityVerdict:
     """Decide stability of a flag configuration.
 
     ``mode`` is one of ``"auto"``, ``"exact2"`` or ``"heuristic"``.  In
     ``"auto"`` mode ranks 2 and 3 are decided exactly and without sampling,
-    by evaluating :func:`exact_candidates` (verdict metadata mode
-    ``"exact2"`` or ``"exact3"``); ``"exact2"`` does the same but insists on
-    rank 2.  ``candidates`` passes that set in precomputed, for instance once
-    per flag shape, with the step incidences of its members, so each call
-    costs one dot product per candidate; it must have been built from the
-    same flags, component by component, and the sampling modes ignore it.
-    Above rank 3, and in ``"heuristic"`` mode, the check explores the
-    flag-step closure (``depth`` rounds, at most ``cap`` members) plus
-    ``samples`` seeded random subspaces of every intermediate dimension;
-    ``samples=0`` explores the closure only.  Destabilizing witnesses it
-    finds are exact, a stable verdict is not.
+    by evaluating :func:`exact_candidates`, lines and (at rank 3) their dual
+    hyperplanes (verdict metadata mode ``"exact2"`` or ``"exact3"``);
+    ``"exact2"`` does the same but insists on rank 2.  Above rank 3, and in
+    ``"heuristic"`` mode, the check explores the flag-step closure
+    (:func:`closure_candidates`, ``depth`` rounds) plus ``samples`` seeded
+    random subspaces of every intermediate dimension; ``samples=0`` explores
+    the closure only.  Destabilizing witnesses it finds are exact, a stable
+    verdict is not.
+
+    ``candidates`` passes either set in prebuilt, at any rank, for instance
+    once per flag shape; with its stored step incidences each candidate
+    costs one dot product.  It must have been built from the same flags,
+    component by component, and be of the kind ``mode`` needs at this rank
+    (exact or closure), or :class:`ShapeMismatchError` is raised.  A passed
+    closure keeps the depth it was built with.
     """
     if len(fc.filtrations) != config.n_components:
         raise ShapeMismatchError(
@@ -412,8 +404,6 @@ def check_stability(
         raise ValueError(f"unknown stability mode {mode!r}")
     if samples < 0 or depth < 0:
         raise ValueError("samples and depth must be non-negative")
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
     if mode == "exact2" and fc.rank != 2:
         raise ShapeMismatchError("exact2 mode requires rank 2")
 
@@ -424,39 +414,41 @@ def check_stability(
             {"mode": "vacuous"},
         )
 
-    coefficients, denominator = _degree_form(fc, config)
-    if mode == "exact2" or (mode == "auto" and fc.rank <= 3):
-        if candidates is None:
-            candidates = exact_candidates(fc)
-        elif candidates.flags != _flags(fc):
-            raise ShapeMismatchError("candidates were built for other flags")
-        numerators = [_dot(coefficients, x) for x in candidates.incidences]
-        metadata = {"mode": f"exact{fc.rank}", "explored": len(candidates.subspaces)}
-        return _verdict_from(
-            candidates.subspaces, numerators, denominator, Certainty.EXACT, metadata
-        )
+    exact = mode == "exact2" or (mode == "auto" and fc.rank <= 3)
+    if candidates is None:
+        candidates = exact_candidates(fc) if exact else closure_candidates(fc, depth)
+    elif candidates.flags != _flags(fc):
+        raise ShapeMismatchError("candidates were built for other flags")
+    elif candidates.exact != exact:
+        kind = "an exact" if exact else "a closure"
+        raise ShapeMismatchError(f"{mode!r} mode at rank {fc.rank} needs {kind} candidate set")
 
-    closure, capped = _closure(fc, depth, cap)
-    rng = random.Random(seed)
-    sampled: list[Subspace] = []
-    seen = set(closure)
-    for dim in range(1, fc.rank):
-        for _ in range(samples):
-            candidate = _random_subspace(rng, fc.rank, dim, sample_height)
-            if candidate is not None and candidate not in seen:
-                seen.add(candidate)
-                sampled.append(candidate)
-    explored = list(closure) + sampled
-    if not explored:
-        explored = [_generic_line(Subspace.full(fc.rank), ())]
-    numerators = [_dot(coefficients, _incidence(v, fc)) for v in explored]
-    metadata = {
-        "mode": "heuristic",
-        "explored": len(explored),
-        "closure_size": len(closure),
-        "closure_capped": capped,
-        "samples": samples,
-        "seed": seed,
-        "sample_height": sample_height,
-    }
-    return _verdict_from(explored, numerators, denominator, Certainty.HEURISTIC, metadata)
+    explored = list(candidates.subspaces)
+    incidences = list(candidates.incidences)
+    if exact:
+        metadata = {"mode": f"exact{fc.rank}", "explored": len(explored)}
+    else:
+        rng = random.Random(seed)
+        seen = set(explored)
+        for dim in range(1, fc.rank):
+            for _ in range(samples):
+                sample = _random_subspace(rng, fc.rank, dim, SAMPLE_HEIGHT)
+                if sample is not None and sample not in seen:
+                    seen.add(sample)
+                    explored.append(sample)
+        if not explored:
+            explored.append(_generic_line(Subspace.full(fc.rank), ()))
+        incidences += [_incidence(v, fc) for v in explored[len(incidences):]]
+        metadata = {
+            "mode": "heuristic",
+            "explored": len(explored),
+            "closure_size": len(candidates.subspaces),
+            "closure_capped": candidates.closure_capped,
+            "samples": samples,
+            "seed": seed,
+            "sample_height": SAMPLE_HEIGHT,
+        }
+    coefficients, denominator = _degree_form(fc, config)
+    numerators = [_dot(coefficients, x) for x in incidences]
+    certainty = Certainty.EXACT if exact else Certainty.HEURISTIC
+    return _verdict_from(explored, numerators, denominator, certainty, metadata)

@@ -47,13 +47,15 @@ from .stability import (
     StabilityVerdict,
     Status,
     check_stability,
-    closure_incidences,
+    closure_candidates,
     exact_candidates,
 )
 from .surface import DivisorConfiguration
 
-DEFAULT_FLAG_HEIGHT = 7
 DEFAULT_MAX_DENOMINATOR = 64
+# random flags are spanned by integer rows with entries in [-7, 7]
+FLAG_HEIGHT = 7
+SLSQP_ITERATIONS = 200
 
 STRATEGIES = ("random", "coincident", "generic", "user")
 
@@ -260,7 +262,6 @@ def inner_minimize(
     qp: QuadraticPair,
     cone: Optional[ConeRows] = None,
     max_denominator: int = DEFAULT_MAX_DENOMINATOR,
-    max_iter: int = 200,
 ) -> InnerResult:
     """Minimize the Rayleigh quotient w^T A w / w^T B w over balance ∩ ``cone``.
 
@@ -268,13 +269,15 @@ def inner_minimize(
     ordering rows alone.  Weights come back at peak 1/2 with every
     row . w <= -|row|_1 / ``max_denominator``: rounding and re-balancing in
     :func:`rationalize` move each weight by at most 1 / ``max_denominator``,
-    which cannot push a row above zero.  The eigenvector of the smallest
-    generalized eigenvalue of (A, B) on the balance subspace is returned as
-    an interior minimum when it keeps that slack.  Otherwise one linear program (HiGHS) finds the widest slack t
-    the cone allows, raising :class:`EmptyConeError` when t <= 0 (thinner
-    cones keep t / 2), and SLSQP with all rows as one linear constraint,
-    from distinct deterministic starts, gives a ``boundary`` value >= the
-    eigenvalue.
+    which cannot push a row above zero.
+
+    The eigenvector of the smallest generalized eigenvalue of (A, B) on the
+    balance subspace is returned as an interior minimum when it keeps that
+    slack.  Otherwise one linear program (HiGHS) finds the widest slack t
+    the cone allows and raises :class:`EmptyConeError` when t <= 0; thinner
+    cones keep t / 2.  Then SLSQP, with all rows as one linear constraint
+    and run from distinct deterministic starts, gives a ``boundary`` value
+    >= the eigenvalue.
     """
     basis = _balance_nullspace(qp)
     if not basis:
@@ -359,7 +362,7 @@ def inner_minimize(
         minimize(
             quotient, start, jac=quotient_jac, method="SLSQP",
             constraints=[constraint],
-            options={"maxiter": max_iter, "ftol": 1e-10},
+            options={"maxiter": SLSQP_ITERATIONS, "ftol": 1e-10},
         ).x
         for start in starts
     ]
@@ -388,8 +391,8 @@ def rationalize(
     ``max_denominator``; afterwards every component is shifted back onto its
     exact balance constraint.  If rounding merged or reordered adjacent steps
     the flag shape has changed, which is reported as
-    :class:`OrderingCollapseError` so the caller can retry with finer
-    denominators.
+    :class:`OrderingCollapseError`; the search counts that shape as a
+    rounding failure.
     """
     if len(weights) != shape.size:
         raise DimensionMismatchError(
@@ -470,13 +473,11 @@ def _flag_from_rows(
     return Filtration(rank, tuple(steps)).balance_shift()
 
 
-def _random_flag(
-    rng: random.Random, rank: int, height: int, min_steps: int = 1
-) -> Filtration:
+def _random_flag(rng: random.Random, rank: int, min_steps: int = 1) -> Filtration:
     k = rng.randint(min_steps, rank)
     if k == 1:
         return Filtration.trivial(rank)
-    rows = _random_invertible_rows(rng, rank, height)
+    rows = _random_invertible_rows(rng, rank, FLAG_HEIGHT)
     dims = sorted(rng.sample(range(1, rank), k - 1)) + [rank]
     return _flag_from_rows(rows, dims, rank)
 
@@ -493,7 +494,6 @@ def _make_shape(
     rng: random.Random,
     rank: int,
     n_components: int,
-    height: int,
     supplied: Sequence[FilteredConfiguration],
     user_cursor: list[int],
 ) -> Optional[FilteredConfiguration]:
@@ -506,7 +506,7 @@ def _make_shape(
     if rank == 1:
         return None
     if strategy == "coincident":
-        flag = _random_flag(rng, rank, height, min_steps=2)
+        flag = _random_flag(rng, rank, min_steps=2)
         return FilteredConfiguration(rank, (flag,) * n_components)
     if strategy == "generic":
         nodes = rng.sample(range(-(3 * n_components), 3 * n_components + 1), n_components)
@@ -515,12 +515,12 @@ def _make_shape(
     if strategy == "random":
         for _ in range(4):
             flags = tuple(
-                _random_flag(rng, rank, height) for _ in range(n_components)
+                _random_flag(rng, rank) for _ in range(n_components)
             )
             if any(len(f.steps) > 1 for f in flags):
                 return FilteredConfiguration(rank, flags)
-        forced = [_random_flag(rng, rank, height, min_steps=2)]
-        forced += [_random_flag(rng, rank, height) for _ in range(n_components - 1)]
+        forced = [_random_flag(rng, rank, min_steps=2)]
+        forced += [_random_flag(rng, rank) for _ in range(n_components - 1)]
         return FilteredConfiguration(rank, tuple(forced))
     raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -544,24 +544,22 @@ def outer_search(
     strategies: Sequence[str] = ("random", "coincident", "generic"),
     supplied: Sequence[FilteredConfiguration] = (),
     max_denominator: int = DEFAULT_MAX_DENOMINATOR,
-    flag_height: int = DEFAULT_FLAG_HEIGHT,
     samples: int = 2000,
-    depth: int = 3,
-    cap: int = 512,
     progress: Optional[Callable[[int, int, Optional[Fraction]], None]] = None,
 ) -> UpsilonEstimate:
     """Estimate the minimal c2 / norm ratio over stable balanced flags.
 
     Iterates a deterministic, seed-driven stream of flag shapes (so a larger
     budget explores a superset and the best ratio is non-increasing in the
-    budget).  Each shape's cone comes from its exact candidates at ranks 2
-    and 3 and from its flag-step closure (``depth``, ``cap``) above; shapes
-    with an empty cone count as ``empty_cone``.  The minimizer over the cone
-    is rationalized at denominators up to ``max_denominator``, where it
-    stays in the cone, and kept when :func:`check_stability` (sampling with
-    ``samples`` above rank 3) calls it stable; c2 and the norm come from the
-    exact :class:`QuadraticPair`.  An exactly stable candidate with negative
-    c2 can only come from a bug and raises :class:`BGIViolationError`.
+    budget).  Each shape's candidate set, exact at ranks 2 and 3 and its
+    flag-step closure above, is built once and gives both the shape's cone
+    and the final check; shapes with an empty cone count as ``empty_cone``.
+    The minimizer over the cone is rationalized at denominators up to
+    ``max_denominator``, where it stays in the cone, and kept when
+    :func:`check_stability` (sampling with ``samples`` above rank 3) calls
+    it stable; c2 and the norm come from the exact :class:`QuadraticPair`.
+    An exactly stable candidate with negative c2 can only come from a bug
+    and raises :class:`BGIViolationError`.
     """
     config.check()
     for name, degree in zip(config.names, config.degrees):
@@ -609,7 +607,7 @@ def outer_search(
     for index in range(budget):
         strategy = chosen[index % len(chosen)]
         shape_fc = _make_shape(
-            strategy, rng, rank, config.n_components, flag_height, supplied, user_cursor
+            strategy, rng, rank, config.n_components, supplied, user_cursor
         )
         if shape_fc is None or shape_fc.is_trivial:
             counts["skipped_trivial"] += 1
@@ -617,8 +615,7 @@ def outer_search(
             counts["candidates"] += 1
             candidate_seed = (seed * 1_000_003 + index) & 0x7FFFFFFF
             found = _solve_shape(
-                shape_fc, config, counts, max_denominator,
-                samples, candidate_seed, depth, cap,
+                shape_fc, config, counts, max_denominator, samples, candidate_seed
             )
             if found is not None and (best is None or _order(found) < _order(best)):
                 best = found
@@ -650,8 +647,6 @@ def _solve_shape(
     max_denominator: int,
     samples: int,
     seed: int,
-    depth: int,
-    cap: int,
 ) -> Optional[dict]:
     """Minimize over one shape's cone, then certify the rationalized minimizer.
 
@@ -661,10 +656,8 @@ def _solve_shape(
     qp = assemble_quadratics(shape_fc, config)
     shape = qp.shape
     # weight-independent, so built once for the cone and the final check
-    exact = exact_candidates(shape_fc)
-    cone = stability_cone(
-        shape, exact.incidences if exact else closure_incidences(shape_fc, depth, cap)
-    )
+    candidates = exact_candidates(shape_fc) or closure_candidates(shape_fc)
+    cone = stability_cone(shape, candidates.incidences)
     try:
         inner = inner_minimize(qp, cone, max_denominator)
     except SingularFormError:
@@ -686,8 +679,7 @@ def _solve_shape(
     counts["proposals"] += 1
     candidate = _with_weights(shape_fc, shape, rationalized)
     verdict = check_stability(
-        candidate, config, mode="auto", samples=samples,
-        seed=seed, depth=depth, cap=cap, candidates=exact,
+        candidate, config, mode="auto", samples=samples, seed=seed, candidates=candidates
     )
     counts[verdict.status.value] += 1
     if verdict.status is not Status.STABLE:

@@ -21,7 +21,7 @@ from filtstab import (
     parabolic_degree,
     span,
 )
-from filtstab.stability import _proper_flag_steps
+from filtstab.stability import _moment_point, _proper_flag_steps
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -325,3 +325,21 @@ def reference_closure(
         ordered = ordered[:cap]
         capped = True
     return ordered, capped
+
+
+def reference_generic_hyperplane(member: Subspace, steps) -> Subspace:
+    """A hyperplane through ``member`` containing no flag step outside ``member``.
+
+    Built directly: its normal is the first moment-curve point of the
+    annihilator of ``member`` whose hyperplane contains none of those steps.
+    """
+    if member.dim == member.ambient_dim - 1:
+        return member
+    avoid = [step for step in steps if not member.contains(step)]
+    normals = member.annihilator()
+    for k in range(len(avoid) * (normals.dim - 1) + 1):
+        normal = span([_moment_point(normals.basis, k)], member.ambient_dim)
+        hyperplane = normal.annihilator()
+        if not any(hyperplane.contains(step) for step in avoid):
+            return hyperplane
+    raise AssertionError("unreachable: more roots than the degree allows")

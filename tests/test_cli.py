@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from filtstab.chern import derive_tables
 from filtstab.cli import main
+from filtstab.filtration import FilteredConfiguration, Filtration
 from filtstab.fixtures import three_concurrent_lines, three_generic_lines, two_lines
 from filtstab.serialize import (
     arrangement_to_doc,
@@ -67,6 +69,38 @@ def test_invalid_json_exits_2(tmp_path, capsys):
 
 def test_missing_file_exits_2(tmp_path):
     assert main(["chern", "--input", str(tmp_path / "absent.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "case", ["directory input", "undecodable input", "unwritable output", "unwritable no-stable"]
+)
+def test_file_errors_exit_2_naming_the_file(tmp_path, capsys, case):
+    config, fc = two_lines()
+    document = write_document(tmp_path, "two.json", input_document(config, fc))
+    undecodable = tmp_path / "bytes.json"
+    undecodable.write_bytes(b"\xff\xfe{")
+    unwritable = ["--output", str(tmp_path / "absent" / "x.csv"), "--format", "csv"]
+    argv, named = {
+        "directory input": (["chern", "--input", str(tmp_path)], str(tmp_path)),
+        "undecodable input": (["chern", "--input", str(undecodable)], str(undecodable)),
+        "unwritable output": (["chern", "--input", document, *unwritable], "--output"),
+        "unwritable no-stable": (
+            ["upsilon", "--input", document, "--rank", "2", "--budget", "2",
+             "--strategies", "coincident", "--quiet", *unwritable],
+            "--output",
+        ),
+    }[case]
+    assert main(argv) == 2
+    assert f"{named}: " in capsys.readouterr().err
+
+
+def test_system_data_of_another_rank_exits_3(tmp_path, capsys):
+    config, fc = two_lines()
+    rank3 = FilteredConfiguration(3, (Filtration.trivial(3),) * 2)
+    document = input_document(config, fc, derive_tables(rank3, config))
+    path = write_document(tmp_path, "mixed.json", document)
+    assert main(["chern", "--input", path]) == 3
+    assert "system_data.rank: " in capsys.readouterr().err
 
 
 def test_asymmetric_matrix_exits_3(tmp_path, capsys):
@@ -254,6 +288,15 @@ def test_upsilon_bad_flag_exits_2(tmp_path, capsys, flag, value):
     argv = ["upsilon", "--input", path, "--rank", "2", "--budget", "3", "--quiet"]
     assert main(argv + [flag, value]) == 2
     assert f"{flag}: " in capsys.readouterr().err
+
+
+def test_upsilon_rank_other_than_the_document_exits_3(tmp_path, capsys):
+    config, fc = three_generic_lines()
+    path = write_document(tmp_path, "tgl.json", input_document(config, fc))
+    assert main(["upsilon", "--input", path, "--rank", "3", "--budget", "2", "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "filtered_configuration.rank: " in err
+    assert "--rank 3" in err
 
 
 @pytest.mark.parametrize(

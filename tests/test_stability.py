@@ -13,14 +13,14 @@ from filtstab import (
     ShapeMismatchError,
     Status,
     Subspace,
-    candidate_subspaces,
     check_stability,
+    closure_candidates,
     exact_candidates,
     parabolic_degree,
     span,
 )
 from filtstab.fixtures import three_generic_lines, two_lines
-from filtstab.stability import _closure
+from filtstab.stability import _closure, _generic_line
 from helpers import (
     brute_force_rank2,
     brute_force_rank3,
@@ -28,6 +28,7 @@ from helpers import (
     random_balanced_weights_for,
     random_divisor_config,
     reference_closure,
+    reference_generic_hyperplane,
     three_planes,
 )
 
@@ -94,7 +95,7 @@ class TestCandidateSubspaces:
             ),
         )
         fc = FilteredConfiguration(3, (flag,))
-        found = candidate_subspaces(fc)
+        found = closure_candidates(fc).subspaces
         assert set(found) == {
             span([(1, 0, 0)], 3),
             span([(1, 0, 0), (0, 1, 0)], 3),
@@ -102,7 +103,7 @@ class TestCandidateSubspaces:
 
     def test_two_lines_closure(self):
         _, fc = two_lines()
-        found = candidate_subspaces(fc)
+        found = closure_candidates(fc).subspaces
         assert set(found) == {span([(1, 0)], 2), span([(0, 1)], 2)}
 
     def test_three_coordinate_planes(self):
@@ -115,7 +116,7 @@ class TestCandidateSubspaces:
             Filtration(3, ((F(1, 2), p), (F(-1, 2), Subspace.full(3)))) for p in planes
         )
         fc = FilteredConfiguration(3, flags)
-        found = set(candidate_subspaces(fc, depth=2))
+        found = set(closure_candidates(fc, depth=2).subspaces)
         expected = set(planes) | {
             span([(1, 0, 0)], 3),
             span([(0, 1, 0)], 3),
@@ -125,15 +126,15 @@ class TestCandidateSubspaces:
 
     def test_cap_is_respected(self):
         _, fc = three_generic_lines()
-        assert len(candidate_subspaces(fc, cap=2)) <= 2
+        assert len(closure_candidates(fc, cap=2).subspaces) <= 2
 
     def test_small_cap_drops_flag_steps(self):
         # three proper flag steps; the cap keeps the first in sort order only
         _, fc = three_planes()
         steps = sorted(proper_steps(fc), key=Subspace.sort_key)
         assert len(steps) == 3
-        assert candidate_subspaces(fc, depth=0, cap=1) == (steps[0],)
-        assert candidate_subspaces(fc, depth=0, cap=3) == tuple(steps)
+        assert closure_candidates(fc, depth=0, cap=1).subspaces == (steps[0],)
+        assert closure_candidates(fc, depth=0, cap=3).subspaces == tuple(steps)
 
     def test_closure_matches_naive_reference(self, monkeypatch):
         # only meets that the dimension formula leaves open are computed
@@ -282,9 +283,38 @@ class TestCheckStabilityGeneral:
         "option", [{"samples": -1}, {"depth": -1}, {"cap": 0}]
     )
     def test_bad_exploration_counts_rejected(self, option):
+        # the closure cap is a parameter of the closure builder only
         config, fc = three_generic_lines()
         with pytest.raises(ValueError):
-            check_stability(fc, config, mode="heuristic", **option)
+            if "cap" in option:
+                closure_candidates(fc, **option)
+            else:
+                check_stability(fc, config, mode="heuristic", **option)
+
+    def test_prebuilt_closure_at_rank_four(self):
+        config, fc = three_planes()
+        found = closure_candidates(fc, depth=2)
+        assert not found.exact
+        for samples, seed in ((0, 0), (30, 4)):
+            prebuilt = check_stability(fc, config, samples=samples, seed=seed, candidates=found)
+            assert prebuilt == check_stability(fc, config, samples=samples, seed=seed, depth=2)
+
+    def test_candidates_of_the_wrong_kind_rejected(self):
+        config, fc = three_generic_lines()
+        with pytest.raises(ShapeMismatchError):
+            check_stability(fc, config, mode="heuristic", candidates=exact_candidates(fc))
+        rng = random.Random(87)
+        config3 = random_divisor_config(rng, 2)
+        fc3 = random_balanced_configuration(rng, 3, 2, nontrivial=True)
+        with pytest.raises(ShapeMismatchError):
+            check_stability(fc3, config3, candidates=closure_candidates(fc3))
+        assert check_stability(
+            fc3, config3, mode="heuristic", samples=0, candidates=closure_candidates(fc3)
+        ) == check_stability(fc3, config3, mode="heuristic", samples=0)
+        config4, fc4 = three_planes()
+        other = FilteredConfiguration(4, fc4.filtrations[::-1])
+        with pytest.raises(ShapeMismatchError):
+            check_stability(other, config4, candidates=closure_candidates(fc4))
 
     def test_heuristic_deterministic_in_seed(self):
         rng = random.Random(81)
@@ -351,6 +381,28 @@ class TestCheckStabilityRank3:
                     and {s for s in steps if plane.contains(s)} == inside
                 ]
                 assert len(matches) == 1
+
+    def test_hyperplanes_match_the_reference_construction(self):
+        # the hyperplane half is built as annihilators of generic lines of
+        # the annihilated steps; it must pick the same hyperplane through
+        # every member of the sum closure as the direct construction
+        rng = random.Random(94)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            fc = random_balanced_configuration(
+                rng, 3, n, height=rng.randint(1, 3), nontrivial=True
+            )
+            steps = proper_steps(fc)
+            annihilated = {s.annihilator() for s in steps}
+            joins = closed_under(Subspace.__add__, steps | {Subspace.zero(3)})
+            joins.discard(Subspace.full(3))
+            expected = set()
+            for member in joins:
+                hyperplane = reference_generic_hyperplane(member, steps)
+                assert _generic_line(member.annihilator(), annihilated).annihilator() == hyperplane
+                expected.add(hyperplane)
+            planes = {c for c in exact_candidates(fc).subspaces if c.dim == 2}
+            assert planes == expected
 
     def test_rank2_candidates_are_flag_lines_plus_one_generic_line(self):
         config, fc = three_generic_lines()

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import filtstab.stability as stability
 import filtstab.upsilon as upsilon
 from filtstab import (
     BGIViolationError,
@@ -272,11 +273,18 @@ class TestOuterSearch:
             outer_search(config, rank=2, budget=25, seed=5)
 
     def test_coincident_only_is_never_stable_here(self):
+        # A proper step F shared by every flag has degree
+        # dim F * sum_i deg(D_i) * a_{i,1}, which is > 0 for every balanced,
+        # strictly decreasing weighting since outer_search requires positive
+        # degrees: every coincident shape has an empty stability cone.
         config, _ = three_generic_lines()
-        with pytest.raises(NoStableConfigurationError):
-            outer_search(
-                config, rank=2, budget=1, seed=1, strategies=("coincident",)
-            )
+        for rank in (2, 3, 4):
+            with pytest.raises(NoStableConfigurationError) as info:
+                outer_search(
+                    config, rank=rank, budget=3, seed=1, strategies=("coincident",)
+                )
+            log = info.value.search_log
+            assert log["empty_cone"] == log["candidates"] == 3
 
     def test_user_supplied_shape(self):
         config, fc = three_generic_lines()
@@ -344,6 +352,20 @@ class TestOuterSearch:
         assert estimate.verdict.metadata["mode"] == "exact3"
         assert estimate.search_log["bgi_rejected"] == 0
         assert estimate.c2 >= 0
+
+    def test_one_closure_per_shape_at_rank_four(self, monkeypatch):
+        # the closure gives both the shape's cone and the final check
+        calls = []
+        original = stability._closure
+
+        def counted(fc, depth, cap):
+            calls.append(fc)
+            return original(fc, depth, cap)
+
+        monkeypatch.setattr(stability, "_closure", counted)
+        config, _ = three_generic_lines()
+        estimate = outer_search(config, rank=4, budget=8, seed=0, samples=20)
+        assert estimate.search_log["candidates"] == len(calls) == 8
 
     def test_rank3_stable_with_negative_c2_is_a_bgi_violation(self, monkeypatch):
         # an exactly stable candidate with c2 < 0 can only come from a bug,
