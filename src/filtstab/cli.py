@@ -5,12 +5,17 @@ manifest; all numeric content is exact-rational strings, so identical
 manifests with the same seed reproduce identical reports byte for byte apart
 from the timestamp.  Exit codes: 0 success, 2 parse error, 3 validation
 error, 4 no stable configuration found, 5 internal inequality violation.
+
+The argument parser is built once per process (``build_parser`` is cached)
+and holds no per-call state, so :func:`main` may be called repeatedly in one
+process; ``FILTSTAB_SEED`` is read on each call that has no ``--seed``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -27,6 +32,7 @@ from .errors import (
     DocumentParseError,
     DocumentValidationError,
     FiltstabError,
+    InvariantError,
     NoStableConfigurationError,
 )
 from .fixtures import three_concurrent_lines, three_generic_lines, two_lines
@@ -78,12 +84,15 @@ class RunManifest:
         }
 
 
-def _default_seed() -> Optional[int]:
-    """``FILTSTAB_SEED`` (0 when unset); None when malformed, which main reports."""
+def _resolve_seed(args: argparse.Namespace) -> None:
+    """Fill an absent ``--seed`` from ``FILTSTAB_SEED`` (0 when unset), read on each call."""
+    if getattr(args, "seed", 0) is not None:
+        return
+    text = os.environ.get(SEED_ENV_VAR, "0")
     try:
-        return int(os.environ.get(SEED_ENV_VAR, "0"))
+        args.seed = int(text)
     except ValueError:
-        return None
+        raise DocumentParseError(f"not an integer: {text!r}", SEED_ENV_VAR) from None
 
 
 def _load_document(path: str) -> Any:
@@ -176,6 +185,11 @@ def _cmd_stability(args: argparse.Namespace) -> dict:
         raise DocumentValidationError(
             "stability needs a filtered_configuration", "filtered_configuration"
         )
+    if args.stability_mode == "exact2" and fc.rank != 2:
+        raise DocumentValidationError(
+            f"exact2 mode requires rank 2, the document has rank {fc.rank}",
+            "--stability-mode",
+        )
     verdict = check_stability(
         fc,
         config,
@@ -196,7 +210,10 @@ def _cmd_blowup(args: argparse.Namespace) -> dict:
         epsilon = rational_from_string(args.epsilon)
     except ValueError as error:
         raise DocumentParseError(str(error), "--epsilon") from error
-    config = blow_up(arrangement, epsilon)
+    try:
+        config = blow_up(arrangement, epsilon)
+    except InvariantError as error:  # blow_up's only invariants are on epsilon
+        raise DocumentValidationError(str(error), "--epsilon") from error
     return input_document(config)
 
 
@@ -292,6 +309,7 @@ def _manifest_options(args: argparse.Namespace) -> dict[str, Any]:
     return options
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="filtstab",
@@ -323,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stability-mode", choices=("auto", "exact2", "heuristic"), default="auto"
     )
     stability.add_argument("--samples", type=int, default=2000)
-    stability.add_argument("--seed", type=int, default=_default_seed())
+    stability.add_argument("--seed", type=int, default=None)
     stability.add_argument("--depth", type=int, default=3)
     add_common(stability)
     stability.set_defaults(func=_cmd_stability)
@@ -334,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     upsilon.add_argument("--input", required=True)
     upsilon.add_argument("--rank", type=int, required=True)
     upsilon.add_argument("--budget", type=int, default=200)
-    upsilon.add_argument("--seed", type=int, default=_default_seed())
+    upsilon.add_argument("--seed", type=int, default=None)
     upsilon.add_argument(
         "--strategies", default="random,coincident,generic",
         help="comma-separated subset of random,coincident,generic,user",
@@ -360,18 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    manifest = RunManifest(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        options=_manifest_options(args),
-    )
+    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", 0) is None:
-            raise DocumentParseError(
-                f"not an integer: {os.environ[SEED_ENV_VAR]!r}", SEED_ENV_VAR
-            )
+        _resolve_seed(args)
+        manifest = RunManifest(
+            command=args.command,
+            input_path=getattr(args, "input", None),
+            options=_manifest_options(args),
+        )
         result = args.func(args)
     except DocumentParseError as error:
         print(f"parse error: {error}", file=sys.stderr)

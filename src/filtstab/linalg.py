@@ -237,7 +237,17 @@ class Subspace:
 
     def sort_key(self) -> tuple:
         """Deterministic total order: by dimension, then by basis entries."""
-        return (self.dim, self.rows)
+        return self._sort_key
+
+    @cached_property
+    def _sort_key(self) -> tuple:
+        # the order of (dim, rows), with integral RREF entries held as int so
+        # that most comparisons skip Fraction
+        rows = []
+        for row in self.basis:
+            lead = next(x for x in row if x)
+            rows.append(tuple(x // lead if x % lead == 0 else Fraction(x, lead) for x in row))
+        return (self.dim, tuple(rows))
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:

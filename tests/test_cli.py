@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from filtstab.chern import derive_tables
-from filtstab.cli import main
+from filtstab.cli import build_parser, main
 from filtstab.filtration import FilteredConfiguration, Filtration
 from filtstab.fixtures import three_concurrent_lines, three_generic_lines, two_lines
 from filtstab.serialize import (
@@ -131,7 +131,7 @@ def test_stability_heuristic_mode_allowed_on_rank2(tmp_path):
     assert main(args) == 0
 
 
-def test_stability_exact2_on_wrong_rank_exits_3(tmp_path):
+def test_stability_exact2_on_wrong_rank_exits_3(tmp_path, capsys):
     from fractions import Fraction
 
     from filtstab import DivisorConfiguration, FilteredConfiguration, Filtration
@@ -140,6 +140,7 @@ def test_stability_exact2_on_wrong_rank_exits_3(tmp_path):
     fc = FilteredConfiguration(3, (Filtration.trivial(3),))
     path = write_document(tmp_path, "r3.json", input_document(config, fc))
     assert main(["stability", "--input", path, "--stability-mode", "exact2"]) == 3
+    assert "validation error: --stability-mode: " in capsys.readouterr().err
 
 
 def test_upsilon_no_stable_exits_4(tmp_path, capsys):
@@ -373,6 +374,95 @@ def test_seed_env_variable(tmp_path, monkeypatch, capsys):
     # an explicit --seed overrides the malformed variable
     assert main(argv + ["--seed", "77", "--output", str(out)]) == code
     assert read_report(out)["manifest"]["options"]["seed"] == 77
+
+
+@pytest.mark.parametrize("epsilon", ["0", "5"])
+def test_blowup_epsilon_errors_exit_3_naming_the_flag(tmp_path, capsys, epsilon):
+    document = {"arrangement": arrangement_to_doc(three_concurrent_lines())}
+    path = write_document(tmp_path, "arr.json", document)
+    out = tmp_path / "blown.json"
+    assert main(["blowup", "--input", path, "--epsilon", epsilon, "--output", str(out)]) == 3
+    assert "validation error: --epsilon: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def without_timestamp(text):
+    return "\n".join(line for line in text.splitlines() if "timestamp" not in line)
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_interleaved_calls_match_calls_run_alone(tmp_path):
+    # the parser is shared between calls; no option or default may leak
+    config, fc = three_generic_lines()
+    tgl = write_document(tmp_path, "tgl.json", input_document(config, fc))
+    triangle = write_document(tmp_path, "triangle.json", input_document(config))
+    arr = write_document(
+        tmp_path, "arr.json", {"arrangement": arrangement_to_doc(three_concurrent_lines())}
+    )
+    upsilon = ["upsilon", "--input", triangle, "--rank", "2", "--budget", "2", "--quiet"]
+    calls = [
+        ["chern", "--input", tgl, "--format", "csv"],
+        ["stability", "--input", tgl, "--stability-mode", "heuristic", "--samples", "5",
+         "--seed", "4", "--depth", "1"],
+        ["blowup", "--input", arr, "--epsilon", "1/7"],
+        upsilon + ["--seed", "3", "--strategies", "random"],
+        ["demo", "--quiet"],
+        ["chern", "--input", tgl],
+        ["stability", "--input", tgl],
+        ["blowup", "--input", arr],
+        upsilon,
+        ["demo", "--quiet", "--format", "csv"],
+    ]
+
+    def run(index, argv):
+        out = tmp_path / f"{index}.out"
+        code = main(argv + ["--output", str(out)])
+        return code, without_timestamp(out.read_text(encoding="utf-8"))
+
+    interleaved = [run(index, argv) for index, argv in enumerate(calls)]
+    assert {code for code, _ in interleaved} <= {0, 4}
+    for index, argv in enumerate(calls):
+        build_parser.cache_clear()
+        assert run(index, argv) == interleaved[index]
+
+
+def test_format_does_not_stick(tmp_path):
+    config, fc = two_lines()
+    path = write_document(tmp_path, "two.json", input_document(config, fc))
+    csv_out, json_out = tmp_path / "report.csv", tmp_path / "report.json"
+    assert main(["chern", "--input", path, "--format", "csv", "--output", str(csv_out)]) == 0
+    assert main(["chern", "--input", path, "--output", str(json_out)]) == 0
+    assert csv_out.read_text(encoding="utf-8").startswith("key,value")
+    assert read_report(json_out)["manifest"]["options"]["output_format"] == "json"
+
+
+def test_usage_error_leaves_the_parser_intact(tmp_path, capsys):
+    config, fc = two_lines()
+    path = write_document(tmp_path, "two.json", input_document(config, fc))
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    assert main(["chern", "--input", path, "--output", str(before)]) == 0
+    with pytest.raises(SystemExit) as caught:
+        main(["chern", "--input", path, "--format", "xml", "--seed", "1"])
+    assert caught.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert main(["chern", "--input", path, "--output", str(after)]) == 0
+    text = before.read_text(encoding="utf-8")
+    assert without_timestamp(after.read_text(encoding="utf-8")) == without_timestamp(text)
+
+
+def test_seed_env_variable_is_read_on_each_call(tmp_path, monkeypatch):
+    config, fc = three_generic_lines()
+    path = write_document(tmp_path, "tgl.json", input_document(config, fc))
+    out = tmp_path / "verdict.json"
+    seeds = []
+    for value in ("5", "9"):
+        monkeypatch.setenv("FILTSTAB_SEED", value)
+        assert main(["stability", "--input", path, "--output", str(out)]) == 0
+        seeds.append(read_report(out)["manifest"]["options"]["seed"])
+    assert seeds == [5, 9]
 
 
 def test_console_script_entry_points():

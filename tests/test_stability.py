@@ -25,6 +25,7 @@ from helpers import (
     brute_force_rank2,
     brute_force_rank3,
     random_balanced_configuration,
+    random_balanced_filtration,
     random_balanced_weights_for,
     random_divisor_config,
     reference_closure,
@@ -157,6 +158,25 @@ class TestCandidateSubspaces:
                     with monkeypatch.context() as patch:
                         patch.setattr(Subspace, "intersect", settled_meet_refused)
                         assert _closure(fc, depth, cap) == expected
+
+
+    def test_sort_key_keeps_the_rational_order(self):
+        # the cached key holds integral entries as int; the order must stay
+        # that of (dim, Fraction RREF rows)
+        rng = random.Random(43)
+        fractional = 0
+        for n in (2, 3, 3, 4):
+            flags = tuple(random_balanced_filtration(rng, 4, steps=4) for _ in range(n))
+            fc = FilteredConfiguration(4, flags)
+            members = list(closure_candidates(fc, depth=2).subspaces)
+            reference = sorted(members, key=lambda s: (s.dim, s.rows))
+            assert members == reference
+            rng.shuffle(members)
+            assert sorted(members, key=Subspace.sort_key) == reference
+            fractional += sum(
+                1 for s in members for row in s.rows for x in row if x.denominator != 1
+            )
+        assert fractional
 
 
 class TestCheckStabilityRank2:
