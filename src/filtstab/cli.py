@@ -378,7 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # argparse has printed the usage error (2), --help or --version (0)
+        return stop.code
     try:
         _resolve_seed(args)
         manifest = RunManifest(

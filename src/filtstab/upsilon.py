@@ -9,7 +9,11 @@ Rayleigh-quotient minimization over balance ∩ cone, solved in floating point
 and re-verified exactly after rationalizing the minimizer.  The outer loop
 walks a seeded stream of flag shapes, keeps the best configuration that
 certifies stable, and reports the result as an upper bound, never as the
-true minimum.
+true minimum.  Distinct shapes often pose the same inner problem (at rank 2
+the forms and the cone depend only on which flag lines coincide), so a
+search solves and rationalizes once per distinct (quadratic pair, set of
+cone rows) and reuses that outcome; everything that reads the subspaces
+themselves still runs per shape.
 
 Weight vectors are flat tuples ordered component by component, step by step;
 a :class:`WeightShape` records the bookkeeping (offsets, multiplicities,
@@ -555,7 +559,10 @@ def outer_search(
     flag-step closure above, is built once and gives both the shape's cone
     and the final check; shapes with an empty cone count as ``empty_cone``.
     The minimizer over the cone is rationalized at denominators up to
-    ``max_denominator``, where it stays in the cone, and kept when
+    ``max_denominator``, where it stays in the cone; both run once per
+    distinct (quadratic pair, set of cone rows) in this call, and a shape
+    posing an already solved problem reuses that outcome, failures
+    included.  The rationalized minimizer is kept when
     :func:`check_stability` (sampling with ``samples`` above rank 3) calls
     it stable; c2 and the norm come from the exact :class:`QuadraticPair`.
     An exactly stable candidate with negative c2 can only come from a bug
@@ -603,6 +610,7 @@ def outer_search(
         "boundary_hits": 0,
     }
 
+    solved: dict = {}
     best: Optional[dict] = None
     for index in range(budget):
         strategy = chosen[index % len(chosen)]
@@ -615,7 +623,8 @@ def outer_search(
             counts["candidates"] += 1
             candidate_seed = (seed * 1_000_003 + index) & 0x7FFFFFFF
             found = _solve_shape(
-                shape_fc, config, counts, max_denominator, samples, candidate_seed
+                shape_fc, config, counts, max_denominator, samples, candidate_seed,
+                solved,
             )
             if found is not None and (best is None or _order(found) < _order(best)):
                 best = found
@@ -640,6 +649,29 @@ def _order(estimate: dict) -> tuple:
     return estimate["ratio"], estimate["configuration"].sort_key()
 
 
+def _solve_and_round(
+    qp: QuadraticPair, cone: ConeRows, max_denominator: int
+) -> str | tuple[InnerResult, Optional[tuple[Fraction, ...]]]:
+    """The inner solve and its rounding, with failures returned, not raised.
+
+    Gives the ``search_log`` count of a failed solve, or the
+    :class:`InnerResult` with its rationalized weights (None when rounding
+    merged two steps).
+    """
+    try:
+        inner = inner_minimize(qp, cone, max_denominator)
+    except SingularFormError:
+        return "skipped_singular"
+    except EmptyConeError:
+        return "empty_cone"
+    except ConvergenceError:
+        return "solver_failures"
+    try:
+        return inner, rationalize(inner.weights, qp.shape, max_denominator)
+    except OrderingCollapseError:
+        return inner, None
+
+
 def _solve_shape(
     shape_fc: FilteredConfiguration,
     config: DivisorConfiguration,
@@ -647,33 +679,34 @@ def _solve_shape(
     max_denominator: int,
     samples: int,
     seed: int,
+    solved: dict,
 ) -> Optional[dict]:
     """Minimize over one shape's cone, then certify the rationalized minimizer.
 
     Returns the fields of an :class:`UpsilonEstimate` when the minimizer is
-    stable, else None; ``counts`` records what happened either way.
+    stable, else None; ``counts`` records what happened either way.  The
+    solve and rounding read only the quadratic pair and the set of cone
+    rows, so ``solved`` keeps their outcome under that key, and a shape
+    posing a problem solved before in the same search reuses it; the
+    candidates, the cone, the stability check, c2, the norm and every count
+    are still computed for this shape.
     """
     qp = assemble_quadratics(shape_fc, config)
     shape = qp.shape
     # weight-independent, so built once for the cone and the final check
     candidates = exact_candidates(shape_fc) or closure_candidates(shape_fc)
     cone = stability_cone(shape, candidates.incidences)
-    try:
-        inner = inner_minimize(qp, cone, max_denominator)
-    except SingularFormError:
-        counts["skipped_singular"] += 1
+    key = (qp, frozenset(cone))
+    if key not in solved:
+        solved[key] = _solve_and_round(qp, cone, max_denominator)
+    outcome = solved[key]
+    if isinstance(outcome, str):
+        counts[outcome] += 1
         return None
-    except EmptyConeError:
-        counts["empty_cone"] += 1
-        return None
-    except ConvergenceError:
-        counts["solver_failures"] += 1
-        return None
+    inner, rationalized = outcome
     if inner.boundary:
         counts["boundary_hits"] += 1
-    try:
-        rationalized = rationalize(inner.weights, shape, max_denominator)
-    except OrderingCollapseError:
+    if rationalized is None:
         counts["rounding_failures"] += 1
         return None
     counts["proposals"] += 1

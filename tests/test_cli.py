@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -444,13 +445,29 @@ def test_usage_error_leaves_the_parser_intact(tmp_path, capsys):
     path = write_document(tmp_path, "two.json", input_document(config, fc))
     before, after = tmp_path / "before.json", tmp_path / "after.json"
     assert main(["chern", "--input", path, "--output", str(before)]) == 0
-    with pytest.raises(SystemExit) as caught:
-        main(["chern", "--input", path, "--format", "xml", "--seed", "1"])
-    assert caught.value.code == 2
+    assert main(["chern", "--input", path, "--format", "xml", "--seed", "1"]) == 2
     assert "--format" in capsys.readouterr().err
     assert main(["chern", "--input", path, "--output", str(after)]) == 0
     text = before.read_text(encoding="utf-8")
     assert without_timestamp(after.read_text(encoding="utf-8")) == without_timestamp(text)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [(["chern"], "--input"), ([], "command")],
+    ids=["missing-input", "no-subcommand"],
+)
+def test_usage_errors_return_2(argv, named, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: filtstab")
+    assert named in err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_return_0(flag, capsys):
+    assert main([flag]) == 0
+    assert capsys.readouterr().out
 
 
 def test_seed_env_variable_is_read_on_each_call(tmp_path, monkeypatch):
@@ -474,3 +491,27 @@ def test_console_script_entry_points():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["result"]["three_generic_lines"]["ratio"] == "1/2"
+
+
+def test_upsilon_report_does_not_depend_on_the_hash_seed(tmp_path):
+    # set or dict iteration order reaching a report would differ between
+    # interpreters with different string hashes
+    config, _ = three_generic_lines()
+    path = write_document(tmp_path, "triangle.json", input_document(config))
+    texts = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"report_{hash_seed}.json"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "filtstab", "upsilon", "--input", path,
+                "--rank", "2", "--budget", "40", "--seed", "3", "--quiet",
+                "--output", str(out),
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        texts.append(without_timestamp(out.read_text(encoding="utf-8")))
+    assert texts[0] == texts[1]
+    assert '"best_ratio": "375/4114"' in texts[0]

@@ -376,3 +376,58 @@ class TestOuterSearch:
         config, _ = three_generic_lines()
         with pytest.raises(BGIViolationError):
             outer_search(config, rank=3, budget=20, seed=7)
+
+
+class TestSolveReuse:
+    """One inner solve per distinct (quadratic pair, cone set) in a search."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        original = upsilon.inner_minimize
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(upsilon, "inner_minimize", counted)
+        return calls
+
+    def test_repeated_shapes_are_solved_once(self, solves):
+        config, _ = three_generic_lines()
+        estimate = outer_search(config, rank=2, budget=40, seed=3)
+        assert len(solves) == 7
+        assert estimate.ratio == F(375, 4114)
+        # every count stays per shape, reused solves included
+        assert estimate.search_log == {
+            "budget": 40, "seed": 3, "strategies": "random,coincident,generic",
+            "candidates": 40, "proposals": 16, "stable": 16, "semistable": 0,
+            "unstable": 0, "bgi_rejected": 0, "skipped_trivial": 0,
+            "skipped_singular": 0, "rounding_failures": 0, "empty_cone": 24,
+            "solver_failures": 0, "boundary_hits": 16, "best_ratio": "375/4114",
+        }
+
+    def test_a_reused_failure_is_counted_per_shape(self, solves):
+        config, _ = three_generic_lines()
+        with pytest.raises(NoStableConfigurationError) as info:
+            outer_search(config, rank=2, budget=40, seed=3, strategies=("coincident",))
+        assert len(solves) == 1
+        assert info.value.search_log["empty_cone"] == 40
+
+    def test_seed_weights_are_part_of_the_key(self, solves):
+        config, fc = three_generic_lines()
+        halved = fc.scale(F(1, 2))
+        estimate = outer_search(
+            config, rank=2, budget=4, seed=3, strategies=("user",), supplied=(fc, halved)
+        )
+        assert len(solves) == 2
+        assert estimate.search_log["proposals"] == 4
+
+    def test_no_state_crosses_searches(self, solves):
+        config, _ = three_generic_lines()
+        counts = []
+        for _ in range(2):
+            before = len(solves)
+            outer_search(config, rank=2, budget=40, seed=3)
+            counts.append(len(solves) - before)
+        assert counts == [7, 7]
