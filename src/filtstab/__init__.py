@@ -7,12 +7,16 @@ from .chern import (
     ChernReport,
     CrossingTable,
     FilteredSystemData,
+    QuadraticPair,
+    WeightShape,
+    assemble_quadratics,
     c1_cycle,
     c2_local,
     c2_number,
     c2_trivial,
     derive_tables,
     norm_sq,
+    shape_of,
 )
 from .errors import (
     BGIViolationError,
@@ -40,7 +44,6 @@ from .filtration import (
     joint_gr_dim,
     joint_multiplicity_table,
     joint_step_multiplicities,
-    product,
 )
 from .linalg import Subspace, rational_from_string, rational_to_string, span
 from .stability import (
@@ -61,15 +64,11 @@ from .surface import (
 )
 from .upsilon import (
     InnerResult,
-    QuadraticPair,
     UpsilonEstimate,
-    WeightShape,
-    assemble_quadratics,
     canonical_weights,
     inner_minimize,
     outer_search,
     rationalize,
-    shape_of,
     stability_cone,
 )
 

@@ -6,21 +6,28 @@ Two routes are implemented and cross-checked against each other:
   dimension tables, one per component and one per crossing point, and
   assembles c2 from c1^2, the self-intersection terms and the local
   crossing contributions;
-* the pairing route (:func:`c2_trivial`) applies only when the tables come
-  from a single configuration of flags on the trivial system, where c2
-  collapses to -1/2 * sum_{i,j} <F_i, F_j> D_i.D_j.
+* the pairing route applies only when the tables come from a single
+  configuration of flags on the trivial system, where c2 collapses to
+  -1/2 * sum_{i,j} <F_i, F_j> D_i.D_j.  With the flags fixed this is one
+  quadratic form in the step weights with integer coefficients
+  (:func:`assemble_quadratics`), and so is the squared norm.
+  :func:`c2_trivial` and :func:`norm_sq` evaluate it at a configuration's
+  own weights; the ``upsilon`` search builds it once per flag shape and
+  reads its c2, its norm and the float matrices of the inner solve from it.
 
-Both must agree exactly on balanced configurations.
+Both routes must agree exactly on balanced configurations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
-    DegenerateDegreeError,
     InvariantError,
     MissingCrossingTableError,
     ShapeMismatchError,
@@ -30,7 +37,7 @@ from .filtration import (
     FilteredConfiguration,
     GrSpectrum,
     joint_multiplicity_table,
-    product,
+    joint_step_multiplicities,
 )
 from .surface import DivisorConfiguration, crossing_points
 
@@ -181,10 +188,7 @@ def derive_tables(
     of a pair is its joint multiplicity table, repeated once per intersection
     point (the trivial system has the same fiber everywhere).
     """
-    if len(fc.filtrations) != config.n_components:
-        raise ShapeMismatchError(
-            f"{len(fc.filtrations)} filtrations for {config.n_components} components"
-        )
+    fc.check_components(config)
     component_tables = tuple(f.gr_spectrum() for f in fc.filtrations)
     tables: list[CrossingTable] = []
     for (i, j), count in crossing_points(config):
@@ -194,34 +198,144 @@ def derive_tables(
     return FilteredSystemData(fc.rank, component_tables, tuple(tables))
 
 
+@dataclass(frozen=True)
+class WeightShape:
+    """Index bookkeeping for flat weight vectors over a flag configuration."""
+
+    step_counts: tuple[int, ...]
+    mults: tuple[tuple[int, ...], ...]
+    degrees: tuple[Fraction, ...]
+    seed_weights: tuple[Fraction, ...]
+    offsets: tuple[int, ...] = ()
+    size: int = 0
+
+    def __post_init__(self):
+        offsets = []
+        total = 0
+        for count in self.step_counts:
+            offsets.append(total)
+            total += count
+        object.__setattr__(self, "offsets", tuple(offsets))
+        object.__setattr__(self, "size", total)
+
+    def slot(self, component: int, step: int) -> int:
+        return self.offsets[component] + step
+
+
+@dataclass(frozen=True)
+class QuadraticPair:
+    """Exact quadratic forms of c2 and the squared norm on one flag shape.
+
+    For weights w on the shape's slots, c2 = -1/2 * sum k * w_p * w_q over
+    the ``terms`` (p, q, k), which are sorted, have p <= q and a nonzero
+    integer k, and name each slot pair at most once; the squared norm is
+    sum mult * deg * w^2 over the slots.  So two pairs are equal exactly
+    when their forms are.  The balance rows cut out the admissible w.
+    """
+
+    shape: WeightShape
+    terms: tuple[tuple[int, int, int], ...]
+
+    def c2_value(self, weights: Sequence[Fraction]) -> Fraction:
+        """c2 at ``weights``, summed in integers over their common denominator."""
+        w = [Fraction(x) for x in weights]
+        common = lcm(*(x.denominator for x in w))
+        n = [x.numerator * (common // x.denominator) for x in w]
+        total = sum(k * n[p] * n[q] for p, q, k in self.terms)
+        return Fraction(-total, 2 * common * common)
+
+    def norm_value(self, weights: Sequence[Fraction]) -> Fraction:
+        return sum(
+            (Fraction(x) ** 2 * b for x, b in zip(weights, self._norm_diagonal())),
+            Fraction(0),
+        )
+
+    def _norm_diagonal(self) -> list[Fraction]:
+        shape = self.shape
+        return [m * d for mults, d in zip(shape.mults, shape.degrees) for m in mults]
+
+    @property
+    def balance(self) -> tuple[tuple[int, ...], ...]:
+        """One row per component, its step multiplicities: row . w = 0 is balance."""
+        rows = []
+        for offset, mults in zip(self.shape.offsets, self.shape.mults):
+            row = [0] * self.shape.size
+            row[offset : offset + len(mults)] = mults
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    def a_float(self) -> np.ndarray:
+        """The symmetric matrix A with w^T A w = c2: -k/2 on the diagonal, -k/4 off it."""
+        a = np.zeros((self.shape.size, self.shape.size))
+        for p, q, k in self.terms:
+            if p == q:
+                a[p, p] = -k / 2
+            else:
+                a[p, q] = a[q, p] = -k / 4
+        return a
+
+    def b_float(self) -> np.ndarray:
+        return np.array([float(x) for x in self._norm_diagonal()])
+
+
+def shape_of(fc: FilteredConfiguration, config: DivisorConfiguration) -> WeightShape:
+    fc.check_components(config)
+    step_counts = tuple(len(f.steps) for f in fc.filtrations)
+    mults = tuple(
+        tuple(m for _, m in f.gr_spectrum().entries) for f in fc.filtrations
+    )
+    seeds = tuple(w for f in fc.filtrations for w in f.weights())
+    return WeightShape(step_counts, mults, tuple(config.degrees), seeds)
+
+
+def assemble_quadratics(
+    fc_shape: FilteredConfiguration, config: DivisorConfiguration
+) -> QuadraticPair:
+    """Build the exact (c2, norm) pair for a fixed flag shape.
+
+    Slot (i, s) is step s of the i-th flag.  A self-intersection D_i.D_i
+    gives the terms k = mult_{i,s} * D_i.D_i on ((i,s), (i,s)), since a flag
+    meets itself in its step multiplicities.  A pair i < j with D_i.D_j != 0
+    gives k = 2 * m^{ij}_{st} * D_i.D_j on ((i,s), (j,t)), where m^{ij}_{st}
+    is the joint graded multiplicity of the two steps, read from one
+    :func:`~filtstab.filtration.joint_step_multiplicities` call.  Weights of
+    ``fc_shape`` only fix the shape.
+    """
+    shape = shape_of(fc_shape, config)
+    flags = fc_shape.filtrations
+    terms = []
+    for i, row in enumerate(config.intersection):
+        if row[i]:
+            terms += [(shape.slot(i, s), shape.slot(i, s), m * row[i])
+                      for s, m in enumerate(shape.mults[i])]
+        for j in range(i + 1, len(row)):
+            if row[j]:
+                joint = joint_step_multiplicities(flags[i], flags[j])
+                terms += [
+                    (shape.slot(i, s), shape.slot(j, t), 2 * m * row[j])
+                    for s, mults in enumerate(joint)
+                    for t, m in enumerate(mults)
+                    if m
+                ]
+    return QuadraticPair(shape, tuple(sorted(terms)))
+
+
 def c2_trivial(fc: FilteredConfiguration, config: DivisorConfiguration) -> Fraction:
     """Second Chern number of a balanced flag configuration, via the pairing.
 
-    Equals ``c2_number(derive_tables(fc, config), config).c2`` exactly; the
-    equality of the two routes is the package's central cross-check.
+    The form of :func:`assemble_quadratics` at the configuration's own
+    weights.  Equals ``c2_number(derive_tables(fc, config), config).c2``
+    exactly; the equality of the two routes is the package's central
+    cross-check.
     """
-    if len(fc.filtrations) != config.n_components:
-        raise ShapeMismatchError(
-            f"{len(fc.filtrations)} filtrations for {config.n_components} components"
-        )
+    fc.check_components(config)
     for index, f in enumerate(fc.filtrations):
         if not f.is_balanced():
             raise UnbalancedFiltrationError(
                 f"component {index} carries an unbalanced filtration"
             )
-    total = Fraction(0)
-    n = config.n_components
-    pairings: dict[tuple[int, int], Fraction] = {}
-    for i in range(n):
-        for j in range(n):
-            count = config.intersection[i][j]
-            if count == 0:
-                continue
-            key = (min(i, j), max(i, j))
-            if key not in pairings:
-                pairings[key] = product(fc.filtrations[key[0]], fc.filtrations[key[1]])
-            total += pairings[key] * count
-    return -Fraction(1, 2) * total
+    qp = assemble_quadratics(fc, config)
+    return qp.c2_value(qp.shape.seed_weights)
 
 
 def norm_sq(fc: FilteredConfiguration, config: DivisorConfiguration) -> Fraction:
@@ -232,17 +346,6 @@ def norm_sq(fc: FilteredConfiguration, config: DivisorConfiguration) -> Fraction
     degree-zero component is rejected, since it would contribute data the
     norm cannot see.
     """
-    if len(fc.filtrations) != config.n_components:
-        raise ShapeMismatchError(
-            f"{len(fc.filtrations)} filtrations for {config.n_components} components"
-        )
-    total = Fraction(0)
-    for index, f in enumerate(fc.filtrations):
-        degree = config.degrees[index]
-        if degree == 0 and not f.is_trivial:
-            raise DegenerateDegreeError(
-                f"component {config.names[index]!r} has degree 0 but carries a "
-                "nontrivial filtration"
-            )
-        total += f.gr_spectrum().second_moment() * degree
-    return total
+    fc.check_degrees(config)
+    qp = assemble_quadratics(fc, config)
+    return qp.norm_value(qp.shape.seed_weights)

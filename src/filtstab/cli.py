@@ -29,6 +29,7 @@ from . import __version__
 from .chern import c2_number, c2_trivial, derive_tables, norm_sq
 from .errors import (
     BGIViolationError,
+    DegenerateDegreeError,
     DocumentParseError,
     DocumentValidationError,
     FiltstabError,
@@ -109,10 +110,11 @@ def _load_document(path: str) -> Any:
 
 
 def _flatten(prefix: str, value: Any, rows: list[tuple[str, str]]) -> None:
-    if isinstance(value, dict):
+    """One (key, value) row per leaf; an empty list or object is a leaf, ``[]`` or ``{}``."""
+    if isinstance(value, dict) and value:
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else str(key), value[key], rows)
-    elif isinstance(value, list):
+    elif isinstance(value, list) and value:
         for index, item in enumerate(value):
             _flatten(f"{prefix}[{index}]", item, rows)
     else:
@@ -408,6 +410,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BGIViolationError as error:
         print(f"inequality violation (bug): {error}", file=sys.stderr)
         return EXIT_INEQUALITY
+    except DegenerateDegreeError as error:
+        path = f"configuration.components[{error.component}].degree"
+        print(f"validation error: {path}: {error}", file=sys.stderr)
+        return EXIT_VALIDATION
     except FiltstabError as error:
         print(f"validation error: {error}", file=sys.stderr)
         return EXIT_VALIDATION

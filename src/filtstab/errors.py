@@ -36,7 +36,14 @@ class ImproperSubspaceError(FiltstabError):
 
 
 class DegenerateDegreeError(FiltstabError):
-    """A component carrying nontrivial filtration data has non-positive degree."""
+    """A component carrying nontrivial filtration data has non-positive degree.
+
+    ``component`` is the index of that component in its configuration.
+    """
+
+    def __init__(self, message: str, component: int):
+        super().__init__(message)
+        self.component = component
 
 
 class SingularFormError(FiltstabError):

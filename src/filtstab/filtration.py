@@ -21,8 +21,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import DimensionMismatchError, InvariantError
+from .errors import (
+    DegenerateDegreeError,
+    DimensionMismatchError,
+    InvariantError,
+    ShapeMismatchError,
+)
 from .linalg import ChainIncidence, Subspace, rational_to_string
+from .surface import DivisorConfiguration
 
 
 @dataclass(frozen=True)
@@ -275,13 +281,6 @@ def joint_multiplicity_table(
     )
 
 
-def product(f: Filtration, g: Filtration) -> Fraction:
-    """The bilinear pairing sum_{a,b} a*b*dim(gr_a^F gr_b^G) of two flags."""
-    return sum(
-        (a * b * m for a, b, m in joint_multiplicity_table(f, g)), Fraction(0)
-    )
-
-
 @dataclass(frozen=True)
 class FilteredConfiguration:
     """One filtration per divisor component, all of a common rank."""
@@ -303,6 +302,25 @@ class FilteredConfiguration:
 
     def __len__(self) -> int:
         return len(self.filtrations)
+
+    def check_components(self, config: DivisorConfiguration) -> None:
+        """Raise :class:`ShapeMismatchError` unless there is one filtration per component."""
+        if len(self.filtrations) != config.n_components:
+            raise ShapeMismatchError(
+                f"{len(self.filtrations)} filtrations for {config.n_components} components"
+            )
+
+    def check_degrees(self, config: DivisorConfiguration) -> None:
+        """:meth:`check_components`, then reject a nontrivial flag on a degree-0
+        component, which neither the parabolic degree nor the norm can see."""
+        self.check_components(config)
+        for index, (filt, degree) in enumerate(zip(self.filtrations, config.degrees)):
+            if degree == 0 and not filt.is_trivial:
+                raise DegenerateDegreeError(
+                    f"component {config.names[index]!r} has degree 0 but carries "
+                    "a nontrivial filtration",
+                    index,
+                )
 
     def is_balanced(self) -> bool:
         return all(f.is_balanced() for f in self.filtrations)

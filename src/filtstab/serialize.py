@@ -36,6 +36,7 @@ from .errors import (
     DocumentParseError,
     DocumentValidationError,
     InvariantError,
+    ShapeMismatchError,
 )
 from .filtration import FilteredConfiguration, Filtration, GrSpectrum
 from .linalg import Subspace, rational_from_string, rational_to_string, span
@@ -377,12 +378,12 @@ def parse_config(
         fc = filtered_configuration_from_doc(
             document["filtered_configuration"], "filtered_configuration"
         )
-        if len(fc.filtrations) != config.n_components:
+        try:
+            fc.check_components(config)
+        except ShapeMismatchError as error:
             raise DocumentValidationError(
-                f"{len(fc.filtrations)} filtrations for "
-                f"{config.n_components} components",
-                "filtered_configuration.filtrations",
-            )
+                str(error), "filtered_configuration.filtrations"
+            ) from error
     data = None
     if "system_data" in document:
         data = system_data_from_doc(document["system_data"], "system_data")

@@ -40,7 +40,6 @@ from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
-    DegenerateDegreeError,
     DimensionMismatchError,
     ImproperSubspaceError,
     ShapeMismatchError,
@@ -120,10 +119,7 @@ def parabolic_degree(
         raise ImproperSubspaceError(
             "parabolic degree is defined for proper nonzero subspaces only"
         )
-    if len(fc.filtrations) != config.n_components:
-        raise ShapeMismatchError(
-            f"{len(fc.filtrations)} filtrations for {config.n_components} components"
-        )
+    fc.check_components(config)
     coefficients, denominator = _degree_form(fc, config)
     return Fraction(_dot(coefficients, _incidence(subspace, fc)), denominator)
 
@@ -355,17 +351,6 @@ def _verdict_from(
     )
 
 
-def _check_degrees_positive(
-    fc: FilteredConfiguration, config: DivisorConfiguration
-) -> None:
-    for index, filt in enumerate(fc.filtrations):
-        if not filt.is_trivial and config.degrees[index] <= 0:
-            raise DegenerateDegreeError(
-                f"component {config.names[index]!r} carries a nontrivial "
-                "filtration but has non-positive degree"
-            )
-
-
 def check_stability(
     fc: FilteredConfiguration,
     config: DivisorConfiguration,
@@ -395,11 +380,7 @@ def check_stability(
     (exact or closure), or :class:`ShapeMismatchError` is raised.  A passed
     closure keeps the depth it was built with.
     """
-    if len(fc.filtrations) != config.n_components:
-        raise ShapeMismatchError(
-            f"{len(fc.filtrations)} filtrations for {config.n_components} components"
-        )
-    _check_degrees_positive(fc, config)
+    fc.check_degrees(config)
     if mode not in ("auto", "exact2", "heuristic"):
         raise ValueError(f"unknown stability mode {mode!r}")
     if samples < 0 or depth < 0:

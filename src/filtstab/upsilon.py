@@ -2,7 +2,8 @@
 
 With the flag subspaces frozen, both the second Chern number and the squared
 norm are quadratic forms in the step weights (the joint graded multiplicities
-depend only on the subspaces), and every candidate degree is linear in them:
+depend only on the subspaces; :func:`~filtstab.chern.assemble_quadratics`
+builds the exact pair), and every candidate degree is linear in them:
 the stable weights of a shape form an open polyhedral cone, built exactly
 once per shape (:func:`stability_cone`).  The inner problem is a generalized
 Rayleigh-quotient minimization over balance ∩ cone, solved in floating point
@@ -43,7 +44,8 @@ from .errors import (
     ShapeMismatchError,
     SingularFormError,
 )
-from .filtration import FilteredConfiguration, Filtration, joint_step_multiplicities
+from .chern import QuadraticPair, WeightShape, assemble_quadratics
+from .filtration import FilteredConfiguration, Filtration
 from .linalg import span
 from .stability import (
     Certainty,
@@ -62,137 +64,6 @@ FLAG_HEIGHT = 7
 SLSQP_ITERATIONS = 200
 
 STRATEGIES = ("random", "coincident", "generic", "user")
-
-
-@dataclass(frozen=True)
-class WeightShape:
-    """Index bookkeeping for flat weight vectors over a flag configuration."""
-
-    step_counts: tuple[int, ...]
-    mults: tuple[tuple[int, ...], ...]
-    degrees: tuple[Fraction, ...]
-    seed_weights: tuple[Fraction, ...]
-    offsets: tuple[int, ...] = ()
-    size: int = 0
-
-    def __post_init__(self):
-        offsets = []
-        total = 0
-        for count in self.step_counts:
-            offsets.append(total)
-            total += count
-        object.__setattr__(self, "offsets", tuple(offsets))
-        object.__setattr__(self, "size", total)
-
-    def slot(self, component: int, step: int) -> int:
-        return self.offsets[component] + step
-
-
-@dataclass(frozen=True)
-class QuadraticPair:
-    """Exact quadratic forms of c2 (A) and the squared norm (B, diagonal).
-
-    For every weight vector w compatible with the shape, w^T A w equals the
-    second Chern number and w^T B w the squared norm of the corresponding
-    configuration; the balance rows cut out the subspace of admissible w.
-    """
-
-    shape: WeightShape
-    a: tuple[tuple[Fraction, ...], ...]
-    b_diag: tuple[Fraction, ...]
-    balance: tuple[tuple[Fraction, ...], ...]
-
-    def c2_value(self, weights: Sequence[Fraction]) -> Fraction:
-        w = [Fraction(x) for x in weights]
-        total = Fraction(0)
-        for i, wi in enumerate(w):
-            if wi == 0:
-                continue
-            row = self.a[i]
-            for j, wj in enumerate(w):
-                if wj != 0:
-                    total += wi * wj * row[j]
-        return total
-
-    def norm_value(self, weights: Sequence[Fraction]) -> Fraction:
-        return sum(
-            (Fraction(x) ** 2 * b for x, b in zip(weights, self.b_diag)),
-            Fraction(0),
-        )
-
-    def ratio_float(self, weights: Sequence[float]) -> float:
-        w = np.asarray([float(x) for x in weights])
-        a = self.a_float()
-        num = float(w @ a @ w)
-        den = float(np.sum(self.b_float() * w * w))
-        return num / den
-
-    def a_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.a])
-
-    def b_float(self) -> np.ndarray:
-        return np.array([float(x) for x in self.b_diag])
-
-
-def shape_of(fc: FilteredConfiguration, config: DivisorConfiguration) -> WeightShape:
-    if len(fc.filtrations) != config.n_components:
-        raise ShapeMismatchError(
-            f"{len(fc.filtrations)} filtrations for {config.n_components} components"
-        )
-    step_counts = tuple(len(f.steps) for f in fc.filtrations)
-    mults = tuple(
-        tuple(m for _, m in f.gr_spectrum().entries) for f in fc.filtrations
-    )
-    seeds = tuple(w for f in fc.filtrations for w in f.weights())
-    return WeightShape(step_counts, mults, tuple(config.degrees), seeds)
-
-
-def assemble_quadratics(
-    fc_shape: FilteredConfiguration, config: DivisorConfiguration
-) -> QuadraticPair:
-    """Build the exact (c2, norm) quadratic pair for a fixed flag shape.
-
-    A is indexed by weight slots (i, s): its (i,s),(j,t) entry is
-    -1/2 * m^{ij}_{st} * D_i.D_j, where m^{ij}_{st} is the joint graded
-    multiplicity of step s of the i-th flag with step t of the j-th flag
-    (diagonal blocks reduce to the step multiplicities).  B is diagonal with
-    entries mult * degree.  Weights of ``fc_shape`` only fix the shape.
-    """
-    shape = shape_of(fc_shape, config)
-    n = shape.size
-    a = [[Fraction(0)] * n for _ in range(n)]
-    half = Fraction(1, 2)
-    for i, filt_i in enumerate(fc_shape.filtrations):
-        for j, filt_j in enumerate(fc_shape.filtrations):
-            pairing_count = config.intersection[i][j]
-            if pairing_count == 0:
-                continue
-            if i == j:
-                for s, mult in enumerate(shape.mults[i]):
-                    slot = shape.slot(i, s)
-                    a[slot][slot] += -half * mult * pairing_count
-            else:
-                joint = joint_step_multiplicities(filt_i, filt_j)
-                for s in range(shape.step_counts[i]):
-                    for t in range(shape.step_counts[j]):
-                        if joint[s][t]:
-                            a[shape.slot(i, s)][shape.slot(j, t)] += (
-                                -half * joint[s][t] * pairing_count
-                            )
-    b_diag = tuple(
-        Fraction(shape.mults[i][s]) * shape.degrees[i]
-        for i in range(len(shape.step_counts))
-        for s in range(shape.step_counts[i])
-    )
-    balance = []
-    for i, mults in enumerate(shape.mults):
-        row = [Fraction(0)] * n
-        for s, m in enumerate(mults):
-            row[shape.slot(i, s)] = Fraction(m)
-        balance.append(tuple(row))
-    return QuadraticPair(
-        shape, tuple(tuple(row) for row in a), b_diag, tuple(balance)
-    )
 
 
 def canonical_weights(shape: WeightShape) -> tuple[Fraction, ...]:
@@ -569,11 +440,12 @@ def outer_search(
     and raises :class:`BGIViolationError`.
     """
     config.check()
-    for name, degree in zip(config.names, config.degrees):
-        if degree <= 0:
+    for index, (name, degree) in enumerate(zip(config.names, config.degrees)):
+        if degree == 0:
             raise DegenerateDegreeError(
-                f"component {name!r} has non-positive degree; the search "
-                "requires positive degrees throughout"
+                f"component {name!r} has degree 0; the search requires "
+                "positive degrees throughout",
+                index,
             )
     if budget < 1:
         raise ValueError("budget must be at least 1")

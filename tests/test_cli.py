@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from filtstab.chern import derive_tables
-from filtstab.cli import build_parser, main
+from filtstab.cli import _render, build_parser, main
 from filtstab.filtration import FilteredConfiguration, Filtration
 from filtstab.fixtures import three_concurrent_lines, three_generic_lines, two_lines
 from filtstab.serialize import (
@@ -14,6 +14,7 @@ from filtstab.serialize import (
     canonical_json,
     input_document,
 )
+from filtstab.surface import DivisorConfiguration
 
 
 def write_document(tmp_path, name, document):
@@ -342,6 +343,38 @@ def test_csv_format(tmp_path):
     text = out.read_text(encoding="utf-8")
     assert text.splitlines()[0] == "key,value"
     assert "result.report.c2,0" in text
+
+
+def test_csv_keeps_empty_containers(tmp_path):
+    # one component, so there are no crossings
+    config = DivisorConfiguration(("C",), (1,), ((1,),))
+    fc = FilteredConfiguration(2, (Filtration.trivial(2),))
+    path = write_document(tmp_path, "one.json", input_document(config, fc))
+    out = tmp_path / "report.csv"
+    assert main(["chern", "--input", path, "--format", "csv", "--output", str(out)]) == 0
+    assert "result.crossings,[]" in out.read_text(encoding="utf-8").splitlines()
+    assert _render({"a": [], "b": {}, "c": [1]}, "csv") == "key,value\na,[]\nb,{}\nc[0],1\n"
+    assert _render({"a": [], "b": {}}, "json") == canonical_json({"a": [], "b": {}})
+
+
+@pytest.mark.parametrize("command", [
+    ["chern"], ["stability"], ["upsilon", "--rank", "2", "--budget", "2", "--quiet"],
+])
+def test_degree_zero_under_a_flag_exits_3_naming_the_degree(tmp_path, capsys, command):
+    document = input_document(*three_generic_lines())
+    document["configuration"]["components"][0]["degree"] = "0"
+    path = write_document(tmp_path, "triangle.json", document)
+    assert main([*command, "--input", path]) == 3
+    assert "configuration.components[0].degree: " in capsys.readouterr().err
+
+
+def test_upsilon_needs_every_degree_positive(tmp_path, capsys):
+    config, _ = three_generic_lines()
+    document = input_document(config)
+    document["configuration"]["components"][1]["degree"] = "0"
+    path = write_document(tmp_path, "triangle.json", document)
+    assert main(["upsilon", "--input", path, "--rank", "2", "--budget", "2", "--quiet"]) == 3
+    assert "configuration.components[1].degree: " in capsys.readouterr().err
 
 
 def test_seed_env_variable(tmp_path, monkeypatch, capsys):

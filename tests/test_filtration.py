@@ -5,14 +5,15 @@ import pytest
 
 from filtstab import (
     DimensionMismatchError,
+    DivisorConfiguration,
     FilteredConfiguration,
     Filtration,
     GrSpectrum,
     InvariantError,
     Subspace,
     joint_gr_dim,
+    c2_trivial,
     joint_multiplicity_table,
-    product,
     span,
 )
 from helpers import random_balanced_filtration
@@ -186,6 +187,16 @@ class TestJointGr:
             for a in f.weights():
                 for b in g.weights():
                     assert table.get((a, b), 0) == joint_gr_dim(f, g, a, b)
+
+
+def product(f, g):
+    """The pairing <F, G> = sum a*b*dim(gr_a^F gr_b^G), read from c2.
+
+    On two components with D1.D2 = 1 and D1^2 = D2^2 = 0 the pairing
+    route gives c2 = -1/2 (<F, G> + <G, F>) = -<F, G>.
+    """
+    config = DivisorConfiguration(("A", "B"), (F(1), F(1)), ((0, 1), (1, 0)))
+    return -c2_trivial(FilteredConfiguration(f.ambient_dim, (f, g)), config)
 
 
 class TestProduct:

@@ -1,6 +1,8 @@
 import random
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import filtstab.stability as stability
@@ -19,11 +21,14 @@ from filtstab import (
     Status,
     Subspace,
     assemble_quadratics,
+    c2_number,
     c2_trivial,
     canonical_weights,
     check_stability,
+    derive_tables,
     exact_candidates,
     inner_minimize,
+    joint_step_multiplicities,
     norm_sq,
     outer_search,
     parabolic_degree,
@@ -51,8 +56,8 @@ class TestAssembleQuadratics:
         config = DivisorConfiguration(("C",), (F(3),), ((0,),))
         fc = FilteredConfiguration(2, (Filtration.trivial(2),))
         qp = assemble_quadratics(fc, config)
-        assert qp.a == ((F(0),),)
-        assert qp.b_diag == (F(6),)  # rank * degree
+        assert qp.terms == ()
+        assert qp.norm_value((F(1),)) == 6  # rank * degree
 
     def test_two_lines_reproduces_zero(self):
         config, fc = two_lines()
@@ -83,13 +88,66 @@ class TestAssembleQuadratics:
                 reweighted.append(filt.with_weights(weights))
             other = FilteredConfiguration(rank, tuple(reweighted))
             flat = tuple(w for f in other.filtrations for w in f.weights())
-            assert qp.c2_value(flat) == c2_trivial(other, config)
-            degenerate = any(
-                d == 0 and not f.is_trivial
-                for d, f in zip(config.degrees, other.filtrations)
+            tables = c2_number(derive_tables(other, config), config)
+            assert qp.c2_value(flat) == tables.c2
+            norm = sum(
+                (f.gr_spectrum().second_moment() * d
+                 for f, d in zip(other.filtrations, config.degrees)),
+                F(0),
             )
-            if not degenerate:
-                assert qp.norm_value(flat) == norm_sq(other, config)
+            assert qp.norm_value(flat) == norm
+
+    def test_float_matrices_match_the_pairing(self):
+        # A[(i,s),(j,t)] = -1/2 * m^{ij}_{st} * D_i.D_j over ordered pairs
+        rng = random.Random(223)
+        for _ in range(25):
+            rank = rng.randint(1, 3)
+            n = rng.randint(1, 4)
+            config = random_divisor_config(rng, n)
+            fc = random_balanced_configuration(rng, rank, n)
+            qp = assemble_quadratics(fc, config)
+            slots = [(i, s) for i, f in enumerate(fc.filtrations) for s in range(len(f.steps))]
+            joint = {
+                (i, j): joint_step_multiplicities(f, g)
+                for i, f in enumerate(fc.filtrations) for j, g in enumerate(fc.filtrations)
+            }
+            dense = [
+                [-F(joint[i, j][s][t] * config.intersection[i][j], 2) for j, t in slots]
+                for i, s in slots
+            ]
+            assert qp.a_float().tolist() == [[float(x) for x in row] for row in dense]
+            flat = qp.shape.seed_weights
+            assert qp.c2_value(flat) == sum(
+                (dense[p][q] * flat[p] * flat[q]
+                 for p in range(len(slots)) for q in range(len(slots))),
+                F(0),
+            )
+            assert qp.b_float().tolist() == [
+                float(m * d)
+                for mults, d in zip(qp.shape.mults, config.degrees) for m in mults
+            ]
+
+    def test_one_elimination_per_crossing_pair(self, monkeypatch):
+        # diagonal blocks come from the step multiplicities, and each
+        # unordered pair of meeting components is eliminated once
+        calls = []
+        module = sys.modules[assemble_quadratics.__module__]
+        real = module.joint_step_multiplicities
+
+        def counting(f, g):
+            calls.append((f, g))
+            return real(f, g)
+
+        monkeypatch.setattr(module, "joint_step_multiplicities", counting)
+        config, fc = three_generic_lines()
+        assemble_quadratics(fc, config)
+        assert len(calls) == 3
+        calls.clear()
+        config = DivisorConfiguration(
+            ("A", "B", "C"), (F(1),) * 3, ((1, 1, 0), (1, -1, 0), (0, 0, 2))
+        )
+        assemble_quadratics(fc, config)
+        assert len(calls) == 1
 
     def test_balance_rows_encode_multiplicities(self):
         config, fc = three_generic_lines()
@@ -106,8 +164,9 @@ class TestInnerMinimize:
         config = DivisorConfiguration(("C",), (F(1),), ((-2,),))
         fc = FilteredConfiguration(2, (two_step(span([(1, 0)], 2)),))
         qp = assemble_quadratics(fc, config)
-        assert qp.a == ((F(1), F(0)), (F(0), F(1)))
-        assert qp.b_diag == (F(1), F(1))
+        assert qp.terms == ((0, 0, -2), (1, 1, -2))
+        assert qp.a_float().tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert qp.b_float().tolist() == [1.0, 1.0]
         result = inner_minimize(qp)
         assert result.ratio == pytest.approx(1.0, abs=1e-9)
         assert not result.boundary
@@ -330,7 +389,8 @@ class TestOuterSearch:
         flat = tuple(
             w for f in estimate.configuration.filtrations for w in f.weights()
         )
-        float_ratio = qp.ratio_float([float(x) for x in flat])
+        w = np.array([float(x) for x in flat])
+        float_ratio = float(w @ qp.a_float() @ w) / float(np.sum(qp.b_float() * w * w))
         exact = float(estimate.ratio)
         assert abs(float_ratio - exact) <= 1e-6 * max(1.0, abs(exact))
 
