@@ -10,10 +10,10 @@ Two routes are implemented and cross-checked against each other:
   configuration of flags on the trivial system, where c2 collapses to
   -1/2 * sum_{i,j} <F_i, F_j> D_i.D_j.  With the flags fixed this is one
   quadratic form in the step weights with integer coefficients
-  (:func:`assemble_quadratics`), and so is the squared norm.
-  :func:`c2_trivial` and :func:`norm_sq` evaluate it at a configuration's
-  own weights; the ``upsilon`` search builds it once per flag shape and
-  reads its c2, its norm and the float matrices of the inner solve from it.
+  (:func:`assemble_quadratics`); :func:`c2_trivial` evaluates it at a
+  configuration's own weights, and the ``upsilon`` search builds it once
+  per flag shape for its c2 and the float matrices of the inner solve.
+  The squared norm reads only the shape (:meth:`WeightShape.norm_value`).
 
 Both routes must agree exactly on balanced configurations.
 """
@@ -221,6 +221,17 @@ class WeightShape:
     def slot(self, component: int, step: int) -> int:
         return self.offsets[component] + step
 
+    def norm_value(self, weights: Sequence[Fraction]) -> Fraction:
+        """The squared norm sum mult * deg * w^2 over the slots."""
+        return sum(
+            (Fraction(x) ** 2 * b for x, b in zip(weights, self.norm_diagonal())),
+            Fraction(0),
+        )
+
+    def norm_diagonal(self) -> list[Fraction]:
+        """mult * deg per slot: the squared norm is diagonal in the weights."""
+        return [m * d for mults, d in zip(self.mults, self.degrees) for m in mults]
+
 
 @dataclass(frozen=True)
 class QuadraticPair:
@@ -228,9 +239,9 @@ class QuadraticPair:
 
     For weights w on the shape's slots, c2 = -1/2 * sum k * w_p * w_q over
     the ``terms`` (p, q, k), which are sorted, have p <= q and a nonzero
-    integer k, and name each slot pair at most once; the squared norm is
-    sum mult * deg * w^2 over the slots.  So two pairs are equal exactly
-    when their forms are.  The balance rows cut out the admissible w.
+    integer k, and name each slot pair at most once, so two pairs are equal
+    exactly when their forms are.  The balance rows cut out the admissible
+    w.
     """
 
     shape: WeightShape
@@ -243,16 +254,6 @@ class QuadraticPair:
         n = [x.numerator * (common // x.denominator) for x in w]
         total = sum(k * n[p] * n[q] for p, q, k in self.terms)
         return Fraction(-total, 2 * common * common)
-
-    def norm_value(self, weights: Sequence[Fraction]) -> Fraction:
-        return sum(
-            (Fraction(x) ** 2 * b for x, b in zip(weights, self._norm_diagonal())),
-            Fraction(0),
-        )
-
-    def _norm_diagonal(self) -> list[Fraction]:
-        shape = self.shape
-        return [m * d for mults, d in zip(shape.mults, shape.degrees) for m in mults]
 
     @property
     def balance(self) -> tuple[tuple[int, ...], ...]:
@@ -275,7 +276,7 @@ class QuadraticPair:
         return a
 
     def b_float(self) -> np.ndarray:
-        return np.array([float(x) for x in self._norm_diagonal()])
+        return np.array([float(x) for x in self.shape.norm_diagonal()])
 
 
 def shape_of(fc: FilteredConfiguration, config: DivisorConfiguration) -> WeightShape:
@@ -341,11 +342,12 @@ def c2_trivial(fc: FilteredConfiguration, config: DivisorConfiguration) -> Fract
 def norm_sq(fc: FilteredConfiguration, config: DivisorConfiguration) -> Fraction:
     """Squared norm of a flag configuration: sum of alpha^2 * mult * degree.
 
-    Non-negative; zero exactly when every component carrying any weight has
-    degree zero or no weight at all.  A nontrivial filtration on a
-    degree-zero component is rejected, since it would contribute data the
-    norm cannot see.
+    Read from the shape alone (:meth:`WeightShape.norm_value`), with no
+    elimination.  Non-negative; zero exactly when every component carrying
+    any weight has degree zero or no weight at all.  A nontrivial
+    filtration on a degree-zero component is rejected, since it would
+    contribute data the norm cannot see.
     """
     fc.check_degrees(config)
-    qp = assemble_quadratics(fc, config)
-    return qp.norm_value(qp.shape.seed_weights)
+    shape = shape_of(fc, config)
+    return shape.norm_value(shape.seed_weights)

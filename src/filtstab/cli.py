@@ -359,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategies", default="random,coincident,generic",
         help="comma-separated subset of random,coincident,generic,user",
     )
-    upsilon.add_argument("--samples", type=int, default=2000)
+    upsilon.add_argument("--samples", type=int, default=2000, help=(
+        "random subspaces per dimension above rank 3; ranks 2 and 3 are exact and ignore it"
+    ))
     upsilon.add_argument("--max-denominator", type=int, default=64)
     add_common(upsilon)
     upsilon.set_defaults(func=_cmd_upsilon)

@@ -6,12 +6,14 @@ a list of (weight, space) steps with strictly decreasing weights and strictly
 increasing spaces, the last space being all of Q^r.  The associated graded
 piece gr_a = F_a / F_{>a} is nonzero exactly at the step weights.
 
-Everything a subspace V sees of a flag is its step incidence, the
-dimensions dim(V ∩ F_s) for the steps s.  :meth:`Filtration.step_dims`
-reads them from one integer elimination against functionals adapted to the
-flag (:class:`~filtstab.linalg.ChainIncidence`), built once per flag and
-shared by every reweighting of it; the induced graded dimensions and the
-joint step multiplicities of two flags are differences of those numbers.
+Everything a subspace V sees of a flag is its graded incidence, the
+multiplicities m_s = dim gr_s(V) of the flag induced on V, one per step s
+and zeros kept.  :meth:`Filtration.step_mults` reads them from one integer
+elimination against functionals adapted to the flag
+(:class:`~filtstab.linalg.ChainIncidence`), built once per flag and shared
+by every reweighting of it.  The induced graded dimensions are the nonzero
+entries, and the joint step multiplicities of two flags are the graded
+incidences of one flag's steps in the other, differenced along the first.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import sub
 from typing import Sequence
 
 from .errors import (
@@ -130,12 +133,8 @@ class Filtration:
         return result
 
     def gr_spectrum(self) -> GrSpectrum:
-        entries = []
-        prev_dim = 0
-        for weight, space in self.steps:
-            entries.append((weight, space.dim - prev_dim))
-            prev_dim = space.dim
-        return GrSpectrum(tuple(entries))
+        dims = tuple(space.dim for space in self.spaces())
+        return GrSpectrum(tuple(zip(self.weights(), _first_differences(dims))))
 
     def scale(self, factor: Fraction | int) -> "Filtration":
         """Multiply every weight by a positive factor; spaces unchanged."""
@@ -178,28 +177,23 @@ class Filtration:
         """Integer functionals adapted to this flag; independent of the weights."""
         return ChainIncidence.of(self.spaces())
 
-    def step_dims(self, subspace: Subspace) -> tuple[int, ...]:
-        """dim(V ∩ F_s) for every step space F_s, in step order (one elimination)."""
-        return self.incidence.intersection_dims(subspace)
+    def step_mults(self, subspace: Subspace) -> tuple[int, ...]:
+        """dim gr_s(V) of the flag induced on V, for every step s (one elimination).
+
+        The first differences of dim(V ∩ F_s); zeros are kept, and the
+        entries sum to dim V.
+        """
+        return _first_differences(self.incidence.intersection_dims(subspace))
 
     def induced_degree_vector(self, subspace: Subspace) -> tuple[tuple[Fraction, int], ...]:
         """Graded dimensions of the filtration induced on a subspace V.
 
-        The multiplicity at a step weight a is
-        dim(V ∩ F_a) - dim(V ∩ F_{>a}); zero entries are dropped, and the
-        remaining multiplicities sum to dim V.
+        The nonzero (weight, multiplicity) pairs of :meth:`step_mults`; the
+        multiplicities sum to dim V.
         """
-        if subspace.ambient_dim != self.ambient_dim:
-            raise DimensionMismatchError(
-                f"subspace in Q^{subspace.ambient_dim}, filtration in Q^{self.ambient_dim}"
-            )
-        entries = []
-        prev_dim = 0
-        for weight, here in zip(self.weights(), self.step_dims(subspace)):
-            if here > prev_dim:
-                entries.append((weight, here - prev_dim))
-            prev_dim = here
-        return tuple(entries)
+        return tuple(
+            (weight, m) for weight, m in zip(self.weights(), self.step_mults(subspace)) if m
+        )
 
     @property
     def is_trivial(self) -> bool:
@@ -214,6 +208,10 @@ class Filtration:
             f"{rational_to_string(w)}: {s.dim}d" for w, s in self.steps
         )
         return f"Filtration(Q^{self.ambient_dim}; {body})"
+
+
+def _first_differences(dims: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(sub, dims, (0,) + dims[:-1]))
 
 
 def _check_common_ambient(f: Filtration, g: Filtration) -> None:
@@ -250,20 +248,12 @@ def joint_step_multiplicities(f: Filtration, g: Filtration) -> tuple[tuple[int, 
     the matrix sum to the rank.
     """
     _check_common_ambient(f, g)
-    # dims[s][t] = dim(F_s ∩ G_t), with a zero step 0 in front of each flag;
-    # the last step of f is the whole space, which meets G_t in G_t
-    g_spaces = g.spaces()
-    dims = (
-        [(0,) * (len(g_spaces) + 1)]
-        + [(0,) + g.step_dims(fs) for fs in f.spaces()[:-1]]
-        + [(0,) + tuple(gs.dim for gs in g_spaces)]
-    )
+    # rows[s][t] = dim gr^G_t(F_s); the last step of f is the whole space
+    rows = [g.step_mults(fs) for fs in f.spaces()[:-1]]
+    rows.append(_first_differences(tuple(gs.dim for gs in g.spaces())))
     return tuple(
-        tuple(
-            dims[s + 1][t + 1] - dims[s][t + 1] - dims[s + 1][t] + dims[s][t]
-            for t in range(len(g.steps))
-        )
-        for s in range(len(f.steps))
+        tuple(map(sub, row, below))
+        for row, below in zip(rows, [(0,) * len(g.steps)] + rows[:-1])
     )
 
 

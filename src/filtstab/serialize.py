@@ -351,6 +351,7 @@ def estimate_to_doc(estimate: UpsilonEstimate) -> dict:
         "norm_sq": rational_to_string(estimate.norm_sq),
         "ratio": rational_to_string(estimate.ratio),
         "verdict": verdict_to_doc(estimate.verdict),
+        "lower_bound": rational_to_string(estimate.lower_bound),
         "attained": estimate.attained,
         "search_log": dict(estimate.search_log),
     }

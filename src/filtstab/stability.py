@@ -19,13 +19,13 @@ subspaces (the flag-step closure of :func:`closure_candidates` plus seeded
 random samples) only supports a heuristic verdict.
 
 Degrees are evaluated as integer dot products.  A subspace V enters only
-through its step incidence x_{i,s} = dim(V ∩ F_{i,s}) (one elimination per
-flag, see :meth:`~filtstab.filtration.Filtration.step_dims`), and by
-summation by parts the degree is sum_{i,s} C_{i,s} x_{i,s} / L with
-integers C_{i,s} = L deg(D_i) (a_{i,s} - a_{i,s+1}) (a_{i,k+1} = 0) and one
-common denominator L.  The incidences do not depend on the weights, so
-:class:`Candidates` stores them with the candidates, and reweighting a
-flag shape costs one dot product per candidate.
+through its graded incidence m_{i,s} = dim gr_s(V), the multiplicities of
+the flag F_i induced on V (one elimination per flag, see
+:meth:`~filtstab.filtration.Filtration.step_mults`), and the degree is
+sum_{i,s} K_{i,s} m_{i,s} / L with integers K_{i,s} = L deg(D_i) a_{i,s}
+over one common denominator L.  The incidences do not depend on the
+weights, so :class:`Candidates` stores them with the candidates, and
+reweighting a flag shape costs one dot product per candidate.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .filtration import FilteredConfiguration
 from .linalg import Subspace, span
 from .surface import DivisorConfiguration
 
-# per component i and step s: dim(V ∩ F_{i,s}), or an integer coefficient C_{i,s}
+# per component i and step s: dim gr_s(V) for F_i, or an integer coefficient K_{i,s}
 Incidence = tuple[tuple[int, ...], ...]
 DegreeForm = tuple[tuple[int, ...], ...]
 
@@ -127,13 +127,11 @@ def parabolic_degree(
 def _degree_form(
     fc: FilteredConfiguration, config: DivisorConfiguration
 ) -> tuple[DegreeForm, int]:
-    """Integer coefficients C_{i,s} and denominator L of the degree form."""
-    rows = []
-    for filt, degree in zip(fc.filtrations, config.degrees):
-        weights = filt.weights()
-        rows.append([
-            degree * (w - w_next) for w, w_next in zip(weights, weights[1:] + (0,))
-        ])
+    """Integer coefficients K_{i,s} = L deg(D_i) a_{i,s} and their denominator L."""
+    rows = [
+        [degree * w for w in filt.weights()]
+        for filt, degree in zip(fc.filtrations, config.degrees)
+    ]
     denominator = lcm(*(c.denominator for row in rows for c in row))
     coefficients = tuple(
         tuple(c.numerator * (denominator // c.denominator) for c in row) for row in rows
@@ -142,12 +140,12 @@ def _degree_form(
 
 
 def _incidence(subspace: Subspace, fc: FilteredConfiguration) -> Incidence:
-    """dim(V ∩ F_{i,s}) for each component i and step s."""
-    return tuple(f.step_dims(subspace) for f in fc.filtrations)
+    """dim gr_s(V) of each component's induced flag, step by step."""
+    return tuple(f.step_mults(subspace) for f in fc.filtrations)
 
 
 def _dot(coefficients: DegreeForm, incidence: Incidence) -> int:
-    return sum(sum(map(mul, row, dims)) for row, dims in zip(coefficients, incidence))
+    return sum(sum(map(mul, row, mults)) for row, mults in zip(coefficients, incidence))
 
 
 def _proper_flag_steps(fc: FilteredConfiguration) -> frozenset[Subspace]:
@@ -226,8 +224,9 @@ class Candidates:
 
     ``flags`` holds the step spaces of each component's flag, the only
     input the candidates depend on, so one set serves every weighting of
-    those flags.  ``incidences[n]`` is the step incidence of
-    ``subspaces[n]``: dim(V ∩ F_{i,s}) for each component i and step s.
+    those flags.  ``incidences[n]`` is the graded incidence of
+    ``subspaces[n]``: dim gr_s(V) of the flag F_i induced on V, for each
+    component i and step s.
     An ``exact`` set (:func:`exact_candidates`) decides stability; any other
     is a flag-step closure (:func:`closure_candidates`), and
     ``closure_capped`` records whether its cap truncated it.
@@ -374,7 +373,7 @@ def check_stability(
     verdict is not.
 
     ``candidates`` passes either set in prebuilt, at any rank, for instance
-    once per flag shape; with its stored step incidences each candidate
+    once per flag shape; with its stored graded incidences each candidate
     costs one dot product.  It must have been built from the same flags,
     component by component, and be of the kind ``mode`` needs at this rank
     (exact or closure), or :class:`ShapeMismatchError` is raised.  A passed

@@ -9,8 +9,8 @@ once per shape (:func:`stability_cone`).  The inner problem is a generalized
 Rayleigh-quotient minimization over balance ∩ cone, solved in floating point
 and re-verified exactly after rationalizing the minimizer.  The outer loop
 walks a seeded stream of flag shapes, keeps the best configuration that
-certifies stable, and reports the result as an upper bound, never as the
-true minimum.  Distinct shapes often pose the same inner problem (at rank 2
+certifies stable, and reports its ratio as an upper bound, next to the
+lower bound 0.  Distinct shapes often pose the same inner problem (at rank 2
 the forms and the cone depend only on which flag lines coincide), so a
 search solves and rationalizes once per distinct (quadratic pair, set of
 cone rows) and reuses that outcome; everything that reads the subspaces
@@ -27,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, ClassVar, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import eigh
@@ -99,21 +99,19 @@ ConeRows = tuple[tuple[Fraction, ...], ...]
 def stability_cone(shape: WeightShape, incidences: Sequence[Incidence]) -> ConeRows:
     """Rows of the open cone {w : row . w < 0 for every row} of one flag shape.
 
-    A candidate subspace V gives the row g_V[i,s] = deg(D_i) (x_{i,s} -
-    x_{i,s-1}), with x_{i,s} = dim(V ∩ F_{i,s}) and x_{i,0} = 0, so by
-    summation by parts g_V . w is exactly the parabolic degree of V.  These
-    rows come first, in the order of ``incidences``; then one row
-    w_{i,s+1} - w_{i,s} per pair of adjacent steps.  With the incidences of
+    A candidate subspace V gives the row g_V[i,s] = deg(D_i) m_{i,s}, with
+    m_{i,s} = dim gr_s(V) its graded incidence for the flag F_i, so g_V . w
+    is the parabolic degree of V by definition.  These rows come first, in
+    the order of ``incidences``; then one row w_{i,s+1} - w_{i,s} per pair
+    of adjacent steps.  With the incidences of
     :func:`~filtstab.stability.exact_candidates` (ranks 2 and 3), weights
     are stable exactly when they lie in the cone; with those of the
     flag-step closure (higher rank), the cone contains the stable weights.
     """
-    rows = []
-    for incidence in incidences:
-        row: list[Fraction] = []
-        for degree, dims in zip(shape.degrees, incidence):
-            row.extend(degree * (x - x_prev) for x, x_prev in zip(dims, (0,) + dims[:-1]))
-        rows.append(tuple(row))
+    rows = [
+        tuple(degree * m for degree, mults in zip(shape.degrees, incidence) for m in mults)
+        for incidence in incidences
+    ]
     for i, count in enumerate(shape.step_counts):
         for s in range(count - 1):
             row = [Fraction(0)] * shape.size
@@ -130,7 +128,6 @@ class InnerResult:
     weights: tuple[float, ...]
     ratio: float
     boundary: bool
-    eigen_ratio: float
 
 
 def inner_minimize(
@@ -190,7 +187,7 @@ def inner_minimize(
 
     for v in (peak_half(v_min), peak_half(-v_min)):
         if np.all(g @ v <= -margin * slack):
-            return InnerResult(tuple(n_mat @ v), eigen_ratio, False, eigen_ratio)
+            return InnerResult(tuple(n_mat @ v), eigen_ratio, False)
 
     # Boundary path: maximize t with rows . w + t |row|_1 <= 0 and |w| <= 1/2.
     box = np.vstack([n_mat, -n_mat])
@@ -252,7 +249,7 @@ def inner_minimize(
             best_v, best_ratio = v, ratio
     if best_v is None:
         raise ConvergenceError("no weight vector keeping the cone's slack was found")
-    return InnerResult(tuple(n_mat @ best_v), best_ratio, True, eigen_ratio)
+    return InnerResult(tuple(n_mat @ best_v), best_ratio, True)
 
 
 def rationalize(
@@ -302,18 +299,20 @@ def rationalize(
 class UpsilonEstimate:
     """Best stable configuration found by the search, with exact certificates.
 
-    ``ratio`` is the exact c2 / norm value of ``configuration``; ``attained``
-    distinguishes an interior minimum (the unconstrained eigen-minimizer was
-    itself admissible) from a boundary infimum that the search only
-    approaches.  The estimate is an upper bound for the true minimal ratio.
+    ``ratio`` is the exact c2 / norm value of ``configuration``, an upper
+    bound for the true minimal ratio.  ``lower_bound`` is 0, since every
+    stable configuration has c2 >= 0 (a hard failure on exact paths).
+    ``attained``, an exact verdict at a ratio equal to the lower bound,
+    marks the ratio as the proven minimum.
     """
+
+    lower_bound: ClassVar[Fraction] = Fraction(0)
 
     configuration: FilteredConfiguration
     c2: Fraction
     norm_sq: Fraction
     ratio: Fraction
     verdict: StabilityVerdict
-    attained: bool
     search_log: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -323,6 +322,12 @@ class UpsilonEstimate:
             raise ShapeMismatchError("ratio must equal c2 / norm_sq exactly")
         if self.verdict.status is not Status.STABLE:
             raise ShapeMismatchError("estimates carry stable verdicts only")
+        if self.ratio < self.lower_bound:
+            raise ShapeMismatchError("ratio lies below the proven lower bound")
+
+    @property
+    def attained(self) -> bool:
+        return self.verdict.certainty is Certainty.EXACT and self.ratio == self.lower_bound
 
 
 def _random_invertible_rows(
@@ -602,13 +607,8 @@ def _solve_shape(
         # exists but was not sampled); drop the candidate
         counts["bgi_rejected"] += 1
         return None
-    norm_value = qp.norm_value(rationalized)
-    ratio = c2 / norm_value
-    eigen = inner.eigen_ratio
-    attained = not inner.boundary and (
-        abs(float(ratio) - eigen) <= 1e-6 * max(1.0, abs(eigen))
-    )
+    norm_value = shape.norm_value(rationalized)
     return dict(
-        configuration=candidate, c2=c2, norm_sq=norm_value, ratio=ratio,
-        verdict=verdict, attained=attained,
+        configuration=candidate, c2=c2, norm_sq=norm_value, ratio=c2 / norm_value,
+        verdict=verdict,
     )

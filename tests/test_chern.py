@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import filtstab.chern as chern
+import filtstab.filtration as filtration
 from filtstab import (
     CrossingTable,
     DegenerateDegreeError,
@@ -23,7 +25,9 @@ from filtstab import (
     norm_sq,
     span,
 )
+from filtstab.cli import main
 from filtstab.fixtures import three_generic_lines, two_lines
+from filtstab.serialize import canonical_json, input_document
 from helpers import (
     random_balanced_configuration,
     random_divisor_config,
@@ -217,6 +221,37 @@ class TestNormSq:
         )
         with pytest.raises(DegenerateDegreeError):
             norm_sq(fc, config)
+
+
+class TestJointMultiplicityCalls:
+    """The norm reads only the shape; only c2 eliminates per crossing pair."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        original = filtration.joint_step_multiplicities
+
+        def counting(f, g):
+            counted.append((f, g))
+            return original(f, g)
+
+        for module in (filtration, chern):
+            monkeypatch.setattr(module, "joint_step_multiplicities", counting)
+        return counted
+
+    def test_norm_makes_no_joint_multiplicity_call(self, calls):
+        config, fc = three_generic_lines()
+        assert norm_sq(fc, config) == F(3, 2)
+        assert calls == []
+
+    def test_balanced_chern_request_on_the_triangle(self, calls, tmp_path):
+        # three crossing pairs, each once for the tables and once for c2
+        config, fc = three_generic_lines()
+        path = tmp_path / "triangle.json"
+        path.write_text(canonical_json(input_document(config, fc)), encoding="utf-8")
+        out = str(tmp_path / "chern.json")
+        assert main(["chern", "--input", str(path), "--quiet", "--output", out]) == 0
+        assert len(calls) == 6
 
 
 class TestConsistency:

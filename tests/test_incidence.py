@@ -78,7 +78,10 @@ def test_kernel_matches_per_step_reference(rank, degree_numerators, seed):
     )
     for v in _candidates(rng, fc):
         for filt in flags:
-            assert filt.step_dims(v) == tuple(v.intersection_dim(s) for s in filt.spaces())
+            dims = [v.intersection_dim(s) for s in filt.spaces()]
+            assert filt.step_mults(v) == tuple(
+                here - prev for here, prev in zip(dims, [0] + dims[:-1])
+            )
             assert filt.induced_degree_vector(v) == reference_induced_degree_vector(filt, v)
         if 0 < v.dim < rank:
             assert parabolic_degree(v, fc, config) == reference_parabolic_degree(v, fc, config)
@@ -112,14 +115,14 @@ def test_reweighted_flags_share_the_functionals():
 def test_ambient_mismatch_rejected():
     flag = Filtration.trivial(3)
     with pytest.raises(DimensionMismatchError):
-        flag.step_dims(Subspace.full(2))
+        flag.step_mults(Subspace.full(2))
 
 
 def test_three_planes_transversal_has_degree_zero():
     config, fc = three_planes()
     w = span([(1, 0, 0, 0), (0, 0, 1, 0)], 4)
     for filt in fc.filtrations:
-        assert filt.step_dims(w) == (1, 2)
+        assert filt.step_mults(w) == (1, 1)
     assert parabolic_degree(w, fc, config) == 0
     assert reference_parabolic_degree(w, fc, config) == 0
 
@@ -131,9 +134,16 @@ def test_prebuilt_incidences_follow_reweighting(rank):
         config = random_divisor_config(rng, 3)
         fc = random_balanced_configuration(rng, rank, 3, nontrivial=True)
         found = exact_candidates(fc)
+        # graded incidences: dim gr_s(V) per step, zeros kept, summing to dim V
         assert found.incidences == tuple(
-            tuple(f.step_dims(v) for f in fc.filtrations) for v in found.subspaces
+            tuple(f.step_mults(v) for f in fc.filtrations) for v in found.subspaces
         )
+        for v, incidence in zip(found.subspaces, found.incidences):
+            for f, mults in zip(fc.filtrations, incidence):
+                assert sum(mults) == v.dim
+                assert tuple((w, m) for w, m in zip(f.weights(), mults) if m) == (
+                    reference_induced_degree_vector(f, v)
+                )
         for _ in range(4):
             reweighted = FilteredConfiguration(
                 rank,

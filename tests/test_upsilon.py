@@ -17,10 +17,14 @@ from filtstab import (
     Filtration,
     NoStableConfigurationError,
     OrderingCollapseError,
+    ShapeMismatchError,
     SingularFormError,
+    StabilityVerdict,
     Status,
     Subspace,
+    UpsilonEstimate,
     assemble_quadratics,
+    blow_up,
     c2_number,
     c2_trivial,
     canonical_weights,
@@ -37,7 +41,8 @@ from filtstab import (
     span,
     stability_cone,
 )
-from filtstab.fixtures import three_generic_lines, two_lines
+from filtstab.fixtures import three_concurrent_lines, three_generic_lines, two_lines
+from filtstab.serialize import estimate_to_doc
 from helpers import (
     random_balanced_configuration,
     random_balanced_weights_for,
@@ -57,21 +62,21 @@ class TestAssembleQuadratics:
         fc = FilteredConfiguration(2, (Filtration.trivial(2),))
         qp = assemble_quadratics(fc, config)
         assert qp.terms == ()
-        assert qp.norm_value((F(1),)) == 6  # rank * degree
+        assert qp.shape.norm_value((F(1),)) == 6  # rank * degree
 
     def test_two_lines_reproduces_zero(self):
         config, fc = two_lines()
         qp = assemble_quadratics(fc, config)
         w = (F(1, 2), F(-1, 2), F(1, 2), F(-1, 2))
         assert qp.c2_value(w) == 0
-        assert qp.norm_value(w) == norm_sq(fc, config)
+        assert qp.shape.norm_value(w) == norm_sq(fc, config)
 
     def test_three_lines_value(self):
         config, fc = three_generic_lines()
         qp = assemble_quadratics(fc, config)
         w = (F(1, 2), F(-1, 2)) * 3
         assert qp.c2_value(w) == F(3, 4)
-        assert qp.norm_value(w) == F(3, 2)
+        assert qp.shape.norm_value(w) == F(3, 2)
 
     def test_quadratics_agree_with_exact_routes(self):
         rng = random.Random(211)
@@ -95,7 +100,7 @@ class TestAssembleQuadratics:
                  for f, d in zip(other.filtrations, config.degrees)),
                 F(0),
             )
-            assert qp.norm_value(flat) == norm
+            assert qp.shape.norm_value(flat) == norm
 
     def test_float_matrices_match_the_pairing(self):
         # A[(i,s),(j,t)] = -1/2 * m^{ij}_{st} * D_i.D_j over ordered pairs
@@ -426,6 +431,31 @@ class TestOuterSearch:
         config, _ = three_generic_lines()
         estimate = outer_search(config, rank=4, budget=8, seed=0, samples=20)
         assert estimate.search_log["candidates"] == len(calls) == 8
+
+    def test_exact_zero_ratio_is_attained(self):
+        config = blow_up(three_concurrent_lines(), F(1, 10))
+        estimate = outer_search(config, rank=2, budget=40, seed=3)
+        assert estimate.ratio == 0
+        assert estimate.verdict.certainty is Certainty.EXACT
+        assert estimate.lower_bound == 0
+        assert estimate.attained
+        assert estimate_to_doc(estimate)["lower_bound"] == "0"
+        assert estimate_to_doc(estimate)["attained"] is True
+
+    def test_positive_ratio_is_not_attained(self):
+        config, _ = three_generic_lines()
+        estimate = outer_search(config, rank=2, budget=40, seed=3)
+        assert estimate.ratio == F(375, 4114)
+        assert not estimate.attained
+        assert estimate_to_doc(estimate)["lower_bound"] == "0"
+
+    def test_a_heuristic_zero_ratio_is_not_attained(self):
+        config, fc = three_generic_lines()
+        verdict = StabilityVerdict(Status.STABLE, Certainty.HEURISTIC, None, None, F(-1, 2))
+        estimate = UpsilonEstimate(fc, F(0), F(3, 2), F(0), verdict)
+        assert not estimate.attained
+        with pytest.raises(ShapeMismatchError):
+            UpsilonEstimate(fc, F(-1), F(1), F(-1), verdict)
 
     def test_rank3_stable_with_negative_c2_is_a_bgi_violation(self, monkeypatch):
         # an exactly stable candidate with c2 < 0 can only come from a bug,
