@@ -41,7 +41,6 @@ from .filtration import (
     FilteredConfiguration,
     Filtration,
     GrSpectrum,
-    joint_gr_dim,
     joint_multiplicity_table,
     joint_step_multiplicities,
 )

@@ -23,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     InvariantError,
@@ -40,6 +38,9 @@ from .filtration import (
     joint_step_multiplicities,
 )
 from .surface import DivisorConfiguration, crossing_points
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -266,7 +267,13 @@ class QuadraticPair:
         return tuple(rows)
 
     def a_float(self) -> np.ndarray:
-        """The symmetric matrix A with w^T A w = c2: -k/2 on the diagonal, -k/4 off it."""
+        """The symmetric matrix A with w^T A w = c2: -k/2 on the diagonal, -k/4 off it.
+
+        numpy is imported here, not with the module, so that only a float
+        solve loads it.
+        """
+        import numpy as np
+
         a = np.zeros((self.shape.size, self.shape.size))
         for p, q, k in self.terms:
             if p == q:
@@ -276,6 +283,9 @@ class QuadraticPair:
         return a
 
     def b_float(self) -> np.ndarray:
+        """The diagonal of B with w^T B w = ||F||^2, as a vector (numpy imported here)."""
+        import numpy as np
+
         return np.array([float(x) for x in self.shape.norm_diagonal()])
 
 

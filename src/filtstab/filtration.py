@@ -110,28 +110,6 @@ class Filtration:
     def spaces(self) -> tuple[Subspace, ...]:
         return tuple(s for _, s in self.steps)
 
-    def space_at(self, alpha: Fraction) -> Subspace:
-        """F_alpha: the largest step space whose weight is >= alpha."""
-        alpha = Fraction(alpha)
-        result = Subspace.zero(self.ambient_dim)
-        for weight, space in self.steps:
-            if weight >= alpha:
-                result = space
-            else:
-                break
-        return result
-
-    def space_above(self, alpha: Fraction) -> Subspace:
-        """F_{>alpha}: the largest step space whose weight is > alpha."""
-        alpha = Fraction(alpha)
-        result = Subspace.zero(self.ambient_dim)
-        for weight, space in self.steps:
-            if weight > alpha:
-                result = space
-            else:
-                break
-        return result
-
     def gr_spectrum(self) -> GrSpectrum:
         dims = tuple(space.dim for space in self.spaces())
         return GrSpectrum(tuple(zip(self.weights(), _first_differences(dims))))
@@ -219,25 +197,6 @@ def _check_common_ambient(f: Filtration, g: Filtration) -> None:
         raise DimensionMismatchError(
             f"filtrations in Q^{f.ambient_dim} and Q^{g.ambient_dim}"
         )
-
-
-def joint_gr_dim(f: Filtration, g: Filtration, a: Fraction, b: Fraction) -> int:
-    """dim gr_a^F gr_b^G of the full space, by bigraded inclusion-exclusion:
-
-        dim(F_a ∩ G_b) - dim(F_{>a} ∩ G_b) - dim(F_a ∩ G_{>b})
-            + dim(F_{>a} ∩ G_{>b}).
-
-    Summing over all weight pairs gives the rank.
-    """
-    _check_common_ambient(f, g)
-    fa, fa_up = f.space_at(a), f.space_above(a)
-    gb, gb_up = g.space_at(b), g.space_above(b)
-    return (
-        fa.intersection_dim(gb)
-        - fa_up.intersection_dim(gb)
-        - fa.intersection_dim(gb_up)
-        + fa_up.intersection_dim(gb_up)
-    )
 
 
 def joint_step_multiplicities(f: Filtration, g: Filtration) -> tuple[tuple[int, ...], ...]:

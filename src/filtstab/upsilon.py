@@ -16,6 +16,9 @@ search solves and rationalizes once per distinct (quadratic pair, set of
 cone rows) and reuses that outcome; everything that reads the subspaces
 themselves still runs per shape.
 
+Only :func:`inner_minimize` uses numpy and scipy, and it imports them in its
+body, so importing this module (and the package) loads neither.
+
 Weight vectors are flat tuples ordered component by component, step by step;
 a :class:`WeightShape` records the bookkeeping (offsets, multiplicities,
 degrees) needed to interpret them.
@@ -28,10 +31,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, ClassVar, Mapping, Optional, Sequence
-
-import numpy as np
-from scipy.linalg import eigh
-from scipy.optimize import linprog, minimize
 
 from .errors import (
     BGIViolationError,
@@ -150,7 +149,15 @@ def inner_minimize(
     cones keep t / 2.  Then SLSQP, with all rows as one linear constraint
     and run from distinct deterministic starts, gives a ``boundary`` value
     >= the eigenvalue.
+
+    This is the package's only float solve, and numpy and scipy are
+    imported here rather than with the module: a process loads them on its
+    first solve, and commands that never search start without them.
     """
+    import numpy as np
+    from scipy.linalg import eigh
+    from scipy.optimize import linprog, minimize
+
     basis = _balance_nullspace(qp)
     if not basis:
         raise SingularFormError(

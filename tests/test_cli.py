@@ -548,3 +548,51 @@ def test_upsilon_report_does_not_depend_on_the_hash_seed(tmp_path):
         texts.append(without_timestamp(out.read_text(encoding="utf-8")))
     assert texts[0] == texts[1]
     assert '"best_ratio": "375/4114"' in texts[0]
+
+
+COLD_START = """
+import json, sys
+from filtstab import cli
+
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    loaded = sorted({name.partition(".")[0] for name in sys.modules} & {"numpy", "scipy"})
+    print(json.dumps([argv[0], code, loaded]))
+"""
+
+
+def test_exact_commands_start_without_numpy_and_scipy(tmp_path):
+    # only upsilon's float solve imports numpy and scipy, on its first call
+    import filtstab
+
+    assert callable(filtstab.upsilon.inner_minimize)
+    config, fc = three_generic_lines()
+    triangle = write_document(tmp_path, "triangle.json", input_document(config))
+    flags = write_document(tmp_path, "flags.json", input_document(config, fc))
+    arr = write_document(
+        tmp_path, "arr.json", {"arrangement": arrangement_to_doc(three_concurrent_lines())}
+    )
+    out = str(tmp_path / "out.json")
+    requests = [
+        ["demo", "--quiet", "--output", out],
+        ["chern", "--input", flags, "--output", out],
+        ["stability", "--input", flags, "--output", out],
+        ["blowup", "--input", arr, "--epsilon", "1/10", "--output", out],
+        ["upsilon", "--input", triangle, "--rank", "2", "--budget", "40", "--seed", "3",
+         "--quiet", "--output", out],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps(requests)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert steps == [
+        ["demo", 0, []],
+        ["chern", 0, []],
+        ["stability", 0, []],
+        ["blowup", 0, []],
+        ["upsilon", 0, ["numpy", "scipy"]],
+    ]
+    assert read_report(out)["result"]["ratio"] == "375/4114"

@@ -11,12 +11,12 @@ from filtstab import (
     GrSpectrum,
     InvariantError,
     Subspace,
-    joint_gr_dim,
     c2_trivial,
     joint_multiplicity_table,
+    joint_step_multiplicities,
     span,
 )
-from helpers import random_balanced_filtration
+from helpers import random_balanced_filtration, reference_joint_step_multiplicities
 
 F = Fraction
 E1 = span([(1, 0)], 2)
@@ -144,24 +144,29 @@ class TestBalance:
             assert bumped.balance_shift().is_balanced()
 
 
+def joint_dims(f, g):
+    """dim gr_a^F gr_b^G by weight pair (a, b), from the nonzero table entries."""
+    return {(a, b): m for a, b, m in joint_multiplicity_table(f, g)}
+
+
 class TestJointGr:
     def test_trivial_pair(self):
         f = Filtration.trivial(2)
-        assert joint_gr_dim(f, f, F(0), F(0)) == 2
+        assert joint_dims(f, f) == {(F(0), F(0)): 2}
 
     def test_distinct_lines(self):
-        f, g = two_step(E1), two_step(E2)
-        assert joint_gr_dim(f, g, F(1, 2), F(-1, 2)) == 1
-        assert joint_gr_dim(f, g, F(1, 2), F(1, 2)) == 0
+        dims = joint_dims(two_step(E1), two_step(E2))
+        assert dims.get((F(1, 2), F(-1, 2)), 0) == 1
+        assert dims.get((F(1, 2), F(1, 2)), 0) == 0
 
     def test_coincident_lines(self):
-        f, g = two_step(E1), two_step(E1)
-        assert joint_gr_dim(f, g, F(1, 2), F(1, 2)) == 1
-        assert joint_gr_dim(f, g, F(1, 2), F(-1, 2)) == 0
+        dims = joint_dims(two_step(E1), two_step(E1))
+        assert dims.get((F(1, 2), F(1, 2)), 0) == 1
+        assert dims.get((F(1, 2), F(-1, 2)), 0) == 0
 
     def test_off_jump_weights_vanish(self):
         f, g = two_step(E1), two_step(E2)
-        assert joint_gr_dim(f, g, F(1, 3), F(1, 2)) == 0
+        assert (F(1, 3), F(1, 2)) not in joint_dims(f, g)
 
     def test_sums_to_rank_and_symmetric(self):
         rng = random.Random(9)
@@ -169,13 +174,10 @@ class TestJointGr:
             rank = rng.randint(1, 4)
             f = random_balanced_filtration(rng, rank)
             g = random_balanced_filtration(rng, rank)
-            total = sum(
-                joint_gr_dim(f, g, a, b) for a in f.weights() for b in g.weights()
-            )
-            assert total == rank
-            for a in f.weights():
-                for b in g.weights():
-                    assert joint_gr_dim(f, g, a, b) == joint_gr_dim(g, f, b, a)
+            assert sum(joint_dims(f, g).values()) == rank
+            matrix = joint_step_multiplicities(f, g)
+            assert sum(map(sum, matrix)) == rank
+            assert joint_step_multiplicities(g, f) == tuple(zip(*matrix))
 
     def test_table_matches_pointwise(self):
         rng = random.Random(21)
@@ -183,10 +185,11 @@ class TestJointGr:
             rank = rng.randint(2, 4)
             f = random_balanced_filtration(rng, rank)
             g = random_balanced_filtration(rng, rank)
-            table = {(a, b): m for a, b, m in joint_multiplicity_table(f, g)}
-            for a in f.weights():
-                for b in g.weights():
-                    assert table.get((a, b), 0) == joint_gr_dim(f, g, a, b)
+            expected = reference_joint_step_multiplicities(f, g)
+            table = joint_dims(f, g)
+            for s, a in enumerate(f.weights()):
+                for t, b in enumerate(g.weights()):
+                    assert table.get((a, b), 0) == expected[s][t]
 
 
 def product(f, g):

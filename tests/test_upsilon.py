@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import filtstab.stability as stability
 import filtstab.upsilon as upsilon
@@ -200,8 +201,9 @@ class TestInnerMinimize:
             starts.append(tuple(x0))
             return real_minimize(fun, x0, **kwargs)
 
-        real_minimize = upsilon.minimize
-        monkeypatch.setattr(upsilon, "minimize", recording_minimize)
+        # inner_minimize imports minimize from scipy.optimize on each call
+        real_minimize = scipy.optimize.minimize
+        monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
         config, fc = three_generic_lines()
         qp = assemble_quadratics(fc, config)
         assert qp.shape.seed_weights == canonical_weights(qp.shape)
