@@ -292,9 +292,7 @@ class QuadraticPair:
 def shape_of(fc: FilteredConfiguration, config: DivisorConfiguration) -> WeightShape:
     fc.check_components(config)
     step_counts = tuple(len(f.steps) for f in fc.filtrations)
-    mults = tuple(
-        tuple(m for _, m in f.gr_spectrum().entries) for f in fc.filtrations
-    )
+    mults = tuple(f.mults for f in fc.filtrations)
     seeds = tuple(w for f in fc.filtrations for w in f.weights())
     return WeightShape(step_counts, mults, tuple(config.degrees), seeds)
 

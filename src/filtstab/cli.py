@@ -33,11 +33,10 @@ from .errors import (
     DocumentParseError,
     DocumentValidationError,
     FiltstabError,
-    InvariantError,
     NoStableConfigurationError,
 )
 from .fixtures import three_concurrent_lines, three_generic_lines, two_lines
-from .linalg import rational_from_string, rational_to_string
+from .linalg import rational_to_string
 from .serialize import (
     arrangement_from_doc,
     canonical_json,
@@ -45,7 +44,9 @@ from .serialize import (
     divisor_configuration_to_doc,
     estimate_to_doc,
     input_document,
+    located,
     parse_config,
+    rational_from_doc,
     verdict_to_doc,
 )
 from .stability import check_stability
@@ -157,7 +158,9 @@ def _cmd_chern(args: argparse.Namespace) -> dict:
         )
     if data is None:
         data = derive_tables(fc, config)
-    report = c2_number(data, config)
+    # c2_number checks the tables against the crossings; derived tables always pass
+    with located("system_data.crossing_tables"):
+        report = c2_number(data, config)
     result: dict[str, Any] = {
         "report": chern_report_to_doc(report),
         "crossings": [
@@ -166,9 +169,9 @@ def _cmd_chern(args: argparse.Namespace) -> dict:
         ],
     }
     if fc is not None:
-        result["balanced"] = fc.is_balanced()
+        result["balanced"] = balanced = fc.is_balanced()
         result["norm_sq"] = rational_to_string(norm_sq(fc, config))
-        if fc.is_balanced():
+        if balanced:
             result["c2_pairing"] = rational_to_string(c2_trivial(fc, config))
     return result
 
@@ -208,14 +211,9 @@ def _cmd_blowup(args: argparse.Namespace) -> dict:
     if not isinstance(document, dict) or "arrangement" not in document:
         raise DocumentParseError("missing key 'arrangement'", ".")
     arrangement = arrangement_from_doc(document["arrangement"], "arrangement")
-    try:
-        epsilon = rational_from_string(args.epsilon)
-    except ValueError as error:
-        raise DocumentParseError(str(error), "--epsilon") from error
-    try:
+    epsilon = rational_from_doc(args.epsilon, "--epsilon")
+    with located("--epsilon"):  # blow_up's only invariants are on epsilon
         config = blow_up(arrangement, epsilon)
-    except InvariantError as error:  # blow_up's only invariants are on epsilon
-        raise DocumentValidationError(str(error), "--epsilon") from error
     return input_document(config)
 
 

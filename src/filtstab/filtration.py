@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import sub
+from operator import mul, sub
 from typing import Sequence
 
 from .errors import (
@@ -110,9 +110,13 @@ class Filtration:
     def spaces(self) -> tuple[Subspace, ...]:
         return tuple(s for _, s in self.steps)
 
+    @cached_property
+    def mults(self) -> tuple[int, ...]:
+        """dim gr_s of every step s, the first differences of the step dimensions."""
+        return _first_differences(tuple(space.dim for space in self.spaces()))
+
     def gr_spectrum(self) -> GrSpectrum:
-        dims = tuple(space.dim for space in self.spaces())
-        return GrSpectrum(tuple(zip(self.weights(), _first_differences(dims))))
+        return GrSpectrum(tuple(zip(self.weights(), self.mults)))
 
     def scale(self, factor: Fraction | int) -> "Filtration":
         """Multiply every weight by a positive factor; spaces unchanged."""
@@ -122,7 +126,7 @@ class Filtration:
         return self._reweighted(tuple(factor * w for w in self.weights()))
 
     def is_balanced(self) -> bool:
-        return self.gr_spectrum().moment() == 0
+        return sum(map(mul, self.weights(), self.mults)) == 0
 
     def balance_shift(self) -> "Filtration":
         """Shift all weights by a constant so the weight moment vanishes.
@@ -130,10 +134,9 @@ class Filtration:
         This is the effect of twisting by a rank-one filtered system; the
         flag itself is untouched.
         """
-        shift = -self.gr_spectrum().moment() / self.ambient_dim
-        if shift == 0:
+        if self.is_balanced():
             return self
-        return self._reweighted(tuple(w + shift for w in self.weights()))
+        return self._reweighted(balanced(self.weights(), self.mults))
 
     def with_weights(self, weights: Sequence[Fraction]) -> "Filtration":
         """Same flag, new weights (must still strictly decrease)."""
@@ -190,6 +193,12 @@ class Filtration:
 
 def _first_differences(dims: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(sub, dims, (0,) + dims[:-1]))
+
+
+def balanced(weights: Sequence[Fraction], mults: Sequence[int]) -> tuple[Fraction, ...]:
+    """The balance rule: ``weights`` shifted by one constant so that sum_s m_s * w_s = 0."""
+    shift = sum(map(mul, weights, mults), Fraction(0)) / sum(mults)
+    return tuple(w - shift for w in weights)
 
 
 def _check_common_ambient(f: Filtration, g: Filtration) -> None:

@@ -3,7 +3,11 @@
 All rationals serialize as strings ("p" or "p/q") so reports never pick up
 floating-point drift.  Every error raised here carries the path of the
 offending element inside the document (for example
-``configuration.intersection[1][0]``).
+``configuration.intersection[1][0]``).  Paths are built in one place:
+:func:`_field` reads a key as ``path.key`` and :func:`_entries` reads a list
+as ``path[i]``, and :func:`_items` reads the list under a key through both.
+A structural error of a constructor is located by running it under
+:func:`located`, which names the element the constructor was given.
 
 Document shapes:
 
@@ -26,17 +30,16 @@ A top-level input document holds ``configuration`` plus optionally
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Mapping
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any
 
 from .chern import ChernReport, CrossingTable, FilteredSystemData
 from .errors import (
-    CoverageError,
-    DimensionMismatchError,
+    DocumentError,
     DocumentParseError,
     DocumentValidationError,
-    InvariantError,
-    ShapeMismatchError,
+    FiltstabError,
 )
 from .filtration import FilteredConfiguration, Filtration, GrSpectrum
 from .linalg import Subspace, rational_from_string, rational_to_string, span
@@ -50,21 +53,46 @@ def canonical_json(document: Any) -> str:
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
+class located:
+    """Context manager reporting a structural error of its block as one at ``path``.
+
+    A :class:`DocumentError` names its own element and passes through; any
+    other :class:`FiltstabError` becomes a :class:`DocumentValidationError`.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind: type | None, error: BaseException | None, traceback: Any) -> None:
+        if isinstance(error, FiltstabError) and not isinstance(error, DocumentError):
+            raise DocumentValidationError(str(error), self.path) from error
+
+
 def _expect(condition: bool, message: str, path: str) -> None:
     if not condition:
         raise DocumentParseError(message, path)
 
 
-def _get(doc: Mapping, key: str, path: str) -> Any:
+def _field(doc: Any, key: str, path: str) -> tuple[Any, str]:
+    """The value under ``key`` of the object at ``path``, with its path."""
     _expect(isinstance(doc, Mapping), "expected an object", path)
     if key not in doc:
         raise DocumentParseError(f"missing key {key!r}", path)
-    return doc[key]
+    return doc[key], f"{path}.{key}"
 
 
-def _as_list(value: Any, path: str) -> list:
+def _entries(value: Any, path: str) -> list[tuple[Any, str]]:
+    """The entries of the list at ``path``, each with its path."""
     _expect(isinstance(value, list), "expected a list", path)
-    return value
+    return [(entry, f"{path}[{index}]") for index, entry in enumerate(value)]
+
+
+def _items(doc: Any, key: str, path: str) -> list[tuple[Any, str]]:
+    """The entries of the list under ``key`` of the object at ``path``."""
+    return _entries(*_field(doc, key, path))
 
 
 def _as_int(value: Any, path: str) -> int:
@@ -75,6 +103,13 @@ def _as_int(value: Any, path: str) -> int:
 def _as_str(value: Any, path: str) -> str:
     _expect(isinstance(value, str), "expected a string", path)
     return value
+
+
+def _fixed(value: Any, path: str, message: str, *readers: Callable[[Any, str], Any]) -> tuple:
+    """A list of exactly one entry per reader, each read by its reader."""
+    entries = _entries(value, path)
+    _expect(len(entries) == len(readers), message, path)
+    return tuple(read(*entry) for read, entry in zip(readers, entries))
 
 
 def rational_from_doc(value: Any, path: str) -> Fraction:
@@ -90,17 +125,12 @@ def subspace_to_doc(subspace: Subspace) -> list[list[str]]:
 
 
 def subspace_from_doc(doc: Any, ambient_dim: int, path: str) -> Subspace:
-    rows = []
-    for r_index, row in enumerate(_as_list(doc, path)):
-        row_path = f"{path}[{r_index}]"
-        entries = _as_list(row, row_path)
-        rows.append(
-            [rational_from_doc(x, f"{row_path}[{c}]") for c, x in enumerate(entries)]
-        )
-    try:
+    rows = [
+        [rational_from_doc(x, x_path) for x, x_path in _entries(row, row_path)]
+        for row, row_path in _entries(doc, path)
+    ]
+    with located(path):
         return span(rows, ambient_dim)
-    except DimensionMismatchError as error:
-        raise DocumentValidationError(str(error), path) from error
 
 
 def filtration_to_doc(filtration: Filtration) -> dict:
@@ -113,25 +143,16 @@ def filtration_to_doc(filtration: Filtration) -> dict:
 
 
 def filtration_from_doc(doc: Any, rank: int, path: str) -> Filtration:
-    steps_doc = _as_list(_get(doc, "steps", path), f"{path}.steps")
-    steps = []
-    previous_weight: Fraction | None = None
-    for index, step in enumerate(steps_doc):
-        step_path = f"{path}.steps[{index}]"
-        weight = rational_from_doc(_get(step, "weight", step_path), f"{step_path}.weight")
-        if previous_weight is not None and weight >= previous_weight:
-            raise DocumentValidationError(
-                "step weights must strictly decrease", f"{step_path}.weight"
-            )
-        previous_weight = weight
-        basis = subspace_from_doc(
-            _get(step, "basis", step_path), rank, f"{step_path}.basis"
-        )
-        steps.append((weight, basis))
-    try:
+    steps: list[tuple[Fraction, Subspace]] = []
+    for step, step_path in _items(doc, "steps", path):
+        weight_doc, weight_path = _field(step, "weight", step_path)
+        weight = rational_from_doc(weight_doc, weight_path)
+        if steps and weight >= steps[-1][0]:
+            raise DocumentValidationError("step weights must strictly decrease", weight_path)
+        basis_doc, basis_path = _field(step, "basis", step_path)
+        steps.append((weight, subspace_from_doc(basis_doc, rank, basis_path)))
+    with located(path):
         return Filtration(rank, tuple(steps))
-    except (InvariantError, DimensionMismatchError) as error:
-        raise DocumentValidationError(str(error), path) from error
 
 
 def filtered_configuration_to_doc(fc: FilteredConfiguration) -> dict:
@@ -142,18 +163,15 @@ def filtered_configuration_to_doc(fc: FilteredConfiguration) -> dict:
 
 
 def filtered_configuration_from_doc(doc: Any, path: str) -> FilteredConfiguration:
-    rank = _as_int(_get(doc, "rank", path), f"{path}.rank")
-    filtrations_doc = _as_list(
-        _get(doc, "filtrations", path), f"{path}.filtrations"
-    )
+    rank_doc, rank_path = _field(doc, "rank", path)
+    rank = _as_int(rank_doc, rank_path)
+    if rank < 1:
+        raise DocumentValidationError("rank must be positive", rank_path)
     filtrations = tuple(
-        filtration_from_doc(f, rank, f"{path}.filtrations[{i}]")
-        for i, f in enumerate(filtrations_doc)
+        filtration_from_doc(f, rank, f_path) for f, f_path in _items(doc, "filtrations", path)
     )
-    try:
+    with located(path):
         return FilteredConfiguration(rank, filtrations)
-    except (InvariantError, DimensionMismatchError) as error:
-        raise DocumentValidationError(str(error), path) from error
 
 
 def divisor_configuration_to_doc(config: DivisorConfiguration) -> dict:
@@ -167,28 +185,15 @@ def divisor_configuration_to_doc(config: DivisorConfiguration) -> dict:
 
 
 def divisor_configuration_from_doc(doc: Any, path: str) -> DivisorConfiguration:
-    components_doc = _as_list(_get(doc, "components", path), f"{path}.components")
     names, degrees = [], []
-    for index, component in enumerate(components_doc):
-        comp_path = f"{path}.components[{index}]"
-        names.append(_as_str(_get(component, "name", comp_path), f"{comp_path}.name"))
-        degrees.append(
-            rational_from_doc(_get(component, "degree", comp_path), f"{comp_path}.degree")
-        )
-    matrix_doc = _as_list(_get(doc, "intersection", path), f"{path}.intersection")
-    matrix = []
-    for r_index, row in enumerate(matrix_doc):
-        row_path = f"{path}.intersection[{r_index}]"
-        matrix.append(
-            tuple(
-                _as_int(x, f"{row_path}[{c}]")
-                for c, x in enumerate(_as_list(row, row_path))
-            )
-        )
-    try:
-        return DivisorConfiguration(tuple(names), tuple(degrees), tuple(matrix))
-    except InvariantError as error:
-        raise DocumentValidationError(str(error), path) from error
+    for component, comp_path in _items(doc, "components", path):
+        names.append(_as_str(*_field(component, "name", comp_path)))
+        degrees.append(rational_from_doc(*_field(component, "degree", comp_path)))
+    matrix = tuple(
+        tuple(_as_int(*x) for x in _entries(*row)) for row in _items(doc, "intersection", path)
+    )
+    with located(path):
+        return DivisorConfiguration(tuple(names), tuple(degrees), matrix)
 
 
 def arrangement_to_doc(arrangement: PlaneArrangement) -> dict:
@@ -204,33 +209,16 @@ def arrangement_to_doc(arrangement: PlaneArrangement) -> dict:
 
 
 def arrangement_from_doc(doc: Any, path: str) -> PlaneArrangement:
-    curves_doc = _as_list(_get(doc, "curves", path), f"{path}.curves")
-    curves = []
-    for index, curve in enumerate(curves_doc):
-        curve_path = f"{path}.curves[{index}]"
-        curves.append(
-            (
-                _as_str(_get(curve, "name", curve_path), f"{curve_path}.name"),
-                _as_int(_get(curve, "degree", curve_path), f"{curve_path}.degree"),
-            )
-        )
-    points_doc = _as_list(_get(doc, "points", path), f"{path}.points")
+    curves = tuple(
+        (_as_str(*_field(curve, "name", c_path)), _as_int(*_field(curve, "degree", c_path)))
+        for curve, c_path in _items(doc, "curves", path)
+    )
     points = []
-    for index, point in enumerate(points_doc):
-        point_path = f"{path}.points[{index}]"
-        incident = tuple(
-            _as_str(c, f"{point_path}.curves[{k}]")
-            for k, c in enumerate(
-                _as_list(_get(point, "curves", point_path), f"{point_path}.curves")
-            )
-        )
-        points.append(
-            (_as_str(_get(point, "id", point_path), f"{point_path}.id"), incident)
-        )
-    try:
-        return PlaneArrangement(tuple(curves), tuple(points))
-    except (InvariantError, CoverageError) as error:
-        raise DocumentValidationError(str(error), path) from error
+    for point, point_path in _items(doc, "points", path):
+        incident = tuple(_as_str(*c) for c in _items(point, "curves", point_path))
+        points.append((_as_str(*_field(point, "id", point_path)), incident))
+    with located(path):
+        return PlaneArrangement(curves, tuple(points))
 
 
 def system_data_to_doc(data: FilteredSystemData) -> dict:
@@ -254,64 +242,28 @@ def system_data_to_doc(data: FilteredSystemData) -> dict:
 
 
 def system_data_from_doc(doc: Any, path: str) -> FilteredSystemData:
-    rank = _as_int(_get(doc, "rank", path), f"{path}.rank")
+    rank = _as_int(*_field(doc, "rank", path))
     component_tables = []
-    tables_doc = _as_list(
-        _get(doc, "component_tables", path), f"{path}.component_tables"
-    )
-    for t_index, table in enumerate(tables_doc):
-        table_path = f"{path}.component_tables[{t_index}]"
-        entries = []
-        for e_index, entry in enumerate(_as_list(table, table_path)):
-            entry_path = f"{table_path}[{e_index}]"
-            pair = _as_list(entry, entry_path)
-            _expect(len(pair) == 2, "expected [weight, multiplicity]", entry_path)
-            entries.append(
-                (
-                    rational_from_doc(pair[0], f"{entry_path}[0]"),
-                    _as_int(pair[1], f"{entry_path}[1]"),
-                )
-            )
-        try:
-            component_tables.append(GrSpectrum(tuple(entries)))
-        except InvariantError as error:
-            raise DocumentValidationError(str(error), table_path) from error
+    for table, table_path in _items(doc, "component_tables", path):
+        entries = tuple(
+            _fixed(*entry, "expected [weight, multiplicity]", rational_from_doc, _as_int)
+            for entry in _entries(table, table_path)
+        )
+        with located(table_path):
+            component_tables.append(GrSpectrum(entries))
     crossing_tables = []
-    crossings_doc = _as_list(
-        _get(doc, "crossing_tables", path), f"{path}.crossing_tables"
-    )
-    for t_index, table in enumerate(crossings_doc):
-        table_path = f"{path}.crossing_tables[{t_index}]"
-        pair_doc = _as_list(
-            _get(table, "components", table_path), f"{table_path}.components"
+    for table, table_path in _items(doc, "crossing_tables", path):
+        pair = _fixed(*_field(table, "components", table_path),
+                      "expected two component indices", _as_int, _as_int)
+        entries = tuple(
+            _fixed(*entry, "expected [weight, weight, multiplicity]",
+                   rational_from_doc, rational_from_doc, _as_int)
+            for entry in _items(table, "table", table_path)
         )
-        _expect(len(pair_doc) == 2, "expected two component indices", f"{table_path}.components")
-        pair = (
-            _as_int(pair_doc[0], f"{table_path}.components[0]"),
-            _as_int(pair_doc[1], f"{table_path}.components[1]"),
-        )
-        entries = []
-        for e_index, entry in enumerate(
-            _as_list(_get(table, "table", table_path), f"{table_path}.table")
-        ):
-            entry_path = f"{table_path}.table[{e_index}]"
-            triple = _as_list(entry, entry_path)
-            _expect(len(triple) == 3, "expected [weight, weight, multiplicity]", entry_path)
-            entries.append(
-                (
-                    rational_from_doc(triple[0], f"{entry_path}[0]"),
-                    rational_from_doc(triple[1], f"{entry_path}[1]"),
-                    _as_int(triple[2], f"{entry_path}[2]"),
-                )
-            )
-        try:
-            crossing_tables.append(CrossingTable(pair, tuple(entries)))
-        except InvariantError as error:
-            raise DocumentValidationError(str(error), table_path) from error
-    try:
+        with located(table_path):
+            crossing_tables.append(CrossingTable(pair, entries))
+    with located(path):
         return FilteredSystemData(rank, tuple(component_tables), tuple(crossing_tables))
-    except InvariantError as error:
-        raise DocumentValidationError(str(error), path) from error
 
 
 def chern_report_to_doc(report: ChernReport) -> dict:
@@ -372,19 +324,15 @@ def parse_config(
     """
     _expect(isinstance(document, Mapping), "expected a top-level object", path or ".")
     config = divisor_configuration_from_doc(
-        _get(document, "configuration", path or "."), "configuration"
+        _field(document, "configuration", path or ".")[0], "configuration"
     )
     fc = None
     if "filtered_configuration" in document:
         fc = filtered_configuration_from_doc(
             document["filtered_configuration"], "filtered_configuration"
         )
-        try:
+        with located("filtered_configuration.filtrations"):
             fc.check_components(config)
-        except ShapeMismatchError as error:
-            raise DocumentValidationError(
-                str(error), "filtered_configuration.filtrations"
-            ) from error
     data = None
     if "system_data" in document:
         data = system_data_from_doc(document["system_data"], "system_data")

@@ -181,6 +181,8 @@ class PlaneArrangement:
                         f"curves {name_a!r} and {name_b!r} share {shared} marked "
                         f"points but can only meet in {deg_a * deg_b}"
                     )
+        if not names:
+            raise InvariantError("arrangement has no curves")
 
     def validate(self) -> bool:
         try:

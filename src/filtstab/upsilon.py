@@ -44,7 +44,7 @@ from .errors import (
     SingularFormError,
 )
 from .chern import QuadraticPair, WeightShape, assemble_quadratics
-from .filtration import FilteredConfiguration, Filtration
+from .filtration import FilteredConfiguration, Filtration, balanced
 from .linalg import span
 from .stability import (
     Certainty,
@@ -65,30 +65,31 @@ SLSQP_ITERATIONS = 200
 STRATEGIES = ("random", "coincident", "generic", "user")
 
 
+def _half_steps(k: int) -> list[Fraction]:
+    """k decreasing weights (k-1)/2, (k-3)/2, ..., -(k-1)/2, spaced by 1."""
+    return [Fraction(k - 1 - 2 * s, 2) for s in range(k)]
+
+
 def canonical_weights(shape: WeightShape) -> tuple[Fraction, ...]:
     """Evenly spread balanced weights for a shape, half-integer spacing."""
-    out: list[Fraction] = []
-    for mults in shape.mults:
-        k = len(mults)
-        raw = [Fraction(k - 1 - 2 * s, 2) for s in range(k)]
-        shift = sum((w * m for w, m in zip(raw, mults)), Fraction(0)) / sum(mults)
-        out.extend(w - shift for w in raw)
-    return tuple(out)
+    return tuple(
+        w for mults in shape.mults for w in balanced(_half_steps(len(mults)), mults)
+    )
 
 
-def _balance_nullspace(qp: QuadraticPair) -> list[tuple[Fraction, ...]]:
-    """Exact basis of the subspace cut out by the balance constraints."""
-    size = qp.shape.size
-    reduced = span(qp.balance, size).rows
-    pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
-    free = [c for c in range(size) if c not in pivots]
+def _balance_nullspace(shape: WeightShape) -> list[tuple[Fraction, ...]]:
+    """Exact basis of the subspace cut out by the balance constraints.
+
+    Component i has one constraint sum_s m_{i,s} w_{i,s} = 0, so the vectors
+    e_{i,s} - (m_{i,s} / m_{i,0}) e_{i,0}, s >= 1, in slot order, are a basis.
+    """
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * size
-        vec[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            vec[p] = -row[f]
-        basis.append(tuple(vec))
+    for offset, mults in zip(shape.offsets, shape.mults):
+        for s in range(1, len(mults)):
+            vec = [Fraction(0)] * shape.size
+            vec[offset] = -Fraction(mults[s], mults[0])
+            vec[offset + s] = Fraction(1)
+            basis.append(tuple(vec))
     return basis
 
 
@@ -158,7 +159,7 @@ def inner_minimize(
     from scipy.linalg import eigh
     from scipy.optimize import linprog, minimize
 
-    basis = _balance_nullspace(qp)
+    basis = _balance_nullspace(qp.shape)
     if not basis:
         raise SingularFormError(
             "only the zero weight vector satisfies the balance constraints"
@@ -288,10 +289,7 @@ def rationalize(
     out: list[Fraction] = []
     for i, mults in enumerate(shape.mults):
         base = shape.offsets[i]
-        chunk = rounded[base : base + len(mults)]
-        total = sum((w * m for w, m in zip(chunk, mults)), Fraction(0))
-        shift = total / sum(mults)
-        chunk = [w - shift for w in chunk]
+        chunk = balanced(rounded[base : base + len(mults)], mults)
         for s in range(len(chunk) - 1):
             if chunk[s] <= chunk[s + 1]:
                 raise OrderingCollapseError(
@@ -352,12 +350,8 @@ def _random_invertible_rows(
 def _flag_from_rows(
     rows: Sequence[Sequence[int]], dims: Sequence[int], rank: int
 ) -> Filtration:
-    steps = []
-    k = len(dims)
-    for s, dim in enumerate(dims):
-        weight = Fraction(k - 1 - 2 * s, 2)
-        steps.append((weight, span(rows[:dim], rank)))
-    return Filtration(rank, tuple(steps)).balance_shift()
+    spaces = (span(rows[:dim], rank) for dim in dims)
+    return Filtration(rank, tuple(zip(_half_steps(len(dims)), spaces))).balance_shift()
 
 
 def _random_flag(rng: random.Random, rank: int, min_steps: int = 1) -> Filtration:

@@ -135,6 +135,25 @@ def random_balanced_weights_for(rng: random.Random, filt: Filtration) -> list[Fr
     return [Fraction(n * rank - offset, 12) for n in numerators]
 
 
+def reference_balance_nullspace(qp) -> list[tuple[Fraction, ...]]:
+    """Basis of the balance subspace of a quadratic pair, by elimination.
+
+    The reduced row echelon form of the balance rows, then one basis vector
+    per free column, in column order.
+    """
+    size = qp.shape.size
+    reduced = span(qp.balance, size).rows
+    pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
+    basis = []
+    for free in (c for c in range(size) if c not in pivots):
+        vec = [Fraction(0)] * size
+        vec[free] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[free]
+        basis.append(tuple(vec))
+    return basis
+
+
 def random_divisor_config(
     rng: random.Random, n_components: int, max_crossing: int = 3
 ) -> DivisorConfiguration:

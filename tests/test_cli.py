@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -418,6 +420,93 @@ def test_blowup_epsilon_errors_exit_3_naming_the_flag(tmp_path, capsys, epsilon)
     assert main(["blowup", "--input", path, "--epsilon", epsilon, "--output", str(out)]) == 3
     assert "validation error: --epsilon: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def two_lines_with_tables():
+    config, fc = two_lines()
+    return input_document(config, fc, derive_tables(fc, config))
+
+
+def with_value(document, path, value):
+    """A copy of ``document`` with the element at the key/index ``path`` replaced."""
+    if not path:
+        return value
+    out = copy.deepcopy(document)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def element_paths(value, prefix=()):
+    """The key/index path of every element of a document, containers included."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from element_paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from element_paths(item, prefix + (index,))
+
+
+EMPTY_ARRANGEMENT = {"arrangement": {"curves": [], "points": []}}
+
+
+@pytest.mark.parametrize("argv, document, located", [
+    (["chern"], with_value(two_lines_with_tables(), ("filtered_configuration", "rank"), 0),
+     "filtered_configuration.rank: rank must be positive"),
+    (["chern"], with_value(two_lines_with_tables(), ("filtered_configuration", "rank"), -1),
+     "filtered_configuration.rank: rank must be positive"),
+    (["chern"], with_value(two_lines_with_tables(), ("system_data", "crossing_tables"), []),
+     "system_data.crossing_tables: pair (0, 1) meets in 1 points but has 0 tables"),
+    (["chern"], with_value(
+        two_lines_with_tables(), ("system_data", "crossing_tables", 0, "components", 1), 5),
+     "system_data.crossing_tables: crossing table given for non-crossing pair (0, 5)"),
+    (["chern"], with_value(
+        two_lines_with_tables(), ("system_data", "crossing_tables", 0, "components", 0), -1),
+     "system_data.crossing_tables: crossing table given for non-crossing pair (-1, 1)"),
+    (["blowup"], EMPTY_ARRANGEMENT, "arrangement: arrangement has no curves"),
+], ids=["rank-0", "rank-negative", "table-missing", "pair-out-of-range", "pair-negative",
+        "no-curves"])
+def test_structural_errors_exit_3_naming_their_element(tmp_path, capsys, argv, document, located):
+    path = write_document(tmp_path, "bad.json", document)
+    assert main(argv + ["--input", path]) == 3
+    assert capsys.readouterr().err == f"validation error: {located}\n"
+
+
+LOCATED = re.compile(
+    r"(parse|validation) error: "
+    r"(\.|--[a-z-]+|(configuration|filtered_configuration|system_data|arrangement)"
+    r"(\.\w+|\[\d+\])*): "
+)
+
+
+def test_every_mutated_element_gives_a_located_error(tmp_path, capsys):
+    """Replace each element of a chern and a blowup document by each bad value.
+
+    Every run exits 0, 2 or 3 without raising, and every error names the
+    document element or the flag at fault.
+    """
+    cases = [
+        (["chern"], two_lines_with_tables()),
+        (["blowup", "--epsilon", "1/10"],
+         {"arrangement": arrangement_to_doc(three_concurrent_lines())}),
+    ]
+    values = [0, -1, 5, "", "1/0", "x", [], {}, True, None, "-1", "0"]
+    path = str(tmp_path / "mutated.json")
+    codes = []
+    for argv, document in cases:
+        for element in list(element_paths(document)):
+            for value in values:
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(canonical_json(with_value(document, element, value)))
+                code = main(argv + ["--input", path, "--output", os.devnull])
+                err = capsys.readouterr().err
+                assert code in (0, 2, 3), (argv[0], element, value, err)
+                assert code == 0 or LOCATED.match(err), (argv[0], element, value, err)
+                codes.append(code)
+    assert set(codes) == {0, 2, 3}
 
 
 def without_timestamp(text):

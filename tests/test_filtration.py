@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from filtstab import (
     DimensionMismatchError,
@@ -16,6 +17,7 @@ from filtstab import (
     joint_step_multiplicities,
     span,
 )
+from filtstab.filtration import balanced
 from helpers import random_balanced_filtration, reference_joint_step_multiplicities
 
 F = Fraction
@@ -142,6 +144,16 @@ class TestBalance:
                 f.ambient_dim, tuple((w + F(3, 7), s) for w, s in f.steps)
             )
             assert bumped.balance_shift().is_balanced()
+
+    @given(st.lists(
+        st.tuples(st.fractions(-5, 5, max_denominator=12), st.integers(1, 4)),
+        min_size=1, max_size=5,
+    ))
+    def test_balanced_is_balanced_and_one_shift_away(self, pairs):
+        weights, mults = zip(*pairs)
+        out = balanced(weights, mults)
+        assert sum(w * m for w, m in zip(out, mults)) == 0
+        assert len({w - v for w, v in zip(weights, out)}) == 1
 
 
 def joint_dims(f, g):

@@ -48,6 +48,7 @@ from helpers import (
     random_balanced_configuration,
     random_balanced_weights_for,
     random_divisor_config,
+    reference_balance_nullspace,
 )
 
 F = Fraction
@@ -162,6 +163,16 @@ class TestAssembleQuadratics:
         for i, row in enumerate(qp.balance):
             base = qp.shape.offsets[i]
             assert row[base] == 1 and row[base + 1] == 1
+
+    def test_balance_nullspace_is_the_eliminated_basis(self):
+        rng = random.Random(13)
+        for _ in range(30):
+            rank, n = rng.randint(1, 4), rng.randint(1, 4)
+            fc = random_balanced_configuration(rng, rank, n)
+            qp = assemble_quadratics(fc, random_divisor_config(rng, n))
+            basis = upsilon._balance_nullspace(qp.shape)
+            assert basis == reference_balance_nullspace(qp)
+            assert len(basis) == qp.shape.size - n
 
 
 class TestInnerMinimize:
