@@ -50,9 +50,8 @@ from .stability import (
     Certainty,
     StabilityVerdict,
     Status,
+    candidates_for,
     check_stability,
-    closure_candidates,
-    exact_candidates,
     parabolic_degree,
 )
 from .surface import (

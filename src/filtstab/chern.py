@@ -84,18 +84,16 @@ class FilteredSystemData:
         if self.rank < 1:
             raise InvariantError("rank must be positive")
         for index, table in enumerate(self.component_tables):
-            if table.rank() != self.rank:
-                raise InvariantError(
-                    f"component table {index} sums to {table.rank()}, "
-                    f"expected rank {self.rank}"
-                )
+            check_table_rank(table, self.rank, f"component table {index}")
         for table in self.crossing_tables:
-            total = sum(m for _, _, m in table.entries)
-            if total != self.rank:
-                raise InvariantError(
-                    f"crossing table for pair {table.pair} sums to {total}, "
-                    f"expected rank {self.rank}"
-                )
+            check_table_rank(table, self.rank, f"crossing table for pair {table.pair}")
+
+
+def check_table_rank(table: GrSpectrum | CrossingTable, rank: int, label: str) -> None:
+    """Raise :class:`InvariantError` unless the multiplicities of ``table`` sum to ``rank``."""
+    total = sum(entry[-1] for entry in table.entries)
+    if total != rank:
+        raise InvariantError(f"{label} sums to {total}, expected rank {rank}")
 
 
 @dataclass(frozen=True)

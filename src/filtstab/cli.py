@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import importlib.util
 import io
 import json
 import os
@@ -190,25 +191,17 @@ def _cmd_stability(args: argparse.Namespace) -> dict:
         raise DocumentValidationError(
             "stability needs a filtered_configuration", "filtered_configuration"
         )
-    if args.stability_mode == "exact2" and fc.rank != 2:
-        raise DocumentValidationError(
-            f"exact2 mode requires rank 2, the document has rank {fc.rank}",
-            "--stability-mode",
-        )
     verdict = check_stability(
-        fc,
-        config,
-        mode=args.stability_mode,
-        samples=args.samples,
-        seed=args.seed,
-        depth=args.depth,
+        fc, config, samples=args.samples, seed=args.seed, depth=args.depth
     )
     return {"verdict": verdict_to_doc(verdict)}
 
 
 def _cmd_blowup(args: argparse.Namespace) -> dict:
     document = _load_document(args.input)
-    if not isinstance(document, dict) or "arrangement" not in document:
+    if not isinstance(document, dict):
+        raise DocumentParseError("expected a top-level object", ".")
+    if "arrangement" not in document:
         raise DocumentParseError("missing key 'arrangement'", ".")
     arrangement = arrangement_from_doc(document["arrangement"], "arrangement")
     epsilon = rational_from_doc(args.epsilon, "--epsilon")
@@ -231,6 +224,11 @@ def _cmd_upsilon(args: argparse.Namespace) -> dict:
             f"got {args.strategies!r}",
             "--strategies",
         )
+    for module in ("numpy", "scipy"):  # imported by the float solve, on its first call
+        if importlib.util.find_spec(module) is None:
+            raise DocumentParseError(
+                f"{module} is not installed; the search's float solve needs it", "upsilon"
+            )
     config, fc, _ = parse_config(_load_document(args.input))
     if fc is not None and fc.rank != args.rank:
         raise DocumentValidationError(
@@ -338,11 +336,16 @@ def build_parser() -> argparse.ArgumentParser:
     stability = subparsers.add_parser("stability", help="stability verdict")
     stability.add_argument("--input", required=True)
     stability.add_argument(
-        "--stability-mode", choices=("auto", "exact2", "heuristic"), default="auto"
+        "--stability-mode", choices=("auto",), default="auto",
+        help="the rank picks the method: exact at ranks 2 and 3, sampled above",
     )
-    stability.add_argument("--samples", type=int, default=2000)
+    stability.add_argument("--samples", type=int, default=2000, help=(
+        "random subspaces per dimension above rank 3; ranks 2 and 3 are exact and ignore it"
+    ))
     stability.add_argument("--seed", type=int, default=None)
-    stability.add_argument("--depth", type=int, default=3)
+    stability.add_argument("--depth", type=int, default=3, help=(
+        "rounds of the flag-step closure above rank 3; ranks 2 and 3 ignore it"
+    ))
     add_common(stability)
     stability.set_defaults(func=_cmd_stability)
 

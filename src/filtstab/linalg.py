@@ -144,12 +144,16 @@ class Subspace:
         return cls(ambient_dim, rows)
 
     @cached_property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The reduced row echelon basis over Q: each basis row over its pivot."""
+    def rows(self) -> tuple[tuple[int | Fraction, ...], ...]:
+        """The reduced row echelon basis over Q: each basis row over its pivot.
+
+        Integral entries are held as ``int``, which compares and formats
+        like the equal ``Fraction`` and keeps most comparisons cheap.
+        """
         out = []
         for row in self.basis:
             lead = next(x for x in row if x)
-            out.append(tuple(Fraction(x, lead) for x in row))
+            out.append(tuple(x // lead if x % lead == 0 else Fraction(x, lead) for x in row))
         return tuple(out)
 
     @property
@@ -236,18 +240,8 @@ class Subspace:
         return Subspace(n, _eliminate(self.normals().values(), n))
 
     def sort_key(self) -> tuple:
-        """Deterministic total order: by dimension, then by basis entries."""
-        return self._sort_key
-
-    @cached_property
-    def _sort_key(self) -> tuple:
-        # the order of (dim, rows), with integral RREF entries held as int so
-        # that most comparisons skip Fraction
-        rows = []
-        for row in self.basis:
-            lead = next(x for x in row if x)
-            rows.append(tuple(x // lead if x % lead == 0 else Fraction(x, lead) for x in row))
-        return (self.dim, tuple(rows))
+        """Deterministic total order: by dimension, then by the RREF rows."""
+        return (self.dim, self.rows)
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:

@@ -34,7 +34,7 @@ from collections.abc import Callable, Mapping
 from fractions import Fraction
 from typing import Any
 
-from .chern import ChernReport, CrossingTable, FilteredSystemData
+from .chern import ChernReport, CrossingTable, FilteredSystemData, check_table_rank
 from .errors import (
     DocumentError,
     DocumentParseError,
@@ -242,7 +242,10 @@ def system_data_to_doc(data: FilteredSystemData) -> dict:
 
 
 def system_data_from_doc(doc: Any, path: str) -> FilteredSystemData:
-    rank = _as_int(*_field(doc, "rank", path))
+    rank_doc, rank_path = _field(doc, "rank", path)
+    rank = _as_int(rank_doc, rank_path)
+    if rank < 1:
+        raise DocumentValidationError("rank must be positive", rank_path)
     component_tables = []
     for table, table_path in _items(doc, "component_tables", path):
         entries = tuple(
@@ -251,6 +254,7 @@ def system_data_from_doc(doc: Any, path: str) -> FilteredSystemData:
         )
         with located(table_path):
             component_tables.append(GrSpectrum(entries))
+            check_table_rank(component_tables[-1], rank, "table")
     crossing_tables = []
     for table, table_path in _items(doc, "crossing_tables", path):
         pair = _fixed(*_field(table, "components", table_path),
@@ -262,6 +266,7 @@ def system_data_from_doc(doc: Any, path: str) -> FilteredSystemData:
         )
         with located(table_path):
             crossing_tables.append(CrossingTable(pair, entries))
+            check_table_rank(crossing_tables[-1], rank, "table")
     with located(path):
         return FilteredSystemData(rank, tuple(component_tables), tuple(crossing_tables))
 

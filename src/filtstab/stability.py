@@ -12,11 +12,12 @@ grows with the set of flag steps it contains.  So lines reach their maximal
 degree at a generic line of some intersection of flag steps, and hyperplanes
 at a generic hyperplane through some sum of flag steps.  At ranks 2 and 3
 every proper subspace is a line or a hyperplane, so these finitely many,
-weight-independent candidates (:func:`exact_candidates`) decide stability
+weight-independent candidates (:func:`_exact_subspaces`) decide stability
 exactly.  For higher rank the oracle is one-sided: witnesses of
 non-stability are exact certificates, while a clean sweep over the explored
-subspaces (the flag-step closure of :func:`closure_candidates` plus seeded
-random samples) only supports a heuristic verdict.
+subspaces (the flag-step closure plus seeded random samples) only supports a
+heuristic verdict.  :func:`candidates_for` is the one place where the rank
+picks between the two.
 
 Degrees are evaluated as integer dot products.  A subspace V enters only
 through its graded incidence m_{i,s} = dim gr_s(V), the multiplicities of
@@ -227,9 +228,9 @@ class Candidates:
     those flags.  ``incidences[n]`` is the graded incidence of
     ``subspaces[n]``: dim gr_s(V) of the flag F_i induced on V, for each
     component i and step s.
-    An ``exact`` set (:func:`exact_candidates`) decides stability; any other
-    is a flag-step closure (:func:`closure_candidates`), and
-    ``closure_capped`` records whether its cap truncated it.
+    An ``exact`` set decides stability; any other is a flag-step closure,
+    and ``closure_capped`` records whether :data:`CLOSURE_CAP` truncated
+    it.  :func:`candidates_for` builds both kinds.
     """
 
     flags: tuple[tuple[Subspace, ...], ...]
@@ -250,8 +251,8 @@ def _generic_lines(steps: frozenset[Subspace], rank: int) -> list[Subspace]:
     return [_generic_line(member, steps) for member in sorted(meets, key=Subspace.sort_key)]
 
 
-def exact_candidates(fc: FilteredConfiguration) -> Optional[Candidates]:
-    """The finite candidate set that decides stability at rank 2 or 3.
+def _exact_subspaces(fc: FilteredConfiguration) -> list[Subspace]:
+    """The finite set of lines and hyperplanes that decides stability at rank 2 or 3.
 
     Lines: one generic line (:func:`_generic_line`) in each member of the
     intersection closure of the proper flag steps, the full space included.
@@ -263,38 +264,39 @@ def exact_candidates(fc: FilteredConfiguration) -> Optional[Candidates]:
     intersections, so these are the annihilators of the generic lines of
     the annihilated flag steps.  At rank 2 the hyperplanes are the lines
     again and only the line half is built: the distinct flag lines plus one
-    generic line.  Returns None at other ranks, where no exact method is
-    implemented.  Like a :func:`closure_candidates` set at any rank, the
-    result can be passed to :func:`check_stability` as ``candidates``.
+    generic line.
     """
-    if fc.rank not in (2, 3):
-        return None
     steps = _proper_flag_steps(fc)
     subspaces = _generic_lines(steps, fc.rank)
     if fc.rank == 3:
         annihilated = frozenset(step.annihilator() for step in steps)
         subspaces += [line.annihilator() for line in _generic_lines(annihilated, 3)]
-    incidences = tuple(_incidence(v, fc) for v in subspaces)
-    return Candidates(_flags(fc), tuple(subspaces), incidences, True, False)
+    return subspaces
 
 
-def closure_candidates(
-    fc: FilteredConfiguration, depth: int = 3, cap: int = CLOSURE_CAP
-) -> Candidates:
-    """Proper flag steps closed under pairwise intersection and sum.
+def candidates_for(fc: FilteredConfiguration, depth: int = 3) -> Candidates:
+    """The candidate set that the rank of ``fc`` calls for.
 
-    The closure is iterated at most ``depth`` times and truncated at ``cap``
-    members, which sets ``closure_capped`` (reported in the verdict metadata
-    of :func:`check_stability`).  Members are kept in
-    :meth:`~filtstab.linalg.Subspace.sort_key` order, smallest dimension
-    first, so a cap below the number of proper flag steps drops flag steps
-    too.
+    The rank alone picks the method.  Rank 1 has no proper nonzero
+    subspace: an empty exact set, and stability holds vacuously.  Ranks 2
+    and 3: the exact set of :func:`_exact_subspaces`.  Above rank 3, where
+    no exact method is implemented: the proper flag steps closed under
+    pairwise intersection and sum, iterated at most ``depth`` times and
+    truncated at :data:`CLOSURE_CAP` members (``closure_capped``).  Closure
+    members are kept in :meth:`~filtstab.linalg.Subspace.sort_key` order,
+    smallest dimension first, so a cap below the number of proper flag
+    steps drops flag steps too.  The set depends on the flags only and can
+    be passed to :func:`check_stability` for every weighting of them.
     """
-    if depth < 0 or cap < 1:
-        raise ValueError("depth must be non-negative and cap at least 1")
-    subspaces, capped = _closure(fc, depth, cap)
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    exact = fc.rank <= 3
+    if exact:
+        subspaces, capped = (_exact_subspaces(fc) if fc.rank > 1 else []), False
+    else:
+        subspaces, capped = _closure(fc, depth, CLOSURE_CAP)
     incidences = tuple(_incidence(v, fc) for v in subspaces)
-    return Candidates(_flags(fc), tuple(subspaces), incidences, False, capped)
+    return Candidates(_flags(fc), tuple(subspaces), incidences, exact, capped)
 
 
 def _flags(fc: FilteredConfiguration) -> tuple[tuple[Subspace, ...], ...]:
@@ -353,7 +355,6 @@ def _verdict_from(
 def check_stability(
     fc: FilteredConfiguration,
     config: DivisorConfiguration,
-    mode: str = "auto",
     samples: int = 2000,
     seed: int = 0,
     depth: int = 3,
@@ -361,51 +362,40 @@ def check_stability(
 ) -> StabilityVerdict:
     """Decide stability of a flag configuration.
 
-    ``mode`` is one of ``"auto"``, ``"exact2"`` or ``"heuristic"``.  In
-    ``"auto"`` mode ranks 2 and 3 are decided exactly and without sampling,
-    by evaluating :func:`exact_candidates`, lines and (at rank 3) their dual
-    hyperplanes (verdict metadata mode ``"exact2"`` or ``"exact3"``);
-    ``"exact2"`` does the same but insists on rank 2.  Above rank 3, and in
-    ``"heuristic"`` mode, the check explores the flag-step closure
-    (:func:`closure_candidates`, ``depth`` rounds) plus ``samples`` seeded
-    random subspaces of every intermediate dimension; ``samples=0`` explores
-    the closure only.  Destabilizing witnesses it finds are exact, a stable
-    verdict is not.
+    The rank alone picks the method, through :func:`candidates_for`.  Rank 1
+    is vacuously stable (verdict metadata mode ``"vacuous"``).  Ranks 2 and
+    3 are decided exactly and without sampling, from a finite set of lines
+    and (at rank 3) hyperplanes (mode ``"exact2"`` or ``"exact3"``);
+    ``samples``, ``seed`` and ``depth`` are ignored there.  Above rank 3 the
+    check explores the flag-step closure (``depth`` rounds) plus ``samples``
+    seeded random subspaces of every intermediate dimension (mode
+    ``"heuristic"``); ``samples=0`` explores the closure only.
+    Destabilizing witnesses are exact at every rank; a stable verdict above
+    rank 3 is HEURISTIC.
 
-    ``candidates`` passes either set in prebuilt, at any rank, for instance
-    once per flag shape; with its stored graded incidences each candidate
-    costs one dot product.  It must have been built from the same flags,
-    component by component, and be of the kind ``mode`` needs at this rank
-    (exact or closure), or :class:`ShapeMismatchError` is raised.  A passed
-    closure keeps the depth it was built with.
+    ``candidates`` passes the set of :func:`candidates_for` prebuilt, for
+    instance once per flag shape; with its stored graded incidences each
+    candidate costs one dot product.  It must have been built from the same
+    flags, component by component, or :class:`ShapeMismatchError` is
+    raised.  A passed closure keeps the depth it was built with.
     """
     fc.check_degrees(config)
-    if mode not in ("auto", "exact2", "heuristic"):
-        raise ValueError(f"unknown stability mode {mode!r}")
     if samples < 0 or depth < 0:
         raise ValueError("samples and depth must be non-negative")
-    if mode == "exact2" and fc.rank != 2:
-        raise ShapeMismatchError("exact2 mode requires rank 2")
-
-    if fc.rank == 1:
-        # No proper nonzero subspaces exist; the condition holds vacuously.
-        return StabilityVerdict(
-            Status.STABLE, Certainty.EXACT, None, None, None, (),
-            {"mode": "vacuous"},
-        )
-
-    exact = mode == "exact2" or (mode == "auto" and fc.rank <= 3)
     if candidates is None:
-        candidates = exact_candidates(fc) if exact else closure_candidates(fc, depth)
+        candidates = candidates_for(fc, depth)
     elif candidates.flags != _flags(fc):
         raise ShapeMismatchError("candidates were built for other flags")
-    elif candidates.exact != exact:
-        kind = "an exact" if exact else "a closure"
-        raise ShapeMismatchError(f"{mode!r} mode at rank {fc.rank} needs {kind} candidate set")
 
     explored = list(candidates.subspaces)
     incidences = list(candidates.incidences)
-    if exact:
+    if candidates.exact:
+        if not explored:
+            # rank 1: no proper nonzero subspaces; the condition holds vacuously
+            return StabilityVerdict(
+                Status.STABLE, Certainty.EXACT, None, None, None, (),
+                {"mode": "vacuous"},
+            )
         metadata = {"mode": f"exact{fc.rank}", "explored": len(explored)}
     else:
         rng = random.Random(seed)
@@ -430,5 +420,5 @@ def check_stability(
         }
     coefficients, denominator = _degree_form(fc, config)
     numerators = [_dot(coefficients, x) for x in incidences]
-    certainty = Certainty.EXACT if exact else Certainty.HEURISTIC
+    certainty = Certainty.EXACT if candidates.exact else Certainty.HEURISTIC
     return _verdict_from(explored, numerators, denominator, certainty, metadata)

@@ -71,14 +71,6 @@ class DivisorConfiguration:
             if degree < 0:
                 raise InvariantError(f"component {self.names[i]!r} has negative degree")
 
-    def validate(self) -> bool:
-        """True iff all structural invariants hold."""
-        try:
-            self.check()
-        except InvariantError:
-            return False
-        return True
-
     def pairing(self, coefficients: Sequence[Fraction]) -> Fraction:
         """Self-intersection number of the cycle sum_i c_i * D_i."""
         coeffs = [Fraction(c) for c in coefficients]
@@ -183,13 +175,6 @@ class PlaneArrangement:
                     )
         if not names:
             raise InvariantError("arrangement has no curves")
-
-    def validate(self) -> bool:
-        try:
-            self.check()
-        except (InvariantError, CoverageError):
-            return False
-        return True
 
 
 def blow_up(arrangement: PlaneArrangement, epsilon: Fraction | int) -> DivisorConfiguration:

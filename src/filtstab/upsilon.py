@@ -51,9 +51,8 @@ from .stability import (
     Incidence,
     StabilityVerdict,
     Status,
+    candidates_for,
     check_stability,
-    closure_candidates,
-    exact_candidates,
 )
 from .surface import DivisorConfiguration
 
@@ -104,9 +103,9 @@ def stability_cone(shape: WeightShape, incidences: Sequence[Incidence]) -> ConeR
     is the parabolic degree of V by definition.  These rows come first, in
     the order of ``incidences``; then one row w_{i,s+1} - w_{i,s} per pair
     of adjacent steps.  With the incidences of
-    :func:`~filtstab.stability.exact_candidates` (ranks 2 and 3), weights
-    are stable exactly when they lie in the cone; with those of the
-    flag-step closure (higher rank), the cone contains the stable weights.
+    :func:`~filtstab.stability.candidates_for`, weights at ranks 2 and 3
+    are stable exactly when they lie in the cone; above, where the set is
+    the flag-step closure, the cone contains the stable weights.
     """
     rows = [
         tuple(degree * m for degree, mults in zip(shape.degrees, incidence) for m in mults)
@@ -445,7 +444,6 @@ def outer_search(
     An exactly stable candidate with negative c2 can only come from a bug
     and raises :class:`BGIViolationError`.
     """
-    config.check()
     for index, (name, degree) in enumerate(zip(config.names, config.degrees)):
         if degree == 0:
             raise DegenerateDegreeError(
@@ -572,7 +570,7 @@ def _solve_shape(
     qp = assemble_quadratics(shape_fc, config)
     shape = qp.shape
     # weight-independent, so built once for the cone and the final check
-    candidates = exact_candidates(shape_fc) or closure_candidates(shape_fc)
+    candidates = candidates_for(shape_fc)
     cone = stability_cone(shape, candidates.incidences)
     key = (qp, frozenset(cone))
     if key not in solved:
@@ -590,7 +588,7 @@ def _solve_shape(
     counts["proposals"] += 1
     candidate = _with_weights(shape_fc, shape, rationalized)
     verdict = check_stability(
-        candidate, config, mode="auto", samples=samples, seed=seed, candidates=candidates
+        candidate, config, samples=samples, seed=seed, candidates=candidates
     )
     counts[verdict.status.value] += 1
     if verdict.status is not Status.STABLE:

@@ -96,7 +96,7 @@ def test_criterion_3_bgi_harness():
     for _ in range(1000):
         config = random_realizable_config(rng)
         fc = random_balanced_configuration(rng, 2, config.n_components)
-        verdict = check_stability(fc, config, mode="exact2")
+        verdict = check_stability(fc, config)
         if verdict.status is Status.STABLE and verdict.certainty is Certainty.EXACT:
             stable_seen += 1
             assert c2_trivial(fc, config) >= 0, (
@@ -261,8 +261,9 @@ def test_criterion_8_rank2_oracle_vs_brute_force():
         n = rng.randint(1, 4)
         config = random_divisor_config(rng, n)
         fc = random_balanced_configuration(rng, 2, n, height=3)
-        verdict = check_stability(fc, config, mode="exact2")
+        verdict = check_stability(fc, config)
         status, best = brute_force_rank2(fc, config, height=5)
+        assert verdict.certainty is Certainty.EXACT
         assert verdict.status is status
         assert verdict.max_observed_degree == best
     elapsed = time.monotonic() - start

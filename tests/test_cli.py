@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import json
 import os
 import re
@@ -17,6 +18,7 @@ from filtstab.serialize import (
     input_document,
 )
 from filtstab.surface import DivisorConfiguration
+from helpers import three_planes
 
 
 def write_document(tmp_path, name, document):
@@ -127,24 +129,22 @@ def test_stability_command(tmp_path):
     assert verdict["max_observed_degree"] == "-1/2"
 
 
-def test_stability_heuristic_mode_allowed_on_rank2(tmp_path):
+def test_stability_mode_is_auto_only(tmp_path, capsys):
+    # the rank alone picks the method: a rank-2 document is decided exactly
     config, fc = three_generic_lines()
     path = write_document(tmp_path, "tgl.json", input_document(config, fc))
-    args = ["stability", "--input", path, "--stability-mode", "heuristic",
-            "--samples", "10", "--output", str(tmp_path / "v.json")]
-    assert main(args) == 0
-
-
-def test_stability_exact2_on_wrong_rank_exits_3(tmp_path, capsys):
-    from fractions import Fraction
-
-    from filtstab import DivisorConfiguration, FilteredConfiguration, Filtration
-
-    config = DivisorConfiguration(("C",), (Fraction(1),), ((1,),))
-    fc = FilteredConfiguration(3, (Filtration.trivial(3),))
-    path = write_document(tmp_path, "r3.json", input_document(config, fc))
-    assert main(["stability", "--input", path, "--stability-mode", "exact2"]) == 3
-    assert "validation error: --stability-mode: " in capsys.readouterr().err
+    out = tmp_path / "v.json"
+    for mode in ("heuristic", "exact2"):
+        args = ["stability", "--input", path, "--stability-mode", mode, "--samples", "10"]
+        assert main(args + ["--output", str(out)]) == 2
+        assert "--stability-mode: invalid choice" in capsys.readouterr().err
+        assert not out.exists()
+    args = ["stability", "--input", path, "--stability-mode", "auto", "--samples", "10"]
+    assert main(args + ["--output", str(out)]) == 0
+    report = read_report(out)
+    assert report["manifest"]["options"]["stability_mode"] == "auto"
+    assert report["result"]["verdict"]["certainty"] == "exact"
+    assert report["result"]["verdict"]["metadata"] == {"mode": "exact2", "explored": 4}
 
 
 def test_upsilon_no_stable_exits_4(tmp_path, capsys):
@@ -313,13 +313,13 @@ def test_upsilon_rank_other_than_the_document_exits_3(tmp_path, capsys):
     ],
 )
 def test_negative_count_exits_2(tmp_path, capsys, command, flag):
-    config, fc = three_generic_lines()
-    path = write_document(tmp_path, "tgl.json", input_document(config, fc))
-    argv = [command, "--input", path, "--quiet"]
     if command == "stability":
-        argv += ["--stability-mode", "heuristic"]
+        path = write_document(tmp_path, "planes.json", input_document(*three_planes()))
+        argv = [command, "--input", path, "--quiet"]
     else:
-        argv += ["--rank", "2", "--budget", "2"]
+        config, fc = three_generic_lines()
+        path = write_document(tmp_path, "tgl.json", input_document(config, fc))
+        argv = [command, "--input", path, "--quiet", "--rank", "2", "--budget", "2"]
     out = tmp_path / "report.json"
     assert main(argv + [flag, "-1", "--output", str(out)]) == 2
     assert f"{flag}: " in capsys.readouterr().err
@@ -327,13 +327,14 @@ def test_negative_count_exits_2(tmp_path, capsys, command, flag):
 
 
 def test_zero_counts_explore_the_closure_only(tmp_path):
-    config, fc = three_generic_lines()
-    path = write_document(tmp_path, "tgl.json", input_document(config, fc))
+    # rank 4: the three flag planes, not closed at depth 0
+    path = write_document(tmp_path, "planes.json", input_document(*three_planes()))
     out = tmp_path / "verdict.json"
-    argv = ["stability", "--input", path, "--stability-mode", "heuristic",
-            "--samples", "0", "--depth", "0", "--output", str(out)]
+    argv = ["stability", "--input", path, "--samples", "0", "--depth", "0",
+            "--output", str(out)]
     assert main(argv) == 0
     metadata = read_report(out)["result"]["verdict"]["metadata"]
+    assert metadata["mode"] == "heuristic"
     assert metadata["explored"] == metadata["closure_size"] == 3
 
 
@@ -412,6 +413,34 @@ def test_seed_env_variable(tmp_path, monkeypatch, capsys):
     assert read_report(out)["manifest"]["options"]["seed"] == 77
 
 
+@pytest.mark.parametrize("root", [0, "x", []], ids=["number", "string", "list"])
+def test_blowup_of_a_non_object_document_exits_2(tmp_path, capsys, root):
+    path = write_document(tmp_path, "root.json", root)
+    assert main(["blowup", "--input", path]) == 2
+    assert capsys.readouterr().err == "parse error: .: expected a top-level object\n"
+    path = write_document(tmp_path, "other.json", {"curves": []})
+    assert main(["blowup", "--input", path]) == 2
+    assert capsys.readouterr().err == "parse error: .: missing key 'arrangement'\n"
+
+
+@pytest.mark.parametrize("module", ["numpy", "scipy"])
+def test_upsilon_without_numpy_or_scipy_exits_2(tmp_path, capsys, monkeypatch, module):
+    real_find_spec = importlib.util.find_spec
+    monkeypatch.setattr(
+        importlib.util, "find_spec",
+        lambda name, *args: None if name == module else real_find_spec(name, *args),
+    )
+    config, _ = three_generic_lines()
+    path = write_document(tmp_path, "triangle.json", input_document(config))
+    out = tmp_path / "report.json"
+    argv = ["upsilon", "--input", path, "--rank", "2", "--budget", "2", "--quiet"]
+    assert main(argv + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"parse error: upsilon: {module} is not installed; the search's float solve needs it\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("epsilon", ["0", "5"])
 def test_blowup_epsilon_errors_exit_3_naming_the_flag(tmp_path, capsys, epsilon):
     document = {"arrangement": arrangement_to_doc(three_concurrent_lines())}
@@ -467,8 +496,21 @@ EMPTY_ARRANGEMENT = {"arrangement": {"curves": [], "points": []}}
         two_lines_with_tables(), ("system_data", "crossing_tables", 0, "components", 0), -1),
      "system_data.crossing_tables: crossing table given for non-crossing pair (-1, 1)"),
     (["blowup"], EMPTY_ARRANGEMENT, "arrangement: arrangement has no curves"),
+    (["chern"], with_value(two_lines_with_tables(), ("system_data", "rank"), 0),
+     "system_data.rank: rank must be positive"),
+    (["chern"], with_value(two_lines_with_tables(), ("system_data", "rank"), -1),
+     "system_data.rank: rank must be positive"),
+    (["chern"], with_value(two_lines_with_tables(), ("system_data", "rank"), 5),
+     "system_data.component_tables[0]: table sums to 2, expected rank 5"),
+    (["chern"], with_value(
+        two_lines_with_tables(), ("system_data", "component_tables", 1, 0, 1), 2),
+     "system_data.component_tables[1]: table sums to 3, expected rank 2"),
+    (["chern"], with_value(
+        two_lines_with_tables(), ("system_data", "crossing_tables", 0, "table", 0, 2), 2),
+     "system_data.crossing_tables[0]: table sums to 3, expected rank 2"),
 ], ids=["rank-0", "rank-negative", "table-missing", "pair-out-of-range", "pair-negative",
-        "no-curves"])
+        "no-curves", "system-rank-0", "system-rank-negative", "system-rank-unmatched",
+        "component-table-sum", "crossing-table-sum"])
 def test_structural_errors_exit_3_naming_their_element(tmp_path, capsys, argv, document, located):
     path = write_document(tmp_path, "bad.json", document)
     assert main(argv + ["--input", path]) == 3
@@ -522,19 +564,20 @@ def test_interleaved_calls_match_calls_run_alone(tmp_path):
     config, fc = three_generic_lines()
     tgl = write_document(tmp_path, "tgl.json", input_document(config, fc))
     triangle = write_document(tmp_path, "triangle.json", input_document(config))
+    planes = write_document(tmp_path, "planes.json", input_document(*three_planes()))
     arr = write_document(
         tmp_path, "arr.json", {"arrangement": arrangement_to_doc(three_concurrent_lines())}
     )
     upsilon = ["upsilon", "--input", triangle, "--rank", "2", "--budget", "2", "--quiet"]
     calls = [
         ["chern", "--input", tgl, "--format", "csv"],
-        ["stability", "--input", tgl, "--stability-mode", "heuristic", "--samples", "5",
-         "--seed", "4", "--depth", "1"],
+        ["stability", "--input", planes, "--samples", "5", "--seed", "4", "--depth", "1"],
         ["blowup", "--input", arr, "--epsilon", "1/7"],
         upsilon + ["--seed", "3", "--strategies", "random"],
         ["demo", "--quiet"],
         ["chern", "--input", tgl],
         ["stability", "--input", tgl],
+        ["stability", "--input", planes],
         ["blowup", "--input", arr],
         upsilon,
         ["demo", "--quiet", "--format", "csv"],

@@ -14,8 +14,8 @@ from filtstab import (
     Filtration,
     ShapeMismatchError,
     Subspace,
+    candidates_for,
     check_stability,
-    exact_candidates,
     joint_step_multiplicities,
     parabolic_degree,
     span,
@@ -133,7 +133,7 @@ def test_prebuilt_incidences_follow_reweighting(rank):
     for _ in range(5):
         config = random_divisor_config(rng, 3)
         fc = random_balanced_configuration(rng, rank, 3, nontrivial=True)
-        found = exact_candidates(fc)
+        found = candidates_for(fc)
         # graded incidences: dim gr_s(V) per step, zeros kept, summing to dim V
         assert found.incidences == tuple(
             tuple(f.step_mults(v) for f in fc.filtrations) for v in found.subspaces
@@ -166,7 +166,7 @@ def test_prebuilt_set_from_other_flags_rejected():
         return Filtration(2, ((top, line), (-top, full)))
 
     fc = FilteredConfiguration(2, (flag(e1, F(1, 2)), flag(e2, F(1, 4))))
-    found = exact_candidates(fc)
+    found = candidates_for(fc)
     assert check_stability(fc, config, candidates=found) == check_stability(fc, config)
     # the same set of flag steps, but on the other components
     swapped = FilteredConfiguration(2, (flag(e2, F(1, 2)), flag(e1, F(1, 4))))

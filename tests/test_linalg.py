@@ -92,6 +92,11 @@ class TestSpan:
             (Fraction(1), Fraction(0), Fraction(-3, 2)),
             (Fraction(0), Fraction(1), Fraction(9)),
         )
+        # integral entries are held as int, the others as Fraction
+        assert [[type(x) for x in row] for row in s.rows] == [
+            [int, int, Fraction], [int, int, int]
+        ]
+        assert s.sort_key() == (2, s.rows)
 
 
 class TestIntersectAndSum:

@@ -13,14 +13,13 @@ from filtstab import (
     ShapeMismatchError,
     Status,
     Subspace,
+    candidates_for,
     check_stability,
-    closure_candidates,
-    exact_candidates,
     parabolic_degree,
     span,
 )
 from filtstab.fixtures import three_generic_lines, two_lines
-from filtstab.stability import _closure, _generic_line
+from filtstab.stability import CLOSURE_CAP, _closure, _generic_line
 from helpers import (
     brute_force_rank2,
     brute_force_rank3,
@@ -28,6 +27,7 @@ from helpers import (
     random_balanced_filtration,
     random_balanced_weights_for,
     random_divisor_config,
+    random_subspace,
     reference_closure,
     reference_generic_hyperplane,
     three_planes,
@@ -49,6 +49,11 @@ def closed_under(combine, spaces):
 
 def proper_steps(fc):
     return {s for f in fc.filtrations for _, s in f.steps if 0 < s.dim < fc.rank}
+
+
+def closure(fc, depth=3, cap=CLOSURE_CAP):
+    """The flag-step closure at any rank; check_stability uses it above rank 3."""
+    return tuple(_closure(fc, depth, cap)[0])
 
 
 class TestParabolicDegree:
@@ -96,7 +101,7 @@ class TestCandidateSubspaces:
             ),
         )
         fc = FilteredConfiguration(3, (flag,))
-        found = closure_candidates(fc).subspaces
+        found = closure(fc)
         assert set(found) == {
             span([(1, 0, 0)], 3),
             span([(1, 0, 0), (0, 1, 0)], 3),
@@ -104,7 +109,7 @@ class TestCandidateSubspaces:
 
     def test_two_lines_closure(self):
         _, fc = two_lines()
-        found = closure_candidates(fc).subspaces
+        found = closure(fc)
         assert set(found) == {span([(1, 0)], 2), span([(0, 1)], 2)}
 
     def test_three_coordinate_planes(self):
@@ -117,7 +122,7 @@ class TestCandidateSubspaces:
             Filtration(3, ((F(1, 2), p), (F(-1, 2), Subspace.full(3)))) for p in planes
         )
         fc = FilteredConfiguration(3, flags)
-        found = set(closure_candidates(fc, depth=2).subspaces)
+        found = set(closure(fc, depth=2))
         expected = set(planes) | {
             span([(1, 0, 0)], 3),
             span([(0, 1, 0)], 3),
@@ -127,15 +132,15 @@ class TestCandidateSubspaces:
 
     def test_cap_is_respected(self):
         _, fc = three_generic_lines()
-        assert len(closure_candidates(fc, cap=2).subspaces) <= 2
+        assert len(closure(fc, cap=2)) <= 2
 
     def test_small_cap_drops_flag_steps(self):
         # three proper flag steps; the cap keeps the first in sort order only
         _, fc = three_planes()
         steps = sorted(proper_steps(fc), key=Subspace.sort_key)
         assert len(steps) == 3
-        assert closure_candidates(fc, depth=0, cap=1).subspaces == (steps[0],)
-        assert closure_candidates(fc, depth=0, cap=3).subspaces == tuple(steps)
+        assert closure(fc, depth=0, cap=1) == (steps[0],)
+        assert closure(fc, depth=0, cap=3) == tuple(steps)
 
     def test_closure_matches_naive_reference(self, monkeypatch):
         # only meets that the dimension formula leaves open are computed
@@ -161,15 +166,18 @@ class TestCandidateSubspaces:
 
 
     def test_sort_key_keeps_the_rational_order(self):
-        # the cached key holds integral entries as int; the order must stay
-        # that of (dim, Fraction RREF rows)
+        # RREF rows hold integral entries as int; the order must stay that
+        # of (dim, Fraction RREF rows)
         rng = random.Random(43)
         fractional = 0
         for n in (2, 3, 3, 4):
             flags = tuple(random_balanced_filtration(rng, 4, steps=4) for _ in range(n))
             fc = FilteredConfiguration(4, flags)
-            members = list(closure_candidates(fc, depth=2).subspaces)
-            reference = sorted(members, key=lambda s: (s.dim, s.rows))
+            members = list(candidates_for(fc, depth=2).subspaces)
+            reference = sorted(
+                members,
+                key=lambda s: (s.dim, tuple(tuple(F(x) for x in row) for row in s.rows)),
+            )
             assert members == reference
             rng.shuffle(members)
             assert sorted(members, key=Subspace.sort_key) == reference
@@ -233,7 +241,8 @@ class TestCheckStabilityRank2:
             n = rng.randint(1, 4)
             config = random_divisor_config(rng, n)
             fc = random_balanced_configuration(rng, 2, n, height=3)
-            verdict = check_stability(fc, config, mode="exact2")
+            verdict = check_stability(fc, config)
+            assert verdict.metadata["mode"] == "exact2"
             status, best = brute_force_rank2(fc, config, height=5)
             assert verdict.status is status
             assert verdict.max_observed_degree == best
@@ -247,12 +256,6 @@ class TestCheckStabilityGeneral:
         assert verdict.status is Status.STABLE
         assert verdict.certainty is Certainty.EXACT
         assert verdict.max_observed_degree is None
-
-    def test_exact2_needs_rank_two(self):
-        config = DivisorConfiguration(("C",), (F(1),), ((1,),))
-        fc = FilteredConfiguration(3, (Filtration.trivial(3),))
-        with pytest.raises(ShapeMismatchError):
-            check_stability(fc, config, mode="exact2")
 
     def test_degenerate_degree_rejected(self):
         config = DivisorConfiguration(("C",), (F(0),), ((1,),))
@@ -299,50 +302,47 @@ class TestCheckStabilityGeneral:
         assert verdict.certainty is Certainty.EXACT
         assert verdict.max_observed_degree == F(-1, 3)
 
-    @pytest.mark.parametrize(
-        "option", [{"samples": -1}, {"depth": -1}, {"cap": 0}]
-    )
+    @pytest.mark.parametrize("option", [{"samples": -1}, {"depth": -1}])
     def test_bad_exploration_counts_rejected(self, option):
-        # the closure cap is a parameter of the closure builder only
-        config, fc = three_generic_lines()
-        with pytest.raises(ValueError):
-            if "cap" in option:
-                closure_candidates(fc, **option)
-            else:
-                check_stability(fc, config, mode="heuristic", **option)
+        # rejected at every rank, also where the exact method ignores them
+        for config, fc in (three_generic_lines(), three_planes()):
+            with pytest.raises(ValueError):
+                check_stability(fc, config, **option)
+        if "depth" in option:
+            with pytest.raises(ValueError):
+                candidates_for(three_planes()[1], **option)
 
     def test_prebuilt_closure_at_rank_four(self):
         config, fc = three_planes()
-        found = closure_candidates(fc, depth=2)
+        found = candidates_for(fc, depth=2)
         assert not found.exact
         for samples, seed in ((0, 0), (30, 4)):
             prebuilt = check_stability(fc, config, samples=samples, seed=seed, candidates=found)
             assert prebuilt == check_stability(fc, config, samples=samples, seed=seed, depth=2)
 
     def test_candidates_of_the_wrong_kind_rejected(self):
-        config, fc = three_generic_lines()
-        with pytest.raises(ShapeMismatchError):
-            check_stability(fc, config, mode="heuristic", candidates=exact_candidates(fc))
+        # the rank of the flags fixes the kind of a set, so an exact set
+        # where a closure is due, or the reverse, comes from other flags
         rng = random.Random(87)
-        config3 = random_divisor_config(rng, 2)
-        fc3 = random_balanced_configuration(rng, 3, 2, nontrivial=True)
-        with pytest.raises(ShapeMismatchError):
-            check_stability(fc3, config3, candidates=closure_candidates(fc3))
-        assert check_stability(
-            fc3, config3, mode="heuristic", samples=0, candidates=closure_candidates(fc3)
-        ) == check_stability(fc3, config3, mode="heuristic", samples=0)
         config4, fc4 = three_planes()
+        fc3 = random_balanced_configuration(rng, 3, 3, nontrivial=True)
+        exact, closure = candidates_for(fc3), candidates_for(fc4)
+        assert exact.exact and not closure.exact
+        with pytest.raises(ShapeMismatchError):
+            check_stability(fc4, config4, candidates=exact)
+        with pytest.raises(ShapeMismatchError):
+            check_stability(fc3, config4, candidates=closure)
         other = FilteredConfiguration(4, fc4.filtrations[::-1])
         with pytest.raises(ShapeMismatchError):
-            check_stability(other, config4, candidates=closure_candidates(fc4))
+            check_stability(other, config4, candidates=closure)
 
     def test_heuristic_deterministic_in_seed(self):
         rng = random.Random(81)
         config = random_divisor_config(rng, 2)
-        fc = random_balanced_configuration(rng, 3, 2, nontrivial=True)
+        fc = random_balanced_configuration(rng, 4, 2, nontrivial=True)
         first = check_stability(fc, config, samples=60, seed=42)
-        second = check_stability(fc, config, samples=60, seed=42)
-        assert first == second
+        assert first.metadata["mode"] == "heuristic"
+        assert check_stability(fc, config, samples=60, seed=42) == first
 
 
 class TestCheckStabilityRank3:
@@ -350,7 +350,7 @@ class TestCheckStabilityRank3:
         # flags spanned by rows of height 1, so every flag step and every
         # meet and join of them has height <= 2 and is among the brute-force
         # subspaces
-        rng = random.Random(91)
+        rng, sampler = random.Random(91), random.Random(5)
         for _ in range(60):
             n = rng.randint(1, 4)
             config = random_divisor_config(rng, n)
@@ -358,10 +358,16 @@ class TestCheckStabilityRank3:
             verdict = check_stability(fc, config)
             assert verdict.certainty is Certainty.EXACT
             assert verdict.metadata["mode"] == "exact3"
-            sampled = check_stability(fc, config, mode="heuristic", samples=30, seed=5)
             status, best = brute_force_rank3(fc, config, height=2)
             assert verdict.max_observed_degree >= best
-            assert verdict.max_observed_degree >= sampled.max_observed_degree
+            # nor do the flag-step closure and random subspaces, which the
+            # sampled check explores above rank 3
+            sampled = list(closure(fc)) + [
+                random_subspace(sampler, 3, dim) for dim in (1, 2) for _ in range(30)
+            ]
+            assert verdict.max_observed_degree >= max(
+                parabolic_degree(v, fc, config) for v in sampled
+            )
             if best >= 0:
                 assert verdict.status is status
 
@@ -373,7 +379,7 @@ class TestCheckStabilityRank3:
                 rng, 3, n, height=rng.randint(1, 3), nontrivial=True
             )
             steps = proper_steps(fc)
-            found = exact_candidates(fc).subspaces
+            found = candidates_for(fc).subspaces
             lines = [c for c in found if c.dim == 1]
             planes = [c for c in found if c.dim == 2]
             assert len(lines) + len(planes) == len(found)
@@ -421,13 +427,13 @@ class TestCheckStabilityRank3:
                 hyperplane = reference_generic_hyperplane(member, steps)
                 assert _generic_line(member.annihilator(), annihilated).annihilator() == hyperplane
                 expected.add(hyperplane)
-            planes = {c for c in exact_candidates(fc).subspaces if c.dim == 2}
+            planes = {c for c in candidates_for(fc).subspaces if c.dim == 2}
             assert planes == expected
 
     def test_rank2_candidates_are_flag_lines_plus_one_generic_line(self):
         config, fc = three_generic_lines()
         flag_lines = sorted(proper_steps(fc), key=Subspace.sort_key)
-        found = exact_candidates(fc).subspaces
+        found = candidates_for(fc).subspaces
         assert list(found[:-1]) == flag_lines
         assert found[-1] not in flag_lines
         verdict = check_stability(fc, config)
@@ -452,7 +458,7 @@ class TestCheckStabilityRank3:
         assert verdict.certainty is Certainty.EXACT
         assert verdict.witness == span([(1, 0, 0)], 3)
         assert verdict.witness_degree == 0
-        found = exact_candidates(fc).subspaces
+        found = candidates_for(fc).subspaces
         assert [c for c in found if parabolic_degree(c, fc, config) == 0] == [verdict.witness]
         assert brute_force_rank3(fc, config, height=2) == (Status.SEMISTABLE, 0)
 
@@ -473,7 +479,7 @@ class TestCheckStabilityRank3:
         rng = random.Random(97)
         config = random_divisor_config(rng, 3)
         fc = random_balanced_configuration(rng, 3, 3, nontrivial=True)
-        found = exact_candidates(fc)
+        found = candidates_for(fc)
         for _ in range(5):
             reweighted = FilteredConfiguration(
                 3,
@@ -491,4 +497,6 @@ class TestCheckStabilityRank3:
 
     def test_no_exact_set_above_rank_three(self):
         rng = random.Random(99)
-        assert exact_candidates(random_balanced_configuration(rng, 4, 2)) is None
+        for rank in (1, 2, 3, 4, 5):
+            found = candidates_for(random_balanced_configuration(rng, rank, 2))
+            assert found.exact is (rank <= 3)

@@ -28,10 +28,10 @@ from filtstab import (
     blow_up,
     c2_number,
     c2_trivial,
+    candidates_for,
     canonical_weights,
     check_stability,
     derive_tables,
-    exact_candidates,
     inner_minimize,
     joint_step_multiplicities,
     norm_sq,
@@ -194,7 +194,7 @@ class TestInnerMinimize:
         config = DivisorConfiguration(("Q",), (F(2),), ((4,),))
         fc = FilteredConfiguration(2, (two_step(span([(1, 0)], 2)),))
         qp = assemble_quadratics(fc, config)
-        cone = stability_cone(qp.shape, exact_candidates(fc).incidences)
+        cone = stability_cone(qp.shape, candidates_for(fc).incidences)
         with pytest.raises(EmptyConeError):
             inner_minimize(qp, cone)
         with pytest.raises(NoStableConfigurationError) as info:
@@ -218,7 +218,7 @@ class TestInnerMinimize:
         config, fc = three_generic_lines()
         qp = assemble_quadratics(fc, config)
         assert qp.shape.seed_weights == canonical_weights(qp.shape)
-        cone = stability_cone(qp.shape, exact_candidates(fc).incidences)
+        cone = stability_cone(qp.shape, candidates_for(fc).incidences)
         inner_minimize(qp, cone)
         assert starts and len(set(starts)) == len(starts)
 
@@ -276,7 +276,7 @@ class TestStabilityCone:
     @pytest.mark.parametrize("rank", [2, 3])
     def test_candidate_rows_are_parabolic_degrees(self, rank):
         for config, fc in self.shapes(rank, 30, 401 + rank):
-            exact = exact_candidates(fc)
+            exact = candidates_for(fc)
             cone = stability_cone(shape_of(fc, config), exact.incidences)
             flat = tuple(w for f in fc.filtrations for w in f.weights())
             for subspace, row in zip(exact.subspaces, cone):
@@ -287,7 +287,7 @@ class TestStabilityCone:
     def test_all_rows_negative_exactly_when_stable(self, rank):
         verdicts = set()
         for config, fc in self.shapes(rank, 200, 503 + rank):
-            cone = stability_cone(shape_of(fc, config), exact_candidates(fc).incidences)
+            cone = stability_cone(shape_of(fc, config), candidates_for(fc).incidences)
             flat = tuple(w for f in fc.filtrations for w in f.weights())
             stable = check_stability(fc, config).status is Status.STABLE
             inside = all(sum(g * w for g, w in zip(row, flat)) < 0 for row in cone)
