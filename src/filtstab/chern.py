@@ -20,6 +20,7 @@ Both routes must agree exactly on balanced configurations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -94,6 +95,21 @@ def check_table_rank(table: GrSpectrum | CrossingTable, rank: int, label: str) -
     total = sum(entry[-1] for entry in table.entries)
     if total != rank:
         raise InvariantError(f"{label} sums to {total}, expected rank {rank}")
+
+
+def check_crossing_sides(table: CrossingTable, components: Sequence[GrSpectrum]) -> None:
+    """Raise :class:`InvariantError` unless both sides of ``table`` match their components.
+
+    A crossing table at a point of D_i ∩ D_j grades the fiber there jointly,
+    so its multiplicities summed weight by weight on the i side give
+    component table i, and on the j side component table j.
+    """
+    for side, index in enumerate(table.pair):
+        sums: Counter[Fraction] = Counter()
+        for entry in table.entries:
+            sums[entry[side]] += entry[2]
+        if tuple(sorted(sums.items(), reverse=True)) != components[index].entries:
+            raise InvariantError(f"side {index} does not add up to component table {index}")
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ from .serialize import (
 )
 from .stability import check_stability
 from .surface import blow_up, crossing_points
-from .upsilon import STRATEGIES, outer_search
+from .upsilon import outer_search
 
 SEED_ENV_VAR = "FILTSTAB_SEED"
 
@@ -185,15 +185,13 @@ def _check_counts(minimum: int, counts: Sequence[tuple[str, int]]) -> None:
 
 
 def _cmd_stability(args: argparse.Namespace) -> dict:
-    _check_counts(0, (("--samples", args.samples), ("--depth", args.depth)))
+    _check_counts(0, (("--samples", args.samples),))
     config, fc, _ = parse_config(_load_document(args.input))
     if fc is None:
         raise DocumentValidationError(
             "stability needs a filtered_configuration", "filtered_configuration"
         )
-    verdict = check_stability(
-        fc, config, samples=args.samples, seed=args.seed, depth=args.depth
-    )
+    verdict = check_stability(fc, config, samples=args.samples, seed=args.seed)
     return {"verdict": verdict_to_doc(verdict)}
 
 
@@ -217,13 +215,6 @@ def _cmd_upsilon(args: argparse.Namespace) -> dict:
         ("--max-denominator", args.max_denominator),
     ))
     _check_counts(0, (("--samples", args.samples),))
-    strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
-    if not strategies or not set(strategies) <= set(STRATEGIES):
-        raise DocumentParseError(
-            f"expected a comma-separated subset of {','.join(STRATEGIES)}, "
-            f"got {args.strategies!r}",
-            "--strategies",
-        )
     for module in ("numpy", "scipy"):  # imported by the float solve, on its first call
         if importlib.util.find_spec(module) is None:
             raise DocumentParseError(
@@ -234,11 +225,6 @@ def _cmd_upsilon(args: argparse.Namespace) -> dict:
         raise DocumentValidationError(
             f"rank {fc.rank} does not match --rank {args.rank}", "filtered_configuration.rank"
         )
-    if fc is None and "user" in strategies:
-        raise DocumentParseError("'user' needs a filtered_configuration", "--strategies")
-    supplied = (fc,) if fc is not None else ()
-    if fc is not None and "user" not in strategies:
-        strategies = strategies + ("user",)
 
     def progress(done: int, total: int, best: Optional[Fraction]) -> None:
         if args.quiet:
@@ -253,8 +239,7 @@ def _cmd_upsilon(args: argparse.Namespace) -> dict:
         rank=args.rank,
         budget=args.budget,
         seed=args.seed,
-        strategies=strategies,
-        supplied=supplied,
+        start=fc,
         max_denominator=args.max_denominator,
         samples=args.samples,
         progress=progress,
@@ -343,9 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         "random subspaces per dimension above rank 3; ranks 2 and 3 are exact and ignore it"
     ))
     stability.add_argument("--seed", type=int, default=None)
-    stability.add_argument("--depth", type=int, default=3, help=(
-        "rounds of the flag-step closure above rank 3; ranks 2 and 3 ignore it"
-    ))
     add_common(stability)
     stability.set_defaults(func=_cmd_stability)
 
@@ -356,10 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     upsilon.add_argument("--rank", type=int, required=True)
     upsilon.add_argument("--budget", type=int, default=200)
     upsilon.add_argument("--seed", type=int, default=None)
-    upsilon.add_argument(
-        "--strategies", default="random,coincident,generic",
-        help="comma-separated subset of random,coincident,generic,user",
-    )
     upsilon.add_argument("--samples", type=int, default=2000, help=(
         "random subspaces per dimension above rank 3; ranks 2 and 3 are exact and ignore it"
     ))

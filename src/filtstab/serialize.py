@@ -34,7 +34,9 @@ from collections.abc import Callable, Mapping
 from fractions import Fraction
 from typing import Any
 
-from .chern import ChernReport, CrossingTable, FilteredSystemData, check_table_rank
+from .chern import (
+    ChernReport, CrossingTable, FilteredSystemData, check_crossing_sides, check_table_rank,
+)
 from .errors import (
     DocumentError,
     DocumentParseError,
@@ -267,6 +269,9 @@ def system_data_from_doc(doc: Any, path: str) -> FilteredSystemData:
         with located(table_path):
             crossing_tables.append(CrossingTable(pair, entries))
             check_table_rank(crossing_tables[-1], rank, "table")
+            # pairs out of range are reported against the configuration later
+            if 0 <= pair[0] and pair[1] < len(component_tables):
+                check_crossing_sides(crossing_tables[-1], component_tables)
     with located(path):
         return FilteredSystemData(rank, tuple(component_tables), tuple(crossing_tables))
 

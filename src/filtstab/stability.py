@@ -54,6 +54,7 @@ Incidence = tuple[tuple[int, ...], ...]
 DegreeForm = tuple[tuple[int, ...], ...]
 
 CLOSURE_CAP = 512
+CLOSURE_DEPTH = 3
 # sampled subspaces are spanned by random integer rows with entries in [-5, 5]
 SAMPLE_HEIGHT = 5
 
@@ -274,27 +275,25 @@ def _exact_subspaces(fc: FilteredConfiguration) -> list[Subspace]:
     return subspaces
 
 
-def candidates_for(fc: FilteredConfiguration, depth: int = 3) -> Candidates:
+def candidates_for(fc: FilteredConfiguration) -> Candidates:
     """The candidate set that the rank of ``fc`` calls for.
 
     The rank alone picks the method.  Rank 1 has no proper nonzero
     subspace: an empty exact set, and stability holds vacuously.  Ranks 2
     and 3: the exact set of :func:`_exact_subspaces`.  Above rank 3, where
     no exact method is implemented: the proper flag steps closed under
-    pairwise intersection and sum, iterated at most ``depth`` times and
+    pairwise intersection and sum, :data:`CLOSURE_DEPTH` rounds at most,
     truncated at :data:`CLOSURE_CAP` members (``closure_capped``).  Closure
     members are kept in :meth:`~filtstab.linalg.Subspace.sort_key` order,
     smallest dimension first, so a cap below the number of proper flag
     steps drops flag steps too.  The set depends on the flags only and can
     be passed to :func:`check_stability` for every weighting of them.
     """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
     exact = fc.rank <= 3
     if exact:
         subspaces, capped = (_exact_subspaces(fc) if fc.rank > 1 else []), False
     else:
-        subspaces, capped = _closure(fc, depth, CLOSURE_CAP)
+        subspaces, capped = _closure(fc, CLOSURE_DEPTH, CLOSURE_CAP)
     incidences = tuple(_incidence(v, fc) for v in subspaces)
     return Candidates(_flags(fc), tuple(subspaces), incidences, exact, capped)
 
@@ -357,7 +356,6 @@ def check_stability(
     config: DivisorConfiguration,
     samples: int = 2000,
     seed: int = 0,
-    depth: int = 3,
     candidates: Optional[Candidates] = None,
 ) -> StabilityVerdict:
     """Decide stability of a flag configuration.
@@ -366,10 +364,10 @@ def check_stability(
     is vacuously stable (verdict metadata mode ``"vacuous"``).  Ranks 2 and
     3 are decided exactly and without sampling, from a finite set of lines
     and (at rank 3) hyperplanes (mode ``"exact2"`` or ``"exact3"``);
-    ``samples``, ``seed`` and ``depth`` are ignored there.  Above rank 3 the
-    check explores the flag-step closure (``depth`` rounds) plus ``samples``
-    seeded random subspaces of every intermediate dimension (mode
-    ``"heuristic"``); ``samples=0`` explores the closure only.
+    ``samples`` and ``seed`` are ignored there.  Above rank 3 the check
+    explores the flag-step closure (:data:`CLOSURE_DEPTH` rounds) plus
+    ``samples`` seeded random subspaces of every intermediate dimension
+    (mode ``"heuristic"``); ``samples=0`` explores the closure only.
     Destabilizing witnesses are exact at every rank; a stable verdict above
     rank 3 is HEURISTIC.
 
@@ -377,13 +375,13 @@ def check_stability(
     instance once per flag shape; with its stored graded incidences each
     candidate costs one dot product.  It must have been built from the same
     flags, component by component, or :class:`ShapeMismatchError` is
-    raised.  A passed closure keeps the depth it was built with.
+    raised.
     """
     fc.check_degrees(config)
-    if samples < 0 or depth < 0:
-        raise ValueError("samples and depth must be non-negative")
+    if samples < 0:
+        raise ValueError("samples must be non-negative")
     if candidates is None:
-        candidates = candidates_for(fc, depth)
+        candidates = candidates_for(fc)
     elif candidates.flags != _flags(fc):
         raise ShapeMismatchError("candidates were built for other flags")
 

@@ -46,6 +46,8 @@ class DivisorConfiguration:
         n = len(self.names)
         if n == 0:
             raise InvariantError("configuration has no components")
+        if len(set(self.names)) != n:
+            raise InvariantError("duplicate component names")
         if len(self.degrees) != n:
             raise InvariantError(
                 f"{len(self.degrees)} degrees for {n} components"
@@ -121,7 +123,9 @@ class PlaneArrangement:
     Curves meet transversally away from the marked points; each marked point
     lists the (two or more) curves through it.  Pairs may also meet at
     unmarked ordinary double points, so the number of marked points shared by
-    a pair can not exceed the product of its degrees.
+    a pair can not exceed the product of its degrees.  No curve is named
+    ``E_<id>`` for a marked point ``<id>``: :func:`blow_up` gives that name
+    to the point's exceptional curve.
     """
 
     curves: tuple[tuple[str, int], ...]
@@ -159,6 +163,12 @@ class PlaneArrangement:
                     raise InvariantError(
                         f"point {pid!r} references unknown curve {c!r}"
                     )
+            exceptional = f"E_{pid}"
+            if exceptional in degrees:
+                raise InvariantError(
+                    f"curve {exceptional!r} takes the name that blow_up gives "
+                    f"the exceptional curve of point {pid!r}"
+                )
         for a in range(len(self.curves)):
             for b in range(a + 1, len(self.curves)):
                 name_a, deg_a = self.curves[a]

@@ -8,13 +8,14 @@ the stable weights of a shape form an open polyhedral cone, built exactly
 once per shape (:func:`stability_cone`).  The inner problem is a generalized
 Rayleigh-quotient minimization over balance ∩ cone, solved in floating point
 and re-verified exactly after rationalizing the minimizer.  The outer loop
-walks a seeded stream of flag shapes, keeps the best configuration that
-certifies stable, and reports its ratio as an upper bound, next to the
-lower bound 0.  Distinct shapes often pose the same inner problem (at rank 2
-the forms and the cone depend only on which flag lines coincide), so a
-search solves and rationalizes once per distinct (quadratic pair, set of
-cone rows) and reuses that outcome; everything that reads the subspaces
-themselves still runs per shape.
+walks one stream of flag shapes (a given start first and once, then seeded
+random, coincident and generic shapes in turn), keeps the best
+configuration that certifies stable, and reports its ratio as an upper
+bound, next to the lower bound 0.  Distinct shapes often pose the same
+inner problem (at rank 2 the forms and the cone depend only on which flag
+lines coincide), so a search solves and rationalizes once per distinct
+(quadratic pair, set of cone rows) and reuses that outcome; everything that
+reads the subspaces themselves still runs per shape.
 
 Only :func:`inner_minimize` uses numpy and scipy, and it imports them in its
 body, so importing this module (and the package) loads neither.
@@ -26,6 +27,7 @@ degrees) needed to interpret them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -60,8 +62,8 @@ DEFAULT_MAX_DENOMINATOR = 64
 # random flags are spanned by integer rows with entries in [-7, 7]
 FLAG_HEIGHT = 7
 SLSQP_ITERATIONS = 200
-
-STRATEGIES = ("random", "coincident", "generic", "user")
+# the kinds of generated shapes, cycled in this order after the start
+SHAPE_KINDS = ("random", "coincident", "generic")
 
 
 def _half_steps(k: int) -> list[Fraction]:
@@ -370,39 +372,24 @@ def _generic_flag(rank: int, node: int) -> Filtration:
 
 
 def _make_shape(
-    strategy: str,
-    rng: random.Random,
-    rank: int,
-    n_components: int,
-    supplied: Sequence[FilteredConfiguration],
-    user_cursor: list[int],
+    kind: str, rng: random.Random, rank: int, n_components: int
 ) -> Optional[FilteredConfiguration]:
-    if strategy == "user":
-        if not supplied:
-            return None
-        fc = supplied[user_cursor[0] % len(supplied)]
-        user_cursor[0] += 1
-        return fc
     if rank == 1:
         return None
-    if strategy == "coincident":
+    if kind == "coincident":
         flag = _random_flag(rng, rank, min_steps=2)
         return FilteredConfiguration(rank, (flag,) * n_components)
-    if strategy == "generic":
+    if kind == "generic":
         nodes = rng.sample(range(-(3 * n_components), 3 * n_components + 1), n_components)
         flags = tuple(_generic_flag(rank, node) for node in nodes)
         return FilteredConfiguration(rank, flags)
-    if strategy == "random":
-        for _ in range(4):
-            flags = tuple(
-                _random_flag(rng, rank) for _ in range(n_components)
-            )
-            if any(len(f.steps) > 1 for f in flags):
-                return FilteredConfiguration(rank, flags)
-        forced = [_random_flag(rng, rank, min_steps=2)]
-        forced += [_random_flag(rng, rank) for _ in range(n_components - 1)]
-        return FilteredConfiguration(rank, tuple(forced))
-    raise ValueError(f"unknown strategy {strategy!r}")
+    for _ in range(4):
+        flags = tuple(_random_flag(rng, rank) for _ in range(n_components))
+        if any(len(f.steps) > 1 for f in flags):
+            return FilteredConfiguration(rank, flags)
+    forced = [_random_flag(rng, rank, min_steps=2)]
+    forced += [_random_flag(rng, rank) for _ in range(n_components - 1)]
+    return FilteredConfiguration(rank, tuple(forced))
 
 
 def _with_weights(
@@ -421,19 +408,20 @@ def outer_search(
     rank: int,
     budget: int,
     seed: int = 0,
-    strategies: Sequence[str] = ("random", "coincident", "generic"),
-    supplied: Sequence[FilteredConfiguration] = (),
+    start: Optional[FilteredConfiguration] = None,
     max_denominator: int = DEFAULT_MAX_DENOMINATOR,
     samples: int = 2000,
     progress: Optional[Callable[[int, int, Optional[Fraction]], None]] = None,
 ) -> UpsilonEstimate:
     """Estimate the minimal c2 / norm ratio over stable balanced flags.
 
-    Iterates a deterministic, seed-driven stream of flag shapes (so a larger
-    budget explores a superset and the best ratio is non-increasing in the
-    budget).  Each shape's candidate set, exact at ranks 2 and 3 and its
-    flag-step closure above, is built once and gives both the shape's cone
-    and the final check; shapes with an empty cone count as ``empty_cone``.
+    Walks ``budget`` flag shapes: ``start``, when given, first and once,
+    then random, coincident and generic shapes in turn from one
+    ``seed``-driven generator, so a larger budget explores a superset and
+    the best ratio is non-increasing in the budget.  Each shape's candidate
+    set, exact at ranks 2 and 3 and its flag-step closure above, is built
+    once and gives both the shape's cone and the final check; shapes with
+    an empty cone count as ``empty_cone``.
     The minimizer over the cone is rationalized at denominators up to
     ``max_denominator``, where it stays in the cone; both run once per
     distinct (quadratic pair, set of cone rows) in this call, and a shape
@@ -455,44 +443,23 @@ def outer_search(
         raise ValueError("budget must be at least 1")
     if rank < 1:
         raise ValueError("rank must be at least 1")
-    chosen = tuple(strategies)
-    for strategy in chosen:
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}")
-    if not chosen:
-        raise ValueError("at least one strategy is required")
-    if "user" in chosen and not supplied:
-        raise ValueError("strategy 'user' requires supplied configurations")
-    for fc in supplied:
-        if fc.rank != rank or len(fc.filtrations) != config.n_components:
-            raise ShapeMismatchError(
-                "supplied configuration does not match the rank or component count"
-            )
+    expected = (rank, config.n_components)
+    if start is not None and (start.rank, len(start.filtrations)) != expected:
+        raise ShapeMismatchError("the start does not match the rank or component count")
 
-    rng = random.Random(seed)
-    user_cursor = [0]
-    counts = {
-        "candidates": 0,
-        "proposals": 0,
-        "stable": 0,
-        "semistable": 0,
-        "unstable": 0,
-        "bgi_rejected": 0,
-        "skipped_trivial": 0,
-        "skipped_singular": 0,
-        "rounding_failures": 0,
-        "empty_cone": 0,
-        "solver_failures": 0,
-        "boundary_hits": 0,
-    }
+    counts = dict.fromkeys((
+        "candidates", "proposals", "stable", "semistable", "unstable", "bgi_rejected",
+        "skipped_trivial", "skipped_singular", "rounding_failures", "empty_cone",
+        "solver_failures", "boundary_hits",
+    ), 0)
 
     solved: dict = {}
     best: Optional[dict] = None
-    for index in range(budget):
-        strategy = chosen[index % len(chosen)]
-        shape_fc = _make_shape(
-            strategy, rng, rank, config.n_components, supplied, user_cursor
-        )
+    rng = random.Random(seed)
+    kinds = itertools.cycle(SHAPE_KINDS)
+    generated = (_make_shape(kind, rng, rank, config.n_components) for kind in kinds)
+    shapes = itertools.chain([start] if start is not None else [], generated)
+    for index, shape_fc in zip(range(budget), shapes):
         if shape_fc is None or shape_fc.is_trivial:
             counts["skipped_trivial"] += 1
         else:
@@ -507,12 +474,7 @@ def outer_search(
         if progress is not None:
             progress(index + 1, budget, best["ratio"] if best else None)
 
-    log: dict[str, object] = {
-        "budget": budget,
-        "seed": seed,
-        "strategies": ",".join(chosen),
-        **counts,
-    }
+    log: dict[str, object] = {"budget": budget, "seed": seed, **counts}
     if best is None:
         raise NoStableConfigurationError(
             "no stable configuration found within the budget", log

@@ -92,7 +92,7 @@ def test_file_errors_exit_2_naming_the_file(tmp_path, capsys, case):
         "unwritable output": (["chern", "--input", document, *unwritable], "--output"),
         "unwritable no-stable": (
             ["upsilon", "--input", document, "--rank", "2", "--budget", "2",
-             "--strategies", "coincident", "--quiet", *unwritable],
+             "--quiet", *unwritable],
             "--output",
         ),
     }[case]
@@ -234,6 +234,7 @@ def test_blowup_pipes_into_upsilon(tmp_path):
 
 
 def test_upsilon_uses_supplied_configuration(tmp_path):
+    # the document's configuration is the first shape tried, so budget 1 finds it
     config, fc = three_generic_lines()
     path = write_document(tmp_path, "with_fc.json", input_document(config, fc))
     out = tmp_path / "est.json"
@@ -242,39 +243,39 @@ def test_upsilon_uses_supplied_configuration(tmp_path):
             "upsilon",
             "--input", path,
             "--rank", "2",
-            "--budget", "3",
-            "--seed", "0",
-            "--strategies", "user",
+            "--budget", "1",
+            "--seed", "3",
             "--quiet",
             "--output", str(out),
         ]
     )
     assert code == 0
-    report = read_report(out)
-    assert report["result"]["search_log"]["strategies"] == "user"
-    assert report["result"]["verdict"]["status"] == "stable"
+    result = read_report(out)["result"]
+    assert result["ratio"] == "375/4114"
+    assert result["verdict"]["status"] == "stable"
+    assert result["verdict"]["certainty"] == "exact"
+    assert result["search_log"]["candidates"] == 1
 
 
-def test_upsilon_strategies_flag(tmp_path):
+def retired_flag_exits_2(tmp_path, capsys, argv, flag, value):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--quiet", "--output", str(out), flag, value]) == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_upsilon_strategies_flag(tmp_path, capsys):
+    # retired: the search tries the document's configuration, then one fixed stream
     config, _ = three_generic_lines()
     path = write_document(tmp_path, "triangle.json", input_document(config))
-    out = tmp_path / "est.json"
-    code = main(
-        [
-            "upsilon",
-            "--input", path,
-            "--rank", "2",
-            "--budget", "12",
-            "--seed", "4",
-            "--strategies", "random,generic",
-            "--quiet",
-            "--output", str(out),
-        ]
-    )
-    assert code == 0
-    report = read_report(out)
-    assert report["manifest"]["options"]["strategies"] == "random,generic"
-    assert report["result"]["search_log"]["strategies"] == "random,generic"
+    argv = ["upsilon", "--input", path, "--rank", "2", "--budget", "1"]
+    retired_flag_exits_2(tmp_path, capsys, argv, "--strategies", "random,generic")
+
+
+def test_stability_depth_flag(tmp_path, capsys):
+    # retired: the closure runs stability.CLOSURE_DEPTH rounds
+    path = write_document(tmp_path, "planes.json", input_document(*three_planes()))
+    retired_flag_exits_2(tmp_path, capsys, ["stability", "--input", path], "--depth", "0")
 
 
 @pytest.mark.parametrize(
@@ -282,8 +283,6 @@ def test_upsilon_strategies_flag(tmp_path):
     [
         ("--budget", "0"),
         ("--rank", "0"),
-        ("--strategies", "bogus"),
-        ("--strategies", "user"),
         ("--max-denominator", "0"),
     ],
 )
@@ -308,7 +307,6 @@ def test_upsilon_rank_other_than_the_document_exits_3(tmp_path, capsys):
     "command,flag",
     [
         ("stability", "--samples"),
-        ("stability", "--depth"),
         ("upsilon", "--samples"),
     ],
 )
@@ -327,11 +325,11 @@ def test_negative_count_exits_2(tmp_path, capsys, command, flag):
 
 
 def test_zero_counts_explore_the_closure_only(tmp_path):
-    # rank 4: the three flag planes, not closed at depth 0
+    # rank 4: the three flag planes, whose pairwise sums are the full space
+    # and meets zero, so the closure adds nothing
     path = write_document(tmp_path, "planes.json", input_document(*three_planes()))
     out = tmp_path / "verdict.json"
-    argv = ["stability", "--input", path, "--samples", "0", "--depth", "0",
-            "--output", str(out)]
+    argv = ["stability", "--input", path, "--samples", "0", "--output", str(out)]
     assert main(argv) == 0
     metadata = read_report(out)["result"]["verdict"]["metadata"]
     assert metadata["mode"] == "heuristic"
@@ -480,6 +478,11 @@ def element_paths(value, prefix=()):
 
 
 EMPTY_ARRANGEMENT = {"arrangement": {"curves": [], "points": []}}
+# a curve named like the exceptional curve of the marked point p
+EXCEPTIONAL_NAME_ARRANGEMENT = {"arrangement": {
+    "curves": [{"name": name, "degree": 1} for name in ("L1", "L2", "E_p")],
+    "points": [{"id": "p", "curves": ["L1", "L2"]}],
+}}
 
 
 @pytest.mark.parametrize("argv, document, located", [
@@ -508,9 +511,20 @@ EMPTY_ARRANGEMENT = {"arrangement": {"curves": [], "points": []}}
     (["chern"], with_value(
         two_lines_with_tables(), ("system_data", "crossing_tables", 0, "table", 0, 2), 2),
      "system_data.crossing_tables[0]: table sums to 3, expected rank 2"),
+    (["chern"], with_value(
+        two_lines_with_tables(), ("system_data", "crossing_tables", 0, "table"),
+        [["7", "-1/2", 1], ["3", "1/2", 1]]),
+     "system_data.crossing_tables[0]: side 0 does not add up to component table 0"),
+    (["chern"], with_value(two_lines_with_tables(), ("configuration", "components", 1, "name"),
+                           "L1"),
+     "configuration: duplicate component names"),
+    (["blowup"], EXCEPTIONAL_NAME_ARRANGEMENT,
+     "arrangement: curve 'E_p' takes the name that blow_up gives the exceptional curve "
+     "of point 'p'"),
 ], ids=["rank-0", "rank-negative", "table-missing", "pair-out-of-range", "pair-negative",
         "no-curves", "system-rank-0", "system-rank-negative", "system-rank-unmatched",
-        "component-table-sum", "crossing-table-sum"])
+        "component-table-sum", "crossing-table-sum", "crossing-table-sides",
+        "duplicate-names", "exceptional-name"])
 def test_structural_errors_exit_3_naming_their_element(tmp_path, capsys, argv, document, located):
     path = write_document(tmp_path, "bad.json", document)
     assert main(argv + ["--input", path]) == 3
@@ -571,9 +585,9 @@ def test_interleaved_calls_match_calls_run_alone(tmp_path):
     upsilon = ["upsilon", "--input", triangle, "--rank", "2", "--budget", "2", "--quiet"]
     calls = [
         ["chern", "--input", tgl, "--format", "csv"],
-        ["stability", "--input", planes, "--samples", "5", "--seed", "4", "--depth", "1"],
+        ["stability", "--input", planes, "--samples", "5", "--seed", "4"],
         ["blowup", "--input", arr, "--epsilon", "1/7"],
-        upsilon + ["--seed", "3", "--strategies", "random"],
+        upsilon + ["--seed", "3"],
         ["demo", "--quiet"],
         ["chern", "--input", tgl],
         ["stability", "--input", tgl],

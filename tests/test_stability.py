@@ -19,7 +19,7 @@ from filtstab import (
     span,
 )
 from filtstab.fixtures import three_generic_lines, two_lines
-from filtstab.stability import CLOSURE_CAP, _closure, _generic_line
+from filtstab.stability import CLOSURE_CAP, CLOSURE_DEPTH, _closure, _generic_line
 from helpers import (
     brute_force_rank2,
     brute_force_rank3,
@@ -51,7 +51,7 @@ def proper_steps(fc):
     return {s for f in fc.filtrations for _, s in f.steps if 0 < s.dim < fc.rank}
 
 
-def closure(fc, depth=3, cap=CLOSURE_CAP):
+def closure(fc, depth=CLOSURE_DEPTH, cap=CLOSURE_CAP):
     """The flag-step closure at any rank; check_stability uses it above rank 3."""
     return tuple(_closure(fc, depth, cap)[0])
 
@@ -173,7 +173,7 @@ class TestCandidateSubspaces:
         for n in (2, 3, 3, 4):
             flags = tuple(random_balanced_filtration(rng, 4, steps=4) for _ in range(n))
             fc = FilteredConfiguration(4, flags)
-            members = list(candidates_for(fc, depth=2).subspaces)
+            members = list(candidates_for(fc).subspaces)
             reference = sorted(
                 members,
                 key=lambda s: (s.dim, tuple(tuple(F(x) for x in row) for row in s.rows)),
@@ -302,23 +302,20 @@ class TestCheckStabilityGeneral:
         assert verdict.certainty is Certainty.EXACT
         assert verdict.max_observed_degree == F(-1, 3)
 
-    @pytest.mark.parametrize("option", [{"samples": -1}, {"depth": -1}])
+    @pytest.mark.parametrize("option", [{"samples": -1}])
     def test_bad_exploration_counts_rejected(self, option):
         # rejected at every rank, also where the exact method ignores them
         for config, fc in (three_generic_lines(), three_planes()):
             with pytest.raises(ValueError):
                 check_stability(fc, config, **option)
-        if "depth" in option:
-            with pytest.raises(ValueError):
-                candidates_for(three_planes()[1], **option)
 
     def test_prebuilt_closure_at_rank_four(self):
         config, fc = three_planes()
-        found = candidates_for(fc, depth=2)
+        found = candidates_for(fc)
         assert not found.exact
         for samples, seed in ((0, 0), (30, 4)):
             prebuilt = check_stability(fc, config, samples=samples, seed=seed, candidates=found)
-            assert prebuilt == check_stability(fc, config, samples=samples, seed=seed, depth=2)
+            assert prebuilt == check_stability(fc, config, samples=samples, seed=seed)
 
     def test_candidates_of_the_wrong_kind_rejected(self):
         # the rank of the flags fixes the kind of a set, so an exact set

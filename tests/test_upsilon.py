@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +53,13 @@ from helpers import (
 )
 
 F = Fraction
+
+
+def solve_shape(shape, config, counts, solved):
+    """One shape through the search's solve and check, at the default settings."""
+    return upsilon._solve_shape(
+        shape, config, counts, upsilon.DEFAULT_MAX_DENOMINATOR, 2000, 0, solved
+    )
 
 
 def two_step(line, top=F(1, 2)):
@@ -356,21 +364,31 @@ class TestOuterSearch:
         # degrees: every coincident shape has an empty stability cone.
         config, _ = three_generic_lines()
         for rank in (2, 3, 4):
-            with pytest.raises(NoStableConfigurationError) as info:
-                outer_search(
-                    config, rank=rank, budget=3, seed=1, strategies=("coincident",)
-                )
-            log = info.value.search_log
-            assert log["empty_cone"] == log["candidates"] == 3
+            rng, counts = random.Random(1), Counter()
+            for _ in range(3):
+                shape = upsilon._make_shape("coincident", rng, rank, config.n_components)
+                assert solve_shape(shape, config, counts, {}) is None
+            assert counts == {"empty_cone": 3}
 
     def test_user_supplied_shape(self):
+        # the start alone, at budget 1, is the triangle's best shape at seed 3
         config, fc = three_generic_lines()
-        estimate = outer_search(
-            config, rank=2, budget=3, seed=0, strategies=("user",), supplied=(fc,)
-        )
-        assert estimate.ratio <= F(1, 2)
+        estimate = outer_search(config, rank=2, budget=1, seed=3, start=fc)
+        assert estimate.ratio == F(375, 4114)
+        assert estimate.verdict.certainty is Certainty.EXACT
+        assert estimate.search_log["candidates"] == 1
         spaces = {f.steps[0][1] for f in estimate.configuration.filtrations}
         assert spaces == {f.steps[0][1] for f in fc.filtrations}
+
+    def test_the_start_is_tried_first_and_once(self):
+        # after the start, the stream is the one a search without a start walks
+        config, fc = three_generic_lines()
+
+        def counters(budget, start):
+            log = outer_search(config, rank=2, budget=budget, seed=3, start=start).search_log
+            return Counter({k: v for k, v in log.items() if k not in ("seed", "best_ratio")})
+
+        assert counters(40, fc) == counters(1, fc) + counters(39, None)
 
     def test_deterministic_for_fixed_seed(self):
         config, _ = three_generic_lines()
@@ -381,11 +399,12 @@ class TestOuterSearch:
         assert first.search_log == second.search_log
 
     def test_budget_monotonicity(self):
-        config, _ = three_generic_lines()
+        config, fc = three_generic_lines()
         ratios = []
         for budget in (10, 25, 40):
             try:
-                ratios.append(outer_search(config, rank=2, budget=budget, seed=29).ratio)
+                estimate = outer_search(config, rank=2, budget=budget, seed=29, start=fc)
+                ratios.append(estimate.ratio)
             except NoStableConfigurationError:
                 ratios.append(None)
         known = [r for r in ratios if r is not None]
@@ -417,10 +436,12 @@ class TestOuterSearch:
         with pytest.raises(DegenerateDegreeError):
             outer_search(config, rank=2, budget=2, seed=0)
 
-    def test_user_strategy_needs_supplied(self):
-        config, _ = three_generic_lines()
-        with pytest.raises(ValueError):
-            outer_search(config, rank=2, budget=2, seed=0, strategies=("user",))
+    def test_a_start_must_match_the_search(self):
+        config, fc = three_generic_lines()
+        with pytest.raises(ShapeMismatchError):
+            outer_search(config, rank=3, budget=2, seed=0, start=fc)
+        with pytest.raises(ShapeMismatchError):
+            outer_search(two_lines()[0], rank=2, budget=2, seed=0, start=fc)
 
     def test_rank3_search_is_exact(self):
         config, _ = three_generic_lines()
@@ -503,28 +524,32 @@ class TestSolveReuse:
         assert estimate.ratio == F(375, 4114)
         # every count stays per shape, reused solves included
         assert estimate.search_log == {
-            "budget": 40, "seed": 3, "strategies": "random,coincident,generic",
-            "candidates": 40, "proposals": 16, "stable": 16, "semistable": 0,
-            "unstable": 0, "bgi_rejected": 0, "skipped_trivial": 0,
+            "budget": 40, "seed": 3, "candidates": 40, "proposals": 16, "stable": 16,
+            "semistable": 0, "unstable": 0, "bgi_rejected": 0, "skipped_trivial": 0,
             "skipped_singular": 0, "rounding_failures": 0, "empty_cone": 24,
             "solver_failures": 0, "boundary_hits": 16, "best_ratio": "375/4114",
         }
 
     def test_a_reused_failure_is_counted_per_shape(self, solves):
         config, _ = three_generic_lines()
-        with pytest.raises(NoStableConfigurationError) as info:
-            outer_search(config, rank=2, budget=40, seed=3, strategies=("coincident",))
+        rng, counts, solved = random.Random(3), Counter(), {}
+        shapes = [
+            upsilon._make_shape("coincident", rng, 2, config.n_components) for _ in range(40)
+        ]
+        assert len(set(shapes)) > 1
+        for shape in shapes:
+            assert solve_shape(shape, config, counts, solved) is None
         assert len(solves) == 1
-        assert info.value.search_log["empty_cone"] == 40
+        assert counts == {"empty_cone": 40}
 
     def test_seed_weights_are_part_of_the_key(self, solves):
         config, fc = three_generic_lines()
         halved = fc.scale(F(1, 2))
-        estimate = outer_search(
-            config, rank=2, budget=4, seed=3, strategies=("user",), supplied=(fc, halved)
-        )
+        counts, solved = Counter(), {}
+        for shape in (fc, halved, fc, halved):
+            assert solve_shape(shape, config, counts, solved) is not None
         assert len(solves) == 2
-        assert estimate.search_log["proposals"] == 4
+        assert counts["proposals"] == 4
 
     def test_no_state_crosses_searches(self, solves):
         config, _ = three_generic_lines()
