@@ -292,6 +292,13 @@ def _manifest_options(args: argparse.Namespace) -> dict[str, Any]:
     return options
 
 
+def _retired(reason: str):
+    """An argparse type that rejects every value of a retired flag, saying why."""
+    def reject(value: str):
+        raise argparse.ArgumentTypeError(f"retired: {reason}")
+    return reject
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -328,6 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
         "random subspaces per dimension above rank 3; ranks 2 and 3 are exact and ignore it"
     ))
     stability.add_argument("--seed", type=int, default=None)
+    stability.add_argument(
+        "--depth", type=_retired("the closure runs a fixed number of rounds"),
+        default=argparse.SUPPRESS, help=argparse.SUPPRESS,
+    )
     add_common(stability)
     stability.set_defaults(func=_cmd_stability)
 
@@ -342,6 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
         "random subspaces per dimension above rank 3; ranks 2 and 3 are exact and ignore it"
     ))
     upsilon.add_argument("--max-denominator", type=int, default=64)
+    upsilon.add_argument(
+        "--strategies",
+        type=_retired("the search tries the document's configuration, then one fixed stream"),
+        default=argparse.SUPPRESS, help=argparse.SUPPRESS,
+    )
     add_common(upsilon)
     upsilon.set_defaults(func=_cmd_upsilon)
 

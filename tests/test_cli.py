@@ -260,7 +260,7 @@ def test_upsilon_uses_supplied_configuration(tmp_path):
 def retired_flag_exits_2(tmp_path, capsys, argv, flag, value):
     out = tmp_path / "report.json"
     assert main(argv + ["--quiet", "--output", str(out), flag, value]) == 2
-    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert f"argument {flag}: retired: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -283,6 +283,8 @@ def test_stability_depth_flag(tmp_path, capsys):
     [
         ("--budget", "0"),
         ("--rank", "0"),
+        ("--strategies", "bogus"),
+        ("--strategies", "user"),
         ("--max-denominator", "0"),
     ],
 )
