@@ -255,8 +255,9 @@ class QuadraticPair:
     For weights w on the shape's slots, c2 = -1/2 * sum k * w_p * w_q over
     the ``terms`` (p, q, k), which are sorted, have p <= q and a nonzero
     integer k, and name each slot pair at most once, so two pairs are equal
-    exactly when their forms are.  The balance rows cut out the admissible
-    w.
+    exactly when their forms are.  The admissible w satisfy one balance
+    constraint per component, sum_s m_s w_s = 0 over the step
+    multiplicities m_s recorded in the shape.
     """
 
     shape: WeightShape
@@ -269,16 +270,6 @@ class QuadraticPair:
         n = [x.numerator * (common // x.denominator) for x in w]
         total = sum(k * n[p] * n[q] for p, q, k in self.terms)
         return Fraction(-total, 2 * common * common)
-
-    @property
-    def balance(self) -> tuple[tuple[int, ...], ...]:
-        """One row per component, its step multiplicities: row . w = 0 is balance."""
-        rows = []
-        for offset, mults in zip(self.shape.offsets, self.shape.mults):
-            row = [0] * self.shape.size
-            row[offset : offset + len(mults)] = mults
-            rows.append(tuple(row))
-        return tuple(rows)
 
     def a_float(self) -> np.ndarray:
         """The symmetric matrix A with w^T A w = c2: -k/2 on the diagonal, -k/4 off it.

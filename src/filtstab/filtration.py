@@ -8,12 +8,14 @@ piece gr_a = F_a / F_{>a} is nonzero exactly at the step weights.
 
 Everything a subspace V sees of a flag is its graded incidence, the
 multiplicities m_s = dim gr_s(V) of the flag induced on V, one per step s
-and zeros kept.  :meth:`Filtration.step_mults` reads them from one integer
-elimination against functionals adapted to the flag
-(:class:`~filtstab.linalg.ChainIncidence`), built once per flag and shared
-by every reweighting of it.  The induced graded dimensions are the nonzero
-entries, and the joint step multiplicities of two flags are the graded
-incidences of one flag's steps in the other, differenced along the first.
+and zeros kept.  :meth:`Filtration.step_mults` reads them from the rank of
+the pairings of V's basis with integer functionals adapted to the flag
+(:class:`~filtstab.linalg.ChainIncidence`), grown one functional at a time
+and stopped once it reaches dim V.  The functionals are built once per flag
+and shared by every reweighting of it.  The induced graded dimensions are
+the nonzero entries, and the joint step multiplicities of two flags are the
+graded incidences of one flag's steps in the other, differenced along the
+first.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ class Filtration:
         return ChainIncidence.of(self.spaces())
 
     def step_mults(self, subspace: Subspace) -> tuple[int, ...]:
-        """dim gr_s(V) of the flag induced on V, for every step s (one elimination).
+        """dim gr_s(V) of the flag induced on V, for every step s (one rank).
 
         The first differences of dim(V ∩ F_s); zeros are kept, and the
         entries sum to dim V.

@@ -4,11 +4,12 @@ A subspace of Q^r is stored by its canonical integer basis: the rows of its
 reduced row echelon form, each scaled to coprime integers with a positive
 pivot.  Two subspaces are equal exactly when their stored bases are
 identical, so they can be hashed, deduplicated and compared
-deterministically.  All kernels run through one fraction-free integer
-elimination; ``Fraction`` appears only where input rows are scaled to
-integers and where the rational echelon rows are derived for output.
-:class:`ChainIncidence` uses the same elimination to read off the
-intersection dimensions of a subspace with every member of a flag at once.
+deterministically.  The subspace kernels run through one fraction-free
+integer elimination; ``Fraction`` appears only where input rows are scaled
+to integers and where the rational echelon rows are derived for output.
+:class:`ChainIncidence` reads off the intersection dimensions of a
+subspace with every member of a flag at once from a rank alone, grown one
+column at a time and stopped once it is full, without a canonical basis.
 """
 from __future__ import annotations
 
@@ -166,10 +167,6 @@ class Subspace:
     def is_full(self) -> bool:
         return len(self.basis) == self.ambient_dim
 
-    def contains_vector(self, vector: Sequence) -> bool:
-        row = _integer_row(vector, self.ambient_dim)
-        return len(_eliminate(self.basis + (row,), self.ambient_dim)) == self.dim
-
     def contains(self, other: "Subspace") -> bool:
         if other.dim >= self.dim:
             # a subspace contains one of at least its dimension only if equal
@@ -266,22 +263,44 @@ def span(rows: Iterable[Sequence], ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, _eliminate(integer_rows, ambient_dim))
 
 
+def sorted_subspaces(spaces: Iterable[Subspace]) -> list[Subspace]:
+    """``spaces`` in :meth:`Subspace.sort_key` order, compared as integers.
+
+    Every basis row is scaled by ``L // pivot``, where L is the lcm of the
+    pivot entries over the whole set.  That is each reduced row echelon row
+    times the same positive L, so (dim, scaled rows) orders the set exactly
+    as the rational key does, without a ``Fraction`` comparison.
+    """
+    members = list(spaces)
+    leads = [[next(x for x in row if x) for row in space.basis] for space in members]
+    scale = lcm(*(lead for row_leads in leads for lead in row_leads))
+    keys = [
+        (space.dim, tuple(
+            tuple(x * (scale // lead) for x in row)
+            for row, lead in zip(space.basis, row_leads)
+        ))
+        for space, row_leads in zip(members, leads)
+    ]
+    order = sorted(range(len(members)), key=keys.__getitem__)
+    return [members[i] for i in order]
+
+
 @dataclass(frozen=True)
 class ChainIncidence:
-    """One elimination per subspace for its meets with every member of a chain.
+    """The meets of a subspace with every member of a chain, rank by rank.
 
-    For an increasing chain S_1 < ... < S_k of subspaces of Q^r,
+    For an increasing chain S_1 <= ... <= S_k of subspaces of Q^r,
     ``functionals`` are integer rows psi_1, psi_2, ... such that the first
     ``codims[s] = r - dim S_s`` of them span the annihilator of S_s: the
-    :meth:`Subspace.normals` of S_{k-1}, then those of S_{k-2} at the free
-    columns that are pivots of S_{k-1}, and so on.  Pivot columns only
+    :meth:`Subspace.normals` of S_k, then those of S_{k-1} at the free
+    columns that are pivots of S_k, and so on.  Pivot columns only
     grow along the chain, and each normal of S_s is zero at the other free
     columns of S_s, so the rows are triangular on the free columns and
     independent.  Then
     dim(V ∩ S_s) is dim V minus the rank of the first ``codims[s]`` columns
-    of the matrix (psi_j . b) over the canonical basis rows b of V, and that
-    rank is the number of pivot columns below ``codims[s]`` after one
-    elimination of the whole matrix.
+    of the matrix (psi_j . b) over the canonical basis rows b of V.
+    :meth:`intersection_dims` grows that rank one column at a time and
+    stops once it reaches dim V.
     """
 
     ambient_dim: int
@@ -300,15 +319,36 @@ class ChainIncidence:
         return cls(n, tuple(n - space.dim for space in chain), tuple(functionals))
 
     def intersection_dims(self, subspace: Subspace) -> tuple[int, ...]:
-        """dim(subspace ∩ S_s) for every member S_s of the chain, in order."""
+        """dim(subspace ∩ S_s) for every member S_s of the chain, in order.
+
+        Forward fraction-free elimination on the columns (psi_j . b)_b: each
+        new column is cleared at the pivot rows of the columns kept so far,
+        ``lead * column - entry * kept``, and kept if anything is left.  No
+        content is divided out and nothing is back-substituted, since only
+        the rank is read.  Columns past the one where the rank reaches
+        dim V are never computed, so a line costs one column up to its first
+        nonzero pairing.
+        """
         if subspace.ambient_dim != self.ambient_dim:
             raise DimensionMismatchError(
                 f"subspace in Q^{subspace.ambient_dim}, chain in Q^{self.ambient_dim}"
             )
-        values = [
-            [sum(map(mul, psi, row)) for psi in self.functionals]
-            for row in subspace.basis
-        ]
-        reduced = _eliminate(values, len(self.functionals))
-        pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
-        return tuple(subspace.dim - bisect_left(pivots, c) for c in self.codims)
+        basis = subspace.basis
+        dim = len(basis)
+        grew: list[int] = []  # the indices of the columns that raised the rank
+        kept: list[tuple[int, list[int]]] = []  # (pivot row, reduced column)
+        for j, psi in enumerate(self.functionals):
+            if len(kept) == dim:
+                break
+            column = [sum(map(mul, psi, row)) for row in basis]
+            for pivot, vector in kept:
+                entry = column[pivot]
+                if entry:
+                    lead = vector[pivot]
+                    column = [lead * x - entry * y for x, y in zip(column, vector)]
+            for pivot, x in enumerate(column):
+                if x:
+                    kept.append((pivot, column))
+                    grew.append(j)
+                    break
+        return tuple(dim - bisect_left(grew, c) for c in self.codims)

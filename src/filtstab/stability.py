@@ -21,7 +21,7 @@ picks between the two.
 
 Degrees are evaluated as integer dot products.  A subspace V enters only
 through its graded incidence m_{i,s} = dim gr_s(V), the multiplicities of
-the flag F_i induced on V (one elimination per flag, see
+the flag F_i induced on V (one rank per flag, grown column by column, see
 :meth:`~filtstab.filtration.Filtration.step_mults`), and the degree is
 sum_{i,s} K_{i,s} m_{i,s} / L with integers K_{i,s} = L deg(D_i) a_{i,s}
 over one common denominator L.  The incidences do not depend on the
@@ -46,7 +46,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .filtration import FilteredConfiguration
-from .linalg import Subspace, span
+from .linalg import Subspace, sorted_subspaces, span
 from .surface import DivisorConfiguration
 
 # per component i and step s: dim gr_s(V) for F_i, or an integer coefficient K_{i,s}
@@ -166,7 +166,7 @@ def _closure(
     capped = False
     for _ in range(depth):
         fresh: set[Subspace] = set()
-        ordered = sorted(current, key=Subspace.sort_key)
+        ordered = sorted_subspaces(current)
         for a_index, a in enumerate(ordered):
             for b in ordered[a_index + 1:]:
                 join = a + b
@@ -188,7 +188,7 @@ def _closure(
             current |= fresh
             break
         current |= fresh
-    ordered = sorted(current, key=Subspace.sort_key)
+    ordered = sorted_subspaces(current)
     if len(ordered) > cap:
         ordered = ordered[:cap]
         capped = True

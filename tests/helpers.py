@@ -135,6 +135,17 @@ def random_balanced_weights_for(rng: random.Random, filt: Filtration) -> list[Fr
     return [Fraction(n * rank - offset, 12) for n in numerators]
 
 
+def balance_rows(shape) -> list[tuple[int, ...]]:
+    """One row per component of a weight shape, its step multiplicities in
+    its slots: row . w = 0 is that component's balance constraint."""
+    rows = []
+    for offset, mults in zip(shape.offsets, shape.mults):
+        row = [0] * shape.size
+        row[offset : offset + len(mults)] = mults
+        rows.append(tuple(row))
+    return rows
+
+
 def reference_balance_nullspace(qp) -> list[tuple[Fraction, ...]]:
     """Basis of the balance subspace of a quadratic pair, by elimination.
 
@@ -142,7 +153,7 @@ def reference_balance_nullspace(qp) -> list[tuple[Fraction, ...]]:
     per free column, in column order.
     """
     size = qp.shape.size
-    reduced = span(qp.balance, size).rows
+    reduced = span(balance_rows(qp.shape), size).rows
     pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
     basis = []
     for free in (c for c in range(size) if c not in pivots):

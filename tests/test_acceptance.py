@@ -31,6 +31,7 @@ from filtstab.fixtures import three_concurrent_lines, three_generic_lines, two_l
 from filtstab.serialize import canonical_json, input_document
 from filtstab.surface import blow_up
 from helpers import (
+    balance_rows,
     brute_force_rank2,
     console_script_command,
     random_balanced_configuration,
@@ -214,7 +215,7 @@ def _two_parameter_instance(rng: random.Random):
 
 def _grid_minimum(qp, points: int) -> float:
     """Independent oracle: sweep directions of the 2D balance subspace."""
-    balance = np.array([[float(x) for x in row] for row in qp.balance])
+    balance = np.array([[float(x) for x in row] for row in balance_rows(qp.shape)])
     basis = null_space(balance)
     assert basis.shape[1] == 2
     u1, u2 = basis[:, 0], basis[:, 1]

@@ -21,11 +21,13 @@ from filtstab import (
     span,
 )
 from filtstab.linalg import ChainIncidence
+from filtstab.surface import PlaneArrangement, blow_up
 from helpers import (
     random_balanced_configuration,
     random_balanced_filtration,
     random_balanced_weights_for,
     random_divisor_config,
+    random_invertible_rows,
     random_subspace,
     reference_induced_degree_vector,
     reference_joint_step_multiplicities,
@@ -36,9 +38,9 @@ from helpers import (
 F = Fraction
 
 
-def _flag(rng: random.Random, rank: int, steps: int) -> Filtration:
+def _flag(rng: random.Random, rank: int, steps: int, height: int = 2) -> Filtration:
     """A random flag with ``steps`` steps and random strictly decreasing weights."""
-    flag = random_balanced_filtration(rng, rank, height=2, steps=steps)
+    flag = random_balanced_filtration(rng, rank, height=height, steps=steps)
     weights = sorted(
         {F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(3 * steps)},
         reverse=True,
@@ -48,10 +50,11 @@ def _flag(rng: random.Random, rank: int, steps: int) -> Filtration:
     return flag.with_weights(sorted(rng.sample(weights, steps), reverse=True))
 
 
-def _candidates(rng: random.Random, fc: FilteredConfiguration) -> list[Subspace]:
-    """Random subspaces of every dimension, the flag steps, and their meets and sums."""
+def _candidates(rng: random.Random, fc: FilteredConfiguration, height: int) -> list[Subspace]:
+    """Random subspaces of every dimension (zero and full included), the flag
+    steps, and their meets and sums."""
     n = fc.rank
-    found = [random_subspace(rng, n, dim, height=2) for dim in range(n + 1)]
+    found = [random_subspace(rng, n, dim, height=height) for dim in range(n + 1)]
     steps = sorted({s for f in fc.filtrations for s in f.spaces()}, key=Subspace.sort_key)
     found += steps
     for a in steps:
@@ -62,21 +65,25 @@ def _candidates(rng: random.Random, fc: FilteredConfiguration) -> list[Subspace]
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.integers(1, 5),
+    st.integers(1, 6),
     st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    st.sampled_from((2, 10**6)),
     st.integers(0, 2**32),
 )
-def test_kernel_matches_per_step_reference(rank, degree_numerators, seed):
-    # trivial flags (one step) and zero-degree components both occur
+def test_kernel_matches_per_step_reference(rank, degree_numerators, height, seed):
+    # trivial flags (one step), zero-degree components, steps shared by
+    # several flags and entries up to 10^6 all occur
     rng = random.Random(seed)
-    flags = tuple(_flag(rng, rank, rng.randint(1, rank)) for _ in degree_numerators)
+    flags = tuple(
+        _flag(rng, rank, rng.randint(1, rank), height) for _ in degree_numerators
+    )
     fc = FilteredConfiguration(rank, flags)
     n = len(flags)
     degrees = tuple(F(d, rng.randint(1, 3)) for d in degree_numerators)
     config = DivisorConfiguration(
         tuple(f"C{i}" for i in range(n)), degrees, tuple((1,) * n for _ in range(n))
     )
-    for v in _candidates(rng, fc):
+    for v in _candidates(rng, fc, height):
         for filt in flags:
             dims = [v.intersection_dim(s) for s in filt.spaces()]
             assert filt.step_mults(v) == tuple(
@@ -88,6 +95,25 @@ def test_kernel_matches_per_step_reference(rank, degree_numerators, seed):
     for f in flags:
         for g in flags:
             assert joint_step_multiplicities(f, g) == reference_joint_step_multiplicities(f, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.sampled_from((1, 3, 10**6)), st.integers(0, 2**32))
+def test_chain_meets_match_intersection_dims(rank, height, seed):
+    # a weakly increasing chain: the zero space, repeated members and a top
+    # below the full space all occur
+    rng = random.Random(seed)
+    rows = random_invertible_rows(rng, rank, height)
+    dims = sorted(rng.randint(0, rank) for _ in range(rng.randint(1, rank + 1)))
+    chain = [span(rows[:d], rank) for d in dims]
+    kernel = ChainIncidence.of(chain)
+    assert kernel.codims == tuple(rank - d for d in dims)
+    probes = [Subspace.zero(rank), Subspace.full(rank), *chain]
+    probes += [random_subspace(rng, rank, d, height) for d in range(rank + 1)]
+    # subspaces of chain members, which meet the members below them partly
+    probes += [span(rows[: d // 2] + [rows[d - 1]], rank) for d in dims if d]
+    for v in probes:
+        assert kernel.intersection_dims(v) == tuple(v.intersection_dim(s) for s in chain)
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,6 +151,58 @@ def test_three_planes_transversal_has_degree_zero():
         assert filt.step_mults(w) == (1, 1)
     assert parabolic_degree(w, fc, config) == 0
     assert reference_parabolic_degree(w, fc, config) == 0
+
+
+def _blown_up_r4(seed: int, full: bool) -> tuple[DivisorConfiguration, FilteredConfiguration]:
+    """Five lines with triple points p0 and p1, blown up: seven components.
+
+    The exceptional curves carry two-step flags; the lines carry full flags,
+    or flags of two to four steps when ``full`` is false.
+    """
+    arrangement = PlaneArrangement(
+        tuple((f"L{i}", 1) for i in range(5)),
+        (("p0", ("L0", "L1", "L2")), ("p1", ("L0", "L3", "L4"))),
+    )
+    config = blow_up(arrangement, F(1, 10))
+    rng = random.Random(seed)
+    flags = tuple(
+        random_balanced_filtration(
+            rng, 4, height=3,
+            steps=2 if name.startswith("E_") else 4 if full else rng.choice((2, 3, 4)),
+        )
+        for name in config.names
+    )
+    return config, FilteredConfiguration(4, flags)
+
+
+# (status, witness basis, maximal degree, explored, closure size, distinct
+# degrees) at samples=200, seed=5, as computed by the full elimination per
+# flag that the column-by-column rank replaced
+RANK4_PINNED = {
+    "three_planes": ("STABLE", None, F(-1, 2), 600, 3, 5),
+    "full-1": ("STABLE", None, F(-211, 120), 1107, 512, 103),
+    "mixed-14": ("UNSTABLE", ((3, 0, 8, -3), (0, 1, 2, -2)), F(2, 3), 1109, 512, 64),
+    "mixed-31": ("UNSTABLE", ((9, 158, 122, 237),), F(1, 6), 1109, 512, 62),
+    "mixed-39": ("SEMISTABLE", ((2, 0, -1, 0),), F(0), 1109, 512, 48),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK4_PINNED))
+def test_rank4_verdicts_are_pinned(name):
+    if name == "three_planes":
+        config, fc = three_planes()
+    else:
+        kind, seed = name.split("-")
+        config, fc = _blown_up_r4(int(seed), kind == "full")
+    verdict = check_stability(fc, config, samples=200, seed=5)
+    status, witness, degree, explored, closure_size, distinct = RANK4_PINNED[name]
+    assert verdict.status.name == status
+    assert (verdict.witness.basis if verdict.witness else None) == witness
+    assert verdict.max_observed_degree == degree
+    assert verdict.metadata["explored"] == explored
+    assert verdict.metadata["closure_size"] == closure_size
+    assert verdict.metadata["closure_capped"] == (closure_size == 512)
+    assert len(verdict.observed_degrees) == distinct
 
 
 @pytest.mark.parametrize("rank", [2, 3])

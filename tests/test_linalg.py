@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,9 @@ from filtstab import (
     rational_to_string,
     span,
 )
+from filtstab.linalg import sorted_subspaces
 
-from helpers import reference_intersection, reference_rref
+from helpers import random_subspace, reference_intersection, reference_rref
 
 
 class TestRationalLiterals:
@@ -196,9 +198,8 @@ def test_annihilator(subspace):
 
 def test_membership_and_containment():
     plane = span([(1, 0, 1), (0, 1, 1)], 3)
-    assert plane.contains_vector((1, 1, 2))
-    assert not plane.contains_vector((0, 0, 1))
     assert plane.contains(span([(1, 1, 2)], 3))
+    assert not plane.contains(span([(0, 0, 1)], 3))
     assert Subspace.full(3).contains(plane)
     assert plane.contains(Subspace.zero(3))
 
@@ -237,7 +238,22 @@ def test_kernel_matches_fraction_reference(data):
     inside = [sum(column) for column in zip(*rows_a)] or [0] * n
     for v in (vector, inside):
         in_a = len(reference_rref(ref_a + (tuple(v),), n)) == len(ref_a)
-        assert a.contains_vector(v) == in_a
+        assert a.contains(span([v], n)) == in_a
 
     assert (a.sort_key() < b.sort_key()) == ((len(ref_a), ref_a) < (len(ref_b), ref_b))
     assert (a == b) == (ref_a == ref_b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 40), st.integers(0, 2**32))
+def test_integer_sort_keeps_the_rational_order(n, size, seed):
+    # mixed dimensions, fractional RREF entries and pivots of many sizes
+    rng = random.Random(seed)
+    members = {
+        random_subspace(rng, n, rng.randint(0, n), height=rng.choice((1, 3, 50)))
+        for _ in range(size)
+    }
+    members = list(members)
+    rng.shuffle(members)
+    assert sorted_subspaces(members) == sorted(members, key=Subspace.sort_key)
+    assert sorted_subspaces(iter(members)) == sorted_subspaces(reversed(members))

@@ -2,6 +2,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from filtstab import (
 from filtstab.fixtures import three_concurrent_lines, three_generic_lines, two_lines
 from filtstab.serialize import estimate_to_doc
 from helpers import (
+    balance_rows,
     random_balanced_configuration,
     random_balanced_weights_for,
     random_divisor_config,
@@ -167,10 +169,12 @@ class TestAssembleQuadratics:
     def test_balance_rows_encode_multiplicities(self):
         config, fc = three_generic_lines()
         qp = assemble_quadratics(fc, config)
-        assert len(qp.balance) == 3
-        for i, row in enumerate(qp.balance):
-            base = qp.shape.offsets[i]
-            assert row[base] == 1 and row[base + 1] == 1
+        assert qp.shape.mults == tuple(f.mults for f in fc.filtrations) == ((1, 1),) * 3
+        assert qp.shape.offsets == (0, 2, 4)
+        rows = balance_rows(qp.shape)
+        assert rows == [(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1)]
+        for vec in upsilon._balance_nullspace(qp.shape):
+            assert all(sum(map(mul, row, vec)) == 0 for row in rows)
 
     def test_balance_nullspace_is_the_eliminated_basis(self):
         rng = random.Random(13)
