@@ -23,6 +23,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -221,17 +223,15 @@ class WeightShape:
     mults: tuple[tuple[int, ...], ...]
     degrees: tuple[Fraction, ...]
     seed_weights: tuple[Fraction, ...]
-    offsets: tuple[int, ...] = ()
-    size: int = 0
 
-    def __post_init__(self):
-        offsets = []
-        total = 0
-        for count in self.step_counts:
-            offsets.append(total)
-            total += count
-        object.__setattr__(self, "offsets", tuple(offsets))
-        object.__setattr__(self, "size", total)
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """The first slot of each component."""
+        return tuple(accumulate(self.step_counts[:-1], initial=0))
+
+    @cached_property
+    def size(self) -> int:
+        return sum(self.step_counts)
 
     def slot(self, component: int, step: int) -> int:
         return self.offsets[component] + step

@@ -260,9 +260,6 @@ class FilteredConfiguration:
                     f"component filtration has rank {filt.ambient_dim}, expected {self.rank}"
                 )
 
-    def __len__(self) -> int:
-        return len(self.filtrations)
-
     def check_components(self, config: DivisorConfiguration) -> None:
         """Raise :class:`ShapeMismatchError` unless there is one filtration per component."""
         if len(self.filtrations) != config.n_components:

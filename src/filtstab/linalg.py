@@ -2,14 +2,16 @@
 
 A subspace of Q^r is stored by its canonical integer basis: the rows of its
 reduced row echelon form, each scaled to coprime integers with a positive
-pivot.  Two subspaces are equal exactly when their stored bases are
-identical, so they can be hashed, deduplicated and compared
-deterministically.  The subspace kernels run through one fraction-free
-integer elimination; ``Fraction`` appears only where input rows are scaled
-to integers and where the rational echelon rows are derived for output.
-:class:`ChainIncidence` reads off the intersection dimensions of a
-subspace with every member of a flag at once from a rank alone, grown one
-column at a time and stopped once it is full, without a canonical basis.
+pivot.  The constructor takes any spanning rows and reduces them on
+construction, so every subspace is canonical.  Two subspaces are equal
+exactly when their stored bases are identical, so they can be hashed,
+deduplicated and compared deterministically.  The subspace kernels run
+through one fraction-free integer elimination; ``Fraction`` appears only
+where input rows are scaled to integers and where the rational echelon
+rows are derived for output.  :class:`ChainIncidence` reads off the
+intersection dimensions of a subspace with every member of a flag at once
+from a rank alone, grown one column at a time and stopped once it is full,
+without a canonical basis.
 """
 from __future__ import annotations
 
@@ -98,40 +100,22 @@ def _eliminate(rows: Iterable[Sequence[int]], width: int) -> tuple[tuple[int, ..
 class Subspace:
     """A linear subspace of Q^r, held by its canonical integer basis.
 
-    ``rows`` gives the same reduced row echelon form over the rationals.
-    Construct through :func:`span`, :meth:`zero` or :meth:`full`; the raw
-    constructor only accepts a canonical basis.
+    ``basis`` may be given as any spanning rows, with ``int`` or ``Fraction``
+    entries; they are reduced on construction, so the stored ``basis`` is
+    canonical.  ``rows`` gives the same reduced row echelon form over the
+    rationals.
     """
 
     ambient_dim: int
     basis: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        if self.ambient_dim < 1:
+        n = self.ambient_dim
+        if n < 1:
             raise InvariantError("ambient dimension must be positive")
-        basis = tuple(tuple(r) for r in self.basis)
-        object.__setattr__(self, "basis", basis)
-        pivots = []
-        for row in basis:
-            if len(row) != self.ambient_dim:
-                raise DimensionMismatchError(
-                    f"row has length {len(row)}, expected {self.ambient_dim}"
-                )
-            if any(type(x) is not int for x in row):
-                raise InvariantError("basis entries must be integers")
-            pivot = next((j for j, x in enumerate(row) if x), None)
-            if pivot is None:
-                raise InvariantError("zero row in subspace basis")
-            if pivots and pivot <= pivots[-1]:
-                raise InvariantError("basis rows are not in echelon order")
-            if row[pivot] < 0:
-                raise InvariantError("pivot entries must be positive")
-            if gcd(*row) != 1:
-                raise InvariantError("basis rows must be primitive")
-            pivots.append(pivot)
-        for row in basis:
-            if sum(1 for p in pivots if row[p]) != 1:
-                raise InvariantError("pivot columns must be cleared")
+        object.__setattr__(
+            self, "basis", _eliminate([_integer_row(r, n) for r in self.basis], n)
+        )
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -202,9 +186,7 @@ class Subspace:
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace(
-            self.ambient_dim, _eliminate(self.basis + other.basis, self.ambient_dim)
-        )
+        return Subspace(self.ambient_dim, self.basis + other.basis)
 
     def __and__(self, other: "Subspace") -> "Subspace":
         return self.intersect(other)
@@ -233,12 +215,7 @@ class Subspace:
 
     def annihilator(self) -> "Subspace":
         """The vectors orthogonal to this subspace under the standard pairing."""
-        n = self.ambient_dim
-        return Subspace(n, _eliminate(self.normals().values(), n))
-
-    def sort_key(self) -> tuple:
-        """Deterministic total order: by dimension, then by the RREF rows."""
-        return (self.dim, self.rows)
+        return Subspace(self.ambient_dim, tuple(self.normals().values()))
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -254,22 +231,24 @@ class Subspace:
 
 
 def span(rows: Iterable[Sequence], ambient_dim: int) -> Subspace:
-    """The subspace spanned by ``rows``, in canonical echelon form.
+    """The subspace spanned by ``rows``: ``Subspace(ambient_dim, rows)``.
 
-    Idempotent and invariant under row shuffles and invertible row
+    Any spanning rows are reduced on construction, so the result is
+    idempotent and invariant under row shuffles and invertible row
     operations; dependent rows collapse.
     """
-    integer_rows = [_integer_row(r, ambient_dim) for r in rows]
-    return Subspace(ambient_dim, _eliminate(integer_rows, ambient_dim))
+    return Subspace(ambient_dim, tuple(rows))
 
 
 def sorted_subspaces(spaces: Iterable[Subspace]) -> list[Subspace]:
-    """``spaces`` in :meth:`Subspace.sort_key` order, compared as integers.
+    """``spaces`` by dimension, then by their reduced row echelon rows.
 
-    Every basis row is scaled by ``L // pivot``, where L is the lcm of the
-    pivot entries over the whole set.  That is each reduced row echelon row
-    times the same positive L, so (dim, scaled rows) orders the set exactly
-    as the rational key does, without a ``Fraction`` comparison.
+    This is the package's one subspace order.  The rows are compared as
+    integers: every basis row is scaled by ``L // pivot``, where L is the
+    lcm of the pivot entries over the whole set.  That is each reduced row
+    echelon row times the same positive L, so (dim, scaled rows) orders the
+    set exactly as (dim, :attr:`Subspace.rows`) does, without a
+    ``Fraction`` comparison.
     """
     members = list(spaces)
     leads = [[next(x for x in row if x) for row in space.basis] for space in members]

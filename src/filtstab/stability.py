@@ -249,7 +249,7 @@ def _generic_lines(steps: frozenset[Subspace], rank: int) -> list[Subspace]:
     """
     planes = [step for step in steps if step.dim == 2]
     meets = steps | {a & b for a, b in combinations(planes, 2)} | {Subspace.full(rank)}
-    return [_generic_line(member, steps) for member in sorted(meets, key=Subspace.sort_key)]
+    return [_generic_line(member, steps) for member in sorted_subspaces(meets)]
 
 
 def _exact_subspaces(fc: FilteredConfiguration) -> list[Subspace]:
@@ -284,7 +284,7 @@ def candidates_for(fc: FilteredConfiguration) -> Candidates:
     no exact method is implemented: the proper flag steps closed under
     pairwise intersection and sum, :data:`CLOSURE_DEPTH` rounds at most,
     truncated at :data:`CLOSURE_CAP` members (``closure_capped``).  Closure
-    members are kept in :meth:`~filtstab.linalg.Subspace.sort_key` order,
+    members are kept in :func:`~filtstab.linalg.sorted_subspaces` order,
     smallest dimension first, so a cap below the number of proper flag
     steps drops flag steps too.  The set depends on the flags only and can
     be passed to :func:`check_stability` for every weighting of them.
@@ -324,14 +324,13 @@ def _verdict_from(
 ) -> StabilityVerdict:
     """The verdict from the degrees ``numerators[n] / denominator`` of ``candidates``.
 
-    The witness is a candidate of maximal degree, the first in sort order
-    among ties.
+    The witness is a candidate of maximal degree, the first in
+    :func:`~filtstab.linalg.sorted_subspaces` order among ties.
     """
     best_numerator = max(numerators)
-    best = min(
-        (c for c, n in zip(candidates, numerators) if n == best_numerator),
-        key=Subspace.sort_key,
-    )
+    best = sorted_subspaces(
+        c for c, n in zip(candidates, numerators) if n == best_numerator
+    )[0]
     best_degree = Fraction(best_numerator, denominator)
     observed = tuple(sorted(Fraction(n, denominator) for n in set(numerators)))
     if best_degree > 0:

@@ -133,16 +133,15 @@ class InnerResult:
 
 def inner_minimize(
     qp: QuadraticPair,
-    cone: Optional[ConeRows] = None,
+    cone: ConeRows,
     max_denominator: int = DEFAULT_MAX_DENOMINATOR,
 ) -> InnerResult:
     """Minimize the Rayleigh quotient w^T A w / w^T B w over balance ∩ ``cone``.
 
-    ``cone`` holds the rows of :func:`stability_cone`; it defaults to the
-    ordering rows alone.  Weights come back at peak 1/2 with every
-    row . w <= -|row|_1 / ``max_denominator``: rounding and re-balancing in
-    :func:`rationalize` move each weight by at most 1 / ``max_denominator``,
-    which cannot push a row above zero.
+    ``cone`` holds the rows of :func:`stability_cone`.  Weights come back
+    at peak 1/2 with every row . w <= -|row|_1 / ``max_denominator``:
+    rounding and re-balancing in :func:`rationalize` move each weight by at
+    most 1 / ``max_denominator``, which cannot push a row above zero.
 
     The eigenvector of the smallest generalized eigenvalue of (A, B) on the
     balance subspace is returned as an interior minimum when it keeps that
@@ -187,8 +186,6 @@ def inner_minimize(
         peak = np.max(np.abs(n_mat @ v))
         return v * (0.5 / peak) if peak > 0 else v
 
-    if cone is None:
-        cone = stability_cone(qp.shape, ())
     rows = np.unique(np.array([[float(x) for x in row] for row in cone]), axis=0)
     slack = np.abs(rows).sum(axis=1)
     margin = 1.0 / max_denominator

@@ -71,6 +71,33 @@ def reference_rref(rows, width: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(r) for r in work[:pivot_row])
 
 
+def assert_canonical(subspace: Subspace) -> None:
+    """Assert that ``subspace.basis`` is the canonical integer basis.
+
+    Integer rows of the ambient length in echelon order, each primitive
+    with a positive pivot, and every pivot column zero outside its own row.
+    """
+    basis = subspace.basis
+    assert type(basis) is tuple and all(type(row) is tuple for row in basis)
+    pivots = []
+    for row in basis:
+        assert len(row) == subspace.ambient_dim
+        assert all(type(x) is int for x in row), "non-integer entry"
+        pivot = next((j for j, x in enumerate(row) if x), None)
+        assert pivot is not None, "zero row"
+        assert not pivots or pivot > pivots[-1], "rows not in echelon order"
+        assert row[pivot] > 0, "negative pivot"
+        assert gcd(*row) == 1, "row not primitive"
+        pivots.append(pivot)
+    for row in basis:
+        assert sum(1 for p in pivots if row[p]) == 1, "pivot column not cleared"
+
+
+def sort_key(subspace: Subspace) -> tuple:
+    """Reference subspace order: by dimension, then by the RREF rows over Q."""
+    return (subspace.dim, subspace.rows)
+
+
 def reference_intersection(rows_a, rows_b, width: int) -> tuple[tuple[Fraction, ...], ...]:
     """RREF basis of span(rows_a) ∩ span(rows_b) by Zassenhaus over ``Fraction``."""
     zero = [Fraction(0)] * width
@@ -336,7 +363,7 @@ def reference_closure(
     capped = False
     for _ in range(depth):
         fresh: set[Subspace] = set()
-        ordered = sorted(current, key=Subspace.sort_key)
+        ordered = sorted(current, key=sort_key)
         for a_index, a in enumerate(ordered):
             for b in ordered[a_index + 1:]:
                 for candidate in (a.intersect(b), a + b):
@@ -350,7 +377,7 @@ def reference_closure(
         current |= fresh
         if capped or not fresh:
             break
-    ordered = sorted(current, key=Subspace.sort_key)
+    ordered = sorted(current, key=sort_key)
     if len(ordered) > cap:
         ordered = ordered[:cap]
         capped = True

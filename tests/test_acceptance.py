@@ -25,6 +25,7 @@ from filtstab import (
     derive_tables,
     inner_minimize,
     norm_sq,
+    stability_cone,
 )
 from filtstab.cli import main
 from filtstab.fixtures import three_concurrent_lines, three_generic_lines, two_lines
@@ -244,7 +245,7 @@ def test_criterion_7_inner_solver_oracle():
             continue
         config, fc = instance
         qp = assemble_quadratics(fc, config)
-        result = inner_minimize(qp)
+        result = inner_minimize(qp, stability_cone(qp.shape, ()))
         if result.boundary or abs(result.ratio) < 1e-3:
             continue  # the oracle compares the unconstrained minimum
         grid = _grid_minimum(qp, 2000 * 2000)

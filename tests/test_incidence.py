@@ -32,6 +32,7 @@ from helpers import (
     reference_induced_degree_vector,
     reference_joint_step_multiplicities,
     reference_parabolic_degree,
+    sort_key,
     three_planes,
 )
 
@@ -55,7 +56,7 @@ def _candidates(rng: random.Random, fc: FilteredConfiguration, height: int) -> l
     steps, and their meets and sums."""
     n = fc.rank
     found = [random_subspace(rng, n, dim, height=height) for dim in range(n + 1)]
-    steps = sorted({s for f in fc.filtrations for s in f.spaces()}, key=Subspace.sort_key)
+    steps = sorted({s for f in fc.filtrations for s in f.spaces()}, key=sort_key)
     found += steps
     for a in steps:
         for b in steps:

@@ -15,7 +15,13 @@ from filtstab import (
 )
 from filtstab.linalg import sorted_subspaces
 
-from helpers import random_subspace, reference_intersection, reference_rref
+from helpers import (
+    assert_canonical,
+    random_subspace,
+    reference_intersection,
+    reference_rref,
+    sort_key,
+)
 
 
 class TestRationalLiterals:
@@ -70,26 +76,29 @@ class TestSpan:
     def test_row_length_checked(self):
         with pytest.raises(DimensionMismatchError):
             span([(1, 0, 0)], 2)
+        with pytest.raises(DimensionMismatchError):
+            Subspace(2, ((1, 0), (1, 0, 0)))
 
-    def test_non_canonical_rows_rejected(self):
-        with pytest.raises(InvariantError):
-            Subspace(2, ((Fraction(2), Fraction(0)),))
-        with pytest.raises(InvariantError):
-            Subspace(2, ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
-        for basis in (
-            ((-1, 2),),  # negative pivot
-            ((2, 4),),  # not primitive
-            ((1, 1), (0, 1)),  # pivot column not cleared
-            ((1, Fraction(1, 2)),),  # non-integer entry
-            ((1, 0), (0, 0)),  # zero row
+    def test_any_spanning_rows_construct_the_canonical_subspace(self):
+        # rows out of canonical form are reduced on construction
+        for rows, basis in (
+            (((-1, 2),), ((1, -2),)),  # negative pivot
+            (((2, 4),), ((1, 2),)),  # not primitive
+            (((1, 1), (0, 1)), ((1, 0), (0, 1))),  # pivot column not cleared
+            (((1, Fraction(1, 2)),), ((2, 1),)),  # non-integer entry
+            (((1, 0), (0, 0)), ((1, 0),)),  # zero row
+            (((Fraction(2), Fraction(0)),), ((1, 0),)),
+            (((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))), ((1, 0), (0, 1))),
         ):
-            with pytest.raises(InvariantError):
-                Subspace(2, basis)
+            s = Subspace(2, rows)
+            assert s.basis == basis
+            assert_canonical(s)
+            assert s == span(rows, 2) and hash(s) == hash(span(rows, 2))
         s = span([(1, Fraction(1, 2), 3), (Fraction(-2, 3), 0, 1)], 3)
         assert s.basis == ((2, 0, -3), (0, 1, 9))
-        same = Subspace(3, s.basis)
-        assert same == s and hash(same) == hash(s)
-        assert span(s.rows, 3) == s
+        for rows in (s.basis, s.rows, [(0, 1, 9), (-4, 0, 6), (2, 1, 6)]):
+            same = Subspace(3, rows)
+            assert same == s and hash(same) == hash(s)
         assert s.rows == (
             (Fraction(1), Fraction(0), Fraction(-3, 2)),
             (Fraction(0), Fraction(1), Fraction(9)),
@@ -98,7 +107,11 @@ class TestSpan:
         assert [[type(x) for x in row] for row in s.rows] == [
             [int, int, Fraction], [int, int, int]
         ]
-        assert s.sort_key() == (2, s.rows)
+
+    def test_ambient_dimension_must_be_positive(self):
+        for n in (0, -1):
+            with pytest.raises(InvariantError):
+                Subspace(n)
 
 
 class TestIntersectAndSum:
@@ -232,6 +245,8 @@ def test_kernel_matches_fraction_reference(data):
     assert join.rows == reference_rref(ref_a + ref_b, n)
     assert a.intersection_dim(b) == b.intersection_dim(a) == len(ref_meet)
     assert meet.dim + join.dim == a.dim + b.dim
+    for kernel_output in (a, b, meet, join, a.annihilator(), b.annihilator()):
+        assert_canonical(kernel_output)
 
     assert a.contains(b) == (len(reference_rref(ref_a + ref_b, n)) == len(ref_a))
     assert a.contains(meet) and b.contains(meet) and join.contains(a) and join.contains(b)
@@ -240,7 +255,7 @@ def test_kernel_matches_fraction_reference(data):
         in_a = len(reference_rref(ref_a + (tuple(v),), n)) == len(ref_a)
         assert a.contains(span([v], n)) == in_a
 
-    assert (a.sort_key() < b.sort_key()) == ((len(ref_a), ref_a) < (len(ref_b), ref_b))
+    assert (sort_key(a) < sort_key(b)) == ((len(ref_a), ref_a) < (len(ref_b), ref_b))
     assert (a == b) == (ref_a == ref_b)
 
 
@@ -255,5 +270,5 @@ def test_integer_sort_keeps_the_rational_order(n, size, seed):
     }
     members = list(members)
     rng.shuffle(members)
-    assert sorted_subspaces(members) == sorted(members, key=Subspace.sort_key)
+    assert sorted_subspaces(members) == sorted(members, key=sort_key)
     assert sorted_subspaces(iter(members)) == sorted_subspaces(reversed(members))

@@ -19,6 +19,7 @@ from filtstab import (
     span,
 )
 from filtstab.fixtures import three_generic_lines, two_lines
+from filtstab.linalg import sorted_subspaces
 from filtstab.stability import CLOSURE_CAP, CLOSURE_DEPTH, _closure, _generic_line
 from helpers import (
     brute_force_rank2,
@@ -30,6 +31,7 @@ from helpers import (
     random_subspace,
     reference_closure,
     reference_generic_hyperplane,
+    sort_key,
     three_planes,
 )
 
@@ -137,7 +139,7 @@ class TestCandidateSubspaces:
     def test_small_cap_drops_flag_steps(self):
         # three proper flag steps; the cap keeps the first in sort order only
         _, fc = three_planes()
-        steps = sorted(proper_steps(fc), key=Subspace.sort_key)
+        steps = sorted(proper_steps(fc), key=sort_key)
         assert len(steps) == 3
         assert closure(fc, depth=0, cap=1) == (steps[0],)
         assert closure(fc, depth=0, cap=3) == tuple(steps)
@@ -180,7 +182,8 @@ class TestCandidateSubspaces:
             )
             assert members == reference
             rng.shuffle(members)
-            assert sorted(members, key=Subspace.sort_key) == reference
+            assert sorted(members, key=sort_key) == reference
+            assert sorted_subspaces(members) == reference
             fractional += sum(
                 1 for s in members for row in s.rows for x in row if x.denominator != 1
             )
@@ -429,7 +432,7 @@ class TestCheckStabilityRank3:
 
     def test_rank2_candidates_are_flag_lines_plus_one_generic_line(self):
         config, fc = three_generic_lines()
-        flag_lines = sorted(proper_steps(fc), key=Subspace.sort_key)
+        flag_lines = sorted(proper_steps(fc), key=sort_key)
         found = candidates_for(fc).subspaces
         assert list(found[:-1]) == flag_lines
         assert found[-1] not in flag_lines

@@ -196,7 +196,7 @@ class TestInnerMinimize:
         assert qp.terms == ((0, 0, -2), (1, 1, -2))
         assert qp.a_float().tolist() == [[1.0, 0.0], [0.0, 1.0]]
         assert qp.b_float().tolist() == [1.0, 1.0]
-        result = inner_minimize(qp)
+        result = inner_minimize(qp, stability_cone(qp.shape, ()))
         assert result.ratio == pytest.approx(1.0, abs=1e-9)
         assert not result.boundary
 
@@ -237,7 +237,7 @@ class TestInnerMinimize:
     def test_three_lines_feasible_value(self):
         config, fc = three_generic_lines()
         qp = assemble_quadratics(fc, config)
-        result = inner_minimize(qp)
+        result = inner_minimize(qp, stability_cone(qp.shape, ()))
         assert result.ratio <= 0.5 + 1e-9
 
     def test_all_trivial_shape_is_singular(self):
@@ -245,7 +245,7 @@ class TestInnerMinimize:
         fc = FilteredConfiguration(2, (Filtration.trivial(2),))
         qp = assemble_quadratics(fc, config)
         with pytest.raises(SingularFormError):
-            inner_minimize(qp)
+            inner_minimize(qp, stability_cone(qp.shape, ()))
 
     def test_degree_zero_component_makes_norm_singular(self):
         config = DivisorConfiguration(("A", "B"), (F(1), F(0)), ((1, 1), (1, 1)))
@@ -254,7 +254,7 @@ class TestInnerMinimize:
         )
         qp = assemble_quadratics(fc, config)
         with pytest.raises(SingularFormError):
-            inner_minimize(qp)
+            inner_minimize(qp, stability_cone(qp.shape, ()))
 
     def test_canonical_weights_are_feasible(self):
         config, fc = three_generic_lines()
