@@ -51,11 +51,11 @@ class SingularFormError(FiltstabError):
 
 
 class ConvergenceError(FiltstabError):
-    """The inner minimizer produced no usable point within its iteration budget."""
+    """The float inner solve found no usable point in a non-empty cone."""
 
 
 class EmptyConeError(ConvergenceError):
-    """A flag shape has no weights inside its stability cone."""
+    """A flag shape's stability cone is proven, exactly, to hold no balanced weights."""
 
 
 class OrderingCollapseError(FiltstabError):

@@ -8,10 +8,11 @@ exactly when their stored bases are identical, so they can be hashed,
 deduplicated and compared deterministically.  The subspace kernels run
 through one fraction-free integer elimination; ``Fraction`` appears only
 where input rows are scaled to integers and where the rational echelon
-rows are derived for output.  :class:`ChainIncidence` reads off the
-intersection dimensions of a subspace with every member of a flag at once
-from a rank alone, grown one column at a time and stopped once it is full,
-without a canonical basis.
+rows are derived for output.  :func:`open_cone_is_empty` decides, in
+integers too, whether an open polyhedral cone has a point.
+:class:`ChainIncidence` reads off the intersection dimensions of a
+subspace with every member of a flag at once from a rank alone, grown one
+column at a time and stopped once it is full, without a canonical basis.
 """
 from __future__ import annotations
 
@@ -50,28 +51,29 @@ def rational_to_string(value: Fraction | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _integer_row(row: Sequence, width: int) -> tuple[int, ...]:
+def integer_row(row: Sequence) -> tuple[int, ...]:
     """``row`` scaled by the lcm of its denominators to an integer row."""
-    if len(row) != width:
-        raise DimensionMismatchError(
-            f"row has length {len(row)}, expected {width}"
-        )
-    if all(type(x) is int for x in row):
-        return tuple(row)
     values = [Fraction(x) for x in row]
     scale = lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
-def _eliminate(rows: Iterable[Sequence[int]], width: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical integer basis of the row space of the integer ``rows``.
+def _eliminate(rows: Iterable[Sequence], width: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical integer basis of the row space of ``rows``.
 
-    Gauss-Jordan elimination without division: clearing a column replaces a
-    row by ``lead * row - entry * pivot_row`` and divides out its content
-    (the gcd of its entries).  Pivot rows are made primitive with a positive
-    pivot before use, so the result is in canonical form.
+    A row holding anything but ``int`` entries (a ``Fraction``, say) is
+    first scaled to integers by :func:`integer_row`; integer rows are only
+    copied.  Then Gauss-Jordan elimination without division: clearing a
+    column replaces a row by ``lead * row - entry * pivot_row`` and divides
+    out its content (the gcd of its entries).  Pivot rows are made
+    primitive with a positive pivot before use, so the result is in
+    canonical form.
     """
-    work = [list(r) for r in rows]
+    work = []
+    for r in rows:
+        if len(r) != width:
+            raise DimensionMismatchError(f"row has length {len(r)}, expected {width}")
+        work.append(list(r) if set(map(type, r)) <= {int} else list(integer_row(r)))
     rank = 0
     for col in range(width):
         pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
@@ -96,6 +98,64 @@ def _eliminate(rows: Iterable[Sequence[int]], width: int) -> tuple[tuple[int, ..
     return tuple(tuple(r) for r in work[:rank])
 
 
+def _pivot(work: list[list[int]], r: int, c: int, det: int) -> None:
+    """Pivot the integer simplex tableau ``work`` on entry (r, c), in place.
+
+    Every entry is held times ``det``, the determinant of the current basis.
+    Row r stays; every other row becomes ``(p * row - row[c] * work[r]) //
+    det`` with p = work[r][c], the new determinant.  The division is exact,
+    since each entry is a minor of the starting tableau (Edmonds 1967).
+    """
+    top = work[r]
+    p = top[c]
+    for i, row in enumerate(work):
+        if i != r:
+            e = row[c]
+            work[i] = [(p * x - e * y) // det for x, y in zip(row, top)]
+
+
+def open_cone_is_empty(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether no y has row . y < 0 for every one of the integer ``rows``.
+
+    By Gordan's alternative (1873) that is so exactly when some lam >= 0
+    with sum lam = 1 has sum_k lam_k row_k = 0.  Phase 1 of the simplex
+    method decides whether such a lam exists.  One artificial variable per
+    equation starts basic; the last tableau row is the sum of the rows whose
+    basic variable is still artificial, so its right-hand side is the sum of
+    the artificials, and it reaches 0 exactly when such a lam exists.
+    Bland's rule (the first lam with a positive reduced cost enters; ratio
+    ties leave by the lowest basic index, artificials last) cannot cycle.  A
+    leaving artificial never returns, so its column is not kept.  Pivots go
+    through :func:`_pivot`, so the tableau stays in integers throughout.
+    """
+    m = len(rows)
+    if not m:
+        return False
+    # rows: sum_k lam_k row_k[j] = 0 for each column j, then sum_k lam_k = 1;
+    # each holds its m coefficients and its right-hand side
+    work = [[row[j] for row in rows] + [0] for j in range(len(rows[0]))]
+    work.append([1] * (m + 1))
+    basis = list(range(m, m + len(work)))
+    work.append([sum(column) for column in zip(*work)])
+    det = 1
+    while work[-1][-1]:
+        cost = work[-1]
+        c = next((k for k in range(m) if cost[k] > 0), None)
+        if c is None:
+            return False
+        r = None
+        for i in range(len(basis)):
+            a = work[i][c]
+            if a > 0 and (r is None or (
+                work[i][-1] * work[r][c], basis[i]) < (work[r][-1] * a, basis[r])
+            ):
+                r = i
+        _pivot(work, r, c, det)
+        det = work[r][c]
+        basis[r] = c
+    return True
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace of Q^r, held by its canonical integer basis.
@@ -113,9 +173,7 @@ class Subspace:
         n = self.ambient_dim
         if n < 1:
             raise InvariantError("ambient dimension must be positive")
-        object.__setattr__(
-            self, "basis", _eliminate([_integer_row(r, n) for r in self.basis], n)
-        )
+        object.__setattr__(self, "basis", _eliminate(self.basis, n))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

@@ -5,9 +5,11 @@ norm are quadratic forms in the step weights (the joint graded multiplicities
 depend only on the subspaces; :func:`~filtstab.chern.assemble_quadratics`
 builds the exact pair), and every candidate degree is linear in them:
 the stable weights of a shape form an open polyhedral cone, built exactly
-once per shape (:func:`stability_cone`).  The inner problem is a generalized
-Rayleigh-quotient minimization over balance ∩ cone, solved in floating point
-and re-verified exactly after rationalizing the minimizer.  The outer loop
+once per shape (:func:`stability_cone`).  Whether that cone is empty is
+decided exactly, in integers, before any float work.  On a non-empty cone
+the inner problem is a generalized Rayleigh-quotient minimization over
+balance ∩ cone, solved in floating point and re-verified exactly after
+rationalizing the minimizer.  The outer loop
 walks one stream of flag shapes (a given start first and once, then seeded
 random, coincident and generic shapes in turn), keeps the best
 configuration that certifies stable, and reports its ratio as an upper
@@ -18,7 +20,8 @@ lines coincide), so a search solves and rationalizes once per distinct
 reads the subspaces themselves still runs per shape.
 
 Only :func:`inner_minimize` uses numpy and scipy, and it imports them in its
-body, so importing this module (and the package) loads neither.
+body once the cone is known not to be empty, so importing this module (and
+the package) loads neither.
 
 Weight vectors are flat tuples ordered component by component, step by step;
 a :class:`WeightShape` records the bookkeeping (offsets, multiplicities,
@@ -32,6 +35,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Callable, ClassVar, Mapping, Optional, Sequence
 
 from .errors import (
@@ -47,7 +51,7 @@ from .errors import (
 )
 from .chern import QuadraticPair, WeightShape, assemble_quadratics
 from .filtration import FilteredConfiguration, Filtration, balanced
-from .linalg import span
+from .linalg import integer_row, open_cone_is_empty, span
 from .stability import (
     Certainty,
     Incidence,
@@ -122,6 +126,33 @@ def stability_cone(shape: WeightShape, incidences: Sequence[Incidence]) -> ConeR
     return tuple(rows)
 
 
+def _cone_is_empty(shape: WeightShape, cone: ConeRows) -> bool:
+    """Whether no balanced weights lie in the open ``cone``, decided in integers.
+
+    A balanced w is fixed by its slots (i, s >= 1), and at those
+    row . w = sum r'_{i,s} w_{i,s} / m_{i,0} with the reduced row
+    r'_{i,s} = r_{i,s} m_{i,0} - r_{i,0} m_{i,s}.  The reduced rows, each
+    row first scaled to integers, are made primitive and deduplicated.  When
+    the seed weights satisfy all of them the cone is not empty; otherwise
+    :func:`~filtstab.linalg.open_cone_is_empty` decides.
+    """
+    components = list(zip(shape.offsets, shape.mults))
+    reduced = {}
+    for row in cone:
+        r = integer_row(row)
+        h = [r[o + s] * mults[0] - r[o] * mults[s]
+             for o, mults in components for s in range(1, len(mults))]
+        content = math.gcd(*h) or 1
+        reduced[tuple(x // content for x in h)] = None
+    seed = integer_row([
+        Fraction(shape.seed_weights[o + s], mults[0])
+        for o, mults in components for s in range(1, len(mults))
+    ])
+    if all(sum(map(mul, h, seed)) < 0 for h in reduced):
+        return False
+    return open_cone_is_empty(list(reduced))
+
+
 @dataclass(frozen=True)
 class InnerResult:
     """Minimizer data for one fixed flag shape."""
@@ -143,27 +174,49 @@ def inner_minimize(
     rounding and re-balancing in :func:`rationalize` move each weight by at
     most 1 / ``max_denominator``, which cannot push a row above zero.
 
-    The eigenvector of the smallest generalized eigenvalue of (A, B) on the
-    balance subspace is returned as an interior minimum when it keeps that
-    slack.  Otherwise one linear program (HiGHS) finds the widest slack t
-    the cone allows and raises :class:`EmptyConeError` when t <= 0; thinner
-    cones keep t / 2.  Then SLSQP, with all rows as one linear constraint
-    and run from distinct deterministic starts, gives a ``boundary`` value
-    >= the eigenvalue.
+    Three exact tests come first, with no float work.  A shape whose flags
+    are all trivial, or whose norm is not definite on the balance subspace
+    (a component with two or more steps has degree 0), raises
+    :class:`SingularFormError`.  A cone with no balanced point, decided in
+    integers (:func:`_cone_is_empty`), raises :class:`EmptyConeError`, so
+    that error means the cone is proven empty.
+
+    On a non-empty cone, the eigenvector of the smallest generalized
+    eigenvalue of (A, B) on the balance subspace is returned as an interior
+    minimum when it keeps that slack.  Otherwise one linear program (HiGHS)
+    finds the widest slack t the cone allows; thinner cones keep t / 2, and
+    t <= 0 on a cone proven non-empty is a solver failure
+    (:class:`ConvergenceError`).  Then SLSQP, with all rows as one linear
+    constraint and run from distinct deterministic starts, gives a
+    ``boundary`` value >= the eigenvalue.
 
     This is the package's only float solve, and numpy and scipy are
-    imported here rather than with the module: a process loads them on its
-    first solve, and commands that never search start without them.
+    imported here, after the exact tests, rather than with the module: a
+    process loads them on its first non-empty cone, and commands that never
+    search start without them.
     """
+    shape = qp.shape
+    if not any(count > 1 for count in shape.step_counts):
+        raise SingularFormError(
+            "only the zero weight vector satisfies the balance constraints"
+        )
+    # B = diag(mult * deg) with mult >= 1 and deg >= 0, and a component with
+    # k >= 2 steps spans k - 1 balance directions, so B is definite there
+    # exactly when every such component has positive degree
+    weighted = zip(shape.step_counts, shape.degrees)
+    if any(count > 1 and degree <= 0 for count, degree in weighted):
+        raise SingularFormError(
+            "norm form is not positive definite on the balance subspace "
+            "(a weighted component has degree zero?)"
+        )
+    if _cone_is_empty(shape, cone):
+        raise EmptyConeError("the stability cone of this shape is empty")
+
     import numpy as np
     from scipy.linalg import eigh
     from scipy.optimize import linprog, minimize
 
-    basis = _balance_nullspace(qp.shape)
-    if not basis:
-        raise SingularFormError(
-            "only the zero weight vector satisfies the balance constraints"
-        )
+    basis = _balance_nullspace(shape)
     n_mat = np.array([[float(x) for x in vec] for vec in basis]).T  # size x d
     size, d = n_mat.shape
     a = qp.a_float()
@@ -172,12 +225,6 @@ def inner_minimize(
     a_red = 0.5 * (a_red + a_red.T)
     b_red = n_mat.T @ (b[:, None] * n_mat)
     b_red = 0.5 * (b_red + b_red.T)
-    b_eigs = np.linalg.eigvalsh(b_red)
-    if b_eigs[0] <= 1e-12 * max(1.0, b_eigs[-1]):
-        raise SingularFormError(
-            "norm form is not positive definite on the balance subspace "
-            "(a weighted component has degree zero?)"
-        )
     eigenvalues, eigenvectors = eigh(a_red, b_red)
     eigen_ratio = float(eigenvalues[0])
     v_min = eigenvectors[:, 0]
@@ -207,14 +254,16 @@ def inner_minimize(
     if lp.status != 0:
         raise ConvergenceError(f"the cone width program failed: {lp.message}")
     if -lp.fun <= 1e-9:
-        raise EmptyConeError("the stability cone of this shape is empty")
+        raise ConvergenceError(
+            f"the cone width program gave {-lp.fun:.3g} on a non-empty cone"
+        )
     margin = min(margin, -lp.fun / 2)
 
     # the seed and canonical weights, blends of the first with the
     # eigenvector, and the widest point of the cone; each distinct one once
     starts = [
         peak_half(np.linalg.lstsq(n_mat, np.array(w, dtype=float), rcond=None)[0])
-        for w in (qp.shape.seed_weights, canonical_weights(qp.shape))
+        for w in (shape.seed_weights, canonical_weights(shape))
     ]
     v_eig = peak_half(v_min)
     starts += [peak_half((1 - t) * v_eig + t * starts[0]) for t in (0.25, 0.5, 0.75)]
@@ -417,8 +466,9 @@ def outer_search(
     ``seed``-driven generator, so a larger budget explores a superset and
     the best ratio is non-increasing in the budget.  Each shape's candidate
     set, exact at ranks 2 and 3 and its flag-step closure above, is built
-    once and gives both the shape's cone and the final check; shapes with
-    an empty cone count as ``empty_cone``.
+    once and gives both the shape's cone and the final check; shapes whose
+    cone is proven empty count as ``empty_cone``, and those where the float
+    solve finds no point as ``solver_failures``.
     The minimizer over the cone is rationalized at denominators up to
     ``max_denominator``, where it stays in the cone; both run once per
     distinct (quadratic pair, set of cone rows) in this call, and a shape

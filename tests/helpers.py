@@ -192,6 +192,75 @@ def reference_balance_nullspace(qp) -> list[tuple[Fraction, ...]]:
     return basis
 
 
+def reference_cone_width(qp, cone) -> float:
+    """The widest slack of the open ``cone`` on the balance subspace, by HiGHS.
+
+    The largest t <= 1 with row . w + t |row|_1 <= 0 for every row and
+    |w| <= 1/2 in every slot, w balanced: the float test that decided
+    emptiness (t <= 1e-9) before the exact one.  numpy and scipy are
+    imported here, so that importing this module loads neither.
+    """
+    import numpy as np
+    from scipy.optimize import linprog
+
+    n_mat = np.array([[float(x) for x in v] for v in reference_balance_nullspace(qp)]).T
+    size, d = n_mat.shape
+    rows = np.unique(np.array([[float(x) for x in row] for row in cone]), axis=0)
+    g = rows @ n_mat
+    box = np.vstack([n_mat, -n_mat])
+    lp = linprog(
+        np.r_[np.zeros(d), -1.0],
+        A_ub=np.block([[g, np.abs(rows).sum(axis=1)[:, None]], [box, np.zeros((2 * size, 1))]]),
+        b_ub=np.r_[np.zeros(len(g)), np.full(2 * size, 0.5)],
+        bounds=[(None, None)] * d + [(None, 1.0)],
+        method="highs",
+    )
+    assert lp.status == 0, lp.message
+    return -lp.fun
+
+
+def reference_phase1_empty(rows) -> bool:
+    """Gordan's test for {y : row . y < 0 for every row} by a Fraction simplex.
+
+    The cone is empty exactly when some lam >= 0 with sum lam = 1 has
+    sum_k lam_k row_k = 0.  A textbook phase 1 decides that: the full
+    tableau over the lam columns and one artificial column per equation, in
+    ``Fraction``, with the artificials' sum as the cost row and Bland's rule
+    over every column.  Empty exactly when the optimal sum is zero.
+    """
+    m, width = len(rows), len(rows[0])
+    n_eq = width + 1
+    lhs = [[Fraction(row[j]) for row in rows] for j in range(width)] + [[Fraction(1)] * m]
+    rhs = [Fraction(0)] * width + [Fraction(1)]
+    tableau = [
+        lhs[i] + [Fraction(int(i == j)) for j in range(n_eq)] + [rhs[i]] for i in range(n_eq)
+    ]
+    basis = [m + i for i in range(n_eq)]
+    while True:
+        # reduced costs of minimizing sum(artificials): c_k - c_B B^-1 A_k
+        cost = [
+            Fraction(int(k >= m)) - sum(
+                (row[k] for row, b in zip(tableau, basis) if b >= m), Fraction(0)
+            )
+            for k in range(m + n_eq)
+        ]
+        entering = next((k for k in range(m + n_eq) if cost[k] < 0), None)
+        if entering is None:
+            return sum((row[-1] for row, b in zip(tableau, basis) if b >= m), Fraction(0)) == 0
+        ratios = [
+            (row[-1] / row[entering], basis[i], i)
+            for i, row in enumerate(tableau) if row[entering] > 0
+        ]
+        _, _, r = min(ratios)
+        pivot = tableau[r][entering]
+        tableau[r] = [x / pivot for x in tableau[r]]
+        for i, row in enumerate(tableau):
+            if i != r and row[entering]:
+                factor = row[entering]
+                tableau[i] = [x - factor * y for x, y in zip(row, tableau[r])]
+        basis[r] = entering
+
+
 def random_divisor_config(
     rng: random.Random, n_components: int, max_crossing: int = 3
 ) -> DivisorConfiguration:

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 import sys
 from collections import Counter
@@ -6,13 +8,16 @@ from operator import mul
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
+import filtstab.linalg as linalg
 import filtstab.stability as stability
 import filtstab.upsilon as upsilon
 from filtstab import (
     BGIViolationError,
     Certainty,
+    ConvergenceError,
     DegenerateDegreeError,
     DivisorConfiguration,
     EmptyConeError,
@@ -52,6 +57,8 @@ from helpers import (
     random_balanced_weights_for,
     random_divisor_config,
     reference_balance_nullspace,
+    reference_cone_width,
+    reference_phase1_empty,
 )
 
 F = Fraction
@@ -66,6 +73,38 @@ def solve_shape(shape, config, counts, solved):
 
 def two_step(line, top=F(1, 2)):
     return Filtration(2, ((top, line), (-top, Subspace.full(2))))
+
+
+@pytest.fixture
+def no_float_solve(monkeypatch):
+    """Make the float solve's first calls raise: a test using this proves it never ran."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("float solver called")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+
+
+def search_problems(config, rank, seed, budget=40):
+    """Every distinct (quadratic pair, cone) of one search's shape stream."""
+    rng = random.Random(seed)
+    problems = {}
+    for kind in itertools.islice(itertools.cycle(upsilon.SHAPE_KINDS), budget):
+        fc = upsilon._make_shape(kind, rng, rank, config.n_components)
+        if fc is not None and not fc.is_trivial:
+            qp = assemble_quadratics(fc, config)
+            cone = stability_cone(qp.shape, candidates_for(fc).incidences)
+            problems.setdefault((qp, frozenset(cone)), cone)
+    return [(qp, cone) for (qp, _), cone in problems.items()]
+
+
+def single_conic():
+    # its flag line has degree 2 * w_top > 0 for every strictly ordered
+    # balanced weighting, so no weights are stable
+    config = DivisorConfiguration(("Q",), (F(2),), ((4,),))
+    fc = FilteredConfiguration(2, (two_step(span([(1, 0)], 2)),))
+    qp = assemble_quadratics(fc, config)
+    return qp, stability_cone(qp.shape, candidates_for(fc).incidences)
 
 
 class TestAssembleQuadratics:
@@ -200,15 +239,10 @@ class TestInnerMinimize:
         assert result.ratio == pytest.approx(1.0, abs=1e-9)
         assert not result.boundary
 
-    def test_single_conic_has_an_empty_cone(self):
-        # a single conic: its flag line has degree 2 * w_top > 0 for every
-        # strictly ordered balanced weighting, so no weights are stable
+    def test_single_conic_has_an_empty_cone(self, no_float_solve):
         config = DivisorConfiguration(("Q",), (F(2),), ((4,),))
-        fc = FilteredConfiguration(2, (two_step(span([(1, 0)], 2)),))
-        qp = assemble_quadratics(fc, config)
-        cone = stability_cone(qp.shape, candidates_for(fc).incidences)
         with pytest.raises(EmptyConeError):
-            inner_minimize(qp, cone)
+            inner_minimize(*single_conic())
         with pytest.raises(NoStableConfigurationError) as info:
             outer_search(config, rank=2, budget=12, seed=4)
         log = info.value.search_log
@@ -240,14 +274,14 @@ class TestInnerMinimize:
         result = inner_minimize(qp, stability_cone(qp.shape, ()))
         assert result.ratio <= 0.5 + 1e-9
 
-    def test_all_trivial_shape_is_singular(self):
+    def test_all_trivial_shape_is_singular(self, no_float_solve):
         config = DivisorConfiguration(("C",), (F(1),), ((1,),))
         fc = FilteredConfiguration(2, (Filtration.trivial(2),))
         qp = assemble_quadratics(fc, config)
         with pytest.raises(SingularFormError):
             inner_minimize(qp, stability_cone(qp.shape, ()))
 
-    def test_degree_zero_component_makes_norm_singular(self):
+    def test_degree_zero_component_makes_norm_singular(self, no_float_solve):
         config = DivisorConfiguration(("A", "B"), (F(1), F(0)), ((1, 1), (1, 1)))
         fc = FilteredConfiguration(
             2, (two_step(span([(1, 0)], 2)), two_step(span([(0, 1)], 2)))
@@ -266,6 +300,97 @@ class TestInnerMinimize:
             sum(w * m for w, m in zip(weights[qp.shape.offsets[i]:], mults)) == 0
             for i, mults in enumerate(qp.shape.mults)
         )
+
+
+class TestExactCone:
+    """Emptiness of the stability cone, decided in integers before any float work."""
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_agrees_with_the_highs_width(self, rank):
+        configs = [three_generic_lines()[0], blow_up(three_concurrent_lines(), F(1, 10))]
+        outcomes = Counter()
+        for config in configs:
+            for seed in (3, 7):
+                for qp, cone in search_problems(config, rank, seed):
+                    empty = upsilon._cone_is_empty(qp.shape, cone)
+                    assert empty == (reference_cone_width(qp, cone) <= 1e-9)
+                    outcomes[empty] += 1
+        assert outcomes[True] and outcomes[False]
+
+    def test_fraction_reference_agrees_and_divisions_are_exact(self, monkeypatch):
+        pivots = []
+        original = linalg._pivot
+
+        def checked(work, r, c, det):
+            top = work[r]
+            for row in work:
+                assert all((top[c] * x - row[c] * y) % det == 0 for x, y in zip(row, top))
+            pivots.append(det)
+            original(work, r, c, det)
+
+        monkeypatch.setattr(linalg, "_pivot", checked)
+        rng = random.Random(61)
+        outcomes = Counter()
+        for _ in range(300):
+            width, m = rng.randint(1, 4), rng.randint(1, 7)
+            rows = [tuple(rng.randint(-4, 4) for _ in range(width)) for _ in range(m)]
+            empty = linalg.open_cone_is_empty(rows)
+            assert empty == reference_phase1_empty(rows)
+            outcomes[empty] += 1
+        assert outcomes[True] > 50 and outcomes[False] > 50
+        assert len(pivots) > 300 and any(det > 1 for det in pivots)
+
+    def test_opposite_rows_are_empty(self):
+        assert linalg.open_cone_is_empty([(2, -1, 3), (-2, 1, -3)])
+        assert not linalg.open_cone_is_empty([(2, -1, 3), (-2, 1, -2)])
+        assert not linalg.open_cone_is_empty([])
+
+    def test_a_zero_reduced_row_makes_the_cone_empty(self):
+        # w_0 + w_1 is the balance form of a two-step flag of multiplicities
+        # (1, 1), so its reduced row is zero and no balanced w has it < 0
+        shape = dataclasses.replace(
+            single_conic()[0].shape, seed_weights=(F(1, 2), F(-1, 2))
+        )
+        cone = stability_cone(shape, ()) + ((F(1), F(1)),)
+        assert not upsilon._cone_is_empty(shape, stability_cone(shape, ()))
+        assert upsilon._cone_is_empty(shape, cone)
+        assert linalg.open_cone_is_empty([(0, 0), (1, 0)])
+
+    def test_a_seed_outside_a_non_empty_cone_goes_to_the_simplex(self, monkeypatch):
+        calls = []
+        original = upsilon.open_cone_is_empty
+
+        def counted(rows):
+            calls.append(rows)
+            return original(rows)
+
+        monkeypatch.setattr(upsilon, "open_cone_is_empty", counted)
+        config, fc = three_generic_lines()
+        qp = assemble_quadratics(fc, config)
+        cone = stability_cone(qp.shape, candidates_for(fc).incidences)
+        assert not upsilon._cone_is_empty(qp.shape, cone)
+        assert calls == []
+        # reversed weights break every step-ordering row
+        reversed_seed = tuple(-w for w in qp.shape.seed_weights)
+        shape = dataclasses.replace(qp.shape, seed_weights=reversed_seed)
+        assert not upsilon._cone_is_empty(shape, cone)
+        assert len(calls) == 1
+
+    def test_no_width_on_a_non_empty_cone_is_a_solver_failure(self, monkeypatch):
+        # the exact test has proven the cone non-empty, so a zero float
+        # width is the solver's failure, not an empty cone
+        def no_width(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(status=0, fun=0.0, message="stub")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", no_width)
+        config, fc = three_generic_lines()
+        qp = assemble_quadratics(fc, config)
+        cone = stability_cone(qp.shape, candidates_for(fc).incidences)
+        with pytest.raises(ConvergenceError):
+            inner_minimize(qp, cone)
+        counts = Counter()
+        assert solve_shape(fc, config, counts, {}) is None
+        assert counts == {"solver_failures": 1}
 
 
 class TestStabilityCone:
@@ -361,7 +486,7 @@ class TestOuterSearch:
         with pytest.raises(NoStableConfigurationError):
             outer_search(config, rank=2, budget=25, seed=5)
 
-    def test_coincident_only_is_never_stable_here(self):
+    def test_coincident_only_is_never_stable_here(self, no_float_solve):
         # A proper step F shared by every flag has degree
         # dim F * sum_i deg(D_i) * a_{i,1}, which is > 0 for every balanced,
         # strictly decreasing weighting since outer_search requires positive
