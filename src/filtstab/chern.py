@@ -230,6 +230,11 @@ class WeightShape:
         return tuple(accumulate(self.step_counts[:-1], initial=0))
 
     @cached_property
+    def degree_denominator(self) -> int:
+        """L, the lcm of the degree denominators: every L deg(D_i) is an integer."""
+        return lcm(*(d.denominator for d in self.degrees))
+
+    @cached_property
     def size(self) -> int:
         return sum(self.step_counts)
 

@@ -54,8 +54,11 @@ class ConvergenceError(FiltstabError):
     """The float inner solve found no usable point in a non-empty cone."""
 
 
-class EmptyConeError(ConvergenceError):
-    """A flag shape's stability cone is proven, exactly, to hold no balanced weights."""
+class EmptyConeError(FiltstabError):
+    """A flag shape's stability cone is proven, exactly, to hold no balanced weights.
+
+    A proof, not a solver failure, so it is no :class:`ConvergenceError`.
+    """
 
 
 class OrderingCollapseError(FiltstabError):

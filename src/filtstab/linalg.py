@@ -7,8 +7,11 @@ construction, so every subspace is canonical.  Two subspaces are equal
 exactly when their stored bases are identical, so they can be hashed,
 deduplicated and compared deterministically.  The subspace kernels run
 through one fraction-free integer elimination; ``Fraction`` appears only
-where input rows are scaled to integers and where the rational echelon
-rows are derived for output.  :func:`open_cone_is_empty` decides, in
+where ``Fraction`` input rows are scaled to integers and where the rational
+echelon rows are derived for output.  Callers that can build their rows
+in integers do so (the stability cone of ``upsilon`` is integer rows over
+the lcm of the degree denominators), so no ``Fraction`` reaches the
+kernels from them.  :func:`open_cone_is_empty` decides, in
 integers too, whether an open polyhedral cone has a point.
 :class:`ChainIncidence` reads off the intersection dimensions of a
 subspace with every member of a flag at once from a rank alone, grown one

@@ -4,9 +4,10 @@ With the flag subspaces frozen, both the second Chern number and the squared
 norm are quadratic forms in the step weights (the joint graded multiplicities
 depend only on the subspaces; :func:`~filtstab.chern.assemble_quadratics`
 builds the exact pair), and every candidate degree is linear in them:
-the stable weights of a shape form an open polyhedral cone, built exactly
-once per shape (:func:`stability_cone`).  Whether that cone is empty is
-decided exactly, in integers, before any float work.  On a non-empty cone
+the stable weights of a shape form an open polyhedral cone, built once per
+shape as integer rows over the lcm of the degree denominators
+(:func:`stability_cone`).  Whether that cone is empty is decided exactly,
+from those rows, before any float work.  On a non-empty cone
 the inner problem is a generalized Rayleigh-quotient minimization over
 balance ∩ cone, solved in floating point and re-verified exactly after
 rationalizing the minimizer.  The outer loop
@@ -98,30 +99,35 @@ def _balance_nullspace(shape: WeightShape) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-ConeRows = tuple[tuple[Fraction, ...], ...]
+ConeRows = tuple[tuple[int, ...], ...]
 
 
 def stability_cone(shape: WeightShape, incidences: Sequence[Incidence]) -> ConeRows:
-    """Rows of the open cone {w : row . w < 0 for every row} of one flag shape.
+    """Integer rows of the open cone {w : row . w < 0 for all rows} of a flag shape.
 
-    A candidate subspace V gives the row g_V[i,s] = deg(D_i) m_{i,s}, with
-    m_{i,s} = dim gr_s(V) its graded incidence for the flag F_i, so g_V . w
-    is the parabolic degree of V by definition.  These rows come first, in
-    the order of ``incidences``; then one row w_{i,s+1} - w_{i,s} per pair
-    of adjacent steps.  With the incidences of
+    The rows are held over L = ``shape.degree_denominator``, the lcm of the
+    degree denominators, so that K_i = L deg(D_i) is an integer.  A
+    candidate subspace V gives the row g_V[i,s] = K_i m_{i,s}, with
+    m_{i,s} = dim gr_s(V) its graded incidence for the flag F_i, so
+    g_V . w / L is the parabolic degree of V by definition.  These rows
+    come first, in the order of ``incidences``; then one row
+    L (w_{i,s+1} - w_{i,s}) per pair of adjacent steps.  Scaling by L > 0
+    keeps the open cone as it is.  With the incidences of
     :func:`~filtstab.stability.candidates_for`, weights at ranks 2 and 3
     are stable exactly when they lie in the cone; above, where the set is
     the flag-step closure, the cone contains the stable weights.
     """
+    scale = shape.degree_denominator
+    factors = [d.numerator * (scale // d.denominator) for d in shape.degrees]
     rows = [
-        tuple(degree * m for degree, mults in zip(shape.degrees, incidence) for m in mults)
+        tuple(k * m for k, mults in zip(factors, incidence) for m in mults)
         for incidence in incidences
     ]
     for i, count in enumerate(shape.step_counts):
         for s in range(count - 1):
-            row = [Fraction(0)] * shape.size
-            row[shape.slot(i, s)] = Fraction(-1)
-            row[shape.slot(i, s + 1)] = Fraction(1)
+            row = [0] * shape.size
+            row[shape.slot(i, s)] = -scale
+            row[shape.slot(i, s + 1)] = scale
             rows.append(tuple(row))
     return tuple(rows)
 
@@ -131,15 +137,14 @@ def _cone_is_empty(shape: WeightShape, cone: ConeRows) -> bool:
 
     A balanced w is fixed by its slots (i, s >= 1), and at those
     row . w = sum r'_{i,s} w_{i,s} / m_{i,0} with the reduced row
-    r'_{i,s} = r_{i,s} m_{i,0} - r_{i,0} m_{i,s}.  The reduced rows, each
-    row first scaled to integers, are made primitive and deduplicated.  When
+    r'_{i,s} = r_{i,s} m_{i,0} - r_{i,0} m_{i,s}.  The cone's integer rows
+    are reduced as they are, then made primitive and deduplicated.  When
     the seed weights satisfy all of them the cone is not empty; otherwise
     :func:`~filtstab.linalg.open_cone_is_empty` decides.
     """
     components = list(zip(shape.offsets, shape.mults))
     reduced = {}
-    for row in cone:
-        r = integer_row(row)
+    for r in cone:
         h = [r[o + s] * mults[0] - r[o] * mults[s]
              for o, mults in components for s in range(1, len(mults))]
         content = math.gcd(*h) or 1
@@ -169,8 +174,11 @@ def inner_minimize(
 ) -> InnerResult:
     """Minimize the Rayleigh quotient w^T A w / w^T B w over balance ∩ ``cone``.
 
-    ``cone`` holds the rows of :func:`stability_cone`.  Weights come back
-    at peak 1/2 with every row . w <= -|row|_1 / ``max_denominator``:
+    ``cone`` holds the integer rows of :func:`stability_cone`, over the
+    shape's ``degree_denominator`` L; the float solve divides them by L, and
+    while the integers stay below 2^53 each quotient is the double nearest
+    the rational entry, as ``float(Fraction)`` would give it.  Weights come
+    back at peak 1/2 with every row . w <= -|row|_1 / ``max_denominator``:
     rounding and re-balancing in :func:`rationalize` move each weight by at
     most 1 / ``max_denominator``, which cannot push a row above zero.
 
@@ -233,7 +241,7 @@ def inner_minimize(
         peak = np.max(np.abs(n_mat @ v))
         return v * (0.5 / peak) if peak > 0 else v
 
-    rows = np.unique(np.array([[float(x) for x in row] for row in cone]), axis=0)
+    rows = np.unique(np.array(cone, dtype=float) / shape.degree_denominator, axis=0)
     slack = np.abs(rows).sum(axis=1)
     margin = 1.0 / max_denominator
     g = rows @ n_mat

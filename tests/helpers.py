@@ -469,3 +469,41 @@ def reference_generic_hyperplane(member: Subspace, steps) -> Subspace:
         if not any(hyperplane.contains(step) for step in avoid):
             return hyperplane
     raise AssertionError("unreachable: more roots than the degree allows")
+
+
+def reference_generic_line(member: Subspace, steps) -> Subspace:
+    """A line of ``member`` in no flag step that does not contain ``member``.
+
+    Built by elimination: each moment-curve point of ``member``'s canonical
+    basis is spanned and tested against the steps with
+    :meth:`Subspace.contains`, in the same k order as the package.
+    """
+    if member.dim == 1:
+        return member
+    avoid = [step for step in steps if not step.contains(member)]
+    for k in range(len(avoid) * (member.dim - 1) + 1):
+        line = span([_moment_point(member.basis, k)], member.ambient_dim)
+        if not any(step.contains(line) for step in avoid):
+            return line
+    raise AssertionError("unreachable: more roots than the degree allows")
+
+
+def reference_stability_cone(shape, incidences) -> tuple[tuple[Fraction, ...], ...]:
+    """The stability cone of a weight shape with ``Fraction`` rows.
+
+    A candidate row holds deg(D_i) m_{i,s} over the graded incidence, so
+    its product with the weights is the parabolic degree; then one row
+    w_{i,s+1} - w_{i,s} per pair of adjacent steps.
+    """
+    rows = [
+        tuple(Fraction(degree) * m for degree, mults in zip(shape.degrees, incidence)
+              for m in mults)
+        for incidence in incidences
+    ]
+    for i, count in enumerate(shape.step_counts):
+        for s in range(count - 1):
+            row = [Fraction(0)] * shape.size
+            row[shape.slot(i, s)] = Fraction(-1)
+            row[shape.slot(i, s + 1)] = Fraction(1)
+            rows.append(tuple(row))
+    return tuple(rows)

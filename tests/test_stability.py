@@ -20,7 +20,13 @@ from filtstab import (
 )
 from filtstab.fixtures import three_generic_lines, two_lines
 from filtstab.linalg import sorted_subspaces
-from filtstab.stability import CLOSURE_CAP, CLOSURE_DEPTH, _closure, _generic_line
+from filtstab.stability import (
+    CLOSURE_CAP,
+    CLOSURE_DEPTH,
+    _closure,
+    _generic_line,
+    _generic_lines,
+)
 from helpers import (
     brute_force_rank2,
     brute_force_rank3,
@@ -31,6 +37,7 @@ from helpers import (
     random_subspace,
     reference_closure,
     reference_generic_hyperplane,
+    reference_generic_line,
     sort_key,
     three_planes,
 )
@@ -51,6 +58,11 @@ def closed_under(combine, spaces):
 
 def proper_steps(fc):
     return {s for f in fc.filtrations for _, s in f.steps if 0 < s.dim < fc.rank}
+
+
+def normals_of(steps):
+    """The integer normals of each step, the form ``_generic_line`` reads."""
+    return [tuple(step.normals().values()) for step in steps]
 
 
 def closure(fc, depth=CLOSURE_DEPTH, cap=CLOSURE_CAP):
@@ -108,6 +120,32 @@ class TestCandidateSubspaces:
             span([(1, 0, 0)], 3),
             span([(1, 0, 0), (0, 1, 0)], 3),
         }
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_generic_lines_match_the_elimination_reference(self, rank):
+        # testing containment by the steps' integer normals picks the same
+        # line as spanning every moment point and eliminating; at rank 3
+        # the annihilated steps, as the hyperplane half uses them, too
+        rng = random.Random(170 + rank)
+        skipped_first_point = 0
+        for _ in range(25):
+            fc = random_balanced_configuration(
+                rng, rank, rng.randint(1, 4), height=rng.randint(1, 3), nontrivial=True
+            )
+            families = [frozenset(proper_steps(fc))]
+            if rank == 3:
+                families.append(frozenset(s.annihilator() for s in families[0]))
+            for steps in families:
+                members = closed_under(Subspace.intersect, steps | {Subspace.full(rank)})
+                members.discard(Subspace.zero(rank))
+                expected = [reference_generic_line(m, steps) for m in sorted_subspaces(members)]
+                for member, line in zip(sorted_subspaces(members), expected):
+                    assert _generic_line(member, normals_of(steps)) == line
+                    skipped_first_point += line != span(member.basis[:1], rank)
+                if rank <= 3:
+                    # there the members are the meets that _generic_lines closes over
+                    assert _generic_lines(steps, rank) == expected
+        assert skipped_first_point
 
     def test_two_lines_closure(self):
         _, fc = two_lines()
@@ -425,7 +463,8 @@ class TestCheckStabilityRank3:
             expected = set()
             for member in joins:
                 hyperplane = reference_generic_hyperplane(member, steps)
-                assert _generic_line(member.annihilator(), annihilated).annihilator() == hyperplane
+                line = _generic_line(member.annihilator(), normals_of(annihilated))
+                assert line.annihilator() == hyperplane
                 expected.add(hyperplane)
             planes = {c for c in candidates_for(fc).subspaces if c.dim == 2}
             assert planes == expected

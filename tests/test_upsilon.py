@@ -59,6 +59,7 @@ from helpers import (
     reference_balance_nullspace,
     reference_cone_width,
     reference_phase1_empty,
+    reference_stability_cone,
 )
 
 F = Fraction
@@ -86,16 +87,25 @@ def no_float_solve(monkeypatch):
 
 
 def search_problems(config, rank, seed, budget=40):
-    """Every distinct (quadratic pair, cone) of one search's shape stream."""
+    """Every distinct (quadratic pair, cone) of one search's shape stream.
+
+    Each comes with the candidate incidences its cone was built from.
+    """
     rng = random.Random(seed)
     problems = {}
     for kind in itertools.islice(itertools.cycle(upsilon.SHAPE_KINDS), budget):
         fc = upsilon._make_shape(kind, rng, rank, config.n_components)
         if fc is not None and not fc.is_trivial:
             qp = assemble_quadratics(fc, config)
-            cone = stability_cone(qp.shape, candidates_for(fc).incidences)
-            problems.setdefault((qp, frozenset(cone)), cone)
-    return [(qp, cone) for (qp, _), cone in problems.items()]
+            incidences = candidates_for(fc).incidences
+            cone = stability_cone(qp.shape, incidences)
+            problems.setdefault((qp, frozenset(cone)), (cone, incidences))
+    return [(qp, cone, incidences) for (qp, _), (cone, incidences) in problems.items()]
+
+
+def search_configs():
+    """The triangle and the blown-up concurrent triple, as the search workloads use them."""
+    return [three_generic_lines()[0], blow_up(three_concurrent_lines(), F(1, 10))]
 
 
 def single_conic():
@@ -268,6 +278,29 @@ class TestInnerMinimize:
         inner_minimize(qp, cone)
         assert starts and len(set(starts)) == len(starts)
 
+    def test_the_solve_reads_the_fraction_rows_as_doubles(self, monkeypatch):
+        # the first np.unique call of a solve receives the float cone rows;
+        # divided by L they are float(Fraction) of the Fraction rows, so
+        # the solve sees the doubles it saw before the rows were integers
+        seen = []
+        real_unique = np.unique
+
+        def recording(array, **kwargs):
+            seen.append(array.tolist())
+            return real_unique(array, **kwargs)
+
+        monkeypatch.setattr(np, "unique", recording)
+        config = search_configs()[1]
+        solved = 0
+        for qp, cone, incidences in search_problems(config, 2, 3):
+            if qp.shape.degree_denominator > 1 and not upsilon._cone_is_empty(qp.shape, cone):
+                seen.clear()
+                inner_minimize(qp, cone)
+                reference = reference_stability_cone(qp.shape, incidences)
+                assert seen[0] == [[float(x) for x in row] for row in reference]
+                solved += 1
+        assert solved
+
     def test_three_lines_feasible_value(self):
         config, fc = three_generic_lines()
         qp = assemble_quadratics(fc, config)
@@ -307,11 +340,10 @@ class TestExactCone:
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_agrees_with_the_highs_width(self, rank):
-        configs = [three_generic_lines()[0], blow_up(three_concurrent_lines(), F(1, 10))]
         outcomes = Counter()
-        for config in configs:
+        for config in search_configs():
             for seed in (3, 7):
-                for qp, cone in search_problems(config, rank, seed):
+                for qp, cone, _ in search_problems(config, rank, seed):
                     empty = upsilon._cone_is_empty(qp.shape, cone)
                     assert empty == (reference_cone_width(qp, cone) <= 1e-9)
                     outcomes[empty] += 1
@@ -351,7 +383,7 @@ class TestExactCone:
         shape = dataclasses.replace(
             single_conic()[0].shape, seed_weights=(F(1, 2), F(-1, 2))
         )
-        cone = stability_cone(shape, ()) + ((F(1), F(1)),)
+        cone = stability_cone(shape, ()) + ((1, 1),)
         assert not upsilon._cone_is_empty(shape, stability_cone(shape, ()))
         assert upsilon._cone_is_empty(shape, cone)
         assert linalg.open_cone_is_empty([(0, 0), (1, 0)])
@@ -376,6 +408,52 @@ class TestExactCone:
         assert not upsilon._cone_is_empty(shape, cone)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_rows_are_integers_over_the_degree_denominator(self, rank):
+        # divided by L, the integer rows are the Fraction rows exactly, and
+        # their float division gives the doubles float(Fraction) gives
+        scales = []
+        for config in search_configs():
+            for seed in (3, 7):
+                for qp, cone, incidences in search_problems(config, rank, seed):
+                    scale = qp.shape.degree_denominator
+                    scales.append(scale)
+                    reference = reference_stability_cone(qp.shape, incidences)
+                    assert all(type(x) is int for row in cone for x in row)
+                    assert [[Fraction(x, scale) for x in row] for row in cone] == [
+                        list(row) for row in reference
+                    ]
+                    floats = np.array(cone, dtype=float) / scale
+                    assert floats.tolist() == [[float(x) for x in row] for row in reference]
+        # the blown-up triple has fractional degrees, so L > 1 is covered
+        assert len(scales) > 10 and max(scales) > 1
+
+    def test_only_the_seed_row_is_scaled_to_integers(self, monkeypatch):
+        scaled = []
+        original = upsilon.integer_row
+
+        def counted(row):
+            scaled.append(row)
+            return original(row)
+
+        monkeypatch.setattr(upsilon, "integer_row", counted)
+        for qp, cone, _ in search_problems(three_generic_lines()[0], 3, 3):
+            before = len(scaled)
+            upsilon._cone_is_empty(qp.shape, cone)
+            assert len(scaled) == before + 1
+        assert scaled
+
+    def test_an_empty_cone_is_no_solver_failure(self, no_float_solve):
+        # EmptyConeError is a proof, so a caller catching ConvergenceError
+        # for solver failures never sees it
+        with pytest.raises(EmptyConeError):
+            try:
+                inner_minimize(*single_conic())
+            except ConvergenceError:
+                pytest.fail("an empty cone was caught as a ConvergenceError")
+        outcome = upsilon._solve_and_round(*single_conic(), upsilon.DEFAULT_MAX_DENOMINATOR)
+        assert outcome == "empty_cone"
+
     def test_no_width_on_a_non_empty_cone_is_a_solver_failure(self, monkeypatch):
         # the exact test has proven the cone non-empty, so a zero float
         # width is the solver's failure, not an empty cone
@@ -388,6 +466,8 @@ class TestExactCone:
         cone = stability_cone(qp.shape, candidates_for(fc).incidences)
         with pytest.raises(ConvergenceError):
             inner_minimize(qp, cone)
+        outcome = upsilon._solve_and_round(qp, cone, upsilon.DEFAULT_MAX_DENOMINATOR)
+        assert outcome == "solver_failures"
         counts = Counter()
         assert solve_shape(fc, config, counts, {}) is None
         assert counts == {"solver_failures": 1}
@@ -414,11 +494,13 @@ class TestStabilityCone:
     def test_candidate_rows_are_parabolic_degrees(self, rank):
         for config, fc in self.shapes(rank, 30, 401 + rank):
             exact = candidates_for(fc)
-            cone = stability_cone(shape_of(fc, config), exact.incidences)
+            shape = shape_of(fc, config)
+            cone = stability_cone(shape, exact.incidences)
+            scale = shape.degree_denominator
             flat = tuple(w for f in fc.filtrations for w in f.weights())
             for subspace, row in zip(exact.subspaces, cone):
                 value = sum(g * w for g, w in zip(row, flat))
-                assert value == parabolic_degree(subspace, fc, config)
+                assert Fraction(value, scale) == parabolic_degree(subspace, fc, config)
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_all_rows_negative_exactly_when_stable(self, rank):
