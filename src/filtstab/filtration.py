@@ -11,11 +11,12 @@ multiplicities m_s = dim gr_s(V) of the flag induced on V, one per step s
 and zeros kept.  :meth:`Filtration.step_mults` reads them from the rank of
 the pairings of V's basis with integer functionals adapted to the flag
 (:class:`~filtstab.linalg.ChainIncidence`), grown one functional at a time
-and stopped once it reaches dim V.  The functionals are built once per flag
-and shared by every reweighting of it.  The induced graded dimensions are
-the nonzero entries, and the joint step multiplicities of two flags are the
-graded incidences of one flag's steps in the other, differenced along the
-first.
+and stopped once it reaches dim V.  The functionals are assembled once per
+flag from the normals of its steps, which each subspace computes once, so a
+reweighted copy of a flag assembles them again without any elimination.
+The induced graded dimensions are the nonzero entries, and the joint step
+multiplicities of two flags are the graded incidences of one flag's steps
+in the other, differenced along the first.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ class GrSpectrum:
                 raise InvariantError("spectrum weights must strictly decrease")
         if any(m < 1 for _, m in entries):
             raise InvariantError("multiplicities must be positive")
-
-    def rank(self) -> int:
-        return sum(m for _, m in self.entries)
 
     def moment(self) -> Fraction:
         """Sum of weight * multiplicity; zero exactly when balanced."""
@@ -125,7 +123,7 @@ class Filtration:
         factor = Fraction(factor)
         if factor <= 0:
             raise InvariantError("scaling factor must be positive")
-        return self._reweighted(tuple(factor * w for w in self.weights()))
+        return self.with_weights(tuple(factor * w for w in self.weights()))
 
     def is_balanced(self) -> bool:
         return sum(map(mul, self.weights(), self.mults)) == 0
@@ -138,7 +136,7 @@ class Filtration:
         """
         if self.is_balanced():
             return self
-        return self._reweighted(balanced(self.weights(), self.mults))
+        return self.with_weights(balanced(self.weights(), self.mults))
 
     def with_weights(self, weights: Sequence[Fraction]) -> "Filtration":
         """Same flag, new weights (must still strictly decrease)."""
@@ -146,14 +144,7 @@ class Filtration:
             raise DimensionMismatchError(
                 f"{len(weights)} weights for {len(self.steps)} steps"
             )
-        return self._reweighted(weights)
-
-    def _reweighted(self, weights: Sequence[Fraction]) -> "Filtration":
-        out = Filtration(self.ambient_dim, tuple(zip(weights, self.spaces())))
-        if "incidence" in self.__dict__:
-            # same flag, so the adapted functionals carry over
-            out.__dict__["incidence"] = self.incidence
-        return out
+        return Filtration(self.ambient_dim, tuple(zip(weights, self.spaces())))
 
     @cached_property
     def incidence(self) -> ChainIncidence:

@@ -13,9 +13,14 @@ in integers do so (the stability cone of ``upsilon`` is integer rows over
 the lcm of the degree denominators), so no ``Fraction`` reaches the
 kernels from them.  :func:`open_cone_is_empty` decides, in
 integers too, whether an open polyhedral cone has a point.
-:class:`ChainIncidence` reads off the intersection dimensions of a
-subspace with every member of a flag at once from a rank alone, grown one
-column at a time and stopped once it is full, without a canonical basis.
+
+The dual representation is a subspace's integer normals, a basis of its
+annihilator read off the canonical basis once per subspace.  The join is
+the span of both bases; the meet is the annihilator of the span of both
+sets of normals; W lies in V when every normal of V vanishes on W.
+:class:`ChainIncidence` reads the intersection dimensions of a subspace
+with every member of a flag at once from the rank of its pairings with the
+flag's normals, grown one column at a time and stopped once it is full.
 """
 from __future__ import annotations
 
@@ -213,37 +218,22 @@ class Subspace:
         return len(self.basis) == self.ambient_dim
 
     def contains(self, other: "Subspace") -> bool:
+        """Whether every normal of this subspace vanishes on ``other``."""
+        self._check_ambient(other)
         if other.dim >= self.dim:
             # a subspace contains one of at least its dimension only if equal
-            self._check_ambient(other)
             return other == self
-        return self.intersection_dim(other) == other.dim
+        return not any(sum(map(mul, v, row)) for _, v in self.normals() for row in other.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        # Zassenhaus: reduce [A | A; B | 0]; the rows whose left half vanishes
-        # carry the canonical basis of the intersection in their right half.
+        """The meet: the annihilator of the span of both sets of normals."""
         self._check_ambient(other)
-        n = self.ambient_dim
-        if self.is_zero() or other.is_full():
-            return self
-        if other.is_zero() or self.is_full():
-            return other
-        zero = (0,) * n
-        stacked = [row + row for row in self.basis] + [row + zero for row in other.basis]
-        reduced = _eliminate(stacked, 2 * n)
-        return Subspace(n, tuple(row[n:] for row in reduced if not any(row[:n])))
+        functionals = tuple(v for _, v in self.normals() + other.normals())
+        return Subspace(self.ambient_dim, functionals).annihilator()
 
     def intersection_dim(self, other: "Subspace") -> int:
-        """dim(self ∩ other) = dim self + dim other - dim(self + other)."""
-        self._check_ambient(other)
-        if self.is_zero() or other.is_zero():
-            return 0
-        if self.is_full():
-            return other.dim
-        if other.is_full():
-            return self.dim
-        joined = _eliminate(self.basis + other.basis, self.ambient_dim)
-        return self.dim + other.dim - len(joined)
+        """dim(self ∩ other), read by the :class:`ChainIncidence` of ``(self,)``."""
+        return ChainIncidence.of((self,)).intersection_dims(other)[0]
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -252,18 +242,23 @@ class Subspace:
     def __and__(self, other: "Subspace") -> "Subspace":
         return self.intersect(other)
 
-    def normals(self) -> dict[int, tuple[int, ...]]:
-        """One integer functional vanishing on this subspace per free column.
+    def normals(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(free column, functional) pairs, one per free column, in column order.
 
         The functional of free column f is ``scale`` at f, zero at the other
         free columns and ``-row[f] * scale / row[pivot]`` at each pivot,
         where ``scale`` is the lcm of the pivot entries.  Together they form
-        a basis of the annihilator.
+        a basis of the annihilator.  They are computed once per subspace,
+        from the canonical basis and without elimination.
         """
+        return self._normals
+
+    @cached_property
+    def _normals(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         n = self.ambient_dim
         pivots = [next(j for j, x in enumerate(row) if x) for row in self.basis]
         scale = lcm(*(row[p] for row, p in zip(self.basis, pivots)))
-        normals = {}
+        normals = []
         for free in range(n):
             if free in pivots:
                 continue
@@ -271,12 +266,12 @@ class Subspace:
             vector[free] = scale
             for row, pivot in zip(self.basis, pivots):
                 vector[pivot] = -row[free] * (scale // row[pivot])
-            normals[free] = tuple(vector)
-        return normals
+            normals.append((free, tuple(vector)))
+        return tuple(normals)
 
     def annihilator(self) -> "Subspace":
         """The vectors orthogonal to this subspace under the standard pairing."""
-        return Subspace(self.ambient_dim, tuple(self.normals().values()))
+        return Subspace(self.ambient_dim, tuple(v for _, v in self.normals()))
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -354,8 +349,8 @@ class ChainIncidence:
         free_above: dict[int, tuple[int, ...]] = {}
         for space in reversed(chain):
             normals = space.normals()
-            functionals += [v for free, v in normals.items() if free not in free_above]
-            free_above = normals
+            functionals += [v for free, v in normals if free not in free_above]
+            free_above = dict(normals)
         return cls(n, tuple(n - space.dim for space in chain), tuple(functionals))
 
     def intersection_dims(self, subspace: Subspace) -> tuple[int, ...]:

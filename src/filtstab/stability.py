@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import mul
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -202,29 +202,23 @@ def _moment_point(basis: Sequence[Sequence[int]], k: int) -> list[int]:
     ]
 
 
-def _generic_line(
-    member: Subspace, step_normals: Sequence[Sequence[Sequence[int]]]
-) -> Subspace:
+def _generic_line(member: Subspace, steps: Iterable[Subspace]) -> Subspace:
     """A line of ``member`` lying in no flag step that does not contain ``member``.
 
-    Each flag step is given by its integer normals
-    (:meth:`~filtstab.linalg.Subspace.normals`), so a vector lies in the
-    step exactly when every normal pairs to zero with it.  The moment-curve
-    points of ``member``'s canonical basis are tried for k = 0, 1, ...; a
-    step meeting ``member`` in a proper subspace holds at most dim - 1 of
-    them (the roots of a nonzero polynomial of degree < dim), so the range
-    below always yields a line, and only that point is spanned.
+    The moment-curve points of ``member``'s canonical basis are tried for
+    k = 0, 1, ...; a step meeting ``member`` in a proper subspace holds at
+    most dim - 1 of them (the roots of a nonzero polynomial of degree
+    < dim), so the range below always yields a line.
+    :meth:`~filtstab.linalg.Subspace.contains` tests a line against a step
+    line for equality and otherwise pairs it with the step's annihilator.
     """
     if member.dim == 1:
         return member
-    avoid = [
-        normals for normals in step_normals
-        if any(sum(map(mul, psi, row)) for psi in normals for row in member.basis)
-    ]
+    avoid = [step for step in steps if not step.contains(member)]
     for k in range(len(avoid) * (member.dim - 1) + 1):
-        point = _moment_point(member.basis, k)
-        if all(any(sum(map(mul, psi, point)) for psi in normals) for normals in avoid):
-            return span([point], member.ambient_dim)
+        line = span([_moment_point(member.basis, k)], member.ambient_dim)
+        if not any(step.contains(line) for step in avoid):
+            return line
     raise AssertionError("unreachable: more roots than the degree allows")
 
 
@@ -254,12 +248,12 @@ def _generic_lines(steps: frozenset[Subspace], rank: int) -> list[Subspace]:
 
     The full space is added.  Up to rank 3 a line meets any subspace in
     itself or zero, so one round over pairs of distinct planes closes it.
-    The normals of each step are computed once here, for every member.
+    The meets and every containment test read the annihilator basis that
+    each step computes once (:meth:`~filtstab.linalg.Subspace.intersect`).
     """
     planes = [step for step in steps if step.dim == 2]
     meets = steps | {a & b for a, b in combinations(planes, 2)} | {Subspace.full(rank)}
-    step_normals = [tuple(step.normals().values()) for step in steps]
-    return [_generic_line(member, step_normals) for member in sorted_subspaces(meets)]
+    return [_generic_line(member, steps) for member in sorted_subspaces(meets)]
 
 
 def _exact_subspaces(fc: FilteredConfiguration) -> list[Subspace]:

@@ -20,6 +20,7 @@ from filtstab import (
     parabolic_degree,
     span,
 )
+from filtstab import linalg
 from filtstab.linalg import ChainIncidence
 from filtstab.surface import PlaneArrangement, blow_up
 from helpers import (
@@ -129,14 +130,24 @@ def test_functionals_are_adapted_to_the_flag(rank, seed):
         assert span(kernel.functionals[:codim], rank) == space.annihilator()
 
 
-def test_reweighted_flags_share_the_functionals():
+def test_reweighted_flags_share_the_functionals(monkeypatch):
     rng = random.Random(7)
     flag = random_balanced_filtration(rng, 4, steps=3)
-    kernel = flag.incidence
+    functionals = flag.incidence.functionals
     weights = random_balanced_weights_for(rng, flag)
-    assert flag.with_weights(weights).incidence is kernel
-    assert flag.scale(3).incidence is kernel
-    assert flag.with_weights(weights) == Filtration(4, tuple(zip(weights, flag.spaces())))
+
+    def boom(*args):
+        raise AssertionError("a reweighted flag ran an elimination or a normals computation")
+
+    # the steps' normals are cached, so reweighting reassembles the same
+    # functionals from them without eliminating or recomputing anything
+    monkeypatch.setattr(linalg, "_eliminate", boom)
+    monkeypatch.setattr(Subspace._normals, "func", boom)
+    reweighted = flag.with_weights(weights), flag.scale(3)
+    for copy in reweighted:
+        assert copy.incidence.functionals == functionals
+    monkeypatch.undo()
+    assert reweighted[0] == Filtration(4, tuple(zip(weights, flag.spaces())))
 
 
 def test_ambient_mismatch_rejected():

@@ -150,6 +150,24 @@ class TestIntersectAndSum:
             span([(1, 0)], 2) + span([(1, 0, 0)], 3)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_zero_and_full_meet_like_any_subspace(n):
+    # the meet and the intersection dimension read only normals, with no
+    # shortcut for the zero or the full space; check them at every dim
+    rng = random.Random(400 + n)
+    zero, full = Subspace.zero(n), Subspace.full(n)
+    for x in [random_subspace(rng, n, d) for d in range(n + 1) for _ in range(3)]:
+        for a, b in ((zero, x), (x, zero), (full, x), (x, full), (x, x)):
+            meet = a & b
+            assert meet.rows == reference_intersection(a.rows, b.rows, n)
+            assert meet == (zero if zero in (a, b) else x)
+            assert a.intersection_dim(b) == meet.dim == a.dim + b.dim - (a + b).dim
+            assert a.contains(b) == (meet == b)
+            assert_canonical(meet)
+        assert x.contains(zero) and full.contains(x)
+        assert zero.contains(x) == (x == zero) and x.contains(full) == (x == full)
+
+
 def _subspaces(ambient):
     vectors = st.lists(
         st.integers(min_value=-4, max_value=4), min_size=ambient, max_size=ambient

@@ -60,11 +60,6 @@ def proper_steps(fc):
     return {s for f in fc.filtrations for _, s in f.steps if 0 < s.dim < fc.rank}
 
 
-def normals_of(steps):
-    """The integer normals of each step, the form ``_generic_line`` reads."""
-    return [tuple(step.normals().values()) for step in steps]
-
-
 def closure(fc, depth=CLOSURE_DEPTH, cap=CLOSURE_CAP):
     """The flag-step closure at any rank; check_stability uses it above rank 3."""
     return tuple(_closure(fc, depth, cap)[0])
@@ -123,8 +118,8 @@ class TestCandidateSubspaces:
 
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_generic_lines_match_the_elimination_reference(self, rank):
-        # testing containment by the steps' integer normals picks the same
-        # line as spanning every moment point and eliminating; at rank 3
+        # Subspace.contains, which reads the steps' cached normals, picks the
+        # same line as spanning every moment point and eliminating; at rank 3
         # the annihilated steps, as the hyperplane half uses them, too
         rng = random.Random(170 + rank)
         skipped_first_point = 0
@@ -140,7 +135,7 @@ class TestCandidateSubspaces:
                 members.discard(Subspace.zero(rank))
                 expected = [reference_generic_line(m, steps) for m in sorted_subspaces(members)]
                 for member, line in zip(sorted_subspaces(members), expected):
-                    assert _generic_line(member, normals_of(steps)) == line
+                    assert _generic_line(member, steps) == line
                     skipped_first_point += line != span(member.basis[:1], rank)
                 if rank <= 3:
                     # there the members are the meets that _generic_lines closes over
@@ -463,7 +458,7 @@ class TestCheckStabilityRank3:
             expected = set()
             for member in joins:
                 hyperplane = reference_generic_hyperplane(member, steps)
-                line = _generic_line(member.annihilator(), normals_of(annihilated))
+                line = _generic_line(member.annihilator(), annihilated)
                 assert line.annihilator() == hyperplane
                 expected.add(hyperplane)
             planes = {c for c in candidates_for(fc).subspaces if c.dim == 2}
