@@ -385,12 +385,26 @@ def three_planes() -> tuple[DivisorConfiguration, FilteredConfiguration]:
     return config, FilteredConfiguration(4, flags)
 
 
+def reference_intersection_dim(a: Subspace, b: Subspace) -> int:
+    """dim(a ∩ b) = dim a + dim b - dim(a + b), the join ranked over ``Fraction``.
+
+    Independent of the integer kernel: no normals and no elimination of
+    ``filtstab.linalg`` are involved.
+    """
+    return len(a.rows) + len(b.rows) - len(reference_rref(a.rows + b.rows, a.ambient_dim))
+
+
+def reference_contains(big: Subspace, small_rows, width: int) -> bool:
+    """Whether the span of ``small_rows`` lies in ``big``, ranked over ``Fraction``."""
+    return len(reference_rref(big.rows + tuple(map(tuple, small_rows)), width)) == big.dim
+
+
 def reference_induced_degree_vector(filt: Filtration, subspace: Subspace):
-    """Induced graded dimensions, one ``intersection_dim`` per flag step."""
+    """Induced graded dimensions, one :func:`reference_intersection_dim` per flag step."""
     entries = []
     prev_dim = 0
     for weight, space in filt.steps:
-        here = subspace.intersection_dim(space)
+        here = reference_intersection_dim(subspace, space)
         if here > prev_dim:
             entries.append((weight, here - prev_dim))
         prev_dim = here
@@ -411,10 +425,11 @@ def reference_parabolic_degree(
 
 
 def reference_joint_step_multiplicities(f: Filtration, g: Filtration):
-    """Joint step multiplicities by inclusion-exclusion over pairwise ``intersection_dim``."""
+    """Joint step multiplicities by inclusion-exclusion over pairwise
+    :func:`reference_intersection_dim`."""
     f_spaces = [Subspace.zero(f.ambient_dim)] + list(f.spaces())
     g_spaces = [Subspace.zero(g.ambient_dim)] + list(g.spaces())
-    dims = [[fs.intersection_dim(gs) for gs in g_spaces] for fs in f_spaces]
+    dims = [[reference_intersection_dim(fs, gs) for gs in g_spaces] for fs in f_spaces]
     return tuple(
         tuple(
             dims[s + 1][t + 1] - dims[s][t + 1] - dims[s + 1][t] + dims[s][t]
@@ -458,33 +473,39 @@ def reference_generic_hyperplane(member: Subspace, steps) -> Subspace:
 
     Built directly: its normal is the first moment-curve point of the
     annihilator of ``member`` whose hyperplane contains none of those steps.
+    Containment is ranked over ``Fraction`` by :func:`reference_contains`.
     """
-    if member.dim == member.ambient_dim - 1:
+    n = member.ambient_dim
+    if member.dim == n - 1:
         return member
-    avoid = [step for step in steps if not member.contains(step)]
+    avoid = [step for step in steps if not reference_contains(member, step.rows, n)]
     normals = member.annihilator()
     for k in range(len(avoid) * (normals.dim - 1) + 1):
-        normal = span([_moment_point(normals.basis, k)], member.ambient_dim)
-        hyperplane = normal.annihilator()
-        if not any(hyperplane.contains(step) for step in avoid):
-            return hyperplane
+        normal = _moment_point(normals.basis, k)
+        # a hyperplane contains a step when its normal vanishes on the step
+        if not any(
+            all(sum(x * y for x, y in zip(normal, row)) == 0 for row in step.rows)
+            for step in avoid
+        ):
+            return span([normal], n).annihilator()
     raise AssertionError("unreachable: more roots than the degree allows")
 
 
 def reference_generic_line(member: Subspace, steps) -> Subspace:
     """A line of ``member`` in no flag step that does not contain ``member``.
 
-    Built by elimination: each moment-curve point of ``member``'s canonical
-    basis is spanned and tested against the steps with
-    :meth:`Subspace.contains`, in the same k order as the package.
+    Each moment-curve point of ``member``'s canonical basis is tried in
+    the same k order as the package; containment in a step is ranked over
+    ``Fraction`` by :func:`reference_contains`, not read from normals.
     """
+    n = member.ambient_dim
     if member.dim == 1:
         return member
-    avoid = [step for step in steps if not step.contains(member)]
+    avoid = [step for step in steps if not reference_contains(step, member.rows, n)]
     for k in range(len(avoid) * (member.dim - 1) + 1):
-        line = span([_moment_point(member.basis, k)], member.ambient_dim)
-        if not any(step.contains(line) for step in avoid):
-            return line
+        point = _moment_point(member.basis, k)
+        if not any(reference_contains(step, [point], n) for step in avoid):
+            return span([point], n)
     raise AssertionError("unreachable: more roots than the degree allows")
 
 

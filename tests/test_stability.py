@@ -36,6 +36,7 @@ from helpers import (
     random_divisor_config,
     random_subspace,
     reference_closure,
+    reference_contains,
     reference_generic_hyperplane,
     reference_generic_line,
     sort_key,
@@ -118,9 +119,10 @@ class TestCandidateSubspaces:
 
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_generic_lines_match_the_elimination_reference(self, rank):
-        # Subspace.contains, which reads the steps' cached normals, picks the
-        # same line as spanning every moment point and eliminating; at rank 3
-        # the annihilated steps, as the hyperplane half uses them, too
+        # the line lies in its member and in no step that does not contain
+        # the member, and it is the first moment point that does, as ranked
+        # over Fraction; at rank 3 the annihilated steps, as the hyperplane
+        # half uses them, too
         rng = random.Random(170 + rank)
         skipped_first_point = 0
         for _ in range(25):
@@ -136,6 +138,12 @@ class TestCandidateSubspaces:
                 expected = [reference_generic_line(m, steps) for m in sorted_subspaces(members)]
                 for member, line in zip(sorted_subspaces(members), expected):
                     assert _generic_line(member, steps) == line
+                    assert line.dim == 1 and reference_contains(member, line.rows, rank)
+                    assert not any(
+                        reference_contains(step, line.rows, rank)
+                        for step in steps
+                        if not reference_contains(step, member.rows, rank)
+                    )
                     skipped_first_point += line != span(member.basis[:1], rank)
                 if rank <= 3:
                     # there the members are the meets that _generic_lines closes over
