@@ -8,12 +8,15 @@ piece gr_a = F_a / F_{>a} is nonzero exactly at the step weights.
 
 Everything a subspace V sees of a flag is its graded incidence, the
 multiplicities m_s = dim gr_s(V) of the flag induced on V, one per step s
-and zeros kept.  :meth:`Filtration.step_mults` reads them from the rank of
-the pairings of V's basis with integer functionals adapted to the flag
-(:class:`~filtstab.linalg.ChainIncidence`), grown one functional at a time
-and stopped once it reaches dim V.  The functionals are assembled once per
-flag from the normals of its steps, which each subspace computes once, so a
-reweighted copy of a flag assembles them again without any elimination.
+and zeros kept.  :meth:`Filtration.step_mults` reads them from one rank
+(:class:`~filtstab.linalg.ChainIncidence`), from whichever side has fewer
+rows.  Up to half the rank, V's basis is paired with integer functionals
+adapted to the flag; above it, V's normals are paired with a basis adapted
+to the flag.  The rank grows one column at a time and stops once it is
+full.  The functionals are assembled once per flag from the normals of its
+steps, which each subspace computes once, and the adapted basis from the
+steps' canonical rows, on its first use; neither needs an elimination, so a
+reweighted copy of a flag assembles them again cheaply.
 The induced graded dimensions are the nonzero entries, and the joint step
 multiplicities of two flags are the graded incidences of one flag's steps
 in the other, differenced along the first.
@@ -148,7 +151,7 @@ class Filtration:
 
     @cached_property
     def incidence(self) -> ChainIncidence:
-        """Integer functionals adapted to this flag; independent of the weights."""
+        """Integer functionals and a basis adapted to this flag; independent of the weights."""
         return ChainIncidence.of(self.spaces())
 
     def step_mults(self, subspace: Subspace) -> tuple[int, ...]:
@@ -157,7 +160,7 @@ class Filtration:
         The first differences of dim(V ∩ F_s); zeros are kept, and the
         entries sum to dim V.
         """
-        return _first_differences(self.incidence.intersection_dims(subspace))
+        return self.incidence.step_mults(subspace)
 
     def induced_degree_vector(self, subspace: Subspace) -> tuple[tuple[Fraction, int], ...]:
         """Graded dimensions of the filtration induced on a subspace V.

@@ -17,16 +17,21 @@ integers too, whether an open polyhedral cone has a point.
 The dual representation is a subspace's integer normals, a basis of its
 annihilator read off the canonical basis once per subspace.  The join is
 the span of both bases; the meet is the annihilator of the span of both
-sets of normals; W lies in V when every normal of V vanishes on W.
-:class:`ChainIncidence` reads the intersection dimensions of a subspace
-with every member of a flag at once from the rank of its pairings with the
-flag's normals, grown one column at a time and stopped once it is full.
+sets of normals; W lies in V when every normal of V vanishes on W.  Every
+intersection dimension is a rank of pairings, read by one helper,
+:func:`_rank_growth`, that grows the rank one column at a time and stops
+once it is full: dim(V ∩ W) is dim W minus the rank of V's normals paired
+with W's basis.  :class:`ChainIncidence` reads the intersection dimensions
+of a subspace with every member of a flag at once, from whichever side has
+fewer rows: the subspace's basis against the flag's adapted normals, or,
+above half the dimension, the subspace's normals against a basis adapted
+to the flag.  Neither needs an elimination.
 """
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -232,8 +237,10 @@ class Subspace:
         return Subspace(self.ambient_dim, functionals).annihilator()
 
     def intersection_dim(self, other: "Subspace") -> int:
-        """dim(self ∩ other), read by the :class:`ChainIncidence` of ``(self,)``."""
-        return ChainIncidence.of((self,)).intersection_dims(other)[0]
+        """dim(self ∩ other): dim other minus the rank of the pairings of its
+        basis with the normals of self, read by :func:`_rank_growth`."""
+        self._check_ambient(other)
+        return other.dim - len(_rank_growth(other.basis, [v for _, v in self.normals()]))
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -320,6 +327,41 @@ def sorted_subspaces(spaces: Iterable[Subspace]) -> list[Subspace]:
     return [members[i] for i in order]
 
 
+def _rank_growth(
+    rows: Sequence[Sequence[int]], columns: Iterable[Sequence[int]]
+) -> list[int]:
+    """The indices j at which the rank of the pairings (psi_j . row) grows.
+
+    Column j holds the pairings of ``columns[j]`` with every one of the
+    integer ``rows``.  Forward fraction-free elimination: each new column
+    is cleared at the pivot rows of the columns kept so far, ``lead *
+    column - entry * kept``, and kept if anything is left.  No content is
+    divided out and nothing is back-substituted, since only the rank is
+    read.  Columns past the one where the rank reaches ``len(rows)`` are
+    never computed, so one row costs one column up to its first nonzero
+    pairing.  The rank of the first k columns is the number of returned
+    indices below k.
+    """
+    size = len(rows)
+    grew: list[int] = []
+    kept: list[tuple[int, list[int]]] = []  # (pivot row, reduced column)
+    for j, psi in enumerate(columns):
+        if len(kept) == size:
+            break
+        column = [sum(map(mul, psi, row)) for row in rows]
+        for pivot, vector in kept:
+            entry = column[pivot]
+            if entry:
+                lead = vector[pivot]
+                column = [lead * x - entry * y for x, y in zip(column, vector)]
+        for pivot, x in enumerate(column):
+            if x:
+                kept.append((pivot, column))
+                grew.append(j)
+                break
+    return grew
+
+
 @dataclass(frozen=True)
 class ChainIncidence:
     """The meets of a subspace with every member of a chain, rank by rank.
@@ -331,16 +373,21 @@ class ChainIncidence:
     columns that are pivots of S_k, and so on.  Pivot columns only
     grow along the chain, and each normal of S_s is zero at the other free
     columns of S_s, so the rows are triangular on the free columns and
-    independent.  Then
+    independent.  Dually, :attr:`basis` holds integer rows u_1, u_2, ...
+    whose first dim S_s span S_s.  Both are read off the members' canonical
+    bases and cached normals, without elimination.
+
     dim(V ∩ S_s) is dim V minus the rank of the first ``codims[s]`` columns
-    of the matrix (psi_j . b) over the canonical basis rows b of V.
-    :meth:`intersection_dims` grows that rank one column at a time and
-    stops once it reaches dim V.
+    of the matrix (psi_j . b) over the canonical basis rows b of V, and
+    equally dim S_s minus the rank of the first dim S_s columns of the
+    matrix (n . u_j) over the normals n of V.  :meth:`step_mults` reads
+    whichever has fewer rows, through :func:`_rank_growth`.
     """
 
     ambient_dim: int
     codims: tuple[int, ...]
     functionals: tuple[tuple[int, ...], ...]
+    chain: tuple[Subspace, ...] = field(repr=False, compare=False)
 
     @classmethod
     def of(cls, chain: Sequence[Subspace]) -> "ChainIncidence":
@@ -351,39 +398,54 @@ class ChainIncidence:
             normals = space.normals()
             functionals += [v for free, v in normals if free not in free_above]
             free_above = dict(normals)
-        return cls(n, tuple(n - space.dim for space in chain), tuple(functionals))
+        codims = tuple(n - space.dim for space in chain)
+        return cls(n, codims, tuple(functionals), tuple(chain))
 
-    def intersection_dims(self, subspace: Subspace) -> tuple[int, ...]:
-        """dim(subspace ∩ S_s) for every member S_s of the chain, in order.
+    @cached_property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """u_1, u_2, ...: the canonical rows of S_1, then those of each next
+        member at the pivot columns that are new to it.
 
-        Forward fraction-free elimination on the columns (psi_j . b)_b: each
-        new column is cleared at the pivot rows of the columns kept so far,
-        ``lead * column - entry * kept``, and kept if anything is left.  No
-        content is divided out and nothing is back-substituted, since only
-        the rank is read.  Columns past the one where the rank reaches
-        dim V are never computed, so a line costs one column up to its first
-        nonzero pairing.
+        Pivot columns only grow along the chain, so the first dim S_s rows
+        have distinct pivots in S_s and span it.  Built on the first query
+        from the dual side only.
+        """
+        rows: list[tuple[int, ...]] = []
+        pivots: set[int] = set()
+        for space in self.chain:
+            for row in space.basis:
+                pivot = next(j for j, x in enumerate(row) if x)
+                if pivot not in pivots:
+                    pivots.add(pivot)
+                    rows.append(row)
+        return tuple(rows)
+
+    def step_mults(self, subspace: Subspace) -> tuple[int, ...]:
+        """dim(V ∩ S_s) - dim(V ∩ S_{s-1}) for every member S_s, in order.
+
+        The first differences of the intersection dimensions, read from one
+        rank: a subspace V of dimension at most r/2 pairs its basis with the
+        functionals; a larger one pairs its fewer normals with the adapted
+        :attr:`basis`.
         """
         if subspace.ambient_dim != self.ambient_dim:
             raise DimensionMismatchError(
                 f"subspace in Q^{subspace.ambient_dim}, chain in Q^{self.ambient_dim}"
             )
-        basis = subspace.basis
-        dim = len(basis)
-        grew: list[int] = []  # the indices of the columns that raised the rank
-        kept: list[tuple[int, list[int]]] = []  # (pivot row, reduced column)
-        for j, psi in enumerate(self.functionals):
-            if len(kept) == dim:
-                break
-            column = [sum(map(mul, psi, row)) for row in basis]
-            for pivot, vector in kept:
-                entry = column[pivot]
-                if entry:
-                    lead = vector[pivot]
-                    column = [lead * x - entry * y for x, y in zip(column, vector)]
-            for pivot, x in enumerate(column):
-                if x:
-                    kept.append((pivot, column))
-                    grew.append(j)
-                    break
-        return tuple(dim - bisect_left(grew, c) for c in self.codims)
+        n = self.ambient_dim
+        dim = subspace.dim
+        mults = []
+        below = 0
+        if 2 * dim > n:
+            grew = _rank_growth([v for _, v in subspace.normals()], self.basis)
+            for codim in self.codims:
+                here = n - codim - bisect_left(grew, n - codim)
+                mults.append(here - below)
+                below = here
+        else:
+            grew = _rank_growth(subspace.basis, self.functionals)
+            for codim in self.codims:
+                here = dim - bisect_left(grew, codim)
+                mults.append(here - below)
+                below = here
+        return tuple(mults)

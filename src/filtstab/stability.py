@@ -143,7 +143,7 @@ def _degree_form(
 
 def _incidence(subspace: Subspace, fc: FilteredConfiguration) -> Incidence:
     """dim gr_s(V) of each component's induced flag, step by step."""
-    return tuple(f.step_mults(subspace) for f in fc.filtrations)
+    return tuple(f.incidence.step_mults(subspace) for f in fc.filtrations)
 
 
 def _dot(coefficients: DegreeForm, incidence: Incidence) -> int:
@@ -169,16 +169,21 @@ def _closure(
         ordered = sorted_subspaces(current)
         for a_index, a in enumerate(ordered):
             for b in ordered[a_index + 1:]:
-                join = a + b
-                if join.dim < fc.rank and join not in current:
-                    fresh.add(join)
-                # the meet is zero, or a or b (members already), whenever
-                # the dimension formula says so; only intersect otherwise
-                meet_dim = a.dim + b.dim - join.dim
-                if 0 < meet_dim < min(a.dim, b.dim):
-                    meet = a.intersect(b)
-                    if meet not in current:
-                        fresh.add(meet)
+                # one rank of pairings gives dim(a ∩ b), and with it
+                # dim(a + b) = dim a + dim b - dim(a ∩ b).  A meet of dim a
+                # or dim b means one contains the other, so meet and join
+                # are a and b, members already; a zero meet or a full join
+                # is not proper.  Only the rest are formed.
+                meet_dim = b.intersection_dim(a)
+                if meet_dim < min(a.dim, b.dim):
+                    if a.dim + b.dim - meet_dim < fc.rank:
+                        join = a + b
+                        if join not in current:
+                            fresh.add(join)
+                    if meet_dim:
+                        meet = a.intersect(b)
+                        if meet not in current:
+                            fresh.add(meet)
                 if len(current) + len(fresh) >= cap:
                     capped = True
                     break

@@ -385,6 +385,28 @@ def three_planes() -> tuple[DivisorConfiguration, FilteredConfiguration]:
     return config, FilteredConfiguration(4, flags)
 
 
+def blown_up_r4(seed: int, full: bool) -> tuple[DivisorConfiguration, FilteredConfiguration]:
+    """Five lines with triple points p0 and p1, blown up: seven components.
+
+    The exceptional curves carry two-step flags; the lines carry full flags,
+    or flags of two to four steps when ``full`` is false.
+    """
+    arrangement = PlaneArrangement(
+        tuple((f"L{i}", 1) for i in range(5)),
+        (("p0", ("L0", "L1", "L2")), ("p1", ("L0", "L3", "L4"))),
+    )
+    config = blow_up(arrangement, Fraction(1, 10))
+    rng = random.Random(seed)
+    flags = tuple(
+        random_balanced_filtration(
+            rng, 4, height=3,
+            steps=2 if name.startswith("E_") else 4 if full else rng.choice((2, 3, 4)),
+        )
+        for name in config.names
+    )
+    return config, FilteredConfiguration(4, flags)
+
+
 def reference_intersection_dim(a: Subspace, b: Subspace) -> int:
     """dim(a ∩ b) = dim a + dim b - dim(a + b), the join ranked over ``Fraction``.
 

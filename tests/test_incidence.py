@@ -1,7 +1,10 @@
 """The integer incidence kernel against the per-step reference formulas."""
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +24,9 @@ from filtstab import (
     span,
 )
 from filtstab import linalg
-from filtstab.linalg import ChainIncidence
-from filtstab.surface import PlaneArrangement, blow_up
+from filtstab.linalg import ChainIncidence, _rank_growth
 from helpers import (
+    blown_up_r4,
     random_balanced_configuration,
     random_balanced_filtration,
     random_balanced_weights_for,
@@ -115,10 +118,18 @@ def test_chain_meets_match_intersection_dims(rank, height, seed):
     probes += [random_subspace(rng, rank, d, height) for d in range(rank + 1)]
     # subspaces of chain members, which meet the members below them partly
     probes += [span(rows[: d // 2] + [rows[d - 1]], rank) for d in dims if d]
+    # the first dim S_s rows of the adapted basis span S_s
+    for space in chain:
+        assert span(kernel.basis[: space.dim], rank) == space
     for v in probes:
         expected = tuple(reference_intersection_dim(v, s) for s in chain)
-        assert kernel.intersection_dims(v) == expected
+        assert tuple(accumulate(kernel.step_mults(v))) == expected
         assert tuple(v.intersection_dim(s) for s in chain) == expected
+        # both sides of the rank, whichever one step_mults picks for v
+        primal = _rank_growth(v.basis, kernel.functionals)
+        assert tuple(v.dim - bisect_left(primal, c) for c in kernel.codims) == expected
+        dual = _rank_growth([n for _, n in v.normals()], kernel.basis)
+        assert tuple(s.dim - bisect_left(dual, s.dim) for s in chain) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,8 +160,62 @@ def test_reweighted_flags_share_the_functionals(monkeypatch):
     reweighted = flag.with_weights(weights), flag.scale(3)
     for copy in reweighted:
         assert copy.incidence.functionals == functionals
+        # the adapted basis is built only on a first query from the dual
+        # side, and then from the steps' canonical rows alone
+        assert "basis" not in copy.incidence.__dict__
+        assert copy.incidence.basis == flag.incidence.basis
     monkeypatch.undo()
     assert reweighted[0] == Filtration(4, tuple(zip(weights, flag.spaces())))
+
+
+def _moved(space: Subspace, g: list[list[int]]) -> Subspace:
+    """The image of ``space`` under the invertible map x -> x g."""
+    rows = [[sum(map(mul, row, column)) for column in zip(*g)] for row in space.basis]
+    return span(rows, space.ambient_dim)
+
+
+def _moved_configuration(fc: FilteredConfiguration, g) -> FilteredConfiguration:
+    return FilteredConfiguration(fc.rank, tuple(
+        Filtration(fc.rank, tuple((w, _moved(s, g)) for w, s in f.steps))
+        for f in fc.filtrations
+    ))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32))
+def test_graded_incidence_is_invariant_under_gl(rank, seed):
+    # one g in GL_r(Q) applied to every flag step and every probe keeps
+    # every intersection dimension, on both sides of the rank
+    rng = random.Random(seed)
+    flags = tuple(_flag(rng, rank, rng.randint(1, rank), 3) for _ in range(3))
+    fc = FilteredConfiguration(rank, flags)
+    g = random_invertible_rows(rng, rank, 3)
+    moved = _moved_configuration(fc, g)
+    for v in _candidates(rng, fc, 3):
+        image = _moved(v, g)
+        for filt, moved_filt in zip(fc.filtrations, moved.filtrations):
+            assert moved_filt.step_mults(image) == filt.step_mults(v)
+
+
+def test_rank4_closure_verdict_is_invariant_under_gl():
+    # the closure commutes with g while it is not capped, so the closure-only
+    # verdict keeps its status, its degrees and its closure size
+    rng = random.Random(23)
+    documents = [three_planes()] + [
+        (random_divisor_config(rng, n), random_balanced_configuration(rng, 4, n, height=2))
+        for n in (2, 3, 3, 4)
+    ]
+    for config, fc in documents:
+        before = check_stability(fc, config, samples=0)
+        assert not before.metadata["closure_capped"]
+        for _ in range(2):
+            moved = _moved_configuration(fc, random_invertible_rows(rng, 4, 3))
+            after = check_stability(moved, config, samples=0)
+            assert after.status == before.status
+            assert after.max_observed_degree == before.max_observed_degree
+            assert after.observed_degrees == before.observed_degrees
+            for key in ("closure_size", "closure_capped"):
+                assert after.metadata[key] == before.metadata[key]
 
 
 def test_ambient_mismatch_rejected():
@@ -166,28 +231,6 @@ def test_three_planes_transversal_has_degree_zero():
         assert filt.step_mults(w) == (1, 1)
     assert parabolic_degree(w, fc, config) == 0
     assert reference_parabolic_degree(w, fc, config) == 0
-
-
-def _blown_up_r4(seed: int, full: bool) -> tuple[DivisorConfiguration, FilteredConfiguration]:
-    """Five lines with triple points p0 and p1, blown up: seven components.
-
-    The exceptional curves carry two-step flags; the lines carry full flags,
-    or flags of two to four steps when ``full`` is false.
-    """
-    arrangement = PlaneArrangement(
-        tuple((f"L{i}", 1) for i in range(5)),
-        (("p0", ("L0", "L1", "L2")), ("p1", ("L0", "L3", "L4"))),
-    )
-    config = blow_up(arrangement, F(1, 10))
-    rng = random.Random(seed)
-    flags = tuple(
-        random_balanced_filtration(
-            rng, 4, height=3,
-            steps=2 if name.startswith("E_") else 4 if full else rng.choice((2, 3, 4)),
-        )
-        for name in config.names
-    )
-    return config, FilteredConfiguration(4, flags)
 
 
 # (status, witness basis, maximal degree, explored, closure size, distinct
@@ -208,7 +251,7 @@ def test_rank4_verdicts_are_pinned(name):
         config, fc = three_planes()
     else:
         kind, seed = name.split("-")
-        config, fc = _blown_up_r4(int(seed), kind == "full")
+        config, fc = blown_up_r4(int(seed), kind == "full")
     verdict = check_stability(fc, config, samples=200, seed=5)
     status, witness, degree, explored, closure_size, distinct = RANK4_PINNED[name]
     assert verdict.status.name == status

@@ -28,6 +28,7 @@ from filtstab.stability import (
     _generic_lines,
 )
 from helpers import (
+    blown_up_r4,
     brute_force_rank2,
     brute_force_rank3,
     random_balanced_configuration,
@@ -186,25 +187,38 @@ class TestCandidateSubspaces:
         assert closure(fc, depth=0, cap=3) == tuple(steps)
 
     def test_closure_matches_naive_reference(self, monkeypatch):
-        # only meets that the dimension formula leaves open are computed
-        original = Subspace.intersect
+        # only meets and joins that the dimension formula leaves open are
+        # computed: a meet that is neither zero, a nor b, a join that is
+        # neither the full space, a nor b
+        meet_of, join_of = Subspace.intersect, Subspace.__add__
 
         def settled_meet_refused(a, b):
-            meet = original(a, b)
+            meet = meet_of(a, b)
             assert 0 < meet.dim < min(a.dim, b.dim)
             return meet
 
+        def settled_join_refused(a, b):
+            join = join_of(a, b)
+            assert join.dim < a.ambient_dim and join != a and join != b
+            return join
+
         rng = random.Random(41)
-        configurations = [three_planes()[1]] + [
-            random_balanced_configuration(rng, 4, rng.randint(2, 5), height=2)
+        configurations = [(three_planes()[1], (1, 4, 12, 512))] + [
+            (random_balanced_configuration(rng, 4, rng.randint(2, 5), height=2), (1, 4, 12, 512))
             for _ in range(8)
         ]
-        for fc in configurations:
+        # the seven-component documents of the rank-4 workload, whose
+        # closures reach the cap
+        configurations += [
+            (blown_up_r4(seed, full)[1], (CLOSURE_CAP,)) for seed, full in ((1, True), (14, False))
+        ]
+        for fc, caps in configurations:
             for depth in (0, 1, 2, 3):
-                for cap in (1, 4, 12, 512):
+                for cap in caps:
                     expected = reference_closure(fc, depth, cap)
                     with monkeypatch.context() as patch:
                         patch.setattr(Subspace, "intersect", settled_meet_refused)
+                        patch.setattr(Subspace, "__add__", settled_join_refused)
                         assert _closure(fc, depth, cap) == expected
 
 
