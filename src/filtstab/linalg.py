@@ -421,7 +421,8 @@ class ChainIncidence:
         return tuple(rows)
 
     def step_mults(self, subspace: Subspace) -> tuple[int, ...]:
-        """dim(V ∩ S_s) - dim(V ∩ S_{s-1}) for every member S_s, in order.
+        """dim(V ∩ S_s) - dim(V ∩ S_{s-1}) for every member S_s, in order
+        (with S_0 = 0).
 
         The first differences of the intersection dimensions, read from one
         rank: a subspace V of dimension at most r/2 pairs its basis with the
