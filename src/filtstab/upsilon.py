@@ -191,12 +191,14 @@ def inner_minimize(
 
     On a non-empty cone, the eigenvector of the smallest generalized
     eigenvalue of (A, B) on the balance subspace is returned as an interior
-    minimum when it keeps that slack.  Otherwise one linear program (HiGHS)
-    finds the widest slack t the cone allows; thinner cones keep t / 2, and
-    t <= 0 on a cone proven non-empty is a solver failure
-    (:class:`ConvergenceError`).  Then SLSQP, with all rows as one linear
-    constraint and run from distinct deterministic starts, gives a
-    ``boundary`` value >= the eigenvalue.
+    minimum when it keeps that slack.  Otherwise SLSQP, with all rows as one
+    linear constraint and run from distinct deterministic starts (the seed
+    and canonical weights and blends with the eigenvector), gives a
+    ``boundary`` value >= the eigenvalue.  When one start keeps twice the
+    slack, it proves the cone wide enough; only when none does, one linear
+    program (HiGHS) finds the widest slack t the cone allows, thinner cones
+    keep t / 2, the widest point becomes one more start, and t <= 0 on a
+    cone proven non-empty is a solver failure (:class:`ConvergenceError`).
 
     This is the package's only float solve, and numpy and scipy are
     imported here, after the exact tests, rather than with the module: a
@@ -250,32 +252,37 @@ def inner_minimize(
         if np.all(g @ v <= -margin * slack):
             return InnerResult(tuple(n_mat @ v), eigen_ratio, False)
 
-    # Boundary path: maximize t with rows . w + t |row|_1 <= 0 and |w| <= 1/2.
-    box = np.vstack([n_mat, -n_mat])
-    lp = linprog(
-        np.r_[np.zeros(d), -1.0],
-        A_ub=np.block([[g, slack[:, None]], [box, np.zeros((2 * size, 1))]]),
-        b_ub=np.r_[np.zeros(len(g)), np.full(2 * size, 0.5)],
-        bounds=[(None, None)] * d + [(None, 1.0)],
-        method="highs",
-    )
-    if lp.status != 0:
-        raise ConvergenceError(f"the cone width program failed: {lp.message}")
-    if -lp.fun <= 1e-9:
-        raise ConvergenceError(
-            f"the cone width program gave {-lp.fun:.3g} on a non-empty cone"
-        )
-    margin = min(margin, -lp.fun / 2)
-
-    # the seed and canonical weights, blends of the first with the
-    # eigenvector, and the widest point of the cone; each distinct one once
+    # the seed and canonical weights, and blends of the first with the
+    # eigenvector, each at peak 1/2
     starts = [
         peak_half(np.linalg.lstsq(n_mat, np.array(w, dtype=float), rcond=None)[0])
         for w in (shape.seed_weights, canonical_weights(shape))
     ]
     v_eig = peak_half(v_min)
     starts += [peak_half((1 - t) * v_eig + t * starts[0]) for t in (0.25, 0.5, 0.75)]
-    starts.append(lp.x[:d])
+
+    # Boundary path: the widest slack t <= 1 with rows . w + t |row|_1 <= 0
+    # and |w| <= 1/2.  Each start is a feasible point of that program, so
+    # when one is 2 * margin wide, t / 2 >= margin and the program is not run.
+    box = np.vstack([n_mat, -n_mat])
+    if max(np.min(-(g @ v) / slack) for v in starts) < 2 * margin:
+        lp = linprog(
+            np.r_[np.zeros(d), -1.0],
+            A_ub=np.block([[g, slack[:, None]], [box, np.zeros((2 * size, 1))]]),
+            b_ub=np.r_[np.zeros(len(g)), np.full(2 * size, 0.5)],
+            bounds=[(None, None)] * d + [(None, 1.0)],
+            method="highs",
+        )
+        if lp.status != 0:
+            raise ConvergenceError(f"the cone width program failed: {lp.message}")
+        if -lp.fun <= 1e-9:
+            raise ConvergenceError(
+                f"the cone width program gave {-lp.fun:.3g} on a non-empty cone"
+            )
+        margin = min(margin, -lp.fun / 2)
+        # the widest point of the cone
+        starts.append(lp.x[:d])
+    # each distinct start once
     starts = [np.array(v) for v in dict.fromkeys(map(tuple, starts))]
 
     # the rows with their slack and the peak bound, as m_mat @ v <= bound

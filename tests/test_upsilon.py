@@ -86,21 +86,41 @@ def no_float_solve(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh", refuse)
 
 
+def search_shapes(config, rank, seed, budget=40):
+    """The non-trivial shapes of one search's generated stream, in order."""
+    rng = random.Random(seed)
+    for kind in itertools.islice(itertools.cycle(upsilon.SHAPE_KINDS), budget):
+        fc = upsilon._make_shape(kind, rng, rank, config.n_components)
+        if fc is not None and not fc.is_trivial:
+            yield fc
+
+
 def search_problems(config, rank, seed, budget=40):
     """Every distinct (quadratic pair, cone) of one search's shape stream.
 
     Each comes with the candidate incidences its cone was built from.
     """
-    rng = random.Random(seed)
     problems = {}
-    for kind in itertools.islice(itertools.cycle(upsilon.SHAPE_KINDS), budget):
-        fc = upsilon._make_shape(kind, rng, rank, config.n_components)
-        if fc is not None and not fc.is_trivial:
-            qp = assemble_quadratics(fc, config)
-            incidences = candidates_for(fc).incidences
-            cone = stability_cone(qp.shape, incidences)
-            problems.setdefault((qp, frozenset(cone)), (cone, incidences))
+    for fc in search_shapes(config, rank, seed, budget):
+        qp = assemble_quadratics(fc, config)
+        incidences = candidates_for(fc).incidences
+        cone = stability_cone(qp.shape, incidences)
+        problems.setdefault((qp, frozenset(cone)), (cone, incidences))
     return [(qp, cone, incidences) for (qp, _), (cone, incidences) in problems.items()]
+
+
+@pytest.fixture
+def width_programs(monkeypatch):
+    """Count the calls of the cone width program; the real HiGHS still runs."""
+    calls = []
+    real_linprog = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("method"))
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    return calls
 
 
 def search_configs():
@@ -454,16 +474,27 @@ class TestExactCone:
         outcome = upsilon._solve_and_round(*single_conic(), upsilon.DEFAULT_MAX_DENOMINATOR)
         assert outcome == "empty_cone"
 
-    def test_no_width_on_a_non_empty_cone_is_a_solver_failure(self, monkeypatch):
+    def test_no_width_on_a_non_empty_cone_is_a_solver_failure(
+        self, monkeypatch, width_programs
+    ):
         # the exact test has proven the cone non-empty, so a zero float
-        # width is the solver's failure, not an empty cone
+        # width is the solver's failure, not an empty cone.  The width
+        # program runs only where no start is wide enough, so the shape is
+        # the first of a rank-3 stream whose non-empty cone still calls it.
+        config = three_generic_lines()[0]
+        for fc in search_shapes(config, 3, 3):
+            qp = assemble_quadratics(fc, config)
+            cone = stability_cone(qp.shape, candidates_for(fc).incidences)
+            if not upsilon._cone_is_empty(qp.shape, cone):
+                inner_minimize(qp, cone)
+                if width_programs:
+                    break
+        assert width_programs
+
         def no_width(*args, **kwargs):
             return scipy.optimize.OptimizeResult(status=0, fun=0.0, message="stub")
 
         monkeypatch.setattr(scipy.optimize, "linprog", no_width)
-        config, fc = three_generic_lines()
-        qp = assemble_quadratics(fc, config)
-        cone = stability_cone(qp.shape, candidates_for(fc).incidences)
         with pytest.raises(ConvergenceError):
             inner_minimize(qp, cone)
         outcome = upsilon._solve_and_round(qp, cone, upsilon.DEFAULT_MAX_DENOMINATOR)
@@ -471,6 +502,48 @@ class TestExactCone:
         counts = Counter()
         assert solve_shape(fc, config, counts, {}) is None
         assert counts == {"solver_failures": 1}
+
+
+class TestWidthProgram:
+    """HiGHS computes the cone's widest slack only where no start proves it."""
+
+    def test_a_skipped_program_could_not_narrow_the_margin(self, width_programs):
+        # every start is a feasible point of the width program, so a start
+        # 2 * margin wide bounds its optimum t from below and min(margin,
+        # t / 2) is the margin; the returned weights keep that slack
+        margin = 1 / upsilon.DEFAULT_MAX_DENOMINATOR
+        ran = Counter()
+        for config in search_configs():
+            for rank in (2, 3):
+                for seed in (3, 21, 31):
+                    for qp, cone, _ in search_problems(config, rank, seed):
+                        if upsilon._cone_is_empty(qp.shape, cone):
+                            continue
+                        width_programs.clear()
+                        result = inner_minimize(qp, cone)
+                        ran[bool(width_programs)] += 1
+                        if width_programs:
+                            continue
+                        # an interior minimum proves only the margin itself
+                        wide = (2 if result.boundary else 1) * margin
+                        assert reference_cone_width(qp, cone) >= wide
+                        scale = qp.shape.degree_denominator
+                        for row in cone:
+                            value = -sum(map(mul, row, result.weights)) / scale
+                            assert value >= margin * sum(map(abs, row)) / scale - 1e-9
+        assert ran[True] and ran[False]
+
+    def test_a_wide_cone_never_reaches_highs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the width program ran on a wide cone")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+        config, fc = three_generic_lines()
+        qp = assemble_quadratics(fc, config)
+        cone = stability_cone(qp.shape, candidates_for(fc).incidences)
+        result = inner_minimize(qp, cone)
+        assert isinstance(result, upsilon.InnerResult)
+        assert result.boundary
 
 
 class TestStabilityCone:
