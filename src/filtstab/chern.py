@@ -12,7 +12,7 @@ Two routes are implemented and cross-checked against each other:
   quadratic form in the step weights with integer coefficients
   (:func:`assemble_quadratics`); :func:`c2_trivial` evaluates it at a
   configuration's own weights, and the ``upsilon`` search builds it once
-  per flag shape for its c2 and the float matrices of the inner solve.
+  per flag shape for its c2 and its inner solve.
   The squared norm reads only the shape (:meth:`WeightShape.norm_value`).
 
 Both routes must agree exactly on balanced configurations.
@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     InvariantError,
@@ -41,9 +41,6 @@ from .filtration import (
     joint_step_multiplicities,
 )
 from .surface import DivisorConfiguration, crossing_points
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -238,6 +235,19 @@ class WeightShape:
     def size(self) -> int:
         return sum(self.step_counts)
 
+    @cached_property
+    def free_slots(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The balance coordinates: (first, slot, m0, m) per step s >= 1, in slot order.
+
+        first and slot are the slots of steps 0 and s, m0 and m their multiplicities;
+        a balanced w is the sum of w[slot] (e_slot - (m / m0) e_first) over these.
+        """
+        return tuple(
+            (offset, offset + s, mults[0], m)
+            for offset, mults in zip(self.offsets, self.mults)
+            for s, m in enumerate(mults[1:], 1)
+        )
+
     def slot(self, component: int, step: int) -> int:
         return self.offsets[component] + step
 
@@ -275,28 +285,6 @@ class QuadraticPair:
         n = [x.numerator * (common // x.denominator) for x in w]
         total = sum(k * n[p] * n[q] for p, q, k in self.terms)
         return Fraction(-total, 2 * common * common)
-
-    def a_float(self) -> np.ndarray:
-        """The symmetric matrix A with w^T A w = c2: -k/2 on the diagonal, -k/4 off it.
-
-        numpy is imported here, not with the module, so that only a float
-        solve loads it.
-        """
-        import numpy as np
-
-        a = np.zeros((self.shape.size, self.shape.size))
-        for p, q, k in self.terms:
-            if p == q:
-                a[p, p] = -k / 2
-            else:
-                a[p, q] = a[q, p] = -k / 4
-        return a
-
-    def b_float(self) -> np.ndarray:
-        """The diagonal of B with w^T B w = ||F||^2, as a vector (numpy imported here)."""
-        import numpy as np
-
-        return np.array([float(x) for x in self.shape.norm_diagonal()])
 
 
 def shape_of(fc: FilteredConfiguration, config: DivisorConfiguration) -> WeightShape:

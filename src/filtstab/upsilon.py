@@ -20,9 +20,9 @@ lines coincide), so a search solves and rationalizes once per distinct
 (quadratic pair, set of cone rows) and reuses that outcome; everything that
 reads the subspaces themselves still runs per shape.
 
-Only :func:`inner_minimize` uses numpy and scipy, and it imports them in its
-body once the cone is known not to be empty, so importing this module (and
-the package) loads neither.
+Only the float solve (:func:`inner_minimize`, :func:`_float_forms`) uses numpy
+and scipy, imported once the cone is known not to be empty, so importing
+this module (and the package) loads neither.
 
 Weight vectors are flat tuples ordered component by component, step by step;
 a :class:`WeightShape` records the bookkeeping (offsets, multiplicities,
@@ -83,22 +83,6 @@ def canonical_weights(shape: WeightShape) -> tuple[Fraction, ...]:
     )
 
 
-def _balance_nullspace(shape: WeightShape) -> list[tuple[Fraction, ...]]:
-    """Exact basis of the subspace cut out by the balance constraints.
-
-    Component i has one constraint sum_s m_{i,s} w_{i,s} = 0, so the vectors
-    e_{i,s} - (m_{i,s} / m_{i,0}) e_{i,0}, s >= 1, in slot order, are a basis.
-    """
-    basis = []
-    for offset, mults in zip(shape.offsets, shape.mults):
-        for s in range(1, len(mults)):
-            vec = [Fraction(0)] * shape.size
-            vec[offset] = -Fraction(mults[s], mults[0])
-            vec[offset + s] = Fraction(1)
-            basis.append(tuple(vec))
-    return basis
-
-
 ConeRows = tuple[tuple[int, ...], ...]
 
 
@@ -135,27 +119,35 @@ def stability_cone(shape: WeightShape, incidences: Sequence[Incidence]) -> ConeR
 def _cone_is_empty(shape: WeightShape, cone: ConeRows) -> bool:
     """Whether no balanced weights lie in the open ``cone``, decided in integers.
 
-    A balanced w is fixed by its slots (i, s >= 1), and at those
-    row . w = sum r'_{i,s} w_{i,s} / m_{i,0} with the reduced row
-    r'_{i,s} = r_{i,s} m_{i,0} - r_{i,0} m_{i,s}.  The cone's integer rows
-    are reduced as they are, then made primitive and deduplicated.  When
-    the seed weights satisfy all of them the cone is not empty; otherwise
+    Over the ``shape.free_slots``, a balanced w has row . w = h . x with the
+    reduced row h = r[slot] m0 - r[first] m and the coordinates x = w[slot] / m0.
+    The cone's integer rows are reduced so, made primitive and deduplicated.
+    When the seed's x satisfies all of them the cone is not empty; otherwise
     :func:`~filtstab.linalg.open_cone_is_empty` decides.
     """
-    components = list(zip(shape.offsets, shape.mults))
+    free = shape.free_slots
     reduced = {}
     for r in cone:
-        h = [r[o + s] * mults[0] - r[o] * mults[s]
-             for o, mults in components for s in range(1, len(mults))]
+        h = [r[slot] * m0 - r[first] * m for first, slot, m0, m in free]
         content = math.gcd(*h) or 1
         reduced[tuple(x // content for x in h)] = None
-    seed = integer_row([
-        Fraction(shape.seed_weights[o + s], mults[0])
-        for o, mults in components for s in range(1, len(mults))
-    ])
+    seed = integer_row([Fraction(shape.seed_weights[slot], m0) for _, slot, m0, _ in free])
     if all(sum(map(mul, h, seed)) < 0 for h in reduced):
         return False
     return open_cone_is_empty(list(reduced))
+
+
+def _float_forms(qp: QuadraticPair):
+    """numpy arrays (A, b) with w^T A w = c2 and w^T diag(b) w = ||F||^2.
+
+    Each term (p, q, k) puts -k/2 at (p, q); symmetrizing halves it off the diagonal.
+    """
+    import numpy as np
+
+    a = np.zeros((qp.shape.size, qp.shape.size))
+    for p, q, k in qp.terms:
+        a[p, q] = -k / 2
+    return (a + a.T) / 2, np.array([float(x) for x in qp.shape.norm_diagonal()])
 
 
 @dataclass(frozen=True)
@@ -178,9 +170,10 @@ def inner_minimize(
     shape's ``degree_denominator`` L; the float solve divides them by L, and
     while the integers stay below 2^53 each quotient is the double nearest
     the rational entry, as ``float(Fraction)`` would give it.  Weights come
-    back at peak 1/2 with every row . w <= -|row|_1 / ``max_denominator``:
-    rounding and re-balancing in :func:`rationalize` move each weight by at
-    most 1 / ``max_denominator``, which cannot push a row above zero.
+    back at peak 1/2 with every row . w <= -margin |row|_1.  The margin is
+    1 / ``max_denominator``, which rounding in :func:`rationalize` cannot
+    cross, except on cones thinner than 2 / ``max_denominator`` (width t
+    below): there it is t / 2, and the exact check of the rounded weights decides.
 
     Three exact tests come first, with no float work.  A shape whose flags
     are all trivial, or whose norm is not definite on the balance subspace
@@ -200,21 +193,18 @@ def inner_minimize(
     keep t / 2, the widest point becomes one more start, and t <= 0 on a
     cone proven non-empty is a solver failure (:class:`ConvergenceError`).
 
-    This is the package's only float solve, and numpy and scipy are
-    imported here, after the exact tests, rather than with the module: a
-    process loads them on its first non-empty cone, and commands that never
-    search start without them.
+    numpy and scipy are imported here, after the exact tests, so a process
+    loads them on its first non-empty cone.
     """
     shape = qp.shape
-    if not any(count > 1 for count in shape.step_counts):
+    if not shape.free_slots:
         raise SingularFormError(
             "only the zero weight vector satisfies the balance constraints"
         )
-    # B = diag(mult * deg) with mult >= 1 and deg >= 0, and a component with
-    # k >= 2 steps spans k - 1 balance directions, so B is definite there
-    # exactly when every such component has positive degree
-    weighted = zip(shape.step_counts, shape.degrees)
-    if any(count > 1 and degree <= 0 for count, degree in weighted):
+    # B = diag(mult * deg) with mult >= 1, and the balance directions are
+    # the free slots, so B is definite there exactly when positive at each
+    diagonal = shape.norm_diagonal()
+    if any(diagonal[slot] <= 0 for _, slot, _, _ in shape.free_slots):
         raise SingularFormError(
             "norm form is not positive definite on the balance subspace "
             "(a weighted component has degree zero?)"
@@ -226,11 +216,13 @@ def inner_minimize(
     from scipy.linalg import eigh
     from scipy.optimize import linprog, minimize
 
-    basis = _balance_nullspace(shape)
-    n_mat = np.array([[float(x) for x in vec] for vec in basis]).T  # size x d
-    size, d = n_mat.shape
-    a = qp.a_float()
-    b = qp.b_float()
+    # column j is the balanced vector e_slot - (m / m0) e_first of free slot j
+    free = shape.free_slots
+    size, d = shape.size, len(free)
+    n_mat = np.zeros((size, d))
+    for j, (first, slot, m0, m) in enumerate(free):
+        n_mat[[slot, first], j] = 1.0, -m / m0
+    a, b = _float_forms(qp)
     a_red = n_mat.T @ a @ n_mat
     a_red = 0.5 * (a_red + a_red.T)
     b_red = n_mat.T @ (b[:, None] * n_mat)
@@ -252,10 +244,10 @@ def inner_minimize(
         if np.all(g @ v <= -margin * slack):
             return InnerResult(tuple(n_mat @ v), eigen_ratio, False)
 
-    # the seed and canonical weights, and blends of the first with the
-    # eigenvector, each at peak 1/2
+    # the seed and canonical weights, read at their free slots, and blends
+    # of the first with the eigenvector, each at peak 1/2
     starts = [
-        peak_half(np.linalg.lstsq(n_mat, np.array(w, dtype=float), rcond=None)[0])
+        peak_half(np.array([w[slot] for _, slot, _, _ in free], dtype=float))
         for w in (shape.seed_weights, canonical_weights(shape))
     ]
     v_eig = peak_half(v_min)

@@ -18,6 +18,7 @@ from filtstab import (
     Status,
     Subspace,
     blow_up,
+    joint_step_multiplicities,
     parabolic_degree,
     span,
 )
@@ -171,6 +172,28 @@ def balance_rows(shape) -> list[tuple[int, ...]]:
         row[offset : offset + len(mults)] = mults
         rows.append(tuple(row))
     return rows
+
+
+def pairing_forms(fc, config) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """A with w^T A w = c2 and the diagonal of B with w^T B w = ||F||^2, from the pairing.
+
+    A[(i,s),(j,t)] = -1/2 * m^{ij}_{st} * D_i.D_j over ordered pairs of
+    slots, with the joint step multiplicities of every pair of flags (a
+    flag with itself included), and B[(i,s)] = m_{i,s} * deg(D_i); both in
+    ``Fraction``, read from the flags and ``config`` alone.
+    """
+    flags = fc.filtrations
+    slots = [(i, s) for i, f in enumerate(flags) for s in range(len(f.steps))]
+    joint = {
+        (i, j): joint_step_multiplicities(f, g)
+        for i, f in enumerate(flags) for j, g in enumerate(flags)
+    }
+    a = [
+        [-Fraction(joint[i, j][s][t] * config.intersection[i][j], 2) for j, t in slots]
+        for i, s in slots
+    ]
+    b = [m * d for f, d in zip(flags, config.degrees) for m in f.mults]
+    return a, b
 
 
 def reference_balance_nullspace(qp) -> list[tuple[Fraction, ...]]:

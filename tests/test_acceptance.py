@@ -25,6 +25,7 @@ from filtstab import (
     derive_tables,
     inner_minimize,
     norm_sq,
+    shape_of,
     stability_cone,
 )
 from filtstab.cli import main
@@ -35,6 +36,7 @@ from helpers import (
     balance_rows,
     brute_force_rank2,
     console_script_command,
+    pairing_forms,
     random_balanced_configuration,
     random_divisor_config,
     random_realizable_config,
@@ -214,14 +216,19 @@ def _two_parameter_instance(rng: random.Random):
     return config, fc
 
 
-def _grid_minimum(qp, points: int) -> float:
-    """Independent oracle: sweep directions of the 2D balance subspace."""
-    balance = np.array([[float(x) for x in row] for row in balance_rows(qp.shape)])
+def _grid_minimum(fc, config, points: int) -> float:
+    """Independent oracle: sweep directions of the 2D balance subspace.
+
+    A and B come from the pairing of the flags (``pairing_forms``), not
+    from the package's quadratic pair.
+    """
+    balance = np.array([[float(x) for x in row] for row in balance_rows(shape_of(fc, config))])
     basis = null_space(balance)
     assert basis.shape[1] == 2
     u1, u2 = basis[:, 0], basis[:, 1]
-    a = qp.a_float()
-    b = qp.b_float()
+    dense, diagonal = pairing_forms(fc, config)
+    a = np.array([[float(x) for x in row] for row in dense])
+    b = np.array([float(x) for x in diagonal])
     a11, a12, a22 = u1 @ a @ u1, u1 @ a @ u2, u2 @ a @ u2
     b11, b12, b22 = (
         float(np.sum(b * u1 * u1)),
@@ -248,7 +255,7 @@ def test_criterion_7_inner_solver_oracle():
         result = inner_minimize(qp, stability_cone(qp.shape, ()))
         if result.boundary or abs(result.ratio) < 1e-3:
             continue  # the oracle compares the unconstrained minimum
-        grid = _grid_minimum(qp, 2000 * 2000)
+        grid = _grid_minimum(fc, config, 2000 * 2000)
         assert abs(result.ratio - grid) <= 1e-9 * max(1.0, abs(grid))
         checked += 1
     elapsed = time.monotonic() - start

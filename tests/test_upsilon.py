@@ -40,7 +40,6 @@ from filtstab import (
     check_stability,
     derive_tables,
     inner_minimize,
-    joint_step_multiplicities,
     norm_sq,
     outer_search,
     parabolic_degree,
@@ -53,6 +52,7 @@ from filtstab.fixtures import three_concurrent_lines, three_generic_lines, two_l
 from filtstab.serialize import estimate_to_doc
 from helpers import (
     balance_rows,
+    pairing_forms,
     random_balanced_configuration,
     random_balanced_weights_for,
     random_divisor_config,
@@ -128,6 +128,16 @@ def search_configs():
     return [three_generic_lines()[0], blow_up(three_concurrent_lines(), F(1, 10))]
 
 
+def free_slot_basis(shape):
+    """The vectors e_slot - (m / m0) e_first of ``shape.free_slots``, in ``Fraction``."""
+    basis = []
+    for first, slot, m0, m in shape.free_slots:
+        vec = [F(0)] * shape.size
+        vec[slot], vec[first] = F(1), -F(m, m0)
+        basis.append(tuple(vec))
+    return basis
+
+
 def single_conic():
     # its flag line has degree 2 * w_top > 0 for every strictly ordered
     # balanced weighting, so no weights are stable
@@ -192,26 +202,19 @@ class TestAssembleQuadratics:
             config = random_divisor_config(rng, n)
             fc = random_balanced_configuration(rng, rank, n)
             qp = assemble_quadratics(fc, config)
-            slots = [(i, s) for i, f in enumerate(fc.filtrations) for s in range(len(f.steps))]
-            joint = {
-                (i, j): joint_step_multiplicities(f, g)
-                for i, f in enumerate(fc.filtrations) for j, g in enumerate(fc.filtrations)
-            }
-            dense = [
-                [-F(joint[i, j][s][t] * config.intersection[i][j], 2) for j, t in slots]
-                for i, s in slots
-            ]
-            assert qp.a_float().tolist() == [[float(x) for x in row] for row in dense]
+            dense, diagonal = pairing_forms(fc, config)
+            a, b = upsilon._float_forms(qp)
+            assert a.tolist() == [[float(x) for x in row] for row in dense]
             flat = qp.shape.seed_weights
             assert qp.c2_value(flat) == sum(
                 (dense[p][q] * flat[p] * flat[q]
-                 for p in range(len(slots)) for q in range(len(slots))),
+                 for p in range(len(flat)) for q in range(len(flat))),
                 F(0),
             )
-            assert qp.b_float().tolist() == [
-                float(m * d)
-                for mults, d in zip(qp.shape.mults, config.degrees) for m in mults
+            assert diagonal == [
+                m * d for mults, d in zip(qp.shape.mults, config.degrees) for m in mults
             ]
+            assert b.tolist() == [float(x) for x in diagonal]
 
     def test_one_elimination_per_crossing_pair(self, monkeypatch):
         # diagonal blocks come from the step multiplicities, and each
@@ -242,7 +245,8 @@ class TestAssembleQuadratics:
         assert qp.shape.offsets == (0, 2, 4)
         rows = balance_rows(qp.shape)
         assert rows == [(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1)]
-        for vec in upsilon._balance_nullspace(qp.shape):
+        assert qp.shape.free_slots == ((0, 1, 1, 1), (2, 3, 1, 1), (4, 5, 1, 1))
+        for vec in free_slot_basis(qp.shape):
             assert all(sum(map(mul, row, vec)) == 0 for row in rows)
 
     def test_balance_nullspace_is_the_eliminated_basis(self):
@@ -251,9 +255,30 @@ class TestAssembleQuadratics:
             rank, n = rng.randint(1, 4), rng.randint(1, 4)
             fc = random_balanced_configuration(rng, rank, n)
             qp = assemble_quadratics(fc, random_divisor_config(rng, n))
-            basis = upsilon._balance_nullspace(qp.shape)
+            basis = free_slot_basis(qp.shape)
             assert basis == reference_balance_nullspace(qp)
             assert len(basis) == qp.shape.size - n
+
+    def test_balanced_weights_are_their_free_slots(self):
+        # a balanced w is sum w[slot] (e_slot - (m / m0) e_first), so the
+        # solve reads a start's coordinates at its free slots, with no
+        # least-squares projection
+        rng = random.Random(17)
+        multiplicities = set()
+        for _ in range(200):
+            rank, n = rng.randint(2, 4), rng.randint(1, 4)
+            shape = shape_of(
+                random_balanced_configuration(rng, rank, n), random_divisor_config(rng, n)
+            )
+            basis = free_slot_basis(shape)
+            for w in (shape.seed_weights, canonical_weights(shape)):
+                assert all(sum(map(mul, row, w)) == 0 for row in balance_rows(shape))
+                rebuilt = [F(0)] * shape.size
+                for (_, slot, _, _), vec in zip(shape.free_slots, basis):
+                    rebuilt = [x + w[slot] * y for x, y in zip(rebuilt, vec)]
+                assert tuple(rebuilt) == w
+            multiplicities.update(m0 for _, _, m0, _ in shape.free_slots)
+        assert max(multiplicities) > 1
 
 
 class TestInnerMinimize:
@@ -263,8 +288,9 @@ class TestInnerMinimize:
         fc = FilteredConfiguration(2, (two_step(span([(1, 0)], 2)),))
         qp = assemble_quadratics(fc, config)
         assert qp.terms == ((0, 0, -2), (1, 1, -2))
-        assert qp.a_float().tolist() == [[1.0, 0.0], [0.0, 1.0]]
-        assert qp.b_float().tolist() == [1.0, 1.0]
+        a, b = upsilon._float_forms(qp)
+        assert a.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert b.tolist() == [1.0, 1.0]
         result = inner_minimize(qp, stability_cone(qp.shape, ()))
         assert result.ratio == pytest.approx(1.0, abs=1e-9)
         assert not result.boundary
@@ -533,6 +559,30 @@ class TestWidthProgram:
                             assert value >= margin * sum(map(abs, row)) / scale - 1e-9
         assert ran[True] and ran[False]
 
+    def test_a_thin_cone_keeps_half_its_width(self, monkeypatch, width_programs):
+        # at epsilon 1/100 the blown-up triple has cones thinner than
+        # 1 / max_denominator, where the margin is half the width HiGHS
+        # finds; a fixed margin of 1 / 64 there turned 4 of these 18
+        # boundary shapes into solver failures
+        widths = []
+        original = upsilon.inner_minimize
+
+        def recorded(qp, cone, *args):
+            width_programs.clear()
+            result = original(qp, cone, *args)
+            if width_programs:
+                widths.append(reference_cone_width(qp, cone))
+            return result
+
+        monkeypatch.setattr(upsilon, "inner_minimize", recorded)
+        config = blow_up(three_concurrent_lines(), F(1, 100))
+        estimate = outer_search(config, rank=2, budget=40, seed=3)
+        log = estimate.search_log
+        assert (log["boundary_hits"], log["solver_failures"], log["stable"]) == (18, 0, 18)
+        assert estimate.ratio == 0
+        assert estimate.attained
+        assert widths and min(widths) < 1 / upsilon.DEFAULT_MAX_DENOMINATOR
+
     def test_a_wide_cone_never_reaches_highs(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the width program ran on a wide cone")
@@ -711,7 +761,8 @@ class TestOuterSearch:
             w for f in estimate.configuration.filtrations for w in f.weights()
         )
         w = np.array([float(x) for x in flat])
-        float_ratio = float(w @ qp.a_float() @ w) / float(np.sum(qp.b_float() * w * w))
+        a, b = upsilon._float_forms(qp)
+        float_ratio = float(w @ a @ w) / float(np.sum(b * w * w))
         exact = float(estimate.ratio)
         assert abs(float_ratio - exact) <= 1e-6 * max(1.0, abs(exact))
 
