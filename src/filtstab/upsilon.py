@@ -76,11 +76,16 @@ def _half_steps(k: int) -> list[Fraction]:
     return [Fraction(k - 1 - 2 * s, 2) for s in range(k)]
 
 
+def _balanced_weights(shape: WeightShape, weights: Sequence) -> tuple[Fraction, ...]:
+    """``weights`` with each component shifted onto its balance constraint."""
+    chunks = (weights[o : o + len(m)] for o, m in zip(shape.offsets, shape.mults))
+    return tuple(w for chunk, m in zip(chunks, shape.mults) for w in balanced(chunk, m))
+
+
 def canonical_weights(shape: WeightShape) -> tuple[Fraction, ...]:
     """Evenly spread balanced weights for a shape, half-integer spacing."""
-    return tuple(
-        w for mults in shape.mults for w in balanced(_half_steps(len(mults)), mults)
-    )
+    steps = [w for mults in shape.mults for w in _half_steps(len(mults))]
+    return _balanced_weights(shape, steps)
 
 
 ConeRows = tuple[tuple[int, ...], ...]
@@ -244,11 +249,11 @@ def inner_minimize(
         if np.all(g @ v <= -margin * slack):
             return InnerResult(tuple(n_mat @ v), eigen_ratio, False)
 
-    # the seed and canonical weights, read at their free slots, and blends
-    # of the first with the eigenvector, each at peak 1/2
+    # the balanced seed (never zero: its steps strictly decrease) and canonical
+    # weights at their free slots, and blends of the seed with the eigenvector
     starts = [
         peak_half(np.array([w[slot] for _, slot, _, _ in free], dtype=float))
-        for w in (shape.seed_weights, canonical_weights(shape))
+        for w in (_balanced_weights(shape, shape.seed_weights), canonical_weights(shape))
     ]
     v_eig = peak_half(v_min)
     starts += [peak_half((1 - t) * v_eig + t * starts[0]) for t in (0.25, 0.5, 0.75)]
@@ -340,18 +345,15 @@ def rationalize(
         )
         for w in weights
     ]
-    out: list[Fraction] = []
-    for i, mults in enumerate(shape.mults):
-        base = shape.offsets[i]
-        chunk = balanced(rounded[base : base + len(mults)], mults)
-        for s in range(len(chunk) - 1):
-            if chunk[s] <= chunk[s + 1]:
+    out = _balanced_weights(shape, rounded)
+    for i, (offset, count) in enumerate(zip(shape.offsets, shape.step_counts)):
+        for s in range(count - 1):
+            if out[offset + s] <= out[offset + s + 1]:
                 raise OrderingCollapseError(
                     f"steps {s} and {s + 1} of component {i} merged at "
                     f"denominator {max_denominator}"
                 )
-        out.extend(chunk)
-    return tuple(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -448,12 +450,10 @@ def _make_shape(
 def _with_weights(
     fc: FilteredConfiguration, shape: WeightShape, weights: Sequence[Fraction]
 ) -> FilteredConfiguration:
-    new_filtrations = []
-    for i, filt in enumerate(fc.filtrations):
-        base = shape.offsets[i]
-        chunk = weights[base : base + shape.step_counts[i]]
-        new_filtrations.append(filt.with_weights(chunk))
-    return FilteredConfiguration(fc.rank, tuple(new_filtrations))
+    flags = zip(fc.filtrations, shape.offsets, shape.step_counts)
+    return FilteredConfiguration(
+        fc.rank, tuple(f.with_weights(weights[o : o + k]) for f, o, k in flags)
+    )
 
 
 def outer_search(

@@ -714,6 +714,21 @@ class TestOuterSearch:
         spaces = {f.steps[0][1] for f in estimate.configuration.filtrations}
         assert spaces == {f.steps[0][1] for f in fc.filtrations}
 
+    @pytest.mark.parametrize("weights", [(F(1), F(0)), (F(3, 2), F(1, 2))])
+    def test_an_unbalanced_start_is_solved_from_its_balance_shift(self, weights):
+        # both weightings shift to the triangle's own +-1/2; read unbalanced,
+        # (1, 0) would start the solve at zero and (3/2, 1/2) at reversed steps
+        config, fc = three_generic_lines()
+        start = FilteredConfiguration(
+            2, tuple(f.with_weights(weights) for f in fc.filtrations)
+        )
+        estimate = outer_search(config, rank=2, budget=1, seed=3, start=start)
+        expected = outer_search(config, rank=2, budget=1, seed=3, start=fc)
+        assert estimate.configuration == expected.configuration
+        assert estimate.search_log == expected.search_log
+        assert estimate.search_log["solver_failures"] == 0
+        assert estimate.ratio == F(375, 4114)
+
     def test_the_start_is_tried_first_and_once(self):
         # after the start, the stream is the one a search without a start walks
         config, fc = three_generic_lines()
