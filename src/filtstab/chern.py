@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -40,6 +39,7 @@ from .filtration import (
     joint_multiplicity_table,
     joint_step_multiplicities,
 )
+from .linalg import integer_row
 from .surface import DivisorConfiguration, crossing_points
 
 
@@ -227,11 +227,6 @@ class WeightShape:
         return tuple(accumulate(self.step_counts[:-1], initial=0))
 
     @cached_property
-    def degree_denominator(self) -> int:
-        """L, the lcm of the degree denominators: every L deg(D_i) is an integer."""
-        return lcm(*(d.denominator for d in self.degrees))
-
-    @cached_property
     def size(self) -> int:
         return sum(self.step_counts)
 
@@ -280,9 +275,7 @@ class QuadraticPair:
 
     def c2_value(self, weights: Sequence[Fraction]) -> Fraction:
         """c2 at ``weights``, summed in integers over their common denominator."""
-        w = [Fraction(x) for x in weights]
-        common = lcm(*(x.denominator for x in w))
-        n = [x.numerator * (common // x.denominator) for x in w]
+        n, common = integer_row(weights)
         total = sum(k * n[p] * n[q] for p, q, k in self.terms)
         return Fraction(-total, 2 * common * common)
 

@@ -234,16 +234,28 @@ def _cmd_upsilon(args: argparse.Namespace) -> dict:
             shown = rational_to_string(best) if best is not None else "none"
             print(f"candidates {done}/{total}, best ratio {shown}", file=sys.stderr)
 
-    estimate = outer_search(
-        config,
-        rank=args.rank,
-        budget=args.budget,
-        seed=args.seed,
-        start=fc,
-        max_denominator=args.max_denominator,
-        samples=args.samples,
-        progress=progress,
-    )
+    try:
+        estimate = outer_search(
+            config,
+            rank=args.rank,
+            budget=args.budget,
+            seed=args.seed,
+            start=fc,
+            max_denominator=args.max_denominator,
+            samples=args.samples,
+            progress=progress,
+        )
+    except BGIViolationError as error:
+        # c2 >= 0 holds on surfaces; a matrix no surface has is the input's fault
+        witness = config.hodge_witness()
+        if witness is None:
+            raise
+        raise DocumentValidationError(
+            f"no surface has these degrees and intersections: y = {list(witness)} has "
+            f"degree 0 and y^T M y = {config.pairing(witness)} > 0, against the Hodge "
+            "index theorem, so c2 >= 0 need not hold for its stable configurations",
+            "configuration.intersection",
+        ) from error
     return estimate_to_doc(estimate)
 
 

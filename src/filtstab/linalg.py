@@ -7,12 +7,13 @@ construction, so every subspace is canonical.  Two subspaces are equal
 exactly when their stored bases are identical, so they can be hashed,
 deduplicated and compared deterministically.  The subspace kernels run
 through one fraction-free integer elimination; ``Fraction`` appears only
-where ``Fraction`` input rows are scaled to integers and where the rational
-echelon rows are derived for output.  Callers that can build their rows
-in integers do so (the stability cone of ``upsilon`` is integer rows over
-the lcm of the degree denominators), so no ``Fraction`` reaches the
-kernels from them.  :func:`open_cone_is_empty` decides, in
-integers too, whether an open polyhedral cone has a point.
+where ``Fraction`` input rows are scaled to integers, by the package's one
+such scaling, :func:`integer_row`, and where the rational echelon rows are
+derived for output.  Callers that can build their rows in integers do so
+(the stability cone of ``upsilon`` is integer rows over the lcm of the
+degree denominators), so no ``Fraction`` reaches the kernels from them.
+:func:`open_cone_is_empty` decides, in integers too, whether an open
+polyhedral cone has a point.
 
 The dual representation is a subspace's integer normals, a basis of its
 annihilator read off the canonical basis once per subspace.  The join is
@@ -64,21 +65,22 @@ def rational_to_string(value: Fraction | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def integer_row(row: Sequence) -> tuple[int, ...]:
-    """``row`` scaled by the lcm of its denominators to an integer row."""
-    values = [Fraction(x) for x in row]
+def integer_row(values: Sequence) -> tuple[tuple[int, ...], int]:
+    """``values`` over one common denominator: the integers ``value * L``
+    and L, the lcm of their denominators (the package's one such scaling)."""
+    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
     scale = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (scale // v.denominator) for v in values)
+    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
 
 
 def _eliminate(rows: Iterable[Sequence], width: int) -> tuple[tuple[int, ...], ...]:
     """Canonical integer basis of the row space of ``rows``.
 
     A row holding anything but ``int`` entries (a ``Fraction``, say) is
-    first scaled to integers by :func:`integer_row`; integer rows are only
-    copied.  Then Gauss-Jordan elimination without division: clearing a
-    column replaces a row by ``lead * row - entry * pivot_row`` and divides
-    out its content (the gcd of its entries).  Pivot rows are made
+    first replaced by its numerators over :func:`integer_row`; integer rows
+    are only copied.  Then Gauss-Jordan elimination without division:
+    clearing a column replaces a row by ``lead * row - entry * pivot_row``
+    and divides out its content (the gcd of its entries).  Pivot rows are made
     primitive with a positive pivot before use, so the result is in
     canonical form.
     """
@@ -86,7 +88,7 @@ def _eliminate(rows: Iterable[Sequence], width: int) -> tuple[tuple[int, ...], .
     for r in rows:
         if len(r) != width:
             raise DimensionMismatchError(f"row has length {len(r)}, expected {width}")
-        work.append(list(r) if set(map(type, r)) <= {int} else list(integer_row(r)))
+        work.append(list(r) if set(map(type, r)) <= {int} else list(integer_row(r)[0]))
     rank = 0
     for col in range(width):
         pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)

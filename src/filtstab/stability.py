@@ -19,13 +19,16 @@ subspaces (the flag-step closure plus seeded random samples) only supports a
 heuristic verdict.  :func:`candidates_for` is the one place where the rank
 picks between the two.
 
-Degrees are evaluated as integer dot products.  A subspace V enters only
-through its graded incidence m_{i,s} = dim gr_s(V), the multiplicities of
-the flag F_i induced on V (one rank per flag, grown column by column, see
-:meth:`~filtstab.filtration.Filtration.step_mults`), and the degree is
-sum_{i,s} K_{i,s} m_{i,s} / L with integers K_{i,s} = L deg(D_i) a_{i,s}
-over one common denominator L.  The incidences do not depend on the
-weights, so :class:`Candidates` stores them with the candidates, and
+Degrees are integer dot products over one flat slot layout, component i by
+component, step s by step, as in :class:`~filtstab.chern.WeightShape`.  A
+subspace V enters only through its graded incidence m_{i,s} = dim gr_s(V),
+the multiplicities of the flag F_i induced on V (one rank per flag, grown
+column by column, see :meth:`~filtstab.filtration.Filtration.step_mults`).
+With K_{i,s} = L deg(D_i) over the lcm L of the degree denominators
+(:func:`slot_degrees`, which the search's stability cone reads too) and the
+weights a = n / c over their own common denominator, the degree is
+sum_{i,s} K_{i,s} n_{i,s} m_{i,s} / (L c).  The incidences do not depend on
+the weights, so :class:`Candidates` stores them with the candidates, and
 reweighting a flag shape costs one dot product per candidate.
 """
 
@@ -36,7 +39,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -46,12 +48,8 @@ from .errors import (
     ShapeMismatchError,
 )
 from .filtration import FilteredConfiguration
-from .linalg import Subspace, sorted_subspaces, span
+from .linalg import Subspace, integer_row, sorted_subspaces, span
 from .surface import DivisorConfiguration
-
-# per component i and step s: dim gr_s(V) for F_i, or an integer coefficient K_{i,s}
-Incidence = tuple[tuple[int, ...], ...]
-DegreeForm = tuple[tuple[int, ...], ...]
 
 CLOSURE_CAP = 512
 CLOSURE_DEPTH = 3
@@ -123,31 +121,32 @@ def parabolic_degree(
         )
     fc.check_components(config)
     coefficients, denominator = _degree_form(fc, config)
-    return Fraction(_dot(coefficients, _incidence(subspace, fc)), denominator)
+    return Fraction(sum(map(mul, coefficients, _incidence(subspace, fc))), denominator)
+
+
+def slot_degrees(
+    degrees: Sequence[Fraction], step_counts: Sequence[int]
+) -> tuple[tuple[int, ...], int]:
+    """K_{i,s} = L deg(D_i) at every slot (i, s), and L, the lcm of the degree
+    denominators, so that K . x / L = sum_{i,s} deg(D_i) x_{i,s}."""
+    numerators, scale = integer_row(degrees)
+    return tuple(k for k, count in zip(numerators, step_counts) for _ in range(count)), scale
 
 
 def _degree_form(
     fc: FilteredConfiguration, config: DivisorConfiguration
-) -> tuple[DegreeForm, int]:
-    """Integer coefficients K_{i,s} = L deg(D_i) a_{i,s} and their denominator L."""
-    rows = [
-        [degree * w for w in filt.weights()]
-        for filt, degree in zip(fc.filtrations, config.degrees)
-    ]
-    denominator = lcm(*(c.denominator for row in rows for c in row))
-    coefficients = tuple(
-        tuple(c.numerator * (denominator // c.denominator) for c in row) for row in rows
-    )
-    return coefficients, denominator
+) -> tuple[tuple[int, ...], int]:
+    """K n and L c, with n / c the weights: a graded incidence's degree is
+    its dot product with K n, over L c."""
+    filtrations = fc.filtrations
+    degrees, scale = slot_degrees(config.degrees, [len(f.steps) for f in filtrations])
+    weights, common = integer_row([w for f in filtrations for w in f.weights()])
+    return tuple(map(mul, degrees, weights)), scale * common
 
 
-def _incidence(subspace: Subspace, fc: FilteredConfiguration) -> Incidence:
-    """dim gr_s(V) of each component's induced flag, step by step."""
-    return tuple(f.incidence.step_mults(subspace) for f in fc.filtrations)
-
-
-def _dot(coefficients: DegreeForm, incidence: Incidence) -> int:
-    return sum(sum(map(mul, row, mults)) for row, mults in zip(coefficients, incidence))
+def _incidence(subspace: Subspace, fc: FilteredConfiguration) -> tuple[int, ...]:
+    """dim gr_s(V) of each component's induced flag, concatenated in slot order."""
+    return tuple(m for f in fc.filtrations for m in f.incidence.step_mults(subspace))
 
 
 def _proper_flag_steps(fc: FilteredConfiguration) -> frozenset[Subspace]:
@@ -235,7 +234,7 @@ class Candidates:
     input the candidates depend on, so one set serves every weighting of
     those flags.  ``incidences[n]`` is the graded incidence of
     ``subspaces[n]``: dim gr_s(V) of the flag F_i induced on V, for each
-    component i and step s.
+    component i and step s, flat in slot order.
     An ``exact`` set decides stability; any other is a flag-step closure,
     and ``closure_capped`` records whether :data:`CLOSURE_CAP` truncated
     it.  :func:`candidates_for` builds both kinds.
@@ -243,7 +242,7 @@ class Candidates:
 
     flags: tuple[tuple[Subspace, ...], ...]
     subspaces: tuple[Subspace, ...]
-    incidences: tuple[Incidence, ...]
+    incidences: tuple[tuple[int, ...], ...]
     exact: bool
     closure_capped: bool
 
@@ -425,6 +424,6 @@ def check_stability(
             "sample_height": SAMPLE_HEIGHT,
         }
     coefficients, denominator = _degree_form(fc, config)
-    numerators = [_dot(coefficients, x) for x in incidences]
+    numerators = [sum(map(mul, coefficients, x)) for x in incidences]
     certainty = Certainty.EXACT if candidates.exact else Certainty.HEURISTIC
     return _verdict_from(explored, numerators, denominator, certainty, metadata)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from operator import mul
+from typing import Optional, Sequence
 
 from .errors import CoverageError, InvariantError
-from .linalg import rational_to_string
+from .linalg import rational_to_string, span
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,42 @@ class DivisorConfiguration:
                 if cj != 0:
                     total += ci * cj * self.intersection[i][j]
         return total
+
+    def hodge_witness(self) -> Optional[tuple[int, ...]]:
+        """An integer y with d . y = 0 and y^T M y > 0, or None when there is none.
+
+        d holds the degrees and M the intersection matrix.  The degrees are
+        intersections with an ample class, so by the Hodge index theorem M is
+        negative semi-definite where d . y = 0, and such a y proves that no
+        surface carries these numbers.  One symmetric elimination (LDL^T) of
+        M over the normals of span([d]), in ``Fraction``: a positive pivot v
+        is the witness, a negative one is projected out of the vectors left,
+        and a zero pivot v pairing to b != 0 with some u left gives the
+        witness v + t u, t = b / (1 + |u^T M u|), where 2 t b + t^2 u^T M u > 0.
+        The witness is returned primitive, with a positive leading entry.
+        """
+        n = self.n_components
+
+        def form(u, v):
+            return sum(x * sum(map(mul, row, v)) for x, row in zip(u, self.intersection))
+
+        vectors = [v for _, v in span([self.degrees], n).normals()]
+        while vectors:
+            v = vectors.pop(0)
+            pivot = form(v, v)
+            if pivot > 0:
+                return span([v], n).basis[0]
+            if pivot < 0:
+                vectors = [
+                    [x - Fraction(form(u, v), pivot) * y for x, y in zip(u, v)]
+                    for u in vectors
+                ]
+                continue
+            u = next((u for u in vectors if form(u, v)), None)
+            if u is not None:
+                t = Fraction(form(u, v), 1 + abs(form(u, u)))
+                return span([[x + t * y for x, y in zip(v, u)]], n).basis[0]
+        return None
 
     def __repr__(self) -> str:
         parts = ", ".join(

@@ -5,10 +5,11 @@ norm are quadratic forms in the step weights (the joint graded multiplicities
 depend only on the subspaces; :func:`~filtstab.chern.assemble_quadratics`
 builds the exact pair), and every candidate degree is linear in them:
 the stable weights of a shape form an open polyhedral cone, built once per
-shape as integer rows over the lcm of the degree denominators
-(:func:`stability_cone`).  Whether that cone is empty is decided exactly,
-from those rows, before any float work.  On a non-empty cone
-the inner problem is a generalized Rayleigh-quotient minimization over
+shape as integer rows over the lcm L of the degree denominators, from the
+slot coefficients K = L deg(D_i) that the stability verdict reads too
+(:func:`~filtstab.stability.slot_degrees`, :func:`stability_cone`).
+Whether that cone is empty is decided exactly, from those rows, before any
+float work.  On a non-empty cone the inner problem is a generalized Rayleigh-quotient minimization over
 balance ∩ cone, solved in floating point and re-verified exactly after
 rationalizing the minimizer.  The outer loop
 walks one stream of flag shapes (a given start first and once, then seeded
@@ -55,11 +56,11 @@ from .filtration import FilteredConfiguration, Filtration, balanced
 from .linalg import integer_row, open_cone_is_empty, span
 from .stability import (
     Certainty,
-    Incidence,
     StabilityVerdict,
     Status,
     candidates_for,
     check_stability,
+    slot_degrees,
 )
 from .surface import DivisorConfiguration
 
@@ -91,27 +92,23 @@ def canonical_weights(shape: WeightShape) -> tuple[Fraction, ...]:
 ConeRows = tuple[tuple[int, ...], ...]
 
 
-def stability_cone(shape: WeightShape, incidences: Sequence[Incidence]) -> ConeRows:
+def stability_cone(shape: WeightShape, incidences: Sequence[Sequence[int]]) -> ConeRows:
     """Integer rows of the open cone {w : row . w < 0 for all rows} of a flag shape.
 
-    The rows are held over L = ``shape.degree_denominator``, the lcm of the
-    degree denominators, so that K_i = L deg(D_i) is an integer.  A
-    candidate subspace V gives the row g_V[i,s] = K_i m_{i,s}, with
-    m_{i,s} = dim gr_s(V) its graded incidence for the flag F_i, so
-    g_V . w / L is the parabolic degree of V by definition.  These rows
-    come first, in the order of ``incidences``; then one row
-    L (w_{i,s+1} - w_{i,s}) per pair of adjacent steps.  Scaling by L > 0
-    keeps the open cone as it is.  With the incidences of
-    :func:`~filtstab.stability.candidates_for`, weights at ranks 2 and 3
-    are stable exactly when they lie in the cone; above, where the set is
-    the flag-step closure, the cone contains the stable weights.
+    The rows are held over L, the lcm of the degree denominators, with
+    K_{i,s} = L deg(D_i) at every slot (:func:`~filtstab.stability.slot_degrees`).
+    A candidate subspace V gives the row g_V = K m elementwise, with
+    m_{i,s} = dim gr_s(V) its flat graded incidence, so g_V . w / L is the
+    parabolic degree of V by definition.  These rows come first, in the
+    order of ``incidences``; then one row L (w_{i,s+1} - w_{i,s}) per pair
+    of adjacent steps.  Scaling by L > 0 keeps the open cone as it is.
+    With the incidences of :func:`~filtstab.stability.candidates_for`,
+    weights at ranks 2 and 3 are stable exactly when they lie in the cone;
+    above, where the set is the flag-step closure, the cone contains the
+    stable weights.
     """
-    scale = shape.degree_denominator
-    factors = [d.numerator * (scale // d.denominator) for d in shape.degrees]
-    rows = [
-        tuple(k * m for k, mults in zip(factors, incidence) for m in mults)
-        for incidence in incidences
-    ]
+    degrees, scale = slot_degrees(shape.degrees, shape.step_counts)
+    rows = [tuple(map(mul, degrees, incidence)) for incidence in incidences]
     for i, count in enumerate(shape.step_counts):
         for s in range(count - 1):
             row = [0] * shape.size
@@ -136,7 +133,7 @@ def _cone_is_empty(shape: WeightShape, cone: ConeRows) -> bool:
         h = [r[slot] * m0 - r[first] * m for first, slot, m0, m in free]
         content = math.gcd(*h) or 1
         reduced[tuple(x // content for x in h)] = None
-    seed = integer_row([Fraction(shape.seed_weights[slot], m0) for _, slot, m0, _ in free])
+    seed, _ = integer_row([Fraction(shape.seed_weights[slot], m0) for _, slot, m0, _ in free])
     if all(sum(map(mul, h, seed)) < 0 for h in reduced):
         return False
     return open_cone_is_empty(list(reduced))
@@ -172,9 +169,10 @@ def inner_minimize(
     """Minimize the Rayleigh quotient w^T A w / w^T B w over balance ∩ ``cone``.
 
     ``cone`` holds the integer rows of :func:`stability_cone`, over the
-    shape's ``degree_denominator`` L; the float solve divides them by L, and
-    while the integers stay below 2^53 each quotient is the double nearest
-    the rational entry, as ``float(Fraction)`` would give it.  Weights come
+    lcm L of the degree denominators, read from
+    :func:`~filtstab.stability.slot_degrees`; the float solve divides them
+    by L, and while the integers stay below 2^53 each quotient is the
+    double nearest the rational entry, as ``float(Fraction)`` would give it.  Weights come
     back at peak 1/2 with every row . w <= -margin |row|_1.  The margin is
     1 / ``max_denominator``, which rounding in :func:`rationalize` cannot
     cross, except on cones thinner than 2 / ``max_denominator`` (width t
@@ -240,7 +238,8 @@ def inner_minimize(
         peak = np.max(np.abs(n_mat @ v))
         return v * (0.5 / peak) if peak > 0 else v
 
-    rows = np.unique(np.array(cone, dtype=float) / shape.degree_denominator, axis=0)
+    _, scale = slot_degrees(shape.degrees, shape.step_counts)
+    rows = np.unique(np.array(cone, dtype=float) / scale, axis=0)
     slack = np.abs(rows).sum(axis=1)
     margin = 1.0 / max_denominator
     g = rows @ n_mat
@@ -483,8 +482,10 @@ def outer_search(
     included.  The rationalized minimizer is kept when
     :func:`check_stability` (sampling with ``samples`` above rank 3) calls
     it stable; c2 and the norm come from the exact :class:`QuadraticPair`.
-    An exactly stable candidate with negative c2 can only come from a bug
-    and raises :class:`BGIViolationError`.
+    An exactly stable candidate with negative c2 raises
+    :class:`BGIViolationError`: on a surface it can only come from a bug
+    (:meth:`~filtstab.surface.DivisorConfiguration.hodge_witness` tests
+    whether the numbers can come from a surface).
     """
     for index, (name, degree) in enumerate(zip(config.names, config.degrees)):
         if degree == 0:

@@ -348,6 +348,20 @@ def random_realizable_config(rng: random.Random) -> DivisorConfiguration:
     return blow_up(random_arrangement(rng), Fraction(1, 100))
 
 
+def non_surface_config() -> DivisorConfiguration:
+    """Degrees and intersections that no surface has.
+
+    y = (0, 2, -3, 0) has degree d . y = 0 and y^T M y = 22 > 0, which the
+    Hodge index theorem forbids.  The rank-2 search at budget 12 and seed 0
+    meets an exactly stable configuration with c2 < 0 on it.
+    """
+    return DivisorConfiguration(
+        ("C0", "C1", "C2", "C3"),
+        (Fraction(3, 2), Fraction(6), Fraction(4), Fraction(6)),
+        ((-1, 0, 2, 3), (0, 4, 1, 3), (2, 1, 2, 0), (3, 3, 0, 2)),
+    )
+
+
 def all_lines(height: int, rank: int = 2) -> list[Subspace]:
     """Every line of Q^rank spanned by a primitive vector of coordinate height <= height."""
     lines = []
@@ -557,13 +571,16 @@ def reference_generic_line(member: Subspace, steps) -> Subspace:
 def reference_stability_cone(shape, incidences) -> tuple[tuple[Fraction, ...], ...]:
     """The stability cone of a weight shape with ``Fraction`` rows.
 
-    A candidate row holds deg(D_i) m_{i,s} over the graded incidence, so
-    its product with the weights is the parabolic degree; then one row
+    A candidate row holds deg(D_i) m_{i,s} over the flat graded incidence,
+    so its product with the weights is the parabolic degree; then one row
     w_{i,s+1} - w_{i,s} per pair of adjacent steps.
     """
+    degrees = [
+        degree for degree, count in zip(shape.degrees, shape.step_counts)
+        for _ in range(count)
+    ]
     rows = [
-        tuple(Fraction(degree) * m for degree, mults in zip(shape.degrees, incidence)
-              for m in mults)
+        tuple(Fraction(degree) * m for degree, m in zip(degrees, incidence))
         for incidence in incidences
     ]
     for i, count in enumerate(shape.step_counts):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,7 @@ from filtstab.serialize import (
     input_document,
 )
 from filtstab.surface import DivisorConfiguration
-from helpers import three_planes
+from helpers import non_surface_config, three_planes
 
 
 def write_document(tmp_path, name, document):
@@ -378,6 +379,23 @@ def test_upsilon_needs_every_degree_positive(tmp_path, capsys):
     path = write_document(tmp_path, "triangle.json", document)
     assert main(["upsilon", "--input", path, "--rank", "2", "--budget", "2", "--quiet"]) == 3
     assert "configuration.components[1].degree: " in capsys.readouterr().err
+
+
+def test_upsilon_on_a_matrix_no_surface_has_exits_3(tmp_path, capsys):
+    path = write_document(tmp_path, "nonsurface.json", input_document(non_surface_config()))
+    argv = ["upsilon", "--input", path, "--rank", "2", "--budget", "12", "--seed", "0"]
+    assert main([*argv, "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: configuration.intersection: ")
+    assert "Hodge index theorem" in err
+
+
+def test_upsilon_bgi_violation_on_a_surface_exits_5(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("filtstab.chern.QuadraticPair.c2_value", lambda self, w: Fraction(-1))
+    path = write_document(tmp_path, "triangle.json", input_document(three_generic_lines()[0]))
+    argv = ["upsilon", "--input", path, "--rank", "2", "--budget", "12", "--seed", "0"]
+    assert main([*argv, "--quiet"]) == 5
+    assert capsys.readouterr().err.startswith("inequality violation (bug): ")
 
 
 def test_seed_env_variable(tmp_path, monkeypatch, capsys):

@@ -21,6 +21,7 @@ from filtstab import (
     check_stability,
     joint_step_multiplicities,
     parabolic_degree,
+    shape_of,
     span,
 )
 from filtstab import linalg
@@ -270,12 +271,16 @@ def test_prebuilt_incidences_follow_reweighting(rank):
         config = random_divisor_config(rng, 3)
         fc = random_balanced_configuration(rng, rank, 3, nontrivial=True)
         found = candidates_for(fc)
-        # graded incidences: dim gr_s(V) per step, zeros kept, summing to dim V
+        offsets = shape_of(fc, config).offsets
+        # graded incidences: dim gr_s(V) per step, zeros kept, summing to dim V,
+        # flat over the slots of the weight shape
         assert found.incidences == tuple(
-            tuple(f.step_mults(v) for f in fc.filtrations) for v in found.subspaces
+            tuple(m for f in fc.filtrations for m in f.step_mults(v))
+            for v in found.subspaces
         )
         for v, incidence in zip(found.subspaces, found.incidences):
-            for f, mults in zip(fc.filtrations, incidence):
+            for f, offset in zip(fc.filtrations, offsets):
+                mults = incidence[offset : offset + len(f.steps)]
                 assert sum(mults) == v.dim
                 assert tuple((w, m) for w, m in zip(f.weights(), mults) if m) == (
                     reference_induced_degree_vector(f, v)

@@ -13,8 +13,12 @@ from filtstab import (
     ShapeMismatchError,
     Status,
     Subspace,
+    c2_number,
+    c2_trivial,
     candidates_for,
     check_stability,
+    derive_tables,
+    norm_sq,
     parabolic_degree,
     span,
 )
@@ -35,11 +39,13 @@ from helpers import (
     random_balanced_filtration,
     random_balanced_weights_for,
     random_divisor_config,
+    random_realizable_config,
     random_subspace,
     reference_closure,
     reference_contains,
     reference_generic_hyperplane,
     reference_generic_line,
+    reference_parabolic_degree,
     sort_key,
     three_planes,
 )
@@ -99,6 +105,24 @@ class TestParabolicDegree:
             line = span([[1, rng.randint(-3, 3), rng.randint(-3, 3)]], 3)
             base = parabolic_degree(line, fc, config)
             assert parabolic_degree(line, fc.scale(F(5, 2)), config) == F(5, 2) * base
+
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_observed_degrees_on_mixed_degree_denominators(self, rank):
+        # degrees over 2, 3 and 6 and weights over 12: the integer degree is
+        # held over L * c, the lcm of the degree and weight denominators
+        config = DivisorConfiguration(
+            ("A", "B", "C"), (F(1, 2), F(1, 3), F(5, 6)), ((1, 1, 1),) * 3
+        )
+        rng = random.Random(70 + rank)
+        for _ in range(20):
+            fc = random_balanced_configuration(rng, rank, 3, nontrivial=True)
+            subspaces = candidates_for(fc).subspaces
+            degrees = [reference_parabolic_degree(v, fc, config) for v in subspaces]
+            assert [parabolic_degree(v, fc, config) for v in subspaces] == degrees
+            verdict = check_stability(fc, config)
+            assert verdict.observed_degrees == tuple(sorted(set(degrees)))
+            assert verdict.max_observed_degree == max(degrees)
 
 
 class TestCandidateSubspaces:
@@ -556,3 +580,31 @@ class TestCheckStabilityRank3:
         for rank in (1, 2, 3, 4, 5):
             found = candidates_for(random_balanced_configuration(rng, rank, 2))
             assert found.exact is (rank <= 3)
+
+
+def every_result(fc, config):
+    return (
+        c2_number(derive_tables(fc, config), config).c2,
+        c2_trivial(fc, config),
+        norm_sq(fc, config),
+        check_stability(fc, config, samples=20, seed=fc.rank),
+    )
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_component_permutation_leaves_every_result_unchanged(rank):
+    # the flat slot layout orders components as the document lists them;
+    # listing them in another order must change no c2, norm or verdict
+    rng = random.Random(600 + rank)
+    for _ in range(20):
+        config = random_realizable_config(rng)
+        n = config.n_components
+        fc = random_balanced_configuration(rng, rank, n, nontrivial=True)
+        order = rng.sample(range(n), n)
+        moved_config = DivisorConfiguration(
+            tuple(config.names[i] for i in order),
+            tuple(config.degrees[i] for i in order),
+            tuple(tuple(config.intersection[i][j] for j in order) for i in order),
+        )
+        moved = FilteredConfiguration(rank, tuple(fc.filtrations[i] for i in order))
+        assert every_result(moved, moved_config) == every_result(fc, config)

@@ -11,8 +11,8 @@ from filtstab import (
     blow_up,
     crossing_points,
 )
-from filtstab.fixtures import three_concurrent_lines
-from helpers import random_arrangement
+from filtstab.fixtures import three_concurrent_lines, three_generic_lines
+from helpers import non_surface_config, random_arrangement, random_realizable_config
 
 F = Fraction
 
@@ -156,3 +156,34 @@ class TestBlowUp:
         dm = blow_up(arr, (eps1 + eps2) / 2).degrees
         assert all(a + b == 2 * m for a, b, m in zip(d1, d2, dm))
 
+
+
+class TestHodgeWitness:
+    def test_surfaces_have_none(self):
+        configs = [
+            three_generic_lines()[0],
+            blow_up(three_concurrent_lines(), F(1, 10)),
+            blow_up(three_concurrent_lines(), F(1, 100)),
+        ]
+        rng = random.Random(90)
+        configs += [random_realizable_config(rng) for _ in range(50)]
+        assert all(config.hodge_witness() is None for config in configs)
+
+    def test_a_matrix_no_surface_has_gets_a_witness(self):
+        config = non_surface_config()
+        witness = config.hodge_witness()
+        assert all(type(x) is int for x in witness)
+        assert sum(d * y for d, y in zip(config.degrees, witness)) == 0
+        assert config.pairing(witness) > 0
+
+    def test_a_zero_pivot_is_moved_off_zero(self):
+        # the normal (1, -1) of d = (1, 1) is isotropic for this M but pairs
+        # with nothing else; the one below pairs with (0, 0, 1)
+        config = DivisorConfiguration(("A", "B"), (F(1), F(1)), ((1, 1), (1, 1)))
+        assert config.hodge_witness() is None
+        config = DivisorConfiguration(
+            ("A", "B", "C"), (F(1), F(1), F(0)), ((1, 1, 1), (1, 1, 0), (1, 0, 0))
+        )
+        witness = config.hodge_witness()
+        assert witness is not None and witness[0] + witness[1] == 0
+        assert config.pairing(witness) > 0

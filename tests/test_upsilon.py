@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import sys
 from collections import Counter
@@ -126,6 +127,11 @@ def width_programs(monkeypatch):
 def search_configs():
     """The triangle and the blown-up concurrent triple, as the search workloads use them."""
     return [three_generic_lines()[0], blow_up(three_concurrent_lines(), F(1, 10))]
+
+
+def degree_denominator(shape):
+    """L, the lcm of the shape's degree denominators, over which the cone rows are integers."""
+    return math.lcm(*(d.denominator for d in shape.degrees))
 
 
 def free_slot_basis(shape):
@@ -339,7 +345,7 @@ class TestInnerMinimize:
         config = search_configs()[1]
         solved = 0
         for qp, cone, incidences in search_problems(config, 2, 3):
-            if qp.shape.degree_denominator > 1 and not upsilon._cone_is_empty(qp.shape, cone):
+            if degree_denominator(qp.shape) > 1 and not upsilon._cone_is_empty(qp.shape, cone):
                 seen.clear()
                 inner_minimize(qp, cone)
                 reference = reference_stability_cone(qp.shape, incidences)
@@ -462,7 +468,7 @@ class TestExactCone:
         for config in search_configs():
             for seed in (3, 7):
                 for qp, cone, incidences in search_problems(config, rank, seed):
-                    scale = qp.shape.degree_denominator
+                    scale = degree_denominator(qp.shape)
                     scales.append(scale)
                     reference = reference_stability_cone(qp.shape, incidences)
                     assert all(type(x) is int for row in cone for x in row)
@@ -553,7 +559,7 @@ class TestWidthProgram:
                         # an interior minimum proves only the margin itself
                         wide = (2 if result.boundary else 1) * margin
                         assert reference_cone_width(qp, cone) >= wide
-                        scale = qp.shape.degree_denominator
+                        scale = degree_denominator(qp.shape)
                         for row in cone:
                             value = -sum(map(mul, row, result.weights)) / scale
                             assert value >= margin * sum(map(abs, row)) / scale - 1e-9
@@ -619,7 +625,7 @@ class TestStabilityCone:
             exact = candidates_for(fc)
             shape = shape_of(fc, config)
             cone = stability_cone(shape, exact.incidences)
-            scale = shape.degree_denominator
+            scale = degree_denominator(shape)
             flat = tuple(w for f in fc.filtrations for w in f.weights())
             for subspace, row in zip(exact.subspaces, cone):
                 value = sum(g * w for g, w in zip(row, flat))
