@@ -247,12 +247,11 @@ def _cmd_upsilon(args: argparse.Namespace) -> dict:
         )
     except BGIViolationError as error:
         # c2 >= 0 holds on surfaces; a matrix no surface has is the input's fault
-        witness = config.hodge_witness()
-        if witness is None:
+        if error.witness is None:
             raise
         raise DocumentValidationError(
-            f"no surface has these degrees and intersections: y = {list(witness)} has "
-            f"degree 0 and y^T M y = {config.pairing(witness)} > 0, against the Hodge "
+            f"no surface has these degrees and intersections: y = {list(error.witness)} has "
+            f"degree 0 and y^T M y = {config.pairing(error.witness)} > 0, against the Hodge "
             "index theorem, so c2 >= 0 need not hold for its stable configurations",
             "configuration.intersection",
         ) from error

@@ -75,8 +75,16 @@ class NoStableConfigurationError(FiltstabError):
 
 class BGIViolationError(FiltstabError):
     """A configuration certified stable came out with negative second Chern
-    number, contradicting the Bogomolov-Gieseker inequality; this always
-    indicates a bug in the caller or in this package, never valid output."""
+    number, contradicting the Bogomolov-Gieseker inequality.
+
+    ``witness`` is the configuration's Hodge witness, an integer y proving
+    that no surface has its numbers, so the inequality need not hold; when it
+    is None, the violation indicates a bug in the caller or in this package.
+    """
+
+    def __init__(self, message: str, witness: tuple[int, ...] | None = None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class DocumentError(FiltstabError):

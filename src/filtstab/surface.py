@@ -2,15 +2,19 @@
 
 A :class:`DivisorConfiguration` records the combinatorial data this package
 needs about a normal-crossings divisor: component names, degrees against a
-fixed polarization, and the symmetric matrix of intersection numbers.
+fixed polarization, and the symmetric matrix M of intersection numbers,
+whose one bilinear form ``form`` serves ``pairing`` and ``hodge_witness``.
 Non-transverse plane arrangements are not accepted directly; resolve their
-multiple points first with :func:`blow_up`.
+multiple points first with :func:`blow_up`, which, like the arrangement's
+own check, reads incidences only from ``PlaneArrangement.points_on``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from operator import mul
 from typing import Optional, Sequence
 
@@ -74,6 +78,13 @@ class DivisorConfiguration:
             if degree < 0:
                 raise InvariantError(f"component {self.names[i]!r} has negative degree")
 
+    def form(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+        """Intersection number u^T M v of the cycles sum_i u_i D_i and sum_j v_j D_j."""
+        return sum(
+            (x * sum(map(mul, row, v)) for x, row in zip(u, self.intersection) if x),
+            Fraction(0),
+        )
+
     def pairing(self, coefficients: Sequence[Fraction]) -> Fraction:
         """Self-intersection number of the cycle sum_i c_i * D_i."""
         coeffs = [Fraction(c) for c in coefficients]
@@ -81,14 +92,7 @@ class DivisorConfiguration:
             raise InvariantError(
                 f"{len(coeffs)} coefficients for {self.n_components} components"
             )
-        total = Fraction(0)
-        for i, ci in enumerate(coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(coeffs):
-                if cj != 0:
-                    total += ci * cj * self.intersection[i][j]
-        return total
+        return self.form(coeffs, coeffs)
 
     def hodge_witness(self) -> Optional[tuple[int, ...]]:
         """An integer y with d . y = 0 and y^T M y > 0, or None when there is none.
@@ -104,25 +108,21 @@ class DivisorConfiguration:
         The witness is returned primitive, with a positive leading entry.
         """
         n = self.n_components
-
-        def form(u, v):
-            return sum(x * sum(map(mul, row, v)) for x, row in zip(u, self.intersection))
-
         vectors = [v for _, v in span([self.degrees], n).normals()]
         while vectors:
             v = vectors.pop(0)
-            pivot = form(v, v)
+            pivot = self.form(v, v)
             if pivot > 0:
                 return span([v], n).basis[0]
             if pivot < 0:
                 vectors = [
-                    [x - Fraction(form(u, v), pivot) * y for x, y in zip(u, v)]
+                    [x - Fraction(self.form(u, v), pivot) * y for x, y in zip(u, v)]
                     for u in vectors
                 ]
                 continue
-            u = next((u for u in vectors if form(u, v)), None)
+            u = next((u for u in vectors if self.form(u, v)), None)
             if u is not None:
-                t = Fraction(form(u, v), 1 + abs(form(u, u)))
+                t = Fraction(self.form(u, v), 1 + abs(self.form(u, u)))
                 return span([[x + t * y for x, y in zip(v, u)]], n).basis[0]
         return None
 
@@ -178,6 +178,14 @@ class PlaneArrangement:
         object.__setattr__(self, "points", points)
         self.check()
 
+    @cached_property
+    def points_on(self) -> dict[str, frozenset[str]]:
+        """Each curve's name mapped to the ids of the marked points on it."""
+        return {
+            name: frozenset(pid for pid, incident in self.points if name in incident)
+            for name, _ in self.curves
+        }
+
     def check(self) -> None:
         names = [n for n, _ in self.curves]
         if len(set(names)) != len(names):
@@ -191,10 +199,13 @@ class PlaneArrangement:
             if pid in seen_points:
                 raise InvariantError(f"duplicate point id {pid!r}")
             seen_points.add(pid)
-            if len(set(incident)) < 2 or len(set(incident)) != len(incident):
+            if len(set(incident)) < 2:
                 raise InvariantError(
                     f"point {pid!r} must list at least two distinct curves"
                 )
+            for k, c in enumerate(incident):
+                if c in incident[:k]:
+                    raise InvariantError(f"point {pid!r} lists curve {c!r} twice")
             for c in incident:
                 if c not in degrees:
                     raise InvariantError(
@@ -206,20 +217,13 @@ class PlaneArrangement:
                     f"curve {exceptional!r} takes the name that blow_up gives "
                     f"the exceptional curve of point {pid!r}"
                 )
-        for a in range(len(self.curves)):
-            for b in range(a + 1, len(self.curves)):
-                name_a, deg_a = self.curves[a]
-                name_b, deg_b = self.curves[b]
-                shared = sum(
-                    1
-                    for _, incident in self.points
-                    if name_a in incident and name_b in incident
+        for (name_a, deg_a), (name_b, deg_b) in combinations(self.curves, 2):
+            shared = len(self.points_on[name_a] & self.points_on[name_b])
+            if shared > deg_a * deg_b:
+                raise CoverageError(
+                    f"curves {name_a!r} and {name_b!r} share {shared} marked "
+                    f"points but can only meet in {deg_a * deg_b}"
                 )
-                if shared > deg_a * deg_b:
-                    raise CoverageError(
-                        f"curves {name_a!r} and {name_b!r} share {shared} marked "
-                        f"points but can only meet in {deg_a * deg_b}"
-                    )
         if not names:
             raise InvariantError("arrangement has no curves")
 
@@ -230,63 +234,41 @@ def blow_up(arrangement: PlaneArrangement, epsilon: Fraction | int) -> DivisorCo
     Components of the result are the strict transforms of the curves followed
     by one exceptional curve per point.  Intersection numbers follow the
     standard calculus on the blown-up plane (hyperplane H with H^2 = 1,
-    exceptional E_p with E_p^2 = -1, H . E_p = 0):
+    exceptional E_p with E_p^2 = -1, H . E_p = 0).  With P_a the marked points on curve a:
 
-    * strict transforms:  C~_i . C~_j = d_i d_j - #(shared points), and
-      C~_i . C~_i = d_i^2 - #(points on C_i);
-    * C~_i . E_p is 1 when p lies on C_i, else 0;  E_p . E_q = -delta_pq.
+    * C~_a . C~_b = d_a d_b - #(P_a & P_b) for all curves a, b, diagonal included;
+    * C~_a . E_p = [p in P_a];  E_p . E_q = -delta_pq.
 
     Degrees are taken against the polarization H - epsilon * sum_p E_p, which
-    gives deg C~_i = d_i - epsilon * #(points on C_i) and deg E_p = epsilon.
+    gives deg C~_a = d_a - epsilon * #P_a and deg E_p = epsilon.
     Epsilon must be positive and small enough to keep all degrees positive,
     so the output always validates.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise InvariantError("epsilon must be positive")
-    curve_names = [n for n, _ in arrangement.curves]
-    degrees = dict(arrangement.curves)
-    incidence = {
-        pid: frozenset(incident) for pid, incident in arrangement.points
-    }
+    points_on = arrangement.points_on
     point_ids = [pid for pid, _ in arrangement.points]
-
-    def touches(curve: str) -> int:
-        return sum(1 for pid in point_ids if curve in incidence[pid])
-
-    for name in curve_names:
-        if degrees[name] - epsilon * touches(name) <= 0:
+    curve_degrees = [d - epsilon * len(points_on[a]) for a, d in arrangement.curves]
+    for (name, _), degree in zip(arrangement.curves, curve_degrees):
+        if degree <= 0:
             raise InvariantError(
                 f"epsilon {rational_to_string(epsilon)} is too large: strict "
                 f"transform of {name!r} would have non-positive degree"
             )
 
-    names = list(curve_names) + [f"E_{pid}" for pid in point_ids]
-    out_degrees: list[Fraction] = [
-        Fraction(degrees[n]) - epsilon * touches(n) for n in curve_names
-    ] + [epsilon] * len(point_ids)
-
-    n_total = len(names)
-    matrix = [[0] * n_total for _ in range(n_total)]
-    nc = len(curve_names)
-    for i, name_i in enumerate(curve_names):
-        for j, name_j in enumerate(curve_names):
-            if i == j:
-                matrix[i][i] = degrees[name_i] ** 2 - touches(name_i)
-            else:
-                shared = sum(
-                    1
-                    for pid in point_ids
-                    if name_i in incidence[pid] and name_j in incidence[pid]
-                )
-                matrix[i][j] = degrees[name_i] * degrees[name_j] - shared
-    for p_index, pid in enumerate(point_ids):
-        row = nc + p_index
-        matrix[row][row] = -1
-        for i, name_i in enumerate(curve_names):
-            hit = 1 if name_i in incidence[pid] else 0
-            matrix[i][row] = hit
-            matrix[row][i] = hit
+    curve_rows = [
+        [d_a * d_b - len(points_on[a] & points_on[b]) for b, d_b in arrangement.curves]
+        + [int(p in points_on[a]) for p in point_ids]
+        for a, d_a in arrangement.curves
+    ]
+    point_rows = [
+        [int(p in points_on[a]) for a, _ in arrangement.curves]
+        + [-int(p == q) for q in point_ids]
+        for p in point_ids
+    ]
     return DivisorConfiguration(
-        tuple(names), tuple(out_degrees), tuple(tuple(r) for r in matrix)
+        tuple(a for a, _ in arrangement.curves) + tuple(f"E_{p}" for p in point_ids),
+        tuple(curve_degrees) + (epsilon,) * len(point_ids),
+        tuple(map(tuple, curve_rows + point_rows)),
     )

@@ -483,9 +483,10 @@ def outer_search(
     :func:`check_stability` (sampling with ``samples`` above rank 3) calls
     it stable; c2 and the norm come from the exact :class:`QuadraticPair`.
     An exactly stable candidate with negative c2 raises
-    :class:`BGIViolationError`: on a surface it can only come from a bug
-    (:meth:`~filtstab.surface.DivisorConfiguration.hodge_witness` tests
-    whether the numbers can come from a surface).
+    :class:`BGIViolationError` carrying
+    :meth:`~filtstab.surface.DivisorConfiguration.hodge_witness` as
+    ``witness``: a y proving that no surface has the numbers, or None, when
+    the violation can only come from a bug.
     """
     for index, (name, degree) in enumerate(zip(config.names, config.degrees)):
         if degree == 0:
@@ -613,11 +614,17 @@ def _solve_shape(
     c2 = qp.c2_value(rationalized)
     if c2 < 0:
         if verdict.certainty is Certainty.EXACT:
+            witness = config.hodge_witness()
+            cause = (
+                "indicating an implementation bug" if witness is None else
+                f"but no surface has these numbers: y = {list(witness)} has degree 0 "
+                f"and y^T M y = {config.pairing(witness)} > 0"
+            )
             raise BGIViolationError(
                 f"exactly-certified stable configuration with c2 = {c2}: "
                 "the inequality c2 >= 0 for stable balanced "
-                "configurations has been violated, indicating an "
-                "implementation bug"
+                f"configurations has been violated, {cause}",
+                witness,
             )
         # c2 < 0 proves a heuristic stable verdict wrong (a destabilizer
         # exists but was not sampled); drop the candidate

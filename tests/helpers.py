@@ -338,6 +338,41 @@ def random_arrangement(rng: random.Random) -> PlaneArrangement:
     return PlaneArrangement(curves, tuple(points))
 
 
+def a3_arrangement() -> PlaneArrangement:
+    """The A_3 arrangement: the six lines through pairs of four general points.
+
+    Line ``Lij`` passes through the points ``pi`` and ``pj``, so each point
+    is a marked triple point; the pairs ``Lij``, ``Lkl`` with no index in
+    common meet at the three unmarked double points.
+    """
+    pairs = list(itertools.combinations(range(4), 2))
+    return PlaneArrangement(
+        tuple((f"L{i}{j}", 1) for i, j in pairs),
+        tuple((f"p{k}", tuple(f"L{i}{j}" for i, j in pairs if k in (i, j))) for k in range(4)),
+    )
+
+
+def hesse_arrangement() -> PlaneArrangement:
+    """The Hesse arrangement: the 12 lines of the affine plane over F_3.
+
+    The 9 points ``pxy`` are marked, 4 lines through each and 3 points on
+    each line; parallel lines meet only at the unmarked points at infinity.
+    """
+    points = list(itertools.product(range(3), repeat=2))
+    lines = sorted({
+        tuple(sorted(((x + t * dx) % 3, (y + t * dy) % 3) for t in range(3)))
+        for x, y in points
+        for dx, dy in ((1, 0), (0, 1), (1, 1), (1, 2))
+    })
+    return PlaneArrangement(
+        tuple((f"L{k}", 1) for k in range(len(lines))),
+        tuple(
+            (f"p{x}{y}", tuple(f"L{k}" for k, line in enumerate(lines) if (x, y) in line))
+            for x, y in points
+        ),
+    )
+
+
 def random_realizable_config(rng: random.Random) -> DivisorConfiguration:
     """A geometrically realizable configuration: a blown-up plane arrangement.
 

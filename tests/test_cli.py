@@ -505,6 +505,14 @@ EXCEPTIONAL_NAME_ARRANGEMENT = {"arrangement": {
 }}
 
 
+def point_through(*curves):
+    """An arrangement of the lines A and B with one marked point p on ``curves``."""
+    return {"arrangement": {
+        "curves": [{"name": name, "degree": 1} for name in ("A", "B")],
+        "points": [{"id": "p", "curves": list(curves)}],
+    }}
+
+
 @pytest.mark.parametrize("argv, document, located", [
     (["chern"], with_value(two_lines_with_tables(), ("filtered_configuration", "rank"), 0),
      "filtered_configuration.rank: rank must be positive"),
@@ -541,10 +549,13 @@ EXCEPTIONAL_NAME_ARRANGEMENT = {"arrangement": {
     (["blowup"], EXCEPTIONAL_NAME_ARRANGEMENT,
      "arrangement: curve 'E_p' takes the name that blow_up gives the exceptional curve "
      "of point 'p'"),
+    (["blowup"], point_through("A", "A", "B"), "arrangement: point 'p' lists curve 'A' twice"),
+    (["blowup"], point_through("A", "A"),
+     "arrangement: point 'p' must list at least two distinct curves"),
 ], ids=["rank-0", "rank-negative", "table-missing", "pair-out-of-range", "pair-negative",
         "no-curves", "system-rank-0", "system-rank-negative", "system-rank-unmatched",
         "component-table-sum", "crossing-table-sum", "crossing-table-sides",
-        "duplicate-names", "exceptional-name"])
+        "duplicate-names", "exceptional-name", "repeated-curve", "one-distinct-curve"])
 def test_structural_errors_exit_3_naming_their_element(tmp_path, capsys, argv, document, located):
     path = write_document(tmp_path, "bad.json", document)
     assert main(argv + ["--input", path]) == 3

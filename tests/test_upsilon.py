@@ -53,6 +53,7 @@ from filtstab.fixtures import three_concurrent_lines, three_generic_lines, two_l
 from filtstab.serialize import estimate_to_doc
 from helpers import (
     balance_rows,
+    non_surface_config,
     pairing_forms,
     random_balanced_configuration,
     random_balanced_weights_for,
@@ -854,8 +855,22 @@ class TestOuterSearch:
             "filtstab.upsilon.QuadraticPair.c2_value", lambda self, weights: F(-1)
         )
         config, _ = three_generic_lines()
-        with pytest.raises(BGIViolationError):
+        with pytest.raises(BGIViolationError) as caught:
             outer_search(config, rank=3, budget=20, seed=7)
+        assert caught.value.witness is None
+        assert str(caught.value).endswith("indicating an implementation bug")
+
+    def test_a_violation_on_numbers_no_surface_has_carries_the_hodge_witness(self):
+        config = non_surface_config()
+        with pytest.raises(BGIViolationError) as caught:
+            outer_search(config, rank=2, budget=12, seed=0)
+        witness = caught.value.witness
+        assert witness is not None and witness == config.hodge_witness()
+        assert f"no surface has these numbers: y = {list(witness)} has degree 0" in str(
+            caught.value
+        )
+        assert f"y^T M y = {config.pairing(witness)} > 0" in str(caught.value)
+        assert "implementation bug" not in str(caught.value)
 
 
 class TestSolveReuse:
