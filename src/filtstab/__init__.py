@@ -20,7 +20,6 @@ from .chern import (
 )
 from .errors import (
     BGIViolationError,
-    ConvergenceError,
     CoverageError,
     DegenerateDegreeError,
     DimensionMismatchError,

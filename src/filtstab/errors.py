@@ -50,14 +50,11 @@ class SingularFormError(FiltstabError):
     """The norm form is not positive definite on the balance subspace."""
 
 
-class ConvergenceError(FiltstabError):
-    """The float inner solve found no usable point in a non-empty cone."""
-
-
 class EmptyConeError(FiltstabError):
     """A flag shape's stability cone is proven, exactly, to hold no balanced weights.
 
-    A proof, not a solver failure, so it is no :class:`ConvergenceError`.
+    The same exact test finds a point inside every other cone, so the float
+    solve never runs on an empty one and has no failure of its own.
     """
 
 

@@ -12,8 +12,8 @@ such scaling, :func:`integer_row`, and where the rational echelon rows are
 derived for output.  Callers that can build their rows in integers do so
 (the stability cone of ``upsilon`` is integer rows over the lcm of the
 degree denominators), so no ``Fraction`` reaches the kernels from them.
-:func:`open_cone_is_empty` decides, in integers too, whether an open
-polyhedral cone has a point.
+:func:`open_cone_point` finds, in integers too, a point of an open
+polyhedral cone, or proves that it has none.
 
 The dual representation is a subspace's integer normals, a basis of its
 annihilator read off the canonical basis once per subspace.  The join is
@@ -129,27 +129,37 @@ def _pivot(work: list[list[int]], r: int, c: int, det: int) -> None:
             work[i] = [(p * x - e * y) // det for x, y in zip(row, top)]
 
 
-def open_cone_is_empty(rows: Sequence[Sequence[int]]) -> bool:
-    """Whether no y has row . y < 0 for every one of the integer ``rows``.
+def open_cone_point(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
+    """An integer y with row . y < 0 for every one of the integer ``rows``,
+    or None when there is none; no rows give ().
 
-    By Gordan's alternative (1873) that is so exactly when some lam >= 0
+    By Gordan's alternative (1873) there is none exactly when some lam >= 0
     with sum lam = 1 has sum_k lam_k row_k = 0.  Phase 1 of the simplex
     method decides whether such a lam exists.  One artificial variable per
     equation starts basic; the last tableau row is the sum of the rows whose
     basic variable is still artificial, so its right-hand side is the sum of
     the artificials, and it reaches 0 exactly when such a lam exists.
     Bland's rule (the first lam with a positive reduced cost enters; ratio
-    ties leave by the lowest basic index, artificials last) cannot cycle.  A
-    leaving artificial never returns, so its column is not kept.  Pivots go
-    through :func:`_pivot`, so the tableau stays in integers throughout.
+    ties leave by the lowest basic index, artificials last) cannot cycle.
+    Pivots go through :func:`_pivot`, so the tableau stays in integers, each
+    entry times det > 0, as every pivot is positive.  The last row is then
+    det pi^T [A | I | b] for some duals pi, so the artificials' identity
+    columns, kept though none re-enters, hold det pi.  At a positive optimum
+    no lam column has a positive cost, pi . (row_k, 1) <= 0, while pi . b =
+    pi_last > 0, so y = det (pi_0, ..., pi_{width-1}) has row . y < 0.
     """
     m = len(rows)
     if not m:
-        return False
+        return ()
+    width = len(rows[0])
     # rows: sum_k lam_k row_k[j] = 0 for each column j, then sum_k lam_k = 1;
-    # each holds its m coefficients and its right-hand side
-    work = [[row[j] for row in rows] + [0] for j in range(len(rows[0]))]
-    work.append([1] * (m + 1))
+    # each holds its m coefficients, its artificial's identity column and
+    # its right-hand side
+    work = [
+        [row[j] for row in rows] + [int(i == j) for i in range(width + 1)] + [0]
+        for j in range(width)
+    ]
+    work.append([1] * m + [0] * width + [1, 1])
     basis = list(range(m, m + len(work)))
     work.append([sum(column) for column in zip(*work)])
     det = 1
@@ -157,7 +167,7 @@ def open_cone_is_empty(rows: Sequence[Sequence[int]]) -> bool:
         cost = work[-1]
         c = next((k for k in range(m) if cost[k] > 0), None)
         if c is None:
-            return False
+            return tuple(cost[m : m + width])
         r = None
         for i in range(len(basis)):
             a = work[i][c]
@@ -168,7 +178,7 @@ def open_cone_is_empty(rows: Sequence[Sequence[int]]) -> bool:
         _pivot(work, r, c, det)
         det = work[r][c]
         basis[r] = c
-    return True
+    return None
 
 
 @dataclass(frozen=True)

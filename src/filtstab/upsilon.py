@@ -9,9 +9,10 @@ shape as integer rows over the lcm L of the degree denominators, from the
 slot coefficients K = L deg(D_i) that the stability verdict reads too
 (:func:`~filtstab.stability.slot_degrees`, :func:`stability_cone`).
 Whether that cone is empty is decided exactly, from those rows, before any
-float work.  On a non-empty cone the inner problem is a generalized Rayleigh-quotient minimization over
-balance ∩ cone, solved in floating point and re-verified exactly after
-rationalizing the minimizer.  The outer loop
+float work; the same test gives a point inside a non-empty cone.  There the
+inner problem is a generalized Rayleigh-quotient minimization over balance ∩
+cone, solved in floating point and re-verified exactly after rationalizing
+the minimizer.  The outer loop
 walks one stream of flag shapes (a given start first and once, then seeded
 random, coincident and generic shapes in turn), keeps the best
 configuration that certifies stable, and reports its ratio as an upper
@@ -42,7 +43,6 @@ from typing import Callable, ClassVar, Mapping, Optional, Sequence
 
 from .errors import (
     BGIViolationError,
-    ConvergenceError,
     DegenerateDegreeError,
     DimensionMismatchError,
     EmptyConeError,
@@ -53,7 +53,7 @@ from .errors import (
 )
 from .chern import QuadraticPair, WeightShape, assemble_quadratics
 from .filtration import FilteredConfiguration, Filtration, balanced
-from .linalg import integer_row, open_cone_is_empty, span
+from .linalg import integer_row, open_cone_point, span
 from .stability import (
     Certainty,
     StabilityVerdict,
@@ -118,14 +118,16 @@ def stability_cone(shape: WeightShape, incidences: Sequence[Sequence[int]]) -> C
     return tuple(rows)
 
 
-def _cone_is_empty(shape: WeightShape, cone: ConeRows) -> bool:
-    """Whether no balanced weights lie in the open ``cone``, decided in integers.
+def _cone_point(shape: WeightShape, cone: ConeRows) -> Optional[tuple[int, ...]]:
+    """Balanced integer weights inside the open ``cone``, or None if it has none.
 
     Over the ``shape.free_slots``, a balanced w has row . w = h . x with the
     reduced row h = r[slot] m0 - r[first] m and the coordinates x = w[slot] / m0.
     The cone's integer rows are reduced so, made primitive and deduplicated.
-    When the seed's x satisfies all of them the cone is not empty; otherwise
-    :func:`~filtstab.linalg.open_cone_is_empty` decides.
+    When the seed's x, scaled to integers, satisfies all of them it is the
+    point; otherwise :func:`~filtstab.linalg.open_cone_point` finds one or
+    proves, in integers, that there is none.  The point's x maps back by w[slot] += m0 x and
+    w[first] -= m x, so a balanced seed comes back times a positive integer.
     """
     free = shape.free_slots
     reduced = {}
@@ -133,10 +135,16 @@ def _cone_is_empty(shape: WeightShape, cone: ConeRows) -> bool:
         h = [r[slot] * m0 - r[first] * m for first, slot, m0, m in free]
         content = math.gcd(*h) or 1
         reduced[tuple(x // content for x in h)] = None
-    seed, _ = integer_row([Fraction(shape.seed_weights[slot], m0) for _, slot, m0, _ in free])
-    if all(sum(map(mul, h, seed)) < 0 for h in reduced):
-        return False
-    return open_cone_is_empty(list(reduced))
+    point, _ = integer_row([Fraction(shape.seed_weights[slot], m0) for _, slot, m0, _ in free])
+    if not all(sum(map(mul, h, point)) < 0 for h in reduced):
+        point = open_cone_point(list(reduced))
+        if point is None:
+            return None
+    weights = [0] * shape.size
+    for x, (first, slot, m0, m) in zip(point, free):
+        weights[slot] += m0 * x
+        weights[first] -= m * x
+    return tuple(weights)
 
 
 def _float_forms(qp: QuadraticPair):
@@ -175,15 +183,17 @@ def inner_minimize(
     double nearest the rational entry, as ``float(Fraction)`` would give it.  Weights come
     back at peak 1/2 with every row . w <= -margin |row|_1.  The margin is
     1 / ``max_denominator``, which rounding in :func:`rationalize` cannot
-    cross, except on cones thinner than 2 / ``max_denominator`` (width t
-    below): there it is t / 2, and the exact check of the rounded weights decides.
+    cross, except where no start is 2 / ``max_denominator`` wide (width t,
+    the least of -row . w / |row|_1, below): there it is half the widest
+    start's t, and the exact check of the rounded weights decides.
 
     Three exact tests come first, with no float work.  A shape whose flags
     are all trivial, or whose norm is not definite on the balance subspace
     (a component with two or more steps has degree 0), raises
     :class:`SingularFormError`.  A cone with no balanced point, decided in
-    integers (:func:`_cone_is_empty`), raises :class:`EmptyConeError`, so
-    that error means the cone is proven empty.
+    integers (:func:`_cone_point`), raises :class:`EmptyConeError`, so
+    that error means the cone is proven empty; on any other cone that test
+    returns a point strictly inside it.
 
     On a non-empty cone, the eigenvector of the smallest generalized
     eigenvalue of (A, B) on the balance subspace is returned as an interior
@@ -191,10 +201,10 @@ def inner_minimize(
     linear constraint and run from distinct deterministic starts (the seed
     and canonical weights and blends with the eigenvector), gives a
     ``boundary`` value >= the eigenvalue.  When one start keeps twice the
-    slack, it proves the cone wide enough; only when none does, one linear
-    program (HiGHS) finds the widest slack t the cone allows, thinner cones
-    keep t / 2, the widest point becomes one more start, and t <= 0 on a
-    cone proven non-empty is a solver failure (:class:`ConvergenceError`).
+    slack, it proves the cone wide enough; only when none does, the exact
+    interior point becomes one more start and the margin is half the widest
+    start's t, which that start keeps twice over, so some candidate always
+    keeps the margin.
 
     numpy and scipy are imported here, after the exact tests, so a process
     loads them on its first non-empty cone.
@@ -212,12 +222,13 @@ def inner_minimize(
             "norm form is not positive definite on the balance subspace "
             "(a weighted component has degree zero?)"
         )
-    if _cone_is_empty(shape, cone):
+    point = _cone_point(shape, cone)
+    if point is None:
         raise EmptyConeError("the stability cone of this shape is empty")
 
     import numpy as np
     from scipy.linalg import eigh
-    from scipy.optimize import linprog, minimize
+    from scipy.optimize import minimize
 
     # column j is the balanced vector e_slot - (m / m0) e_first of free slot j
     free = shape.free_slots
@@ -238,6 +249,9 @@ def inner_minimize(
         peak = np.max(np.abs(n_mat @ v))
         return v * (0.5 / peak) if peak > 0 else v
 
+    def at_free_slots(w: Sequence) -> np.ndarray:
+        return peak_half(np.array([w[slot] for _, slot, _, _ in free], dtype=float))
+
     _, scale = slot_degrees(shape.degrees, shape.step_counts)
     rows = np.unique(np.array(cone, dtype=float) / scale, axis=0)
     slack = np.abs(rows).sum(axis=1)
@@ -251,38 +265,23 @@ def inner_minimize(
     # the balanced seed (never zero: its steps strictly decrease) and canonical
     # weights at their free slots, and blends of the seed with the eigenvector
     starts = [
-        peak_half(np.array([w[slot] for _, slot, _, _ in free], dtype=float))
+        at_free_slots(w)
         for w in (_balanced_weights(shape, shape.seed_weights), canonical_weights(shape))
     ]
     v_eig = peak_half(v_min)
     starts += [peak_half((1 - t) * v_eig + t * starts[0]) for t in (0.25, 0.5, 0.75)]
 
-    # Boundary path: the widest slack t <= 1 with rows . w + t |row|_1 <= 0
-    # and |w| <= 1/2.  Each start is a feasible point of that program, so
-    # when one is 2 * margin wide, t / 2 >= margin and the program is not run.
-    box = np.vstack([n_mat, -n_mat])
+    # Boundary path: a start of width t keeps every row . w + t |row|_1 <= 0.
+    # When none is 2 * margin wide, the exact interior point joins them and
+    # the margin is half the widest t, so that start keeps it twice over.
     if max(np.min(-(g @ v) / slack) for v in starts) < 2 * margin:
-        lp = linprog(
-            np.r_[np.zeros(d), -1.0],
-            A_ub=np.block([[g, slack[:, None]], [box, np.zeros((2 * size, 1))]]),
-            b_ub=np.r_[np.zeros(len(g)), np.full(2 * size, 0.5)],
-            bounds=[(None, None)] * d + [(None, 1.0)],
-            method="highs",
-        )
-        if lp.status != 0:
-            raise ConvergenceError(f"the cone width program failed: {lp.message}")
-        if -lp.fun <= 1e-9:
-            raise ConvergenceError(
-                f"the cone width program gave {-lp.fun:.3g} on a non-empty cone"
-            )
-        margin = min(margin, -lp.fun / 2)
-        # the widest point of the cone
-        starts.append(lp.x[:d])
+        starts.append(at_free_slots(point))
+        margin = min(margin, max(np.min(-(g @ v) / slack) for v in starts) / 2)
     # each distinct start once
     starts = [np.array(v) for v in dict.fromkeys(map(tuple, starts))]
 
     # the rows with their slack and the peak bound, as m_mat @ v <= bound
-    m_mat = np.vstack([g, box])
+    m_mat = np.vstack([g, n_mat, -n_mat])
     bound = np.r_[-margin * slack, np.full(2 * size, 0.5)]
     constraint = {
         "type": "ineq",
@@ -305,16 +304,13 @@ def inner_minimize(
         for start in starts
     ]
 
-    best_v: Optional[np.ndarray] = None
-    best_ratio = math.inf
+    best_v, best_ratio = None, math.inf
     for v in map(peak_half, candidates):
         if not np.all(g @ v <= 1e-9 - margin * slack):
             continue
         ratio = quotient(v)
         if ratio < best_ratio:
             best_v, best_ratio = v, ratio
-    if best_v is None:
-        raise ConvergenceError("no weight vector keeping the cone's slack was found")
     return InnerResult(tuple(n_mat @ best_v), best_ratio, True)
 
 
@@ -473,8 +469,7 @@ def outer_search(
     the best ratio is non-increasing in the budget.  Each shape's candidate
     set, exact at ranks 2 and 3 and its flag-step closure above, is built
     once and gives both the shape's cone and the final check; shapes whose
-    cone is proven empty count as ``empty_cone``, and those where the float
-    solve finds no point as ``solver_failures``.
+    cone is proven empty count as ``empty_cone``.
     The minimizer over the cone is rationalized at denominators up to
     ``max_denominator``, where it stays in the cone; both run once per
     distinct (quadratic pair, set of cone rows) in this call, and a shape
@@ -506,7 +501,7 @@ def outer_search(
     counts = dict.fromkeys((
         "candidates", "proposals", "stable", "semistable", "unstable", "bgi_rejected",
         "skipped_trivial", "skipped_singular", "rounding_failures", "empty_cone",
-        "solver_failures", "boundary_hits",
+        "boundary_hits",
     ), 0)
 
     solved: dict = {}
@@ -558,8 +553,6 @@ def _solve_and_round(
         return "skipped_singular"
     except EmptyConeError:
         return "empty_cone"
-    except ConvergenceError:
-        return "solver_failures"
     try:
         return inner, rationalize(inner.weights, qp.shape, max_denominator)
     except OrderingCollapseError:

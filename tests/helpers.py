@@ -18,7 +18,12 @@ from filtstab import (
     Status,
     Subspace,
     blow_up,
+    c2_number,
+    c2_trivial,
+    check_stability,
+    derive_tables,
     joint_step_multiplicities,
+    norm_sq,
     parabolic_degree,
     span,
 )
@@ -625,3 +630,13 @@ def reference_stability_cone(shape, incidences) -> tuple[tuple[Fraction, ...], .
             row[shape.slot(i, s + 1)] = Fraction(1)
             rows.append(tuple(row))
     return tuple(rows)
+
+
+def every_result(fc, config):
+    """c2 by the tables and by the trivial route, the squared norm and the verdict."""
+    return (
+        c2_number(derive_tables(fc, config), config).c2,
+        c2_trivial(fc, config),
+        norm_sq(fc, config),
+        check_stability(fc, config, samples=20, seed=fc.rank),
+    )

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filtstab import (
+    Certainty,
     DimensionMismatchError,
     DivisorConfiguration,
     FilteredConfiguration,
@@ -28,6 +29,7 @@ from filtstab import linalg
 from filtstab.linalg import ChainIncidence, _rank_growth
 from helpers import (
     blown_up_r4,
+    every_result,
     random_balanced_configuration,
     random_balanced_filtration,
     random_balanced_weights_for,
@@ -196,6 +198,29 @@ def test_graded_incidence_is_invariant_under_gl(rank, seed):
         image = _moved(v, g)
         for filt, moved_filt in zip(fc.filtrations, moved.filtrations):
             assert moved_filt.step_mults(image) == filt.step_mults(v)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_exact_results_are_invariant_under_gl(rank):
+    # one g in GL_r(Q) applied to every flag keeps c2 by both routes, the
+    # norm and the exact verdict with every degree it observed
+    rng = random.Random(70 + rank)
+    statuses = set()
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        config = random_divisor_config(rng, n)
+        fc = random_balanced_configuration(rng, rank, n)
+        *numbers, before = every_result(fc, config)
+        moved = _moved_configuration(fc, random_invertible_rows(rng, rank, 3))
+        *moved_numbers, after = every_result(moved, config)
+        assert moved_numbers == numbers
+        assert after.certainty is before.certainty is Certainty.EXACT
+        assert after.status == before.status
+        assert after.max_observed_degree == before.max_observed_degree
+        assert after.observed_degrees == before.observed_degrees
+        assert after.metadata["explored"] == before.metadata["explored"]
+        statuses.add(before.status)
+    assert len(statuses) > 1
 
 
 def test_rank4_closure_verdict_is_invariant_under_gl():

@@ -13,12 +13,8 @@ from filtstab import (
     ShapeMismatchError,
     Status,
     Subspace,
-    c2_number,
-    c2_trivial,
     candidates_for,
     check_stability,
-    derive_tables,
-    norm_sq,
     parabolic_degree,
     span,
 )
@@ -35,6 +31,7 @@ from helpers import (
     blown_up_r4,
     brute_force_rank2,
     brute_force_rank3,
+    every_result,
     random_balanced_configuration,
     random_balanced_filtration,
     random_balanced_weights_for,
@@ -580,15 +577,6 @@ class TestCheckStabilityRank3:
         for rank in (1, 2, 3, 4, 5):
             found = candidates_for(random_balanced_configuration(rng, rank, 2))
             assert found.exact is (rank <= 3)
-
-
-def every_result(fc, config):
-    return (
-        c2_number(derive_tables(fc, config), config).c2,
-        c2_trivial(fc, config),
-        norm_sq(fc, config),
-        check_stability(fc, config, samples=20, seed=fc.rank),
-    )
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])

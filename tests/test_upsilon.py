@@ -18,7 +18,6 @@ import filtstab.upsilon as upsilon
 from filtstab import (
     BGIViolationError,
     Certainty,
-    ConvergenceError,
     DegenerateDegreeError,
     DivisorConfiguration,
     EmptyConeError,
@@ -84,8 +83,8 @@ def no_float_solve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("float solver called")
 
-    monkeypatch.setattr(scipy.optimize, "linprog", refuse)
     monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    monkeypatch.setattr(scipy.optimize, "minimize", refuse)
 
 
 def search_shapes(config, rank, seed, budget=40):
@@ -112,17 +111,36 @@ def search_problems(config, rank, seed, budget=40):
 
 
 @pytest.fixture
-def width_programs(monkeypatch):
-    """Count the calls of the cone width program; the real HiGHS still runs."""
-    calls = []
-    real_linprog = scipy.optimize.linprog
+def slsqp_starts(monkeypatch):
+    """Record the start of every SLSQP run; the real solver still runs."""
+    starts = []
+    real_minimize = scipy.optimize.minimize
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("method"))
-        return real_linprog(*args, **kwargs)
+    def recorded(fun, x0, **kwargs):
+        starts.append(np.array(x0))
+        return real_minimize(fun, x0, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
-    return calls
+    # inner_minimize imports minimize from scipy.optimize on each call
+    monkeypatch.setattr(scipy.optimize, "minimize", recorded)
+    return starts
+
+
+def free_slot_matrix(shape):
+    """The float matrix whose column j is the balanced vector of free slot j."""
+    return np.array([[float(x) for x in v] for v in free_slot_basis(shape)]).T
+
+
+def start_widths(qp, cone, starts):
+    """The width t of each start: the least -row . w / |row|_1 over the cone rows."""
+    rows = np.array(cone, dtype=float)
+    weights = free_slot_matrix(qp.shape) @ np.array(starts).T
+    return (-(rows @ weights) / np.abs(rows).sum(axis=1)[:, None]).min(axis=0)
+
+
+def keeps_margin(qp, cone, weights, margin):
+    """Whether every cone row has -row . w >= margin |row|_1, up to 1e-9."""
+    rows = np.array(cone, dtype=float) / degree_denominator(qp.shape)
+    return bool(np.all(-(rows @ np.array(weights)) >= margin * np.abs(rows).sum(axis=1) - 1e-9))
 
 
 def search_configs():
@@ -312,23 +330,15 @@ class TestInnerMinimize:
         assert log["candidates"] > 0
         assert log["empty_cone"] == log["candidates"]
 
-    def test_starts_are_distinct(self, monkeypatch):
+    def test_starts_are_distinct(self, slsqp_starts):
         # the seed weights of a generated shape equal its canonical weights,
         # so the second start is skipped
-        starts = []
-
-        def recording_minimize(fun, x0, **kwargs):
-            starts.append(tuple(x0))
-            return real_minimize(fun, x0, **kwargs)
-
-        # inner_minimize imports minimize from scipy.optimize on each call
-        real_minimize = scipy.optimize.minimize
-        monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
         config, fc = three_generic_lines()
         qp = assemble_quadratics(fc, config)
         assert qp.shape.seed_weights == canonical_weights(qp.shape)
         cone = stability_cone(qp.shape, candidates_for(fc).incidences)
         inner_minimize(qp, cone)
+        starts = [tuple(x0) for x0 in slsqp_starts]
         assert starts and len(set(starts)) == len(starts)
 
     def test_the_solve_reads_the_fraction_rows_as_doubles(self, monkeypatch):
@@ -346,7 +356,7 @@ class TestInnerMinimize:
         config = search_configs()[1]
         solved = 0
         for qp, cone, incidences in search_problems(config, 2, 3):
-            if degree_denominator(qp.shape) > 1 and not upsilon._cone_is_empty(qp.shape, cone):
+            if degree_denominator(qp.shape) > 1 and upsilon._cone_point(qp.shape, cone):
                 seen.clear()
                 inner_minimize(qp, cone)
                 reference = reference_stability_cone(qp.shape, incidences)
@@ -389,7 +399,8 @@ class TestInnerMinimize:
 
 
 class TestExactCone:
-    """Emptiness of the stability cone, decided in integers before any float work."""
+    """A point of the stability cone, or a proof that it has none, in integers
+    and before any float work."""
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_agrees_with_the_highs_width(self, rank):
@@ -397,9 +408,17 @@ class TestExactCone:
         for config in search_configs():
             for seed in (3, 7):
                 for qp, cone, _ in search_problems(config, rank, seed):
-                    empty = upsilon._cone_is_empty(qp.shape, cone)
+                    point = upsilon._cone_point(qp.shape, cone)
+                    empty = point is None
                     assert empty == (reference_cone_width(qp, cone) <= 1e-9)
                     outcomes[empty] += 1
+                    if point is not None:
+                        # balanced integer weights strictly inside every row
+                        assert all(type(x) is int for x in point)
+                        assert not any(
+                            sum(map(mul, row, point)) for row in balance_rows(qp.shape)
+                        )
+                        assert all(sum(map(mul, row, point)) < 0 for row in cone)
         assert outcomes[True] and outcomes[False]
 
     def test_fraction_reference_agrees_and_divisions_are_exact(self, monkeypatch):
@@ -419,16 +438,23 @@ class TestExactCone:
         for _ in range(300):
             width, m = rng.randint(1, 4), rng.randint(1, 7)
             rows = [tuple(rng.randint(-4, 4) for _ in range(width)) for _ in range(m)]
-            empty = linalg.open_cone_is_empty(rows)
+            point = linalg.open_cone_point(rows)
+            empty = point is None
             assert empty == reference_phase1_empty(rows)
             outcomes[empty] += 1
+            if point is not None:
+                # the certificate, checked in integers
+                assert len(point) == width and all(type(y) is int for y in point)
+                assert all(sum(map(mul, row, point)) < 0 for row in rows)
         assert outcomes[True] > 50 and outcomes[False] > 50
         assert len(pivots) > 300 and any(det > 1 for det in pivots)
 
     def test_opposite_rows_are_empty(self):
-        assert linalg.open_cone_is_empty([(2, -1, 3), (-2, 1, -3)])
-        assert not linalg.open_cone_is_empty([(2, -1, 3), (-2, 1, -2)])
-        assert not linalg.open_cone_is_empty([])
+        assert linalg.open_cone_point([(2, -1, 3), (-2, 1, -3)]) is None
+        rows = [(2, -1, 3), (-2, 1, -2)]
+        point = linalg.open_cone_point(rows)
+        assert all(sum(map(mul, row, point)) < 0 for row in rows)
+        assert linalg.open_cone_point([]) == ()
 
     def test_a_zero_reduced_row_makes_the_cone_empty(self):
         # w_0 + w_1 is the balance form of a two-step flag of multiplicities
@@ -437,29 +463,32 @@ class TestExactCone:
             single_conic()[0].shape, seed_weights=(F(1, 2), F(-1, 2))
         )
         cone = stability_cone(shape, ()) + ((1, 1),)
-        assert not upsilon._cone_is_empty(shape, stability_cone(shape, ()))
-        assert upsilon._cone_is_empty(shape, cone)
-        assert linalg.open_cone_is_empty([(0, 0), (1, 0)])
+        assert upsilon._cone_point(shape, stability_cone(shape, ())) == (1, -1)
+        assert upsilon._cone_point(shape, cone) is None
+        assert linalg.open_cone_point([(0, 0), (1, 0)]) is None
 
     def test_a_seed_outside_a_non_empty_cone_goes_to_the_simplex(self, monkeypatch):
         calls = []
-        original = upsilon.open_cone_is_empty
+        original = upsilon.open_cone_point
 
         def counted(rows):
             calls.append(rows)
             return original(rows)
 
-        monkeypatch.setattr(upsilon, "open_cone_is_empty", counted)
+        monkeypatch.setattr(upsilon, "open_cone_point", counted)
         config, fc = three_generic_lines()
         qp = assemble_quadratics(fc, config)
         cone = stability_cone(qp.shape, candidates_for(fc).incidences)
-        assert not upsilon._cone_is_empty(qp.shape, cone)
+        # the seed (1/2, -1/2) per flag lies inside, and comes back in integers
+        assert upsilon._cone_point(qp.shape, cone) == (1, -1) * 3
         assert calls == []
         # reversed weights break every step-ordering row
         reversed_seed = tuple(-w for w in qp.shape.seed_weights)
         shape = dataclasses.replace(qp.shape, seed_weights=reversed_seed)
-        assert not upsilon._cone_is_empty(shape, cone)
+        point = upsilon._cone_point(shape, cone)
         assert len(calls) == 1
+        assert all(sum(map(mul, row, point)) < 0 for row in cone)
+        assert not any(sum(map(mul, row, point)) for row in balance_rows(shape))
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_rows_are_integers_over_the_degree_denominator(self, rank):
@@ -492,92 +521,76 @@ class TestExactCone:
         monkeypatch.setattr(upsilon, "integer_row", counted)
         for qp, cone, _ in search_problems(three_generic_lines()[0], 3, 3):
             before = len(scaled)
-            upsilon._cone_is_empty(qp.shape, cone)
+            upsilon._cone_point(qp.shape, cone)
             assert len(scaled) == before + 1
         assert scaled
 
     def test_an_empty_cone_is_no_solver_failure(self, no_float_solve):
-        # EmptyConeError is a proof, so a caller catching ConvergenceError
-        # for solver failures never sees it
+        # EmptyConeError is a proof, raised before any float work
         with pytest.raises(EmptyConeError):
-            try:
-                inner_minimize(*single_conic())
-            except ConvergenceError:
-                pytest.fail("an empty cone was caught as a ConvergenceError")
+            inner_minimize(*single_conic())
         outcome = upsilon._solve_and_round(*single_conic(), upsilon.DEFAULT_MAX_DENOMINATOR)
         assert outcome == "empty_cone"
 
-    def test_no_width_on_a_non_empty_cone_is_a_solver_failure(
-        self, monkeypatch, width_programs
-    ):
-        # the exact test has proven the cone non-empty, so a zero float
-        # width is the solver's failure, not an empty cone.  The width
-        # program runs only where no start is wide enough, so the shape is
-        # the first of a rank-3 stream whose non-empty cone still calls it.
-        config = three_generic_lines()[0]
-        for fc in search_shapes(config, 3, 3):
-            qp = assemble_quadratics(fc, config)
-            cone = stability_cone(qp.shape, candidates_for(fc).incidences)
-            if not upsilon._cone_is_empty(qp.shape, cone):
-                inner_minimize(qp, cone)
-                if width_programs:
-                    break
-        assert width_programs
 
-        def no_width(*args, **kwargs):
-            return scipy.optimize.OptimizeResult(status=0, fun=0.0, message="stub")
+class TestMargin:
+    """The margin is 1 / max_denominator, or half the widest start's width
+    where no start is twice that wide; then the exact point is a start."""
 
-        monkeypatch.setattr(scipy.optimize, "linprog", no_width)
-        with pytest.raises(ConvergenceError):
-            inner_minimize(qp, cone)
-        outcome = upsilon._solve_and_round(qp, cone, upsilon.DEFAULT_MAX_DENOMINATOR)
-        assert outcome == "solver_failures"
-        counts = Counter()
-        assert solve_shape(fc, config, counts, {}) is None
-        assert counts == {"solver_failures": 1}
-
-
-class TestWidthProgram:
-    """HiGHS computes the cone's widest slack only where no start proves it."""
-
-    def test_a_skipped_program_could_not_narrow_the_margin(self, width_programs):
-        # every start is a feasible point of the width program, so a start
-        # 2 * margin wide bounds its optimum t from below and min(margin,
-        # t / 2) is the margin; the returned weights keep that slack
+    def test_the_margin_is_full_or_half_the_widest_start(self, slsqp_starts):
         margin = 1 / upsilon.DEFAULT_MAX_DENOMINATOR
-        ran = Counter()
+        thin = Counter()
         for config in search_configs():
             for rank in (2, 3):
                 for seed in (3, 21, 31):
                     for qp, cone, _ in search_problems(config, rank, seed):
-                        if upsilon._cone_is_empty(qp.shape, cone):
+                        point = upsilon._cone_point(qp.shape, cone)
+                        if point is None:
                             continue
-                        width_programs.clear()
+                        slsqp_starts.clear()
                         result = inner_minimize(qp, cone)
-                        ran[bool(width_programs)] += 1
-                        if width_programs:
+                        if not result.boundary:
+                            # an interior minimum keeps the full margin
+                            assert keeps_margin(qp, cone, result.weights, margin)
                             continue
-                        # an interior minimum proves only the margin itself
-                        wide = (2 if result.boundary else 1) * margin
-                        assert reference_cone_width(qp, cone) >= wide
-                        scale = degree_denominator(qp.shape)
-                        for row in cone:
-                            value = -sum(map(mul, row, result.weights)) / scale
-                            assert value >= margin * sum(map(abs, row)) / scale - 1e-9
-        assert ran[True] and ran[False]
+                        widths = start_widths(qp, cone, slsqp_starts)
+                        widest = max(widths)
+                        # the box |w| <= 1/2 holds every start, so none is
+                        # wider than the cone's widest point
+                        assert widest <= reference_cone_width(qp, cone) + 1e-9
+                        n_mat = free_slot_matrix(qp.shape)
+                        v = np.array([point[slot] for _, slot, _, _ in qp.shape.free_slots])
+                        v = v * (0.5 / np.max(np.abs(n_mat @ v)))
+                        # the point joins last, unless it equals an earlier start
+                        appended = np.allclose(v, slsqp_starts[-1])
+                        if max(widths[:-1] if appended else widths) < 2 * margin:
+                            # no start but the point is twice the margin
+                            # wide: the point is a start, and the margin is
+                            # at most half the widest start's width
+                            assert any(np.allclose(v, start) for start in slsqp_starts)
+                            assert widest > 0
+                            assert keeps_margin(qp, cone, result.weights, min(margin, widest / 2))
+                            thin[True] += 1
+                        else:
+                            assert not appended
+                            assert reference_cone_width(qp, cone) >= 2 * margin
+                            assert keeps_margin(qp, cone, result.weights, margin)
+                            thin[False] += 1
+        assert thin[True] and thin[False]
 
-    def test_a_thin_cone_keeps_half_its_width(self, monkeypatch, width_programs):
+    def test_a_thin_cone_keeps_half_its_width(self, monkeypatch, slsqp_starts):
         # at epsilon 1/100 the blown-up triple has cones thinner than
-        # 1 / max_denominator, where the margin is half the width HiGHS
-        # finds; a fixed margin of 1 / 64 there turned 4 of these 18
-        # boundary shapes into solver failures
+        # 1 / max_denominator, where the margin is half the widest start's
+        # width; a fixed margin of 1 / 64 there turned 4 of these 18
+        # boundary shapes into failures
         widths = []
         original = upsilon.inner_minimize
 
         def recorded(qp, cone, *args):
-            width_programs.clear()
+            slsqp_starts.clear()
             result = original(qp, cone, *args)
-            if width_programs:
+            thin = 2 / upsilon.DEFAULT_MAX_DENOMINATOR
+            if slsqp_starts and max(start_widths(qp, cone, slsqp_starts)) < thin:
                 widths.append(reference_cone_width(qp, cone))
             return result
 
@@ -585,22 +598,21 @@ class TestWidthProgram:
         config = blow_up(three_concurrent_lines(), F(1, 100))
         estimate = outer_search(config, rank=2, budget=40, seed=3)
         log = estimate.search_log
-        assert (log["boundary_hits"], log["solver_failures"], log["stable"]) == (18, 0, 18)
+        assert (log["boundary_hits"], log["stable"]) == (18, 18)
         assert estimate.ratio == 0
         assert estimate.attained
         assert widths and min(widths) < 1 / upsilon.DEFAULT_MAX_DENOMINATOR
 
-    def test_a_wide_cone_never_reaches_highs(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the width program ran on a wide cone")
-
-        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+    def test_a_wide_cone_keeps_the_full_margin(self, slsqp_starts):
+        # the triangle's seed is twice the margin wide, so no point joins it
         config, fc = three_generic_lines()
         qp = assemble_quadratics(fc, config)
         cone = stability_cone(qp.shape, candidates_for(fc).incidences)
         result = inner_minimize(qp, cone)
-        assert isinstance(result, upsilon.InnerResult)
         assert result.boundary
+        margin = 1 / upsilon.DEFAULT_MAX_DENOMINATOR
+        assert start_widths(qp, cone, slsqp_starts)[0] >= 2 * margin
+        assert keeps_margin(qp, cone, result.weights, margin)
 
 
 class TestStabilityCone:
@@ -733,7 +745,6 @@ class TestOuterSearch:
         expected = outer_search(config, rank=2, budget=1, seed=3, start=fc)
         assert estimate.configuration == expected.configuration
         assert estimate.search_log == expected.search_log
-        assert estimate.search_log["solver_failures"] == 0
         assert estimate.ratio == F(375, 4114)
 
     def test_the_start_is_tried_first_and_once(self):
@@ -898,7 +909,7 @@ class TestSolveReuse:
             "budget": 40, "seed": 3, "candidates": 40, "proposals": 16, "stable": 16,
             "semistable": 0, "unstable": 0, "bgi_rejected": 0, "skipped_trivial": 0,
             "skipped_singular": 0, "rounding_failures": 0, "empty_cone": 24,
-            "solver_failures": 0, "boundary_hits": 16, "best_ratio": "375/4114",
+            "boundary_hits": 16, "best_ratio": "375/4114",
         }
 
     def test_a_reused_failure_is_counted_per_shape(self, solves):
