@@ -31,7 +31,6 @@ from .errors import (
     InvariantError,
     MissingCrossingTableError,
     NoStableConfigurationError,
-    OrderingCollapseError,
     ShapeMismatchError,
     SingularFormError,
     UnbalancedFiltrationError,
@@ -62,7 +61,6 @@ from .surface import (
 from .upsilon import (
     InnerResult,
     UpsilonEstimate,
-    canonical_weights,
     inner_minimize,
     outer_search,
     rationalize,

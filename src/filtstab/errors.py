@@ -58,10 +58,6 @@ class EmptyConeError(FiltstabError):
     """
 
 
-class OrderingCollapseError(FiltstabError):
-    """Rounding weights to bounded denominators merged or reordered flag steps."""
-
-
 class NoStableConfigurationError(FiltstabError):
     """The search exhausted its budget without finding a stable configuration."""
 

@@ -9,10 +9,12 @@ shape as integer rows over the lcm L of the degree denominators, from the
 slot coefficients K = L deg(D_i) that the stability verdict reads too
 (:func:`~filtstab.stability.slot_degrees`, :func:`stability_cone`).
 Whether that cone is empty is decided exactly, from those rows, before any
-float work; the same test gives a point inside a non-empty cone.  There the
-inner problem is a generalized Rayleigh-quotient minimization over balance ∩
-cone, solved in floating point and re-verified exactly after rationalizing
-the minimizer.  The outer loop
+float work; the same test gives an integer point y inside a non-empty cone.
+There the inner problem is a generalized Rayleigh-quotient minimization over
+balance ∩ closed cone, solved in floating point; :func:`rationalize` rounds
+the minimizer, re-balances it and, where it is not strictly inside, steps
+exactly along y until it is, so the stability, c2 and norm of every
+proposal are exact.  The outer loop
 walks one stream of flag shapes (a given start first and once, then seeded
 random, coincident and generic shapes in turn), keeps the best
 configuration that certifies stable, and reports its ratio as an upper
@@ -47,13 +49,12 @@ from .errors import (
     DimensionMismatchError,
     EmptyConeError,
     NoStableConfigurationError,
-    OrderingCollapseError,
     ShapeMismatchError,
     SingularFormError,
 )
 from .chern import QuadraticPair, WeightShape, assemble_quadratics
 from .filtration import FilteredConfiguration, Filtration, balanced
-from .linalg import integer_row, open_cone_point, span
+from .linalg import Subspace, integer_row, open_cone_point, span
 from .stability import (
     Certainty,
     StabilityVerdict,
@@ -81,12 +82,6 @@ def _balanced_weights(shape: WeightShape, weights: Sequence) -> tuple[Fraction, 
     """``weights`` with each component shifted onto its balance constraint."""
     chunks = (weights[o : o + len(m)] for o, m in zip(shape.offsets, shape.mults))
     return tuple(w for chunk, m in zip(chunks, shape.mults) for w in balanced(chunk, m))
-
-
-def canonical_weights(shape: WeightShape) -> tuple[Fraction, ...]:
-    """Evenly spread balanced weights for a shape, half-integer spacing."""
-    steps = [w for mults in shape.mults for w in _half_steps(len(mults))]
-    return _balanced_weights(shape, steps)
 
 
 ConeRows = tuple[tuple[int, ...], ...]
@@ -123,21 +118,24 @@ def _cone_point(shape: WeightShape, cone: ConeRows) -> Optional[tuple[int, ...]]
 
     Over the ``shape.free_slots``, a balanced w has row . w = h . x with the
     reduced row h = r[slot] m0 - r[first] m and the coordinates x = w[slot] / m0.
-    The cone's integer rows are reduced so, made primitive and deduplicated.
-    When the seed's x, scaled to integers, satisfies all of them it is the
-    point; otherwise :func:`~filtstab.linalg.open_cone_point` finds one or
-    proves, in integers, that there is none.  The point's x maps back by w[slot] += m0 x and
-    w[first] -= m x, so a balanced seed comes back times a positive integer.
+    The cone's integer rows are reduced so, made primitive, deduplicated and
+    sorted, so the point depends on the set of rows only.  When the balanced
+    seed's x, scaled to integers, satisfies all of them it is the point;
+    otherwise :func:`~filtstab.linalg.open_cone_point` finds one or proves,
+    in integers, that there is none.  The point's x maps back by
+    w[slot] += m0 x and w[first] -= m x, so a balanced seed comes back times
+    a positive integer.
     """
     free = shape.free_slots
-    reduced = {}
+    reduced = set()
     for r in cone:
         h = [r[slot] * m0 - r[first] * m for first, slot, m0, m in free]
         content = math.gcd(*h) or 1
-        reduced[tuple(x // content for x in h)] = None
-    point, _ = integer_row([Fraction(shape.seed_weights[slot], m0) for _, slot, m0, _ in free])
+        reduced.add(tuple(x // content for x in h))
+    seed = _balanced_weights(shape, shape.seed_weights)
+    point, _ = integer_row([seed[slot] / m0 for _, slot, m0, _ in free])
     if not all(sum(map(mul, h, point)) < 0 for h in reduced):
-        point = open_cone_point(list(reduced))
+        point = open_cone_point(sorted(reduced))
         if point is None:
             return None
     weights = [0] * shape.size
@@ -162,30 +160,25 @@ def _float_forms(qp: QuadraticPair):
 
 @dataclass(frozen=True)
 class InnerResult:
-    """Minimizer data for one fixed flag shape."""
+    """Minimizer data for one fixed flag shape, with the exact interior point
+    (:func:`_cone_point`) that :func:`rationalize` steps along."""
 
     weights: tuple[float, ...]
     ratio: float
     boundary: bool
+    interior: tuple[int, ...]
 
 
-def inner_minimize(
-    qp: QuadraticPair,
-    cone: ConeRows,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
-) -> InnerResult:
-    """Minimize the Rayleigh quotient w^T A w / w^T B w over balance ∩ ``cone``.
+def inner_minimize(qp: QuadraticPair, cone: ConeRows) -> InnerResult:
+    """Minimize the Rayleigh quotient w^T A w / w^T B w over balance ∩ closed ``cone``.
 
     ``cone`` holds the integer rows of :func:`stability_cone`, over the
     lcm L of the degree denominators, read from
     :func:`~filtstab.stability.slot_degrees`; the float solve divides them
     by L, and while the integers stay below 2^53 each quotient is the
-    double nearest the rational entry, as ``float(Fraction)`` would give it.  Weights come
-    back at peak 1/2 with every row . w <= -margin |row|_1.  The margin is
-    1 / ``max_denominator``, which rounding in :func:`rationalize` cannot
-    cross, except where no start is 2 / ``max_denominator`` wide (width t,
-    the least of -row . w / |row|_1, below): there it is half the widest
-    start's t, and the exact check of the rounded weights decides.
+    double nearest the rational entry, as ``float(Fraction)`` would give it.
+    Weights come back at peak 1/2 with every row . w <= 0, up to float
+    error; :func:`rationalize` makes them exact and strictly inside.
 
     Three exact tests come first, with no float work.  A shape whose flags
     are all trivial, or whose norm is not definite on the balance subspace
@@ -193,18 +186,19 @@ def inner_minimize(
     :class:`SingularFormError`.  A cone with no balanced point, decided in
     integers (:func:`_cone_point`), raises :class:`EmptyConeError`, so
     that error means the cone is proven empty; on any other cone that test
-    returns a point strictly inside it.
+    returns the integer point y strictly inside it, carried on the result
+    as ``interior``.
 
     On a non-empty cone, the eigenvector of the smallest generalized
     eigenvalue of (A, B) on the balance subspace is returned as an interior
-    minimum when it keeps that slack.  Otherwise SLSQP, with all rows as one
-    linear constraint and run from distinct deterministic starts (the seed
-    and canonical weights and blends with the eigenvector), gives a
-    ``boundary`` value >= the eigenvalue.  When one start keeps twice the
-    slack, it proves the cone wide enough; only when none does, the exact
-    interior point becomes one more start and the margin is half the widest
-    start's t, which that start keeps twice over, so some candidate always
-    keeps the margin.
+    minimum when it lies in the closed cone.  Otherwise SLSQP runs from the
+    balanced seed and from its even blend with the eigenvector, with the
+    rows, the peak bound 1/2 and one cut c . v >= c . y/2 as linear
+    constraints, where c = -sum row / |row|_1 and y is taken at peak 1/2.
+    The cut keeps the solve off v = 0, where the quotient is undefined and
+    SLSQP stalls.  Its ``boundary`` value is the least quotient among y,
+    the starts and the solutions that lie in the closed cone, >= the
+    eigenvalue; y always does, so the solve has no failure of its own.
 
     numpy and scipy are imported here, after the exact tests, so a process
     loads them on its first non-empty cone.
@@ -254,35 +248,23 @@ def inner_minimize(
 
     _, scale = slot_degrees(shape.degrees, shape.step_counts)
     rows = np.unique(np.array(cone, dtype=float) / scale, axis=0)
-    slack = np.abs(rows).sum(axis=1)
-    margin = 1.0 / max_denominator
     g = rows @ n_mat
 
     for v in (peak_half(v_min), peak_half(-v_min)):
-        if np.all(g @ v <= -margin * slack):
-            return InnerResult(tuple(n_mat @ v), eigen_ratio, False)
+        if np.all(g @ v <= 0):
+            return InnerResult(tuple(n_mat @ v), eigen_ratio, False, point)
 
-    # the balanced seed (never zero: its steps strictly decrease) and canonical
-    # weights at their free slots, and blends of the seed with the eigenvector
-    starts = [
-        at_free_slots(w)
-        for w in (_balanced_weights(shape, shape.seed_weights), canonical_weights(shape))
-    ]
-    v_eig = peak_half(v_min)
-    starts += [peak_half((1 - t) * v_eig + t * starts[0]) for t in (0.25, 0.5, 0.75)]
-
-    # Boundary path: a start of width t keeps every row . w + t |row|_1 <= 0.
-    # When none is 2 * margin wide, the exact interior point joins them and
-    # the margin is half the widest t, so that start keeps it twice over.
-    if max(np.min(-(g @ v) / slack) for v in starts) < 2 * margin:
-        starts.append(at_free_slots(point))
-        margin = min(margin, max(np.min(-(g @ v) / slack) for v in starts) / 2)
-    # each distinct start once
+    # the balanced seed (never zero: its steps strictly decrease) and its
+    # even blend with the eigenvector, each distinct start once
+    seed = at_free_slots(_balanced_weights(shape, shape.seed_weights))
+    starts = [seed, peak_half(0.5 * (peak_half(v_min) + seed))]
     starts = [np.array(v) for v in dict.fromkeys(map(tuple, starts))]
+    y = at_free_slots(point)
+    cut = -(g / np.abs(rows).sum(axis=1)[:, None]).sum(axis=0)
 
-    # the rows with their slack and the peak bound, as m_mat @ v <= bound
-    m_mat = np.vstack([g, n_mat, -n_mat])
-    bound = np.r_[-margin * slack, np.full(2 * size, 0.5)]
+    # the closed cone, the peak bound and the cut, as m_mat @ v <= bound
+    m_mat = np.vstack([g, n_mat, -n_mat, -cut])
+    bound = np.r_[np.zeros(len(g)), np.full(2 * size, 0.5), -0.5 * (cut @ y)]
     constraint = {
         "type": "ineq",
         "fun": lambda v: bound - m_mat @ v,
@@ -295,7 +277,7 @@ def inner_minimize(
     def quotient_jac(v: np.ndarray) -> np.ndarray:
         return 2.0 * (a_red @ v - quotient(v) * (b_red @ v)) / float(v @ b_red @ v)
 
-    candidates = starts + [
+    candidates = [y, *starts] + [
         minimize(
             quotient, start, jac=quotient_jac, method="SLSQP",
             constraints=[constraint],
@@ -306,27 +288,31 @@ def inner_minimize(
 
     best_v, best_ratio = None, math.inf
     for v in map(peak_half, candidates):
-        if not np.all(g @ v <= 1e-9 - margin * slack):
+        if not np.all(g @ v <= 1e-9):
             continue
         ratio = quotient(v)
         if ratio < best_ratio:
             best_v, best_ratio = v, ratio
-    return InnerResult(tuple(n_mat @ best_v), best_ratio, True)
+    return InnerResult(tuple(n_mat @ best_v), best_ratio, True, point)
 
 
 def rationalize(
     weights: Sequence[float | Fraction],
     shape: WeightShape,
+    cone: ConeRows,
+    interior: Sequence[int],
     max_denominator: int = DEFAULT_MAX_DENOMINATOR,
 ) -> tuple[Fraction, ...]:
-    """Round weights to bounded denominators and re-balance exactly.
+    """Exact balanced weights strictly inside the open ``cone``, near ``weights``.
 
     Each coordinate moves to the nearest rational with denominator at most
-    ``max_denominator``; afterwards every component is shifted back onto its
-    exact balance constraint.  If rounding merged or reordered adjacent steps
-    the flag shape has changed, which is reported as
-    :class:`OrderingCollapseError`; the search counts that shape as a
-    rounding failure.
+    ``max_denominator``, and every component is shifted back onto its exact
+    balance constraint.  Where some row of ``cone`` is then >= 0, the point
+    x steps to x + t y along ``interior``, a balanced integer y with every
+    row . y < 0 (:class:`InnerResult`).  Each row r needs t > r . x / -r . y;
+    t is twice the largest of these bounds, or 1 / (``max_denominator``
+    max |y|) when that is 0 (x on a face), so every row, the step-ordering
+    rows included, ends below zero in exact arithmetic and no two steps merge.
     """
     if len(weights) != shape.size:
         raise DimensionMismatchError(
@@ -341,14 +327,14 @@ def rationalize(
         for w in weights
     ]
     out = _balanced_weights(shape, rounded)
-    for i, (offset, count) in enumerate(zip(shape.offsets, shape.step_counts)):
-        for s in range(count - 1):
-            if out[offset + s] <= out[offset + s + 1]:
-                raise OrderingCollapseError(
-                    f"steps {s} and {s + 1} of component {i} merged at "
-                    f"denominator {max_denominator}"
-                )
-    return out
+    bounds = [
+        sum(map(mul, row, out)) / -sum(map(mul, row, interior)) for row in cone
+    ]
+    least = max(bounds, default=-1)
+    if least < 0:
+        return out
+    t = 2 * least or Fraction(1, max_denominator * max(map(abs, interior)))
+    return tuple(x + t * y for x, y in zip(out, interior))
 
 
 @dataclass(frozen=True)
@@ -388,37 +374,42 @@ class UpsilonEstimate:
 
 def _random_invertible_rows(
     rng: random.Random, rank: int, height: int
-) -> list[list[int]]:
+) -> tuple[list[list[int]], Subspace]:
+    """Random integer rows spanning Q^rank, and that span."""
     while True:
         rows = [
             [rng.randint(-height, height) for _ in range(rank)]
             for _ in range(rank)
         ]
-        if span(rows, rank).dim == rank:
-            return rows
+        full = span(rows, rank)
+        if full.dim == rank:
+            return rows, full
 
 
 def _flag_from_rows(
-    rows: Sequence[Sequence[int]], dims: Sequence[int], rank: int
+    rows: Sequence[Sequence[int]], dims: Sequence[int], full: Subspace
 ) -> Filtration:
-    spaces = (span(rows[:dim], rank) for dim in dims)
-    return Filtration(rank, tuple(zip(_half_steps(len(dims)), spaces))).balance_shift()
+    """The spans of the first ``dims`` rows, then ``full``, at balanced half steps."""
+    rank = full.ambient_dim
+    spaces = [span(rows[:dim], rank) for dim in dims] + [full]
+    mults = [b - a for a, b in zip((0, *dims), (*dims, rank))]
+    return Filtration(rank, tuple(zip(balanced(_half_steps(len(spaces)), mults), spaces)))
 
 
 def _random_flag(rng: random.Random, rank: int, min_steps: int = 1) -> Filtration:
     k = rng.randint(min_steps, rank)
     if k == 1:
         return Filtration.trivial(rank)
-    rows = _random_invertible_rows(rng, rank, FLAG_HEIGHT)
-    dims = sorted(rng.sample(range(1, rank), k - 1)) + [rank]
-    return _flag_from_rows(rows, dims, rank)
+    rows, full = _random_invertible_rows(rng, rank, FLAG_HEIGHT)
+    dims = sorted(rng.sample(range(1, rank), k - 1))
+    return _flag_from_rows(rows, dims, full)
 
 
 def _generic_flag(rank: int, node: int) -> Filtration:
     rows = [
         [(node + m) ** j for j in range(rank)] for m in range(rank)
     ]
-    return _flag_from_rows(rows, list(range(1, rank + 1)), rank)
+    return _flag_from_rows(rows, range(1, rank), Subspace.full(rank))
 
 
 def _make_shape(
@@ -470,13 +461,14 @@ def outer_search(
     set, exact at ranks 2 and 3 and its flag-step closure above, is built
     once and gives both the shape's cone and the final check; shapes whose
     cone is proven empty count as ``empty_cone``.
-    The minimizer over the cone is rationalized at denominators up to
-    ``max_denominator``, where it stays in the cone; both run once per
-    distinct (quadratic pair, set of cone rows) in this call, and a shape
-    posing an already solved problem reuses that outcome, failures
-    included.  The rationalized minimizer is kept when
-    :func:`check_stability` (sampling with ``samples`` above rank 3) calls
-    it stable; c2 and the norm come from the exact :class:`QuadraticPair`.
+    The minimizer over the closed cone is rationalized at denominators up
+    to ``max_denominator`` and stepped strictly inside the open cone
+    (:func:`rationalize`); both run once per distinct (quadratic pair, set
+    of cone rows) in this call, and a shape posing an already solved
+    problem reuses that outcome, failures included.  The rationalized
+    minimizer is kept when :func:`check_stability` (sampling with
+    ``samples`` above rank 3) calls it stable, which at ranks 2 and 3 it
+    always does; c2 and the norm come from the exact :class:`QuadraticPair`.
     An exactly stable candidate with negative c2 raises
     :class:`BGIViolationError` carrying
     :meth:`~filtstab.surface.DivisorConfiguration.hodge_witness` as
@@ -498,6 +490,8 @@ def outer_search(
     if start is not None and (start.rank, len(start.filtrations)) != expected:
         raise ShapeMismatchError("the start does not match the rank or component count")
 
+    # rationalize always lands inside the cone, so rounding_failures stays 0;
+    # the report keeps the count as a check of that
     counts = dict.fromkeys((
         "candidates", "proposals", "stable", "semistable", "unstable", "bgi_rejected",
         "skipped_trivial", "skipped_singular", "rounding_failures", "empty_cone",
@@ -540,23 +534,19 @@ def _order(estimate: dict) -> tuple:
 
 def _solve_and_round(
     qp: QuadraticPair, cone: ConeRows, max_denominator: int
-) -> str | tuple[InnerResult, Optional[tuple[Fraction, ...]]]:
+) -> str | tuple[InnerResult, tuple[Fraction, ...]]:
     """The inner solve and its rounding, with failures returned, not raised.
 
     Gives the ``search_log`` count of a failed solve, or the
-    :class:`InnerResult` with its rationalized weights (None when rounding
-    merged two steps).
+    :class:`InnerResult` with its rationalized weights.
     """
     try:
-        inner = inner_minimize(qp, cone, max_denominator)
+        inner = inner_minimize(qp, cone)
     except SingularFormError:
         return "skipped_singular"
     except EmptyConeError:
         return "empty_cone"
-    try:
-        return inner, rationalize(inner.weights, qp.shape, max_denominator)
-    except OrderingCollapseError:
-        return inner, None
+    return inner, rationalize(inner.weights, qp.shape, cone, inner.interior, max_denominator)
 
 
 def _solve_shape(
@@ -593,9 +583,6 @@ def _solve_shape(
     inner, rationalized = outcome
     if inner.boundary:
         counts["boundary_hits"] += 1
-    if rationalized is None:
-        counts["rounding_failures"] += 1
-        return None
     counts["proposals"] += 1
     candidate = _with_weights(shape_fc, shape, rationalized)
     verdict = check_stability(

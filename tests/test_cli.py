@@ -252,7 +252,7 @@ def test_upsilon_uses_supplied_configuration(tmp_path):
     )
     assert code == 0
     result = read_report(out)["result"]
-    assert result["ratio"] == "375/4114"
+    assert result["ratio"] == "131/4358"
     assert result["verdict"]["status"] == "stable"
     assert result["verdict"]["certainty"] == "exact"
     assert result["search_log"]["candidates"] == 1
@@ -724,7 +724,7 @@ def test_upsilon_report_does_not_depend_on_the_hash_seed(tmp_path):
         assert proc.returncode == 0, proc.stderr
         texts.append(without_timestamp(out.read_text(encoding="utf-8")))
     assert texts[0] == texts[1]
-    assert '"best_ratio": "375/4114"' in texts[0]
+    assert '"best_ratio": "131/4358"' in texts[0]
 
 
 COLD_START = """
@@ -772,4 +772,4 @@ def test_exact_commands_start_without_numpy_and_scipy(tmp_path):
         ["blowup", 0, []],
         ["upsilon", 0, ["numpy", "scipy"]],
     ]
-    assert read_report(out)["result"]["ratio"] == "375/4114"
+    assert read_report(out)["result"]["ratio"] == "131/4358"

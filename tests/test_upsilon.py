@@ -24,7 +24,6 @@ from filtstab import (
     FilteredConfiguration,
     Filtration,
     NoStableConfigurationError,
-    OrderingCollapseError,
     ShapeMismatchError,
     SingularFormError,
     StabilityVerdict,
@@ -36,7 +35,6 @@ from filtstab import (
     c2_number,
     c2_trivial,
     candidates_for,
-    canonical_weights,
     check_stability,
     derive_tables,
     inner_minimize,
@@ -48,6 +46,7 @@ from filtstab import (
     span,
     stability_cone,
 )
+from filtstab.filtration import balanced
 from filtstab.fixtures import three_concurrent_lines, three_generic_lines, two_lines
 from filtstab.serialize import estimate_to_doc
 from helpers import (
@@ -111,6 +110,20 @@ def search_problems(config, rank, seed, budget=40):
 
 
 @pytest.fixture
+def simplexes(monkeypatch):
+    """Record the rows of every exact simplex run; the real one still runs."""
+    calls = []
+    original = upsilon.open_cone_point
+
+    def counted(rows):
+        calls.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(upsilon, "open_cone_point", counted)
+    return calls
+
+
+@pytest.fixture
 def slsqp_starts(monkeypatch):
     """Record the start of every SLSQP run; the real solver still runs."""
     starts = []
@@ -123,24 +136,6 @@ def slsqp_starts(monkeypatch):
     # inner_minimize imports minimize from scipy.optimize on each call
     monkeypatch.setattr(scipy.optimize, "minimize", recorded)
     return starts
-
-
-def free_slot_matrix(shape):
-    """The float matrix whose column j is the balanced vector of free slot j."""
-    return np.array([[float(x) for x in v] for v in free_slot_basis(shape)]).T
-
-
-def start_widths(qp, cone, starts):
-    """The width t of each start: the least -row . w / |row|_1 over the cone rows."""
-    rows = np.array(cone, dtype=float)
-    weights = free_slot_matrix(qp.shape) @ np.array(starts).T
-    return (-(rows @ weights) / np.abs(rows).sum(axis=1)[:, None]).min(axis=0)
-
-
-def keeps_margin(qp, cone, weights, margin):
-    """Whether every cone row has -row . w >= margin |row|_1, up to 1e-9."""
-    rows = np.array(cone, dtype=float) / degree_denominator(qp.shape)
-    return bool(np.all(-(rows @ np.array(weights)) >= margin * np.abs(rows).sum(axis=1) - 1e-9))
 
 
 def search_configs():
@@ -296,7 +291,8 @@ class TestAssembleQuadratics:
                 random_balanced_configuration(rng, rank, n), random_divisor_config(rng, n)
             )
             basis = free_slot_basis(shape)
-            for w in (shape.seed_weights, canonical_weights(shape)):
+            spread = upsilon._balanced_weights(shape, [F(j) for j in range(shape.size)])
+            for w in (shape.seed_weights, spread):
                 assert all(sum(map(mul, row, w)) == 0 for row in balance_rows(shape))
                 rebuilt = [F(0)] * shape.size
                 for (_, slot, _, _), vec in zip(shape.free_slots, basis):
@@ -331,15 +327,13 @@ class TestInnerMinimize:
         assert log["empty_cone"] == log["candidates"]
 
     def test_starts_are_distinct(self, slsqp_starts):
-        # the seed weights of a generated shape equal its canonical weights,
-        # so the second start is skipped
+        # the seed and its blend with the eigenvector, each run once
         config, fc = three_generic_lines()
         qp = assemble_quadratics(fc, config)
-        assert qp.shape.seed_weights == canonical_weights(qp.shape)
         cone = stability_cone(qp.shape, candidates_for(fc).incidences)
-        inner_minimize(qp, cone)
+        assert inner_minimize(qp, cone).boundary
         starts = [tuple(x0) for x0 in slsqp_starts]
-        assert starts and len(set(starts)) == len(starts)
+        assert len(starts) == 2 and len(set(starts)) == 2
 
     def test_the_solve_reads_the_fraction_rows_as_doubles(self, monkeypatch):
         # the first np.unique call of a solve receives the float cone rows;
@@ -386,16 +380,23 @@ class TestInnerMinimize:
         with pytest.raises(SingularFormError):
             inner_minimize(qp, stability_cone(qp.shape, ()))
 
-    def test_canonical_weights_are_feasible(self):
-        config, fc = three_generic_lines()
-        qp = assemble_quadratics(fc, config)
-        weights = canonical_weights(qp.shape)
-        assert all(sum(g * w for g, w in zip(row, weights)) < 0
-                   for row in stability_cone(qp.shape, ()))
-        assert all(
-            sum(w * m for w, m in zip(weights[qp.shape.offsets[i]:], mults)) == 0
-            for i, mults in enumerate(qp.shape.mults)
-        )
+    def test_generated_seed_weights_are_feasible(self):
+        # every generated flag carries evenly spread balanced weights, which
+        # satisfy its step-ordering rows
+        config = three_generic_lines()[0]
+        for rank in (2, 3):
+            for fc in search_shapes(config, rank, 3):
+                qp = assemble_quadratics(fc, config)
+                weights = qp.shape.seed_weights
+                for f in fc.filtrations:
+                    if len(f.steps) > 1:
+                        assert f.weights() == balanced(upsilon._half_steps(len(f.steps)), f.mults)
+                assert all(sum(g * w for g, w in zip(row, weights)) < 0
+                           for row in stability_cone(qp.shape, ()))
+                assert all(
+                    sum(w * m for w, m in zip(weights[qp.shape.offsets[i]:], mults)) == 0
+                    for i, mults in enumerate(qp.shape.mults)
+                )
 
 
 class TestExactCone:
@@ -467,28 +468,50 @@ class TestExactCone:
         assert upsilon._cone_point(shape, cone) is None
         assert linalg.open_cone_point([(0, 0), (1, 0)]) is None
 
-    def test_a_seed_outside_a_non_empty_cone_goes_to_the_simplex(self, monkeypatch):
-        calls = []
-        original = upsilon.open_cone_point
-
-        def counted(rows):
-            calls.append(rows)
-            return original(rows)
-
-        monkeypatch.setattr(upsilon, "open_cone_point", counted)
+    def test_a_seed_outside_a_non_empty_cone_goes_to_the_simplex(self, simplexes):
         config, fc = three_generic_lines()
         qp = assemble_quadratics(fc, config)
         cone = stability_cone(qp.shape, candidates_for(fc).incidences)
         # the seed (1/2, -1/2) per flag lies inside, and comes back in integers
         assert upsilon._cone_point(qp.shape, cone) == (1, -1) * 3
-        assert calls == []
+        assert simplexes == []
         # reversed weights break every step-ordering row
         reversed_seed = tuple(-w for w in qp.shape.seed_weights)
         shape = dataclasses.replace(qp.shape, seed_weights=reversed_seed)
         point = upsilon._cone_point(shape, cone)
-        assert len(calls) == 1
+        assert len(simplexes) == 1
         assert all(sum(map(mul, row, point)) < 0 for row in cone)
         assert not any(sum(map(mul, row, point)) for row in balance_rows(shape))
+
+    def test_the_point_depends_on_the_set_of_rows(self, simplexes):
+        # reversed seed weights break every step-ordering row, so each
+        # non-empty cone goes to the simplex, whose pivots follow row order
+        rng = random.Random(43)
+        for config in search_configs():
+            for rank in (2, 3):
+                for qp, cone, _ in search_problems(config, rank, 3):
+                    reversed_seed = tuple(-w for w in qp.shape.seed_weights)
+                    shape = dataclasses.replace(qp.shape, seed_weights=reversed_seed)
+                    shuffled = list(cone)
+                    rng.shuffle(shuffled)
+                    point = upsilon._cone_point(shape, cone)
+                    assert upsilon._cone_point(shape, cone[::-1]) == point
+                    assert upsilon._cone_point(shape, tuple(shuffled)) == point
+        assert len(simplexes) > 100
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_shuffled_cone_rows_give_the_same_search(self, monkeypatch, simplexes, rank):
+        config = three_generic_lines()[0]
+        expected = outer_search(config, rank=rank, budget=12, seed=21)
+        ran = len(simplexes)
+        real = upsilon.stability_cone
+        monkeypatch.setattr(
+            upsilon, "stability_cone", lambda shape, incidences: real(shape, incidences)[::-1]
+        )
+        estimate = outer_search(config, rank=rank, budget=12, seed=21)
+        assert len(simplexes) == 2 * ran > 0
+        assert estimate.configuration == expected.configuration
+        assert estimate.search_log == expected.search_log
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_rows_are_integers_over_the_degree_denominator(self, rank):
@@ -533,88 +556,6 @@ class TestExactCone:
         assert outcome == "empty_cone"
 
 
-class TestMargin:
-    """The margin is 1 / max_denominator, or half the widest start's width
-    where no start is twice that wide; then the exact point is a start."""
-
-    def test_the_margin_is_full_or_half_the_widest_start(self, slsqp_starts):
-        margin = 1 / upsilon.DEFAULT_MAX_DENOMINATOR
-        thin = Counter()
-        for config in search_configs():
-            for rank in (2, 3):
-                for seed in (3, 21, 31):
-                    for qp, cone, _ in search_problems(config, rank, seed):
-                        point = upsilon._cone_point(qp.shape, cone)
-                        if point is None:
-                            continue
-                        slsqp_starts.clear()
-                        result = inner_minimize(qp, cone)
-                        if not result.boundary:
-                            # an interior minimum keeps the full margin
-                            assert keeps_margin(qp, cone, result.weights, margin)
-                            continue
-                        widths = start_widths(qp, cone, slsqp_starts)
-                        widest = max(widths)
-                        # the box |w| <= 1/2 holds every start, so none is
-                        # wider than the cone's widest point
-                        assert widest <= reference_cone_width(qp, cone) + 1e-9
-                        n_mat = free_slot_matrix(qp.shape)
-                        v = np.array([point[slot] for _, slot, _, _ in qp.shape.free_slots])
-                        v = v * (0.5 / np.max(np.abs(n_mat @ v)))
-                        # the point joins last, unless it equals an earlier start
-                        appended = np.allclose(v, slsqp_starts[-1])
-                        if max(widths[:-1] if appended else widths) < 2 * margin:
-                            # no start but the point is twice the margin
-                            # wide: the point is a start, and the margin is
-                            # at most half the widest start's width
-                            assert any(np.allclose(v, start) for start in slsqp_starts)
-                            assert widest > 0
-                            assert keeps_margin(qp, cone, result.weights, min(margin, widest / 2))
-                            thin[True] += 1
-                        else:
-                            assert not appended
-                            assert reference_cone_width(qp, cone) >= 2 * margin
-                            assert keeps_margin(qp, cone, result.weights, margin)
-                            thin[False] += 1
-        assert thin[True] and thin[False]
-
-    def test_a_thin_cone_keeps_half_its_width(self, monkeypatch, slsqp_starts):
-        # at epsilon 1/100 the blown-up triple has cones thinner than
-        # 1 / max_denominator, where the margin is half the widest start's
-        # width; a fixed margin of 1 / 64 there turned 4 of these 18
-        # boundary shapes into failures
-        widths = []
-        original = upsilon.inner_minimize
-
-        def recorded(qp, cone, *args):
-            slsqp_starts.clear()
-            result = original(qp, cone, *args)
-            thin = 2 / upsilon.DEFAULT_MAX_DENOMINATOR
-            if slsqp_starts and max(start_widths(qp, cone, slsqp_starts)) < thin:
-                widths.append(reference_cone_width(qp, cone))
-            return result
-
-        monkeypatch.setattr(upsilon, "inner_minimize", recorded)
-        config = blow_up(three_concurrent_lines(), F(1, 100))
-        estimate = outer_search(config, rank=2, budget=40, seed=3)
-        log = estimate.search_log
-        assert (log["boundary_hits"], log["stable"]) == (18, 18)
-        assert estimate.ratio == 0
-        assert estimate.attained
-        assert widths and min(widths) < 1 / upsilon.DEFAULT_MAX_DENOMINATOR
-
-    def test_a_wide_cone_keeps_the_full_margin(self, slsqp_starts):
-        # the triangle's seed is twice the margin wide, so no point joins it
-        config, fc = three_generic_lines()
-        qp = assemble_quadratics(fc, config)
-        cone = stability_cone(qp.shape, candidates_for(fc).incidences)
-        result = inner_minimize(qp, cone)
-        assert result.boundary
-        margin = 1 / upsilon.DEFAULT_MAX_DENOMINATOR
-        assert start_widths(qp, cone, slsqp_starts)[0] >= 2 * margin
-        assert keeps_margin(qp, cone, result.weights, margin)
-
-
 class TestStabilityCone:
     @staticmethod
     def shapes(rank, count, seed):
@@ -657,33 +598,98 @@ class TestStabilityCone:
         assert verdicts == {True, False}
 
 
+def ordering_cone(shape):
+    """The step-ordering rows of ``shape`` alone, and their exact interior point."""
+    cone = stability_cone(shape, ())
+    return cone, upsilon._cone_point(shape, cone)
+
+
+def rounded_point(weights, shape, max_denominator=upsilon.DEFAULT_MAX_DENOMINATOR):
+    """``weights`` rounded and re-balanced, as :func:`rationalize` does before its step."""
+    rounded = [F(float(w)).limit_denominator(max_denominator) for w in weights]
+    return upsilon._balanced_weights(shape, rounded)
+
+
 class TestRationalize:
     def test_small_rationals_unchanged(self):
         config, fc = three_generic_lines()
         shape = shape_of(fc, config)
+        cone = stability_cone(shape, candidates_for(fc).incidences)
         w = (F(1, 2), F(-1, 2)) * 3
-        assert rationalize(w, shape, 64) == w
+        assert rationalize(w, shape, cone, upsilon._cone_point(shape, cone), 64) == w
 
     def test_nearest_rational(self):
         config, fc = two_lines()
         shape = shape_of(fc, config)
-        out = rationalize((0.4999999, -0.4999999, 0.5, -0.5), shape, 10)
+        out = rationalize((0.4999999, -0.4999999, 0.5, -0.5), shape, *ordering_cone(shape), 10)
         assert out == (F(1, 2), F(-1, 2), F(1, 2), F(-1, 2))
 
     def test_balance_reprojection_is_exact(self):
         config, fc = two_lines()
         shape = shape_of(fc, config)
-        out = rationalize((0.52, -0.48, 0.26, -0.27), shape, 50)
+        out = rationalize((0.52, -0.48, 0.26, -0.27), shape, *ordering_cone(shape), 50)
         for i, mults in enumerate(shape.mults):
             base = shape.offsets[i]
             chunk = out[base : base + len(mults)]
             assert sum(w * m for w, m in zip(chunk, mults)) == 0
 
     def test_ordering_collapse(self):
+        # rounding at denominator 4 merges the first flag's steps at
+        # (0, 0); the step along y = (1, -1, 1, -1) separates them again
         config, fc = two_lines()
         shape = shape_of(fc, config)
-        with pytest.raises(OrderingCollapseError):
-            rationalize((0.26, 0.24, 0.5, -0.5), shape, 4)
+        cone, interior = ordering_cone(shape)
+        assert interior == (1, -1, 1, -1)
+        assert rounded_point((0.26, 0.24, 0.5, -0.5), shape, 4) == (0, 0, F(1, 2), F(-1, 2))
+        out = rationalize((0.26, 0.24, 0.5, -0.5), shape, cone, interior, 4)
+        assert out == (F(1, 4), F(-1, 4), F(3, 4), F(-3, 4))
+        assert all(sum(map(mul, row, out)) < 0 for row in cone)
+
+    def test_a_point_past_a_face_steps_twice_its_distance(self):
+        # (-1/8, 1/8) puts the ordering row (-1, 1) at 1/4, and y = (1, -1)
+        # at -2, so the least t is 1/8 and the step takes twice that
+        config = DivisorConfiguration(("C",), (F(1),), ((1,),))
+        fc = FilteredConfiguration(2, (two_step(span([(1, 0)], 2)),))
+        shape = shape_of(fc, config)
+        cone, interior = ordering_cone(shape)
+        assert interior == (1, -1)
+        out = rationalize((-0.125, 0.125), shape, cone, interior)
+        assert out == (F(1, 8), F(-1, 8))
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_stream_minimizers_step_strictly_inside(self, rank):
+        # y at peak 1/2 (inside), the solve's minimizer (mostly on a face
+        # once rounded) and that minimizer moved away from y (outside)
+        kinds = Counter()
+        for config in search_configs():
+            seen = set()
+            for fc in search_shapes(config, rank, 3):
+                qp = assemble_quadratics(fc, config)
+                candidates = candidates_for(fc)
+                cone = stability_cone(qp.shape, candidates.incidences)
+                interior = upsilon._cone_point(qp.shape, cone)
+                if interior is None or (qp, frozenset(cone)) in seen:
+                    continue
+                seen.add((qp, frozenset(cone)))
+                inner = inner_minimize(qp, cone)
+                assert inner.interior == interior
+                y = np.array(interior) / (2 * max(map(abs, interior)))
+                w = np.array(inner.weights)
+                for weights in (y, w, w - y / 10):
+                    rounded = rounded_point(weights, qp.shape)
+                    top = max(sum(map(mul, row, rounded)) for row in cone)
+                    kinds["inside" if top < 0 else "face" if top == 0 else "outside"] += 1
+                    out = rationalize(weights, qp.shape, cone, interior)
+                    if top < 0:
+                        assert out == rounded
+                    numerators, _ = linalg.integer_row(out)
+                    assert all(sum(map(mul, row, numerators)) < 0 for row in cone)
+                    assert not any(sum(map(mul, row, out)) for row in balance_rows(qp.shape))
+                    verdict = check_stability(
+                        upsilon._with_weights(fc, qp.shape, out), config, candidates=candidates
+                    )
+                    assert (verdict.status, verdict.certainty) == (Status.STABLE, Certainty.EXACT)
+        assert set(kinds) == {"inside", "face", "outside"}
 
 
 class TestOuterSearch:
@@ -727,25 +733,27 @@ class TestOuterSearch:
         # the start alone, at budget 1, is the triangle's best shape at seed 3
         config, fc = three_generic_lines()
         estimate = outer_search(config, rank=2, budget=1, seed=3, start=fc)
-        assert estimate.ratio == F(375, 4114)
+        assert estimate.ratio == F(131, 4358)
         assert estimate.verdict.certainty is Certainty.EXACT
         assert estimate.search_log["candidates"] == 1
         spaces = {f.steps[0][1] for f in estimate.configuration.filtrations}
         assert spaces == {f.steps[0][1] for f in fc.filtrations}
 
     @pytest.mark.parametrize("weights", [(F(1), F(0)), (F(3, 2), F(1, 2))])
-    def test_an_unbalanced_start_is_solved_from_its_balance_shift(self, weights):
+    def test_an_unbalanced_start_is_solved_from_its_balance_shift(self, weights, simplexes):
         # both weightings shift to the triangle's own +-1/2; read unbalanced,
-        # (1, 0) would start the solve at zero and (3/2, 1/2) at reversed steps
+        # (1, 0) would start the solve at zero and (3/2, 1/2) at reversed steps,
+        # and the exact cone test would miss the shift inside the cone
         config, fc = three_generic_lines()
         start = FilteredConfiguration(
             2, tuple(f.with_weights(weights) for f in fc.filtrations)
         )
         estimate = outer_search(config, rank=2, budget=1, seed=3, start=start)
+        assert simplexes == []
         expected = outer_search(config, rank=2, budget=1, seed=3, start=fc)
         assert estimate.configuration == expected.configuration
         assert estimate.search_log == expected.search_log
-        assert estimate.ratio == F(375, 4114)
+        assert estimate.ratio == F(131, 4358)
 
     def test_the_start_is_tried_first_and_once(self):
         # after the start, the stream is the one a search without a start walks
@@ -834,6 +842,16 @@ class TestOuterSearch:
         estimate = outer_search(config, rank=4, budget=8, seed=0, samples=20)
         assert estimate.search_log["candidates"] == len(calls) == 8
 
+    def test_the_thin_blown_up_triple_attains_zero(self):
+        # at epsilon 1/100 the blown-up triple's cones are thinner than the
+        # rounding grid 1/64, and every boundary shape still certifies stable
+        config = blow_up(three_concurrent_lines(), F(1, 100))
+        estimate = outer_search(config, rank=2, budget=40, seed=3)
+        log = estimate.search_log
+        assert (log["boundary_hits"], log["stable"]) == (18, 18)
+        assert estimate.ratio == 0
+        assert estimate.attained
+
     def test_exact_zero_ratio_is_attained(self):
         config = blow_up(three_concurrent_lines(), F(1, 10))
         estimate = outer_search(config, rank=2, budget=40, seed=3)
@@ -847,7 +865,7 @@ class TestOuterSearch:
     def test_positive_ratio_is_not_attained(self):
         config, _ = three_generic_lines()
         estimate = outer_search(config, rank=2, budget=40, seed=3)
-        assert estimate.ratio == F(375, 4114)
+        assert estimate.ratio == F(131, 4358)
         assert not estimate.attained
         assert estimate_to_doc(estimate)["lower_bound"] == "0"
 
@@ -884,6 +902,46 @@ class TestOuterSearch:
         assert "implementation bug" not in str(caught.value)
 
 
+def two_pass_flag(rows, dims, rank):
+    """A generated flag as first built: half steps, then a balance shift."""
+    spaces = (span(rows[:dim], rank) for dim in dims)
+    return Filtration(rank, tuple(zip(upsilon._half_steps(len(dims)), spaces))).balance_shift()
+
+
+def two_pass_random_flag(rng, rank, min_steps=1):
+    k = rng.randint(min_steps, rank)
+    if k == 1:
+        return Filtration.trivial(rank)
+    while True:
+        height = upsilon.FLAG_HEIGHT
+        rows = [[rng.randint(-height, height) for _ in range(rank)] for _ in range(rank)]
+        if span(rows, rank).dim == rank:
+            break
+    dims = sorted(rng.sample(range(1, rank), k - 1)) + [rank]
+    return two_pass_flag(rows, dims, rank)
+
+
+def two_pass_generic_flag(rank, node):
+    rows = [[(node + m) ** j for j in range(rank)] for m in range(rank)]
+    return two_pass_flag(rows, list(range(1, rank + 1)), rank)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("seed", [3, 21, 31])
+def test_generated_shapes_equal_the_two_pass_construction(monkeypatch, rank, seed):
+    # each flag is built once, balanced, with its invertibility span as the
+    # last step; the stream and its rng draws are those of the two passes
+    def stream():
+        rng = random.Random(seed)
+        kinds = itertools.islice(itertools.cycle(upsilon.SHAPE_KINDS), 40)
+        return [upsilon._make_shape(kind, rng, rank, 3) for kind in kinds]
+
+    built_once = stream()
+    monkeypatch.setattr(upsilon, "_random_flag", two_pass_random_flag)
+    monkeypatch.setattr(upsilon, "_generic_flag", two_pass_generic_flag)
+    assert stream() == built_once
+
+
 class TestSolveReuse:
     """One inner solve per distinct (quadratic pair, cone set) in a search."""
 
@@ -903,13 +961,13 @@ class TestSolveReuse:
         config, _ = three_generic_lines()
         estimate = outer_search(config, rank=2, budget=40, seed=3)
         assert len(solves) == 7
-        assert estimate.ratio == F(375, 4114)
+        assert estimate.ratio == F(131, 4358)
         # every count stays per shape, reused solves included
         assert estimate.search_log == {
             "budget": 40, "seed": 3, "candidates": 40, "proposals": 16, "stable": 16,
             "semistable": 0, "unstable": 0, "bgi_rejected": 0, "skipped_trivial": 0,
             "skipped_singular": 0, "rounding_failures": 0, "empty_cone": 24,
-            "boundary_hits": 16, "best_ratio": "375/4114",
+            "boundary_hits": 16, "best_ratio": "131/4358",
         }
 
     def test_a_reused_failure_is_counted_per_shape(self, solves):
