@@ -215,11 +215,10 @@ def _cmd_upsilon(args: argparse.Namespace) -> dict:
         ("--max-denominator", args.max_denominator),
     ))
     _check_counts(0, (("--samples", args.samples),))
-    for module in ("numpy", "scipy"):  # imported by the float solve, on its first call
-        if importlib.util.find_spec(module) is None:
-            raise DocumentParseError(
-                f"{module} is not installed; the search's float solve needs it", "upsilon"
-            )
+    if importlib.util.find_spec("numpy") is None:  # imported by the float solve
+        raise DocumentParseError(
+            "numpy is not installed; the search's float solve needs it", "upsilon"
+        )
     config, fc, _ = parse_config(_load_document(args.input))
     if fc is not None and fc.rank != args.rank:
         raise DocumentValidationError(

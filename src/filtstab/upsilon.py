@@ -11,7 +11,9 @@ slot coefficients K = L deg(D_i) that the stability verdict reads too
 Whether that cone is empty is decided exactly, from those rows, before any
 float work; the same test gives an integer point y inside a non-empty cone.
 There the inner problem is a generalized Rayleigh-quotient minimization over
-balance ∩ closed cone, solved in floating point; :func:`rationalize` rounds
+balance ∩ closed cone, a cone-constrained eigenvalue problem, solved in
+floating point by an active-set descent over the cone's faces
+(:func:`_descend`); :func:`rationalize` rounds
 the minimizer, re-balances it and, where it is not strictly inside, steps
 exactly along y until it is, so the stability, c2 and norm of every
 proposal are exact.  The outer loop
@@ -24,9 +26,9 @@ lines coincide), so a search solves and rationalizes once per distinct
 (quadratic pair, set of cone rows) and reuses that outcome; everything that
 reads the subspaces themselves still runs per shape.
 
-Only the float solve (:func:`inner_minimize`, :func:`_float_forms`) uses numpy
-and scipy, imported once the cone is known not to be empty, so importing
-this module (and the package) loads neither.
+Only the float solve (:func:`inner_minimize`, :func:`_descend`,
+:func:`_float_forms`) uses numpy, imported once the cone is known not to be
+empty, so importing this module (and the package) does not load it.
 
 Weight vectors are flat tuples ordered component by component, step by step;
 a :class:`WeightShape` records the bookkeeping (offsets, multiplicities,
@@ -68,9 +70,11 @@ from .surface import DivisorConfiguration
 DEFAULT_MAX_DENOMINATOR = 64
 # random flags are spanned by integer rows with entries in [-7, 7]
 FLAG_HEIGHT = 7
-SLSQP_ITERATIONS = 200
 # the kinds of generated shapes, cycled in this order after the start
 SHAPE_KINDS = ("random", "coincident", "generic")
+# the float solve's slack on unit rows and multipliers, and its step cap
+_TOLERANCE = 1e-9
+_DESCENT_STEPS = 500
 
 
 def _half_steps(k: int) -> list[Fraction]:
@@ -189,19 +193,19 @@ def inner_minimize(qp: QuadraticPair, cone: ConeRows) -> InnerResult:
     returns the integer point y strictly inside it, carried on the result
     as ``interior``.
 
-    On a non-empty cone, the eigenvector of the smallest generalized
-    eigenvalue of (A, B) on the balance subspace is returned as an interior
-    minimum when it lies in the closed cone.  Otherwise SLSQP runs from the
-    balanced seed and from its even blend with the eigenvector, with the
-    rows, the peak bound 1/2 and one cut c . v >= c . y/2 as linear
-    constraints, where c = -sum row / |row|_1 and y is taken at peak 1/2.
-    The cut keeps the solve off v = 0, where the quotient is undefined and
-    SLSQP stalls.  Its ``boundary`` value is the least quotient among y,
-    the starts and the solutions that lie in the closed cone, >= the
-    eigenvalue; y always does, so the solve has no failure of its own.
+    On a non-empty cone, the solve whitens the norm: with B = L L^T
+    (Cholesky) and u = L^T v, the quotient is u^T C u / u^T u.  The
+    eigenvector of the smallest eigenvalue of C is returned as an interior
+    minimum when it lies in the closed cone.  Otherwise :func:`_descend`
+    runs over the cone's rows, whitened to unit rows, from y and from the
+    balanced seed where the seed lies in the closed cone and is not y up to
+    scale.  Its ``boundary`` value is the least quotient among the starts
+    and the descents' stationary points that lie in the closed cone, >= the
+    eigenvalue; y always does, so the solve has no failure of its own.  The
+    descent is scale-free, so it needs no bound to keep it off v = 0.
 
-    numpy and scipy are imported here, after the exact tests, so a process
-    loads them on its first non-empty cone.
+    numpy is imported here, after the exact tests, so a process loads it on
+    its first non-empty cone.
     """
     shape = qp.shape
     if not shape.free_slots:
@@ -221,8 +225,6 @@ def inner_minimize(qp: QuadraticPair, cone: ConeRows) -> InnerResult:
         raise EmptyConeError("the stability cone of this shape is empty")
 
     import numpy as np
-    from scipy.linalg import eigh
-    from scipy.optimize import minimize
 
     # column j is the balanced vector e_slot - (m / m0) e_first of free slot j
     free = shape.free_slots
@@ -232,16 +234,18 @@ def inner_minimize(qp: QuadraticPair, cone: ConeRows) -> InnerResult:
         n_mat[[slot, first], j] = 1.0, -m / m0
     a, b = _float_forms(qp)
     a_red = n_mat.T @ a @ n_mat
-    a_red = 0.5 * (a_red + a_red.T)
     b_red = n_mat.T @ (b[:, None] * n_mat)
-    b_red = 0.5 * (b_red + b_red.T)
-    eigenvalues, eigenvectors = eigh(a_red, b_red)
-    eigen_ratio = float(eigenvalues[0])
-    v_min = eigenvectors[:, 0]
+    # whitened coordinates u = L^T v, with B = L L^T, turn the quotient
+    # into u^T C u / u^T u; v = unwhiten @ u
+    chol = np.linalg.cholesky(0.5 * (b_red + b_red.T))
+    unwhiten = np.linalg.inv(chol).T
+    c = unwhiten.T @ a_red @ unwhiten
+    c = 0.5 * (c + c.T)
+    eigenvalues, eigenvectors = np.linalg.eigh(c)
+    v_min = unwhiten @ eigenvectors[:, 0]
 
     def peak_half(v: np.ndarray) -> np.ndarray:
-        peak = np.max(np.abs(n_mat @ v))
-        return v * (0.5 / peak) if peak > 0 else v
+        return v * (0.5 / np.max(np.abs(n_mat @ v)))
 
     def at_free_slots(w: Sequence) -> np.ndarray:
         return peak_half(np.array([w[slot] for _, slot, _, _ in free], dtype=float))
@@ -252,48 +256,81 @@ def inner_minimize(qp: QuadraticPair, cone: ConeRows) -> InnerResult:
 
     for v in (peak_half(v_min), peak_half(-v_min)):
         if np.all(g @ v <= 0):
-            return InnerResult(tuple(n_mat @ v), eigen_ratio, False, point)
+            return InnerResult(tuple(n_mat @ v), float(eigenvalues[0]), False, point)
 
-    # the balanced seed (never zero: its steps strictly decrease) and its
-    # even blend with the eigenvector, each distinct start once
+    # the interior point, and the balanced seed (never zero: its steps
+    # strictly decrease) where it lies in the closed cone and is not the
+    # interior point already, as it is when the seed lies inside
+    starts = [at_free_slots(point)]
     seed = at_free_slots(_balanced_weights(shape, shape.seed_weights))
-    starts = [seed, peak_half(0.5 * (peak_half(v_min) + seed))]
-    starts = [np.array(v) for v in dict.fromkeys(map(tuple, starts))]
-    y = at_free_slots(point)
-    cut = -(g / np.abs(rows).sum(axis=1)[:, None]).sum(axis=0)
-
-    # the closed cone, the peak bound and the cut, as m_mat @ v <= bound
-    m_mat = np.vstack([g, n_mat, -n_mat, -cut])
-    bound = np.r_[np.zeros(len(g)), np.full(2 * size, 0.5), -0.5 * (cut @ y)]
-    constraint = {
-        "type": "ineq",
-        "fun": lambda v: bound - m_mat @ v,
-        "jac": lambda v: -m_mat,
-    }
+    if np.all(g @ seed <= _TOLERANCE) and not np.allclose(seed, starts[0]):
+        starts.append(seed)
+    walls = g @ unwhiten
+    walls /= np.linalg.norm(walls, axis=1)[:, None]
+    candidates = starts + [
+        peak_half(unwhiten @ _descend(c, walls, chol.T @ start)) for start in starts
+    ]
 
     def quotient(v: np.ndarray) -> float:
         return float(v @ a_red @ v) / float(v @ b_red @ v)
 
-    def quotient_jac(v: np.ndarray) -> np.ndarray:
-        return 2.0 * (a_red @ v - quotient(v) * (b_red @ v)) / float(v @ b_red @ v)
-
-    candidates = [y, *starts] + [
-        minimize(
-            quotient, start, jac=quotient_jac, method="SLSQP",
-            constraints=[constraint],
-            options={"maxiter": SLSQP_ITERATIONS, "ftol": 1e-10},
-        ).x
-        for start in starts
-    ]
-
     best_v, best_ratio = None, math.inf
-    for v in map(peak_half, candidates):
-        if not np.all(g @ v <= 1e-9):
+    for v in candidates:
+        if not np.all(g @ v <= _TOLERANCE):
             continue
         ratio = quotient(v)
         if ratio < best_ratio:
             best_v, best_ratio = v, ratio
     return InnerResult(tuple(n_mat @ best_v), best_ratio, True, point)
+
+
+def _descend(c, walls, x):
+    """An active-set descent of u^T C u / u^T u over {u : walls @ u <= 0} from x.
+
+    ``walls`` are unit rows and ``x`` is a point of the closed cone.  Each
+    step takes the smallest eigenvector v of C on the null space of the
+    active rows, signed so that v . x >= 0, and moves x along the segment
+    to v until an inactive row blocks it, which joins the active set.  In
+    span{x, v} the point v is an eigenvector of the least value, so the
+    quotient does not increase along the segment.  When x reaches v, the
+    face's minimum, the multipliers of the gradient 2 (C x - lambda x) on
+    the active rows decide: the row with the most negative one leaves, and
+    with none negative x is a stationary point, which is returned.
+    """
+    import numpy as np
+
+    x = x / np.linalg.norm(x)
+    active: list[int] = []
+    for _ in range(_DESCENT_STEPS):
+        basis = np.eye(len(x))
+        if active:
+            _, singular, vt = np.linalg.svd(walls[active])
+            basis = vt[int(np.sum(singular > _TOLERANCE)):].T
+        values, vectors = np.linalg.eigh(basis.T @ c @ basis)
+        v = basis @ vectors[:, 0]
+        if v @ x < 0:
+            v = -v
+        now, then = walls @ x, walls @ v
+        step, block = 1.0, None
+        for k in np.flatnonzero(then > _TOLERANCE):
+            if k not in active:
+                reach = max(0.0, now[k] / (now[k] - then[k]))
+                if reach < step:
+                    step, block = reach, int(k)
+        x = (1 - step) * x + step * v
+        x /= np.linalg.norm(x)
+        if block is not None:
+            active.append(block)
+            continue
+        if not active:
+            break
+        gradient = 2 * (c @ x - values[0] * x)
+        multipliers = np.linalg.lstsq(walls[active].T, -gradient, rcond=None)[0]
+        worst = int(np.argmin(multipliers))
+        if multipliers[worst] >= -_TOLERANCE:
+            break
+        active.pop(worst)
+    return x
 
 
 def rationalize(
@@ -310,9 +347,11 @@ def rationalize(
     balance constraint.  Where some row of ``cone`` is then >= 0, the point
     x steps to x + t y along ``interior``, a balanced integer y with every
     row . y < 0 (:class:`InnerResult`).  Each row r needs t > r . x / -r . y;
-    t is twice the largest of these bounds, or 1 / (``max_denominator``
-    max |y|) when that is 0 (x on a face), so every row, the step-ordering
-    rows included, ends below zero in exact arithmetic and no two steps merge.
+    t is twice the largest of these bounds, read in integers over the
+    distinct rows, so every row, the step-ordering rows included, ends below
+    zero in exact arithmetic and no two steps merge.  When the largest bound
+    is 0 (x on a face, where r . x <= 0 for every row), any t > 0 is exact,
+    and t = 1 / (``max_denominator``^2 max |y|) lies below the rounding grid.
     """
     if len(weights) != shape.size:
         raise DimensionMismatchError(
@@ -327,13 +366,20 @@ def rationalize(
         for w in weights
     ]
     out = _balanced_weights(shape, rounded)
-    bounds = [
-        sum(map(mul, row, out)) / -sum(map(mul, row, interior)) for row in cone
-    ]
-    least = max(bounds, default=-1)
-    if least < 0:
+    # x = numerators / scale; the largest bound is top / (under * scale),
+    # kept as the integer pair (top, under > 0) and compared crosswise
+    numerators, scale = integer_row(out)
+    top, under = -1, 1
+    for row in set(cone):
+        p, q = sum(map(mul, row, numerators)), -sum(map(mul, row, interior))
+        if p * under > top * q:
+            top, under = p, q
+    if top < 0:
         return out
-    t = 2 * least or Fraction(1, max_denominator * max(map(abs, interior)))
+    if top:
+        t = Fraction(2 * top, under * scale)
+    else:
+        t = Fraction(1, max_denominator**2 * max(map(abs, interior)))
     return tuple(x + t * y for x, y in zip(out, interior))
 
 

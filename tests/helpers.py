@@ -247,6 +247,72 @@ def reference_cone_width(qp, cone) -> float:
     return -lp.fun
 
 
+def reference_cone_minimum(qp, cone) -> float:
+    """The least w^T A w / w^T B w over balance ∩ the closed ``cone``, by a face walk.
+
+    A minimizer lies inside some face, the rows S held at zero, and there it
+    is a generalized eigenvector of (A, B) on null(S).  The walk visits each
+    subspace null(S) once, keyed by the rows that vanish on it, and takes
+    the least eigenvalue whose eigenvector (of either sign) lies in the
+    closed cone.  A row added to S shrinks null(S), which lowers no
+    eigenvalue, so a subspace whose least eigenvalue is no lower than the
+    best value found is pruned with all its subspaces.  A and B come from
+    ``c2_value`` and ``norm_value`` by polarization on the ``Fraction``
+    balance basis, and the rows are that basis's distinct reduced rows, so
+    nothing here reads the solver's forms.
+    """
+    import numpy as np
+
+    basis = reference_balance_nullspace(qp)
+
+    def polar(value, u, v):
+        both = tuple(x + y for x, y in zip(u, v))
+        return (value(both) - value(u) - value(v)) / 2
+
+    a, b = (
+        np.array([[float(polar(value, u, v)) for v in basis] for u in basis])
+        for value in (qp.c2_value, qp.shape.norm_value)
+    )
+    reduced = {
+        tuple(sum(x * y for x, y in zip(row, vec)) for vec in basis) for row in cone
+    }
+    walls = np.array(sorted(reduced), dtype=float)
+    walls /= np.linalg.norm(walls, axis=1)[:, None]
+    best, seen = np.inf, set()
+
+    def walk(chosen: frozenset) -> None:
+        nonlocal best
+        null = np.eye(len(basis))
+        if chosen:
+            _, singular, vt = np.linalg.svd(walls[sorted(chosen)])
+            null = vt[int(np.sum(singular > 1e-9)):].T
+        if null.shape[1] == 0:
+            return
+        # every row that vanishes on null(S) names the same subspace
+        chosen = frozenset(np.flatnonzero(np.all(np.abs(walls @ null) <= 1e-9, axis=1)))
+        if chosen in seen:
+            return
+        seen.add(chosen)
+        inverse = np.linalg.inv(np.linalg.cholesky(null.T @ b @ null)).T
+        values, vectors = np.linalg.eigh(inverse.T @ null.T @ a @ null @ inverse)
+        if values[0] >= best:
+            return
+        for value, vector in zip(values, vectors.T):
+            if value >= best:
+                break
+            w = null @ inverse @ vector
+            w /= np.linalg.norm(w)
+            if np.all(walls @ w <= 1e-9) or np.all(walls @ w >= -1e-9):
+                best = value
+                break
+        for k in range(len(walls)):
+            if k not in chosen:
+                walk(chosen | {k})
+
+    walk(frozenset())
+    return float(best)
+
+
 def reference_phase1_empty(rows) -> bool:
     """Gordan's test for {y : row . y < 0 for every row} by a Fraction simplex.
 

@@ -252,7 +252,7 @@ def test_upsilon_uses_supplied_configuration(tmp_path):
     )
     assert code == 0
     result = read_report(out)["result"]
-    assert result["ratio"] == "131/4358"
+    assert result["ratio"] == "8195/16793606"
     assert result["verdict"]["status"] == "stable"
     assert result["verdict"]["certainty"] == "exact"
     assert result["search_log"]["candidates"] == 1
@@ -441,22 +441,38 @@ def test_blowup_of_a_non_object_document_exits_2(tmp_path, capsys, root):
     assert capsys.readouterr().err == "parse error: .: missing key 'arrangement'\n"
 
 
-@pytest.mark.parametrize("module", ["numpy", "scipy"])
-def test_upsilon_without_numpy_or_scipy_exits_2(tmp_path, capsys, monkeypatch, module):
+def absent(monkeypatch, module):
+    """Make ``importlib.util.find_spec`` report ``module`` as not installed."""
     real_find_spec = importlib.util.find_spec
     monkeypatch.setattr(
         importlib.util, "find_spec",
         lambda name, *args: None if name == module else real_find_spec(name, *args),
     )
+
+
+def test_upsilon_without_numpy_exits_2(tmp_path, capsys, monkeypatch):
+    absent(monkeypatch, "numpy")
     config, _ = three_generic_lines()
     path = write_document(tmp_path, "triangle.json", input_document(config))
     out = tmp_path / "report.json"
     argv = ["upsilon", "--input", path, "--rank", "2", "--budget", "2", "--quiet"]
     assert main(argv + ["--output", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"parse error: upsilon: {module} is not installed; the search's float solve needs it\n"
+        "parse error: upsilon: numpy is not installed; the search's float solve needs it\n"
     )
     assert not out.exists()
+
+
+def test_upsilon_runs_without_scipy(tmp_path, capsys, monkeypatch):
+    # the float solve needs numpy alone
+    absent(monkeypatch, "scipy")
+    config, _ = three_generic_lines()
+    path = write_document(tmp_path, "triangle.json", input_document(config))
+    out = tmp_path / "report.json"
+    argv = ["upsilon", "--input", path, "--rank", "2", "--budget", "2", "--quiet"]
+    assert main(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_report(out)["result"]["verdict"]["status"] == "stable"
 
 
 @pytest.mark.parametrize("epsilon", ["0", "5"])
@@ -724,7 +740,7 @@ def test_upsilon_report_does_not_depend_on_the_hash_seed(tmp_path):
         assert proc.returncode == 0, proc.stderr
         texts.append(without_timestamp(out.read_text(encoding="utf-8")))
     assert texts[0] == texts[1]
-    assert '"best_ratio": "131/4358"' in texts[0]
+    assert '"best_ratio": "8195/16793606"' in texts[0]
 
 
 COLD_START = """
@@ -739,7 +755,8 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_exact_commands_start_without_numpy_and_scipy(tmp_path):
-    # only upsilon's float solve imports numpy and scipy, on its first call
+    # only upsilon's float solve imports numpy, on its first call, and
+    # nothing imports scipy
     import filtstab
 
     assert callable(filtstab.upsilon.inner_minimize)
@@ -770,6 +787,6 @@ def test_exact_commands_start_without_numpy_and_scipy(tmp_path):
         ["chern", 0, []],
         ["stability", 0, []],
         ["blowup", 0, []],
-        ["upsilon", 0, ["numpy", "scipy"]],
+        ["upsilon", 0, ["numpy"]],
     ]
-    assert read_report(out)["result"]["ratio"] == "131/4358"
+    assert read_report(out)["result"]["ratio"] == "8195/16793606"

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -9,8 +10,6 @@ from operator import mul
 
 import numpy as np
 import pytest
-import scipy.linalg
-import scipy.optimize
 
 import filtstab.linalg as linalg
 import filtstab.stability as stability
@@ -57,6 +56,7 @@ from helpers import (
     random_balanced_weights_for,
     random_divisor_config,
     reference_balance_nullspace,
+    reference_cone_minimum,
     reference_cone_width,
     reference_phase1_empty,
     reference_stability_cone,
@@ -82,8 +82,7 @@ def no_float_solve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("float solver called")
 
-    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
-    monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
 
 
 def search_shapes(config, rank, seed, budget=40):
@@ -121,21 +120,6 @@ def simplexes(monkeypatch):
 
     monkeypatch.setattr(upsilon, "open_cone_point", counted)
     return calls
-
-
-@pytest.fixture
-def slsqp_starts(monkeypatch):
-    """Record the start of every SLSQP run; the real solver still runs."""
-    starts = []
-    real_minimize = scipy.optimize.minimize
-
-    def recorded(fun, x0, **kwargs):
-        starts.append(np.array(x0))
-        return real_minimize(fun, x0, **kwargs)
-
-    # inner_minimize imports minimize from scipy.optimize on each call
-    monkeypatch.setattr(scipy.optimize, "minimize", recorded)
-    return starts
 
 
 def search_configs():
@@ -326,14 +310,70 @@ class TestInnerMinimize:
         assert log["candidates"] > 0
         assert log["empty_cone"] == log["candidates"]
 
-    def test_starts_are_distinct(self, slsqp_starts):
-        # the seed and its blend with the eigenvector, each run once
-        config, fc = three_generic_lines()
-        qp = assemble_quadratics(fc, config)
-        cone = stability_cone(qp.shape, candidates_for(fc).incidences)
-        assert inner_minimize(qp, cone).boundary
-        starts = [tuple(x0) for x0 in slsqp_starts]
-        assert len(starts) == 2 and len(set(starts)) == 2
+    def test_the_descent_reaches_the_face_walk_minimum(self):
+        # every non-empty rank-2 problem of both search documents at seed 3;
+        # each minimum lies on the cone's boundary
+        solved = 0
+        for config in search_configs():
+            for qp, cone, _ in search_problems(config, 2, 3):
+                if upsilon._cone_point(qp.shape, cone) is not None:
+                    result = inner_minimize(qp, cone)
+                    assert result.boundary
+                    assert result.ratio == pytest.approx(
+                        reference_cone_minimum(qp, cone), abs=1e-9
+                    )
+                    solved += 1
+        assert solved == 5
+
+    def test_the_descent_reaches_the_face_walk_minimum_at_rank_3(self):
+        # the walk is slow at rank 3, so it covers two boundary problems
+        solved = 0
+        for qp, cone, _ in search_problems(three_generic_lines()[0], 3, 3):
+            if solved < 2 and upsilon._cone_point(qp.shape, cone) is not None:
+                result = inner_minimize(qp, cone)
+                if result.boundary:
+                    assert result.ratio == pytest.approx(
+                        reference_cone_minimum(qp, cone), abs=1e-9
+                    )
+                    solved += 1
+        assert solved == 2
+
+    def test_every_descent_stops_far_below_its_step_cap(self, monkeypatch):
+        # each step solves one face eigenproblem, so eigh calls count steps;
+        # a descent that dropped the wrong row would cycle up to the cap
+        calls, steps = [], []
+        real_eigh, real_descend = np.linalg.eigh, upsilon._descend
+
+        def eigh(matrix):
+            calls.append(matrix)
+            return real_eigh(matrix)
+
+        def descend(c, walls, x):
+            before = len(calls)
+            out = real_descend(c, walls, x)
+            steps.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(upsilon, "_descend", descend)
+        for config in search_configs():
+            for rank in (2, 3):
+                for qp, cone, _ in search_problems(config, rank, 3):
+                    if upsilon._cone_point(qp.shape, cone) is not None:
+                        inner_minimize(qp, cone)
+        assert steps and max(steps) <= 12 < upsilon._DESCENT_STEPS
+
+    def test_a_rank_3_search_loads_numpy_and_not_scipy(self):
+        code = (
+            "import sys\n"
+            "from filtstab import outer_search\n"
+            "from filtstab.fixtures import three_generic_lines\n"
+            "outer_search(three_generic_lines()[0], rank=3, budget=12, seed=3)\n"
+            "print(sorted({m.partition('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['numpy']\n"
 
     def test_the_solve_reads_the_fraction_rows_as_doubles(self, monkeypatch):
         # the first np.unique call of a solve receives the float cone rows;
@@ -635,14 +675,15 @@ class TestRationalize:
 
     def test_ordering_collapse(self):
         # rounding at denominator 4 merges the first flag's steps at
-        # (0, 0); the step along y = (1, -1, 1, -1) separates them again
+        # (0, 0); the step along y = (1, -1, 1, -1), of 1 / (4^2 max |y|)
+        # on this face, separates them again
         config, fc = two_lines()
         shape = shape_of(fc, config)
         cone, interior = ordering_cone(shape)
         assert interior == (1, -1, 1, -1)
         assert rounded_point((0.26, 0.24, 0.5, -0.5), shape, 4) == (0, 0, F(1, 2), F(-1, 2))
         out = rationalize((0.26, 0.24, 0.5, -0.5), shape, cone, interior, 4)
-        assert out == (F(1, 4), F(-1, 4), F(3, 4), F(-3, 4))
+        assert out == (F(1, 16), F(-1, 16), F(9, 16), F(-9, 16))
         assert all(sum(map(mul, row, out)) < 0 for row in cone)
 
     def test_a_point_past_a_face_steps_twice_its_distance(self):
@@ -680,8 +721,14 @@ class TestRationalize:
                     top = max(sum(map(mul, row, rounded)) for row in cone)
                     kinds["inside" if top < 0 else "face" if top == 0 else "outside"] += 1
                     out = rationalize(weights, qp.shape, cone, interior)
-                    if top < 0:
-                        assert out == rounded
+                    # the step read in Fraction over every row, duplicates included
+                    least = max(
+                        sum(map(mul, row, rounded)) / -sum(map(mul, row, interior))
+                        for row in cone
+                    )
+                    t = 2 * least or F(1, 64**2 * max(map(abs, interior)))
+                    step = tuple(x + t * y for x, y in zip(rounded, interior))
+                    assert out == (rounded if top < 0 else step)
                     numerators, _ = linalg.integer_row(out)
                     assert all(sum(map(mul, row, numerators)) < 0 for row in cone)
                     assert not any(sum(map(mul, row, out)) for row in balance_rows(qp.shape))
@@ -733,7 +780,7 @@ class TestOuterSearch:
         # the start alone, at budget 1, is the triangle's best shape at seed 3
         config, fc = three_generic_lines()
         estimate = outer_search(config, rank=2, budget=1, seed=3, start=fc)
-        assert estimate.ratio == F(131, 4358)
+        assert estimate.ratio == F(8195, 16793606)
         assert estimate.verdict.certainty is Certainty.EXACT
         assert estimate.search_log["candidates"] == 1
         spaces = {f.steps[0][1] for f in estimate.configuration.filtrations}
@@ -753,7 +800,7 @@ class TestOuterSearch:
         expected = outer_search(config, rank=2, budget=1, seed=3, start=fc)
         assert estimate.configuration == expected.configuration
         assert estimate.search_log == expected.search_log
-        assert estimate.ratio == F(131, 4358)
+        assert estimate.ratio == F(8195, 16793606)
 
     def test_the_start_is_tried_first_and_once(self):
         # after the start, the stream is the one a search without a start walks
@@ -865,7 +912,7 @@ class TestOuterSearch:
     def test_positive_ratio_is_not_attained(self):
         config, _ = three_generic_lines()
         estimate = outer_search(config, rank=2, budget=40, seed=3)
-        assert estimate.ratio == F(131, 4358)
+        assert estimate.ratio == F(8195, 16793606)
         assert not estimate.attained
         assert estimate_to_doc(estimate)["lower_bound"] == "0"
 
@@ -961,13 +1008,13 @@ class TestSolveReuse:
         config, _ = three_generic_lines()
         estimate = outer_search(config, rank=2, budget=40, seed=3)
         assert len(solves) == 7
-        assert estimate.ratio == F(131, 4358)
+        assert estimate.ratio == F(8195, 16793606)
         # every count stays per shape, reused solves included
         assert estimate.search_log == {
             "budget": 40, "seed": 3, "candidates": 40, "proposals": 16, "stable": 16,
             "semistable": 0, "unstable": 0, "bgi_rejected": 0, "skipped_trivial": 0,
             "skipped_singular": 0, "rounding_failures": 0, "empty_cone": 24,
-            "boundary_hits": 16, "best_ratio": "131/4358",
+            "boundary_hits": 16, "best_ratio": "8195/16793606",
         }
 
     def test_a_reused_failure_is_counted_per_shape(self, solves):
