@@ -39,7 +39,7 @@ from .filtration import (
     joint_multiplicity_table,
     joint_step_multiplicities,
 )
-from .linalg import integer_row
+from .linalg import as_fraction, integer_row
 from .surface import DivisorConfiguration, crossing_points
 
 
@@ -60,7 +60,7 @@ class CrossingTable:
         object.__setattr__(
             self,
             "entries",
-            tuple((Fraction(a), Fraction(b), int(m)) for a, b, m in self.entries),
+            tuple((as_fraction(a), as_fraction(b), int(m)) for a, b, m in self.entries),
         )
         if not self.pair[0] < self.pair[1]:
             raise InvariantError("crossing pair must be ordered i < j")
@@ -145,9 +145,14 @@ def c2_local(entries: Iterable[Sequence]) -> Fraction:
 
     Minus the weighted sum of the joint graded dimensions:
     -sum_{a,b} a*b*dim(gr_a gr_b).  Zero whenever either side puts all of
-    its weight at 0.
+    its weight at 0.  Summed in integers over each side's common denominator
+    (:func:`~filtstab.linalg.integer_row`).
     """
-    return -sum((Fraction(a) * Fraction(b) * int(m) for a, b, m in entries), Fraction(0))
+    entries = tuple(entries)
+    a, a_scale = integer_row([entry[0] for entry in entries])
+    b, b_scale = integer_row([entry[1] for entry in entries])
+    total = sum(x * y * int(entry[2]) for x, y, entry in zip(a, b, entries))
+    return Fraction(-total, a_scale * b_scale)
 
 
 def c2_number(data: FilteredSystemData, config: DivisorConfiguration) -> ChernReport:
@@ -247,11 +252,12 @@ class WeightShape:
         return self.offsets[component] + step
 
     def norm_value(self, weights: Sequence[Fraction]) -> Fraction:
-        """The squared norm sum mult * deg * w^2 over the slots."""
-        return sum(
-            (Fraction(x) ** 2 * b for x, b in zip(weights, self.norm_diagonal())),
-            Fraction(0),
-        )
+        """The squared norm sum mult * deg * w^2 over the slots, summed in
+        integers over the common denominators of the weights and of
+        :meth:`norm_diagonal`."""
+        n, common = integer_row(weights)
+        b, scale = integer_row(self.norm_diagonal())
+        return Fraction(sum(y * x * x for x, y in zip(n, b)), scale * common * common)
 
     def norm_diagonal(self) -> list[Fraction]:
         """mult * deg per slot: the squared norm is diagonal in the weights."""

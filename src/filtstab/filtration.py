@@ -36,7 +36,7 @@ from .errors import (
     InvariantError,
     ShapeMismatchError,
 )
-from .linalg import ChainIncidence, Subspace, rational_to_string
+from .linalg import ChainIncidence, Subspace, as_fraction, integer_row, rational_to_string
 from .surface import DivisorConfiguration
 
 
@@ -47,7 +47,7 @@ class GrSpectrum:
     entries: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self):
-        entries = tuple((Fraction(w), int(m)) for w, m in self.entries)
+        entries = tuple((as_fraction(w), int(m)) for w, m in self.entries)
         object.__setattr__(self, "entries", entries)
         for (w, m), (w_next, _) in zip(entries, entries[1:]):
             if w <= w_next:
@@ -77,7 +77,7 @@ class Filtration:
     def __post_init__(self):
         if self.ambient_dim < 1:
             raise InvariantError("rank must be positive")
-        steps = tuple((Fraction(w), space) for w, space in self.steps)
+        steps = tuple((as_fraction(w), space) for w, space in self.steps)
         object.__setattr__(self, "steps", steps)
         if not steps:
             raise InvariantError("a filtration needs at least one step")
@@ -105,7 +105,7 @@ class Filtration:
     @classmethod
     def trivial(cls, ambient_dim: int, weight: Fraction | int = 0) -> "Filtration":
         """Single-step filtration putting the whole space at one weight."""
-        return cls(ambient_dim, ((Fraction(weight), Subspace.full(ambient_dim)),))
+        return cls(ambient_dim, ((weight, Subspace.full(ambient_dim)),))
 
     def weights(self) -> tuple[Fraction, ...]:
         return tuple(w for w, _ in self.steps)
@@ -192,9 +192,15 @@ def _first_differences(dims: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def balanced(weights: Sequence[Fraction], mults: Sequence[int]) -> tuple[Fraction, ...]:
-    """The balance rule: ``weights`` shifted by one constant so that sum_s m_s * w_s = 0."""
-    shift = sum(map(mul, weights, mults), Fraction(0)) / sum(mults)
-    return tuple(w - shift for w in weights)
+    """The balance rule: ``weights`` shifted by one constant so that sum_s m_s * w_s = 0.
+
+    In integers over :func:`~filtstab.linalg.integer_row`, w_s = n_s / L:
+    with M = sum_s m_s, the shifted weight is (n_s M - sum_t n_t m_t) / (L M).
+    """
+    numerators, scale = integer_row(weights)
+    total = sum(mults)
+    moment = sum(map(mul, numerators, mults))
+    return tuple(Fraction(n * total - moment, scale * total) for n in numerators)
 
 
 def _check_common_ambient(f: Filtration, g: Filtration) -> None:

@@ -6,12 +6,15 @@ pivot.  The constructor takes any spanning rows and reduces them on
 construction, so every subspace is canonical.  Two subspaces are equal
 exactly when their stored bases are identical, so they can be hashed,
 deduplicated and compared deterministically.  The subspace kernels run
-through one fraction-free integer elimination; ``Fraction`` appears only
-where ``Fraction`` input rows are scaled to integers, by the package's one
-such scaling, :func:`integer_row`, and where the rational echelon rows are
-derived for output.  Callers that can build their rows in integers do so
-(the stability cone of ``upsilon`` is integer rows over the lcm of the
-degree denominators), so no ``Fraction`` reaches the kernels from them.
+through one fraction-free integer elimination.  ``Fraction`` appears here
+only where ``Fraction`` input rows are scaled to integers, by
+:func:`integer_row`, where the rational echelon rows are derived for
+output, and where :func:`rational_from_string` returns a parsed literal.
+Callers that can build their rows in integers do so, so no ``Fraction``
+reaches the kernels from them: the stability cone of ``upsilon`` is integer
+rows over the lcm of the degree denominators, and a document's basis rows
+are read as the integer pairs (p, q) of :func:`rational_pair`, each row
+scaled by the lcm of its q.
 :func:`open_cone_point` finds, in integers too, a point of an open
 polyhedral cone, or proves that it has none.
 
@@ -44,17 +47,29 @@ from .errors import DimensionMismatchError, InvariantError
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
-def rational_from_string(text: str) -> Fraction:
-    """Parse a rational literal ``"p"`` or ``"p/q"`` (q > 0) exactly."""
+def rational_pair(text: str) -> tuple[int, int]:
+    """The integers (p, q) of a rational literal ``"p"`` or ``"p/q"`` (q > 0),
+    as written and not reduced; ``"p"`` gives q = 1.  Surrounding whitespace
+    is ignored.  This is the package's one literal grammar."""
     stripped = text.strip()
     if not _RATIONAL_RE.match(stripped):
         raise ValueError(f"not a rational literal: {text!r}")
-    if "/" in stripped:
-        num, den = stripped.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in rational literal: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(stripped))
+    num, _, den = stripped.partition("/")
+    if not den:
+        return int(num), 1
+    if int(den) == 0:
+        raise ValueError(f"zero denominator in rational literal: {text!r}")
+    return int(num), int(den)
+
+
+def rational_from_string(text: str) -> Fraction:
+    """Parse a rational literal ``"p"`` or ``"p/q"`` (q > 0) exactly."""
+    return Fraction(*rational_pair(text))
+
+
+def as_fraction(value) -> Fraction:
+    """``value`` itself when it is already a ``Fraction``, else ``Fraction(value)``."""
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def rational_to_string(value: Fraction | int) -> str:
@@ -67,7 +82,8 @@ def rational_to_string(value: Fraction | int) -> str:
 
 def integer_row(values: Sequence) -> tuple[tuple[int, ...], int]:
     """``values`` over one common denominator: the integers ``value * L``
-    and L, the lcm of their denominators (the package's one such scaling)."""
+    and L, the lcm of their denominators (the package's one scaling of
+    rational values to integers)."""
     values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
     scale = lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (scale // v.denominator) for v in values), scale
@@ -206,10 +222,14 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        rows = tuple(
-            tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)
-        )
-        return cls(ambient_dim, rows)
+        """All of Q^r, one shared instance per rank (its identity basis is canonical)."""
+        space = _FULL_SPACES.get(ambient_dim)
+        if space is None:
+            rows = tuple(
+                tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)
+            )
+            space = _FULL_SPACES[ambient_dim] = cls(ambient_dim, rows)
+        return space
 
     @cached_property
     def rows(self) -> tuple[tuple[int | Fraction, ...], ...]:
@@ -303,6 +323,9 @@ class Subspace:
             " ".join(rational_to_string(x) for x in row) for row in self.rows
         )
         return f"Subspace({self.dim}d in Q^{self.ambient_dim}: [{body}])"
+
+
+_FULL_SPACES: dict[int, Subspace] = {}
 
 
 def span(rows: Iterable[Sequence], ambient_dim: int) -> Subspace:

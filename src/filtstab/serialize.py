@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Mapping
 from fractions import Fraction
+from math import lcm
 from typing import Any
 
 from .chern import (
@@ -44,7 +45,7 @@ from .errors import (
     FiltstabError,
 )
 from .filtration import FilteredConfiguration, Filtration, GrSpectrum
-from .linalg import Subspace, rational_from_string, rational_to_string, span
+from .linalg import Subspace, rational_pair, rational_to_string, span
 from .stability import StabilityVerdict
 from .surface import DivisorConfiguration, PlaneArrangement
 from .upsilon import UpsilonEstimate
@@ -114,12 +115,17 @@ def _fixed(value: Any, path: str, message: str, *readers: Callable[[Any, str], A
     return tuple(read(*entry) for read, entry in zip(readers, entries))
 
 
-def rational_from_doc(value: Any, path: str) -> Fraction:
+def _rational_pair(value: Any, path: str) -> tuple[int, int]:
+    """The integers (p, q) of the rational literal at ``path`` (:func:`rational_pair`)."""
     text = _as_str(value, path)
     try:
-        return rational_from_string(text)
+        return rational_pair(text)
     except ValueError as error:
         raise DocumentParseError(str(error), path) from error
+
+
+def rational_from_doc(value: Any, path: str) -> Fraction:
+    return Fraction(*_rational_pair(value, path))
 
 
 def subspace_to_doc(subspace: Subspace) -> list[list[str]]:
@@ -127,10 +133,13 @@ def subspace_to_doc(subspace: Subspace) -> list[list[str]]:
 
 
 def subspace_from_doc(doc: Any, ambient_dim: int, path: str) -> Subspace:
-    rows = [
-        [rational_from_doc(x, x_path) for x, x_path in _entries(row, row_path)]
-        for row, row_path in _entries(doc, path)
-    ]
+    """The span of the rows at ``path``, each read as integer pairs (p, q) and
+    scaled by the lcm of its q, so the elimination sees integer rows only."""
+    rows = []
+    for row, row_path in _entries(doc, path):
+        pairs = [_rational_pair(x, x_path) for x, x_path in _entries(row, row_path)]
+        scale = lcm(*(q for _, q in pairs))
+        rows.append(tuple(p * (scale // q) for p, q in pairs))
     with located(path):
         return span(rows, ambient_dim)
 

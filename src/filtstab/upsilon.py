@@ -620,9 +620,9 @@ def _solve_shape(
     candidates = candidates_for(shape_fc)
     cone = stability_cone(shape, candidates.incidences)
     key = (qp, frozenset(cone))
-    if key not in solved:
-        solved[key] = _solve_and_round(qp, cone, max_denominator)
-    outcome = solved[key]
+    outcome = solved.get(key)
+    if outcome is None:
+        outcome = solved[key] = _solve_and_round(qp, cone, max_denominator)
     if isinstance(outcome, str):
         counts[outcome] += 1
         return None

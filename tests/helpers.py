@@ -10,6 +10,8 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from filtstab import (
     DivisorConfiguration,
     FilteredConfiguration,
@@ -27,6 +29,7 @@ from filtstab import (
     parabolic_degree,
     span,
 )
+from filtstab.linalg import rational_to_string
 from filtstab.stability import _moment_point, _proper_flag_steps
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -53,6 +56,26 @@ def console_script_command(name: str) -> list[str]:
     """
     module, _, attr = console_script_target(name).partition(":")
     return [sys.executable, "-c", f"import {module} as entry; entry.{attr}()"]
+
+
+def rational_inputs() -> st.SearchStrategy:
+    """Weights as callers pass them: ``int``, ``Fraction`` or a literal string."""
+    fractions = st.fractions(-6, 6, max_denominator=15)
+    return st.one_of(st.integers(-6, 6), fractions, fractions.map(rational_to_string))
+
+
+def reference_balanced(weights, mults) -> tuple[Fraction, ...]:
+    """The balance rule summed in ``Fraction``: w - sum(m w) / sum(m)."""
+    weights = [Fraction(w) for w in weights]
+    shift = sum((w * m for w, m in zip(weights, mults)), Fraction(0)) / sum(mults)
+    return tuple(w - shift for w in weights)
+
+
+def reference_norm_value(shape, weights) -> Fraction:
+    """The squared norm summed in ``Fraction``: sum mult * deg * w^2 over the slots."""
+    return sum(
+        (Fraction(x) ** 2 * b for x, b in zip(weights, shape.norm_diagonal())), Fraction(0)
+    )
 
 
 def reference_rref(rows, width: int) -> tuple[tuple[Fraction, ...], ...]:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import filtstab.chern as chern
 import filtstab.filtration as filtration
@@ -31,6 +32,8 @@ from filtstab.serialize import canonical_json, input_document
 from helpers import (
     random_balanced_configuration,
     random_divisor_config,
+    rational_inputs,
+    reference_norm_value,
 )
 
 F = Fraction
@@ -81,6 +84,19 @@ class TestC2Local:
         lam, mu = F(3), F(-2)
         scaled = [(a * lam, b * mu, m) for a, b, m in base]
         assert c2_local(scaled) == lam * mu * c2_local(base)
+
+    def test_crossing_table_keeps_a_passed_fraction(self):
+        a, b = F(1, 2), F(-1, 2)
+        table = CrossingTable((0, 1), ((a, b, 1), ("-1/2", 1, 1)))
+        assert table.entries[0][0] is a and table.entries[0][1] is b
+        assert table.entries[1][:2] == (F(-1, 2), F(1)) and type(table.entries[1][1]) is Fraction
+
+    @given(st.lists(st.tuples(rational_inputs(), rational_inputs(), st.integers(1, 3)), max_size=6))
+    def test_matches_the_fraction_sum(self, entries):
+        expected = -sum((F(a) * F(b) * m for a, b, m in entries), F(0))
+        assert c2_local(entries) == expected
+        assert c2_local(iter(entries)) == expected
+        assert type(c2_local(entries)) is Fraction
 
 
 class TestC2Number:
@@ -221,6 +237,21 @@ class TestNormSq:
         )
         with pytest.raises(DegenerateDegreeError):
             norm_sq(fc, config)
+
+    @given(st.data())
+    def test_norm_value_matches_the_fraction_sum(self, data):
+        mults = data.draw(st.lists(
+            st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
+            min_size=1, max_size=4,
+        ))
+        degrees = data.draw(st.lists(
+            st.fractions(0, 5, max_denominator=6), min_size=len(mults), max_size=len(mults)
+        ))
+        shape = chern.WeightShape(
+            tuple(map(len, mults)), tuple(mults), tuple(degrees), ()
+        )
+        weights = data.draw(st.lists(rational_inputs(), min_size=shape.size, max_size=shape.size))
+        assert shape.norm_value(weights) == reference_norm_value(shape, weights)
 
 
 class TestJointMultiplicityCalls:

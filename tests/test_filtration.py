@@ -18,7 +18,12 @@ from filtstab import (
     span,
 )
 from filtstab.filtration import balanced
-from helpers import random_balanced_filtration, reference_joint_step_multiplicities
+from helpers import (
+    random_balanced_filtration,
+    rational_inputs,
+    reference_balanced,
+    reference_joint_step_multiplicities,
+)
 
 F = Fraction
 E1 = span([(1, 0)], 2)
@@ -154,6 +159,31 @@ class TestBalance:
         out = balanced(weights, mults)
         assert sum(w * m for w, m in zip(out, mults)) == 0
         assert len({w - v for w, v in zip(weights, out)}) == 1
+
+    @given(st.lists(st.tuples(rational_inputs(), st.integers(1, 4)), min_size=1, max_size=6))
+    def test_balanced_matches_the_fraction_sum(self, pairs):
+        weights, mults = zip(*pairs)
+        out = balanced(weights, mults)
+        assert out == reference_balanced(weights, mults)
+        assert all(type(w) is Fraction for w in out)
+
+
+class TestWeightConversion:
+    def test_keeps_a_passed_fraction(self):
+        top, bottom = F(1, 2), F(-1, 2)
+        f = Filtration(2, ((top, E1), (bottom, Subspace.full(2))))
+        assert f.weights()[0] is top and f.weights()[1] is bottom
+
+    def test_converts_ints_and_strings(self):
+        f = Filtration(2, ((1, E1), ("-1/3", Subspace.full(2))))
+        assert f.weights() == (F(1), F(-1, 3))
+        assert all(type(w) is Fraction for w in f.weights())
+
+    def test_spectrum_keeps_a_passed_fraction(self):
+        top = F(1, 2)
+        spectrum = GrSpectrum(((top, 1), ("-1/2", 1)))
+        assert spectrum.entries[0][0] is top
+        assert spectrum.entries[1] == (F(-1, 2), 1) and type(spectrum.entries[1][0]) is Fraction
 
 
 def joint_dims(f, g):

@@ -13,7 +13,7 @@ from filtstab import (
     rational_to_string,
     span,
 )
-from filtstab.linalg import sorted_subspaces
+from filtstab.linalg import rational_pair, sorted_subspaces
 
 from helpers import (
     assert_canonical,
@@ -43,6 +43,15 @@ class TestRationalLiterals:
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             rational_from_string(text)
+        with pytest.raises(ValueError):
+            rational_pair(text)
+
+    @pytest.mark.parametrize(
+        "text,pair", [("4/6", (4, 6)), (" -7 ", (-7, 1)), ("+3/5\n", (3, 5)), ("0/9", (0, 9))]
+    )
+    def test_pair_is_the_literal_as_written(self, text, pair):
+        assert rational_pair(text) == pair
+        assert rational_from_string(text) == Fraction(*pair)
 
     @given(st.fractions())
     def test_round_trip(self, q):
@@ -52,6 +61,19 @@ class TestRationalLiterals:
         assert rational_to_string(Fraction(1, 2)) == "1/2"
         assert rational_to_string(Fraction(4, 2)) == "2"
         assert rational_to_string(Fraction(-1, 3)) == "-1/3"
+
+
+class TestFullSpace:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_one_shared_instance_per_rank(self, n):
+        full = Subspace.full(n)
+        assert Subspace.full(n) is full
+        assert full == span([[int(i == j) for j in range(n)] for i in range(n)], n)
+        assert full.is_full()
+
+    def test_rejects_nonpositive_rank(self):
+        with pytest.raises(InvariantError):
+            Subspace.full(0)
 
 
 class TestSpan:

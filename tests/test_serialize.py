@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from filtstab import (
     DocumentParseError,
     DocumentValidationError,
+    span,
 )
 from filtstab.fixtures import three_concurrent_lines, three_generic_lines, two_lines
 from filtstab.serialize import (
@@ -112,3 +114,27 @@ class TestLocatedErrors:
         with pytest.raises(DocumentParseError) as info:
             divisor_configuration_from_doc(doc, "configuration")
         assert info.value.path == "configuration.intersection[0][0]"
+
+    @pytest.mark.parametrize("entry,message", [
+        ("1/0", "zero denominator in rational literal: '1/0'"),
+        ("x", "not a rational literal: 'x'"),
+        (2, "expected a string"),
+    ])
+    @pytest.mark.parametrize("step", [0, 1])
+    def test_basis_entry_errors_name_the_entry(self, entry, message, step):
+        _, fc = two_lines()
+        doc = filtered_configuration_to_doc(fc)
+        doc["filtrations"][1]["steps"][step]["basis"][0][1] = entry
+        with pytest.raises(DocumentParseError) as info:
+            filtered_configuration_from_doc(doc, "filtered_configuration")
+        path = f"filtered_configuration.filtrations[1].steps[{step}].basis[0][1]"
+        assert info.value.path == path
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_basis_entries_read_in_integers_keep_the_literal_grammar(self):
+        _, fc = two_lines()
+        doc = filtered_configuration_to_doc(fc)
+        doc["filtrations"][0]["steps"][0]["basis"] = [[" 1/2 ", "\t-2/3\n"]]
+        parsed = filtered_configuration_from_doc(doc, "filtered_configuration")
+        assert parsed.filtrations[0].spaces()[0] == span([(Fraction(1, 2), Fraction(-2, 3))], 2)
+        assert parsed.filtrations[0].spaces()[0].basis == ((3, -4),)
