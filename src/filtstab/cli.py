@@ -21,7 +21,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Any, Optional, Sequence
@@ -50,9 +49,9 @@ from .serialize import (
     rational_from_doc,
     verdict_to_doc,
 )
-from .stability import check_stability
+from .stability import DEFAULT_SAMPLES, check_stability
 from .surface import blow_up, crossing_points
-from .upsilon import outer_search
+from .upsilon import DEFAULT_MAX_DENOMINATOR, outer_search
 
 SEED_ENV_VAR = "FILTSTAB_SEED"
 
@@ -61,30 +60,6 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NO_STABLE = 4
 EXIT_INEQUALITY = 5
-
-
-@dataclass
-class RunManifest:
-    """Provenance block embedded into every report."""
-
-    command: str
-    input_path: Optional[str]
-    options: dict[str, Any] = field(default_factory=dict)
-    version: str = __version__
-    timestamp: str = ""
-
-    def __post_init__(self):
-        if not self.timestamp:
-            self.timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-    def to_doc(self) -> dict:
-        return {
-            "command": self.command,
-            "input": self.input_path,
-            "options": self.options,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
 
 
 def _resolve_seed(args: argparse.Namespace) -> None:
@@ -292,14 +267,20 @@ def _cmd_demo(args: argparse.Namespace) -> dict:
     return result
 
 
-def _manifest_options(args: argparse.Namespace) -> dict[str, Any]:
+def _manifest(args: argparse.Namespace) -> dict:
+    """Provenance block embedded into every report, stamped now."""
     skip = {"func", "command", "input", "output"}
-    options = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or callable(value):
-            continue
-        options[key] = value
-    return options
+    return {
+        "command": args.command,
+        "input": getattr(args, "input", None),
+        "options": {
+            key: value
+            for key, value in sorted(vars(args).items())
+            if key not in skip and not callable(value)
+        },
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    }
 
 
 def _retired(reason: str):
@@ -321,6 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subparsers = parser.add_subparsers(dest="command", required=True)
 
+    def add_samples(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help=(
+            "random subspaces per dimension above rank 3; ranks 2 and 3 are exact "
+            "and ignore it"
+        ))
+
     def add_common(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--output", default=None, help="report path (default stdout)")
         sub.add_argument(
@@ -341,9 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stability-mode", choices=("auto",), default="auto",
         help="the rank picks the method: exact at ranks 2 and 3, sampled above",
     )
-    stability.add_argument("--samples", type=int, default=2000, help=(
-        "random subspaces per dimension above rank 3; ranks 2 and 3 are exact and ignore it"
-    ))
+    add_samples(stability)
     stability.add_argument("--seed", type=int, default=None)
     stability.add_argument(
         "--depth", type=_retired("the closure runs a fixed number of rounds"),
@@ -359,10 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     upsilon.add_argument("--rank", type=int, required=True)
     upsilon.add_argument("--budget", type=int, default=200)
     upsilon.add_argument("--seed", type=int, default=None)
-    upsilon.add_argument("--samples", type=int, default=2000, help=(
-        "random subspaces per dimension above rank 3; ranks 2 and 3 are exact and ignore it"
-    ))
-    upsilon.add_argument("--max-denominator", type=int, default=64)
+    add_samples(upsilon)
+    upsilon.add_argument("--max-denominator", type=int, default=DEFAULT_MAX_DENOMINATOR)
     upsilon.add_argument(
         "--strategies",
         type=_retired("the search tries the document's configuration, then one fixed stream"),
@@ -394,11 +377,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return stop.code
     try:
         _resolve_seed(args)
-        manifest = RunManifest(
-            command=args.command,
-            input_path=getattr(args, "input", None),
-            options=_manifest_options(args),
-        )
+        manifest = _manifest(args)
         result = args.func(args)
     except DocumentParseError as error:
         print(f"parse error: {error}", file=sys.stderr)
@@ -408,7 +387,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_VALIDATION
     except NoStableConfigurationError as error:
         report = {
-            "manifest": manifest.to_doc(),
+            "manifest": manifest,
             "error": str(error),
             "search_log": error.search_log,
         }
@@ -424,7 +403,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FiltstabError as error:
         print(f"validation error: {error}", file=sys.stderr)
         return EXIT_VALIDATION
-    return _emit({"manifest": manifest.to_doc(), "result": result}, args, EXIT_OK)
+    return _emit({"manifest": manifest, "result": result}, args, EXIT_OK)
 
 
 def main_entry() -> None:

@@ -85,7 +85,6 @@ class DocumentError(FiltstabError):
 
     def __init__(self, message: str, path: str = ""):
         self.path = path
-        self.bare_message = message
         super().__init__(f"{path}: {message}" if path else message)
 
 

@@ -56,11 +56,18 @@ class GrSpectrum:
             raise InvariantError("multiplicities must be positive")
 
     def moment(self) -> Fraction:
-        """Sum of weight * multiplicity; zero exactly when balanced."""
-        return sum((w * m for w, m in self.entries), Fraction(0))
+        """Sum of weight * multiplicity; zero exactly when balanced.
+
+        Summed in integers over the weights' common denominator
+        (:func:`~filtstab.linalg.integer_row`), as are the second moments.
+        """
+        weights, scale = integer_row(self.weights())
+        return Fraction(sum(w * m for w, (_, m) in zip(weights, self.entries)), scale)
 
     def second_moment(self) -> Fraction:
-        return sum((w * w * m for w, m in self.entries), Fraction(0))
+        weights, scale = integer_row(self.weights())
+        total = sum(w * w * m for w, (_, m) in zip(weights, self.entries))
+        return Fraction(total, scale * scale)
 
     def weights(self) -> tuple[Fraction, ...]:
         return tuple(w for w, _ in self.entries)

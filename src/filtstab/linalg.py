@@ -74,7 +74,8 @@ def as_fraction(value) -> Fraction:
 
 def rational_to_string(value: Fraction | int) -> str:
     """Format a rational as ``"p"`` or ``"p/q"``; inverse of parsing."""
-    value = Fraction(value)
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -53,6 +53,8 @@ from .surface import DivisorConfiguration
 
 CLOSURE_CAP = 512
 CLOSURE_DEPTH = 3
+# random subspaces per intermediate dimension above rank 3
+DEFAULT_SAMPLES = 2000
 # sampled subspaces are spanned by random integer rows with entries in [-5, 5]
 SAMPLE_HEIGHT = 5
 
@@ -310,17 +312,18 @@ def _flags(fc: FilteredConfiguration) -> tuple[tuple[Subspace, ...], ...]:
     return tuple(f.spaces() for f in fc.filtrations)
 
 
-def _random_subspace(
+def _random_rows(
     rng: random.Random, rank: int, dim: int, height: int
-) -> Optional[Subspace]:
-    for _ in range(20):
+) -> tuple[list[list[int]], Subspace]:
+    """``dim`` random integer rows in Q^rank with entries in [-height, height],
+    drawn row by row until they are independent, and their span."""
+    while True:
         rows = [
             [rng.randint(-height, height) for _ in range(rank)] for _ in range(dim)
         ]
-        candidate = span(rows, rank)
-        if candidate.dim == dim:
-            return candidate
-    return None
+        spanned = span(rows, rank)
+        if spanned.dim == dim:
+            return rows, spanned
 
 
 def _verdict_from(
@@ -361,7 +364,7 @@ def _verdict_from(
 def check_stability(
     fc: FilteredConfiguration,
     config: DivisorConfiguration,
-    samples: int = 2000,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     candidates: Optional[Candidates] = None,
 ) -> StabilityVerdict:
@@ -407,8 +410,8 @@ def check_stability(
         seen = set(explored)
         for dim in range(1, fc.rank):
             for _ in range(samples):
-                sample = _random_subspace(rng, fc.rank, dim, SAMPLE_HEIGHT)
-                if sample is not None and sample not in seen:
+                _, sample = _random_rows(rng, fc.rank, dim, SAMPLE_HEIGHT)
+                if sample not in seen:
                     seen.add(sample)
                     explored.append(sample)
         if not explored:

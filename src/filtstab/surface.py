@@ -19,7 +19,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import CoverageError, InvariantError
-from .linalg import rational_to_string, span
+from .linalg import as_fraction, rational_to_string, span
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class DivisorConfiguration:
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(str(n) for n in self.names))
         object.__setattr__(
-            self, "degrees", tuple(Fraction(d) for d in self.degrees)
+            self, "degrees", tuple(as_fraction(d) for d in self.degrees)
         )
         object.__setattr__(
             self,
@@ -87,7 +87,7 @@ class DivisorConfiguration:
 
     def pairing(self, coefficients: Sequence[Fraction]) -> Fraction:
         """Self-intersection number of the cycle sum_i c_i * D_i."""
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [as_fraction(c) for c in coefficients]
         if len(coeffs) != self.n_components:
             raise InvariantError(
                 f"{len(coeffs)} coefficients for {self.n_components} components"

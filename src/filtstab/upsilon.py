@@ -58,9 +58,12 @@ from .chern import QuadraticPair, WeightShape, assemble_quadratics
 from .filtration import FilteredConfiguration, Filtration, balanced
 from .linalg import Subspace, integer_row, open_cone_point, span
 from .stability import (
+    DEFAULT_SAMPLES,
     Certainty,
     StabilityVerdict,
     Status,
+    _moment_point,
+    _random_rows,
     candidates_for,
     check_stability,
     slot_degrees,
@@ -194,15 +197,16 @@ def inner_minimize(qp: QuadraticPair, cone: ConeRows) -> InnerResult:
     as ``interior``.
 
     On a non-empty cone, the solve whitens the norm: with B = L L^T
-    (Cholesky) and u = L^T v, the quotient is u^T C u / u^T u.  The
-    eigenvector of the smallest eigenvalue of C is returned as an interior
-    minimum when it lies in the closed cone.  Otherwise :func:`_descend`
-    runs over the cone's rows, whitened to unit rows, from y and from the
-    balanced seed where the seed lies in the closed cone and is not y up to
-    scale.  Its ``boundary`` value is the least quotient among the starts
-    and the descents' stationary points that lie in the closed cone, >= the
-    eigenvalue; y always does, so the solve has no failure of its own.  The
-    descent is scale-free, so it needs no bound to keep it off v = 0.
+    (Cholesky) and u = L^T v, the quotient is u^T C u / u^T u.
+    :func:`_descend` runs over the cone's rows, whitened to unit rows, from
+    y and from the balanced seed where the seed lies in the closed cone and
+    is not y up to scale.  Its first step goes to the eigenvector of the
+    smallest eigenvalue of C, and it stops there when no row blocks the way.
+    The result is the least quotient among the starts and the descents'
+    stationary points that lie in the closed cone; y always does, so the
+    solve has no failure of its own.  ``boundary`` is False exactly when
+    some descent stopped with no active row, at the unconstrained minimum.
+    The descent is scale-free, so it needs no bound to keep it off v = 0.
 
     numpy is imported here, after the exact tests, so a process loads it on
     its first non-empty cone.
@@ -241,8 +245,6 @@ def inner_minimize(qp: QuadraticPair, cone: ConeRows) -> InnerResult:
     unwhiten = np.linalg.inv(chol).T
     c = unwhiten.T @ a_red @ unwhiten
     c = 0.5 * (c + c.T)
-    eigenvalues, eigenvectors = np.linalg.eigh(c)
-    v_min = unwhiten @ eigenvectors[:, 0]
 
     def peak_half(v: np.ndarray) -> np.ndarray:
         return v * (0.5 / np.max(np.abs(n_mat @ v)))
@@ -254,10 +256,6 @@ def inner_minimize(qp: QuadraticPair, cone: ConeRows) -> InnerResult:
     rows = np.unique(np.array(cone, dtype=float) / scale, axis=0)
     g = rows @ n_mat
 
-    for v in (peak_half(v_min), peak_half(-v_min)):
-        if np.all(g @ v <= 0):
-            return InnerResult(tuple(n_mat @ v), float(eigenvalues[0]), False, point)
-
     # the interior point, and the balanced seed (never zero: its steps
     # strictly decrease) where it lies in the closed cone and is not the
     # interior point already, as it is when the seed lies inside
@@ -267,9 +265,8 @@ def inner_minimize(qp: QuadraticPair, cone: ConeRows) -> InnerResult:
         starts.append(seed)
     walls = g @ unwhiten
     walls /= np.linalg.norm(walls, axis=1)[:, None]
-    candidates = starts + [
-        peak_half(unwhiten @ _descend(c, walls, chol.T @ start)) for start in starts
-    ]
+    descents = [_descend(c, walls, chol.T @ start) for start in starts]
+    candidates = starts + [peak_half(unwhiten @ u) for u, _ in descents]
 
     def quotient(v: np.ndarray) -> float:
         return float(v @ a_red @ v) / float(v @ b_red @ v)
@@ -281,7 +278,8 @@ def inner_minimize(qp: QuadraticPair, cone: ConeRows) -> InnerResult:
         ratio = quotient(v)
         if ratio < best_ratio:
             best_v, best_ratio = v, ratio
-    return InnerResult(tuple(n_mat @ best_v), best_ratio, True, point)
+    boundary = all(blocked for _, blocked in descents)
+    return InnerResult(tuple(n_mat @ best_v), best_ratio, boundary, point)
 
 
 def _descend(c, walls, x):
@@ -295,7 +293,9 @@ def _descend(c, walls, x):
     quotient does not increase along the segment.  When x reaches v, the
     face's minimum, the multipliers of the gradient 2 (C x - lambda x) on
     the active rows decide: the row with the most negative one leaves, and
-    with none negative x is a stationary point, which is returned.
+    with none negative x is a stationary point, which is returned with
+    whether any row is active there.  With no active row the first step
+    goes to the least eigenvector of C and, unblocked, stops at it.
     """
     import numpy as np
 
@@ -330,7 +330,7 @@ def _descend(c, walls, x):
         if multipliers[worst] >= -_TOLERANCE:
             break
         active.pop(worst)
-    return x
+    return x, bool(active)
 
 
 def rationalize(
@@ -418,20 +418,6 @@ class UpsilonEstimate:
         return self.verdict.certainty is Certainty.EXACT and self.ratio == self.lower_bound
 
 
-def _random_invertible_rows(
-    rng: random.Random, rank: int, height: int
-) -> tuple[list[list[int]], Subspace]:
-    """Random integer rows spanning Q^rank, and that span."""
-    while True:
-        rows = [
-            [rng.randint(-height, height) for _ in range(rank)]
-            for _ in range(rank)
-        ]
-        full = span(rows, rank)
-        if full.dim == rank:
-            return rows, full
-
-
 def _flag_from_rows(
     rows: Sequence[Sequence[int]], dims: Sequence[int], full: Subspace
 ) -> Filtration:
@@ -446,16 +432,17 @@ def _random_flag(rng: random.Random, rank: int, min_steps: int = 1) -> Filtratio
     k = rng.randint(min_steps, rank)
     if k == 1:
         return Filtration.trivial(rank)
-    rows, full = _random_invertible_rows(rng, rank, FLAG_HEIGHT)
+    rows, full = _random_rows(rng, rank, rank, FLAG_HEIGHT)
     dims = sorted(rng.sample(range(1, rank), k - 1))
     return _flag_from_rows(rows, dims, full)
 
 
 def _generic_flag(rank: int, node: int) -> Filtration:
-    rows = [
-        [(node + m) ** j for j in range(rank)] for m in range(rank)
-    ]
-    return _flag_from_rows(rows, range(1, rank), Subspace.full(rank))
+    """The spans of the first 1, 2, ... of the moment-curve points
+    (1, k, ..., k^(rank-1)) at k = node, node + 1, ..., node + rank - 1."""
+    full = Subspace.full(rank)
+    rows = [_moment_point(full.basis, node + m) for m in range(rank)]
+    return _flag_from_rows(rows, range(1, rank), full)
 
 
 def _make_shape(
@@ -495,7 +482,7 @@ def outer_search(
     seed: int = 0,
     start: Optional[FilteredConfiguration] = None,
     max_denominator: int = DEFAULT_MAX_DENOMINATOR,
-    samples: int = 2000,
+    samples: int = DEFAULT_SAMPLES,
     progress: Optional[Callable[[int, int, Optional[Fraction]], None]] = None,
 ) -> UpsilonEstimate:
     """Estimate the minimal c2 / norm ratio over stable balanced flags.

@@ -18,7 +18,9 @@ from filtstab.serialize import (
     canonical_json,
     input_document,
 )
+from filtstab.stability import DEFAULT_SAMPLES
 from filtstab.surface import DivisorConfiguration
+from filtstab.upsilon import DEFAULT_MAX_DENOMINATOR
 from helpers import non_surface_config, three_planes
 
 
@@ -618,6 +620,14 @@ def without_timestamp(text):
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = build_parser()
+    stability_args = parser.parse_args(["stability", "--input", "x.json"])
+    upsilon_args = parser.parse_args(["upsilon", "--input", "x.json", "--rank", "2"])
+    assert stability_args.samples == upsilon_args.samples == DEFAULT_SAMPLES
+    assert upsilon_args.max_denominator == DEFAULT_MAX_DENOMINATOR
 
 
 def test_interleaved_calls_match_calls_run_alone(tmp_path):

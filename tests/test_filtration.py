@@ -91,6 +91,16 @@ class TestGrSpectrum:
         with pytest.raises(InvariantError):
             GrSpectrum(((F(0), 0),))
 
+    @given(st.dictionaries(
+        st.fractions(max_denominator=60), st.integers(1, 5), max_size=6
+    ))
+    def test_moments_equal_the_fraction_sums(self, pieces):
+        entries = tuple(sorted(pieces.items(), reverse=True))
+        spectrum = GrSpectrum(entries)
+        assert spectrum.moment() == sum((w * m for w, m in entries), F(0))
+        assert spectrum.second_moment() == sum((w * w * m for w, m in entries), F(0))
+        assert type(spectrum.moment()) is type(spectrum.second_moment()) is F
+
 
 class TestScale:
     def test_identity(self):

@@ -62,6 +62,14 @@ class TestRationalLiterals:
         assert rational_to_string(Fraction(4, 2)) == "2"
         assert rational_to_string(Fraction(-1, 3)) == "-1/3"
 
+    @given(st.integers() | st.fractions())
+    def test_signed_ints_and_fractions_format_as_their_fraction(self, value):
+        # the former formatting, which converted every value to a Fraction first
+        for signed in (value, -value):
+            q = Fraction(signed)
+            expected = f"{q.numerator}/{q.denominator}" if q.denominator > 1 else str(q.numerator)
+            assert rational_to_string(signed) == expected
+
 
 class TestFullSpace:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])

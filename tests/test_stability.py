@@ -26,6 +26,7 @@ from filtstab.stability import (
     _closure,
     _generic_line,
     _generic_lines,
+    _random_rows,
 )
 from helpers import (
     blown_up_r4,
@@ -421,6 +422,30 @@ class TestCheckStabilityGeneral:
         assert check_stability(fc, config, samples=60, seed=42) == first
 
 
+def bounded_draw(rng, rank, dim, height):
+    """The sampler's former draw: at most 20 tries, then None."""
+    for _ in range(20):
+        rows = [[rng.randint(-height, height) for _ in range(rank)] for _ in range(dim)]
+        candidate = span(rows, rank)
+        if candidate.dim == dim:
+            return rows, candidate
+    return None
+
+
+@pytest.mark.parametrize("seed", [0, 3, 21, 31])
+def test_random_rows_match_the_bounded_draw(seed):
+    # same rows, same span and the same generator state after each draw
+    for rank in range(1, 6):
+        for dim in range(1, rank + 1):
+            for height in (1, 5, 7):
+                new, old = random.Random(seed), random.Random(seed)
+                for _ in range(10):
+                    rows, spanned = _random_rows(new, rank, dim, height)
+                    assert (rows, spanned) == bounded_draw(old, rank, dim, height)
+                    assert spanned.dim == dim
+                assert new.random() == old.random()
+
+
 class TestCheckStabilityRank3:
     def test_at_least_brute_force_and_heuristic(self):
         # flags spanned by rows of height 1, so every flag step and every
@@ -543,7 +568,7 @@ class TestCheckStabilityRank3:
         def refuse(*args, **kwargs):
             raise AssertionError("sampled a random subspace")
 
-        monkeypatch.setattr("filtstab.stability._random_subspace", refuse)
+        monkeypatch.setattr("filtstab.stability._random_rows", refuse)
         rng = random.Random(95)
         for _ in range(10):
             config = random_divisor_config(rng, 3)

@@ -52,6 +52,14 @@ class TestValidation:
         with pytest.raises(InvariantError):
             DivisorConfiguration(("A", "B"), (F(1), F(1)), ((1,),))
 
+    def test_degrees_are_fractions_and_fractions_are_kept(self):
+        degree = F(3, 7)
+        config = DivisorConfiguration(("A", "B"), (degree, 2), ((1, 1), (1, 1)))
+        assert config.degrees[0] is degree
+        assert config.degrees == (F(3, 7), F(2))
+        assert all(type(d) is F for d in config.degrees)
+        assert config.pairing((1, F(1, 2))) == F(9, 4)
+
 
 class TestCrossingPoints:
     def test_single_component_none(self):

@@ -973,6 +973,15 @@ def two_pass_generic_flag(rank, node):
     return two_pass_flag(rows, list(range(1, rank + 1)), rank)
 
 
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_generic_flags_are_vandermonde_prefix_spans(rank):
+    # the moment-curve points at node, node + 1, ... are the Vandermonde rows
+    for node in range(-9, 10):
+        rows = [[(node + m) ** j for j in range(rank)] for m in range(rank)]
+        spans = tuple(span(rows[:dim], rank) for dim in range(1, rank + 1))
+        assert upsilon._generic_flag(rank, node).spaces() == spans
+
+
 @pytest.mark.parametrize("rank", [2, 3])
 @pytest.mark.parametrize("seed", [3, 21, 31])
 def test_generated_shapes_equal_the_two_pass_construction(monkeypatch, rank, seed):
