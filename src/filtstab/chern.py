@@ -12,8 +12,8 @@ Two routes are implemented and cross-checked against each other:
   quadratic form in the step weights with integer coefficients
   (:func:`assemble_quadratics`); :func:`c2_trivial` evaluates it at a
   configuration's own weights, and the ``upsilon`` search builds it once
-  per flag shape for its c2 and its inner solve.
-  The squared norm reads only the shape (:meth:`WeightShape.norm_value`).
+  per flag shape.  The squared norm reads only the shape; both forms, in the
+  shape's balance coordinates, are :meth:`QuadraticPair.balanced_forms`.
 
 Both routes must agree exactly on balanced configurations.
 """
@@ -41,6 +41,8 @@ from .filtration import (
 )
 from .linalg import as_fraction, integer_row
 from .surface import DivisorConfiguration, crossing_points
+
+IntMatrix = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -239,8 +241,8 @@ class WeightShape:
     def free_slots(self) -> tuple[tuple[int, int, int, int], ...]:
         """The balance coordinates: (first, slot, m0, m) per step s >= 1, in slot order.
 
-        first and slot are the slots of steps 0 and s, m0 and m their multiplicities;
-        a balanced w is the sum of w[slot] (e_slot - (m / m0) e_first) over these.
+        first and slot are the slots of steps 0 and s, m0 and m their
+        multiplicities; a balanced w is :meth:`from_balance` of x_j = w[slot] / m0.
         """
         return tuple(
             (offset, offset + s, mults[0], m)
@@ -251,17 +253,28 @@ class WeightShape:
     def slot(self, component: int, step: int) -> int:
         return self.offsets[component] + step
 
+    def from_balance(self, x: Sequence) -> tuple:
+        """The balanced weights sum_j x_j (m0 e_slot - m e_first) over the
+        :attr:`free_slots`: the one map from balance coordinates to weights,
+        on ints, Fractions and floats alike."""
+        weights = [0] * self.size
+        for value, (first, slot, m0, m) in zip(x, self.free_slots):
+            weights[slot] += m0 * value
+            weights[first] -= m * value
+        return tuple(weights)
+
     def norm_value(self, weights: Sequence[Fraction]) -> Fraction:
         """The squared norm sum mult * deg * w^2 over the slots, summed in
-        integers over the common denominators of the weights and of
-        :meth:`norm_diagonal`."""
+        integers over the common denominator of the weights and over L."""
         n, common = integer_row(weights)
-        b, scale = integer_row(self.norm_diagonal())
+        b, scale = self.norm_diagonal()
         return Fraction(sum(y * x * x for x, y in zip(n, b)), scale * common * common)
 
-    def norm_diagonal(self) -> list[Fraction]:
-        """mult * deg per slot: the squared norm is diagonal in the weights."""
-        return [m * d for mults, d in zip(self.mults, self.degrees) for m in mults]
+    def norm_diagonal(self) -> tuple[tuple[int, ...], int]:
+        """The integers mult * K_i per slot, with K_i = L deg(D_i), and L, the lcm
+        of the degree denominators: the squared norm is diagonal in the weights."""
+        degrees, scale = integer_row(self.degrees)
+        return tuple(m * k for mults, k in zip(self.mults, degrees) for m in mults), scale
 
 
 @dataclass(frozen=True)
@@ -284,6 +297,24 @@ class QuadraticPair:
         n, common = integer_row(weights)
         total = sum(k * n[p] * n[q] for p, q, k in self.terms)
         return Fraction(-total, 2 * common * common)
+
+    def balanced_forms(self) -> tuple[IntMatrix, IntMatrix, int]:
+        """Integer Gram matrices C and N, and s > 0, in the balance coordinates x
+        of :meth:`WeightShape.from_balance`: x^T C x = 4 c2 and x^T N x = s ||F||^2.
+
+        Column j is w = from_balance(e_j), so C_ab sums -k (u_p v_q + u_q v_p)
+        over the terms (p, q, k) at u, v the columns a, b, and N_ab sums
+        mult * K u_p v_p over the slots, with s = L (:meth:`~WeightShape.norm_diagonal`).
+        """
+        shape = self.shape
+        d = len(shape.free_slots)
+        columns = [shape.from_balance([int(i == j) for i in range(d)]) for j in range(d)]
+        diagonal, scale = shape.norm_diagonal()
+        c = tuple(tuple(-sum(k * (u[p] * v[q] + u[q] * v[p]) for p, q, k in self.terms)
+                        for v in columns) for u in columns)
+        n = tuple(tuple(sum(y * a * b for y, a, b in zip(diagonal, u, v)) for v in columns)
+                  for u in columns)
+        return c, n, scale
 
 
 def shape_of(fc: FilteredConfiguration, config: DivisorConfiguration) -> WeightShape:

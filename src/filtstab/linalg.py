@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, InvariantError
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
 
 def rational_pair(text: str) -> tuple[int, int]:

@@ -1,38 +1,30 @@
 """Search for the minimal ratio c2 / ||F||^2 over stable balanced flags.
 
 With the flag subspaces frozen, both the second Chern number and the squared
-norm are quadratic forms in the step weights (the joint graded multiplicities
-depend only on the subspaces; :func:`~filtstab.chern.assemble_quadratics`
-builds the exact pair), and every candidate degree is linear in them:
-the stable weights of a shape form an open polyhedral cone, built once per
-shape as integer rows over the lcm L of the degree denominators, from the
-slot coefficients K = L deg(D_i) that the stability verdict reads too
-(:func:`~filtstab.stability.slot_degrees`, :func:`stability_cone`).
-Whether that cone is empty is decided exactly, from those rows, before any
-float work; the same test gives an integer point y inside a non-empty cone.
-There the inner problem is a generalized Rayleigh-quotient minimization over
-balance ∩ closed cone, a cone-constrained eigenvalue problem, solved in
-floating point by an active-set descent over the cone's faces
-(:func:`_descend`); :func:`rationalize` rounds
-the minimizer, re-balances it and, where it is not strictly inside, steps
-exactly along y until it is, so the stability, c2 and norm of every
-proposal are exact.  The outer loop
-walks one stream of flag shapes (a given start first and once, then seeded
-random, coincident and generic shapes in turn), keeps the best
-configuration that certifies stable, and reports its ratio as an upper
-bound, next to the lower bound 0.  Distinct shapes often pose the same
-inner problem (at rank 2 the forms and the cone depend only on which flag
-lines coincide), so a search solves and rationalizes once per distinct
-(quadratic pair, set of cone rows) and reuses that outcome; everything that
-reads the subspaces themselves still runs per shape.
+norm are quadratic forms in the step weights, and every candidate degree is
+linear in them: the stable weights of a shape form an open polyhedral cone,
+built once per shape as integer rows over the lcm L of the degree
+denominators (:func:`stability_cone`).  The inner problem is stated once,
+exactly, in the balance coordinates x of
+:meth:`~filtstab.chern.WeightShape.from_balance`: the integer forms of
+:meth:`~filtstab.chern.QuadraticPair.balanced_forms` and the cone's reduced
+integer rows (:func:`_reduced_rows`).  Whether the cone is empty is decided
+from those rows in integers, and the same test gives a point y inside a
+non-empty cone.  There an active-set descent over the cone's faces reads the
+doubles of those integers (:func:`inner_minimize`, :func:`_descend`, the only
+numpy code, imported on the first non-empty cone, so importing the package
+does not load it), and :func:`rationalize` rounds the minimizer, re-balances
+it and steps exactly along y until it is strictly inside, so the stability,
+c2 and norm of every proposal are exact.  The outer loop walks one stream of
+flag shapes (a given start first and once, then seeded random, coincident
+and generic shapes in turn), keeps the best configuration that certifies
+stable, and reports its ratio as an upper bound, next to the lower bound 0.
+Distinct shapes often pose the same inner problem (at rank 2 it depends only
+on which flag lines coincide), so a search solves and rationalizes once per
+distinct (quadratic pair, set of cone rows).
 
-Only the float solve (:func:`inner_minimize`, :func:`_descend`,
-:func:`_float_forms`) uses numpy, imported once the cone is known not to be
-empty, so importing this module (and the package) does not load it.
-
-Weight vectors are flat tuples ordered component by component, step by step;
-a :class:`WeightShape` records the bookkeeping (offsets, multiplicities,
-degrees) needed to interpret them.
+Weight vectors are flat tuples ordered component by component, step by step,
+as a :class:`WeightShape` records them.
 """
 
 from __future__ import annotations
@@ -120,49 +112,47 @@ def stability_cone(shape: WeightShape, incidences: Sequence[Sequence[int]]) -> C
     return tuple(rows)
 
 
-def _cone_point(shape: WeightShape, cone: ConeRows) -> Optional[tuple[int, ...]]:
-    """Balanced integer weights inside the open ``cone``, or None if it has none.
+def _reduced_rows(shape: WeightShape, cone: ConeRows) -> list[tuple[int, ...]]:
+    """The cone's rows in balance coordinates, primitive, deduplicated and sorted.
 
-    Over the ``shape.free_slots``, a balanced w has row . w = h . x with the
-    reduced row h = r[slot] m0 - r[first] m and the coordinates x = w[slot] / m0.
-    The cone's integer rows are reduced so, made primitive, deduplicated and
-    sorted, so the point depends on the set of rows only.  When the balanced
-    seed's x, scaled to integers, satisfies all of them it is the point;
-    otherwise :func:`~filtstab.linalg.open_cone_point` finds one or proves,
-    in integers, that there is none.  The point's x maps back by
-    w[slot] += m0 x and w[first] -= m x, so a balanced seed comes back times
-    a positive integer.
+    Over the ``shape.free_slots``, row . w = h . x at w = ``shape.from_balance(x)``
+    with h = r[slot] m0 - r[first] m; scaling h to be primitive keeps its
+    open half-space, and the sorted set depends on the set of rows only.
     """
-    free = shape.free_slots
     reduced = set()
     for r in cone:
-        h = [r[slot] * m0 - r[first] * m for first, slot, m0, m in free]
+        h = [r[slot] * m0 - r[first] * m for first, slot, m0, m in shape.free_slots]
         content = math.gcd(*h) or 1
         reduced.add(tuple(x // content for x in h))
+    return sorted(reduced)
+
+
+def _seed_coordinates(shape: WeightShape) -> list[Fraction]:
+    """The balance coordinates x = w[slot] / m0 of the balanced seed weights."""
     seed = _balanced_weights(shape, shape.seed_weights)
-    point, _ = integer_row([seed[slot] / m0 for _, slot, m0, _ in free])
-    if not all(sum(map(mul, h, point)) < 0 for h in reduced):
-        point = open_cone_point(sorted(reduced))
-        if point is None:
-            return None
-    weights = [0] * shape.size
-    for x, (first, slot, m0, m) in zip(point, free):
-        weights[slot] += m0 * x
-        weights[first] -= m * x
-    return tuple(weights)
+    return [seed[slot] / m0 for _, slot, m0, _ in shape.free_slots]
 
 
-def _float_forms(qp: QuadraticPair):
-    """numpy arrays (A, b) with w^T A w = c2 and w^T diag(b) w = ||F||^2.
+def _interior(shape: WeightShape, rows: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    """Integer balance coordinates x with h . x < 0 for every reduced row h, or None.
 
-    Each term (p, q, k) puts -k/2 at (p, q); symmetrizing halves it off the diagonal.
+    The seed's x, scaled to integers, when it satisfies all of them;
+    otherwise :func:`~filtstab.linalg.open_cone_point` finds one or proves,
+    in integers, that there is none.
     """
-    import numpy as np
+    point, _ = integer_row(_seed_coordinates(shape))
+    if all(sum(map(mul, h, point)) < 0 for h in rows):
+        return point
+    return open_cone_point(rows)
 
-    a = np.zeros((qp.shape.size, qp.shape.size))
-    for p, q, k in qp.terms:
-        a[p, q] = -k / 2
-    return (a + a.T) / 2, np.array([float(x) for x in qp.shape.norm_diagonal()])
+
+def _cone_point(shape: WeightShape, cone: ConeRows) -> Optional[tuple[int, ...]]:
+    """Balanced integer weights inside the open ``cone``, or None if it has none:
+    :func:`_interior` of :func:`_reduced_rows`, mapped back by
+    ``shape.from_balance``, so a balanced seed inside comes back times a
+    positive integer."""
+    point = _interior(shape, _reduced_rows(shape, cone))
+    return None if point is None else shape.from_balance(point)
 
 
 @dataclass(frozen=True)
@@ -179,88 +169,68 @@ class InnerResult:
 def inner_minimize(qp: QuadraticPair, cone: ConeRows) -> InnerResult:
     """Minimize the Rayleigh quotient w^T A w / w^T B w over balance ∩ closed ``cone``.
 
-    ``cone`` holds the integer rows of :func:`stability_cone`, over the
-    lcm L of the degree denominators, read from
-    :func:`~filtstab.stability.slot_degrees`; the float solve divides them
-    by L, and while the integers stay below 2^53 each quotient is the
-    double nearest the rational entry, as ``float(Fraction)`` would give it.
-    Weights come back at peak 1/2 with every row . w <= 0, up to float
-    error; :func:`rationalize` makes them exact and strictly inside.
+    The problem is read in the balance coordinates x of
+    :meth:`~filtstab.chern.WeightShape.from_balance`: the quotient
+    x^T (C/4) x / x^T (N/s) x of :meth:`~filtstab.chern.QuadraticPair.balanced_forms`
+    over the cone's :func:`_reduced_rows`, the float solve reading the doubles
+    of those integers.  Weights come back at peak 1/2 with every row . w <= 0,
+    up to float error; :func:`rationalize` makes them exact and strictly inside.
 
-    Three exact tests come first, with no float work.  A shape whose flags
-    are all trivial, or whose norm is not definite on the balance subspace
-    (a component with two or more steps has degree 0), raises
-    :class:`SingularFormError`.  A cone with no balanced point, decided in
-    integers (:func:`_cone_point`), raises :class:`EmptyConeError`, so
-    that error means the cone is proven empty; on any other cone that test
-    returns the integer point y strictly inside it, carried on the result
-    as ``interior``.
+    Three exact tests come first.  A shape whose flags are all trivial, or
+    whose norm is not definite on the balance subspace (a component with two
+    or more steps has degree 0), raises :class:`SingularFormError`.  A cone
+    with no balanced point, decided in integers (:func:`_interior`), raises
+    :class:`EmptyConeError`, so that error is a proof; on any other cone the
+    test gives the integer point y strictly inside, carried in weights as
+    ``interior``.
 
-    On a non-empty cone, the solve whitens the norm: with B = L L^T
-    (Cholesky) and u = L^T v, the quotient is u^T C u / u^T u.
-    :func:`_descend` runs over the cone's rows, whitened to unit rows, from
-    y and from the balanced seed where the seed lies in the closed cone and
-    is not y up to scale.  Its first step goes to the eigenvector of the
-    smallest eigenvalue of C, and it stops there when no row blocks the way.
-    The result is the least quotient among the starts and the descents'
-    stationary points that lie in the closed cone; y always does, so the
-    solve has no failure of its own.  ``boundary`` is False exactly when
-    some descent stopped with no active row, at the unconstrained minimum.
-    The descent is scale-free, so it needs no bound to keep it off v = 0.
-
-    numpy is imported here, after the exact tests, so a process loads it on
-    its first non-empty cone.
+    The solve whitens the norm: with N/s = L L^T (Cholesky) and u = L^T x, the
+    quotient is u^T C' u / u^T u.  :func:`_descend` runs over the rows, whitened
+    to unit rows, from y and from the balanced seed where the seed lies in the
+    closed cone and is not y up to scale.  The result is the least quotient
+    among the starts and the descents' stationary points that lie in the
+    closed cone; y always does, so the solve has no failure of its own.
+    ``boundary`` is False exactly when some descent stopped with no active
+    row, at the unconstrained minimum.  numpy is imported after the exact
+    tests, so a process loads it on its first non-empty cone.
     """
     shape = qp.shape
     if not shape.free_slots:
         raise SingularFormError(
             "only the zero weight vector satisfies the balance constraints"
         )
-    # B = diag(mult * deg) with mult >= 1, and the balance directions are
+    # B = diag(mult * K) / L with mult >= 1, and the balance directions are
     # the free slots, so B is definite there exactly when positive at each
-    diagonal = shape.norm_diagonal()
+    diagonal, _ = shape.norm_diagonal()
     if any(diagonal[slot] <= 0 for _, slot, _, _ in shape.free_slots):
         raise SingularFormError(
             "norm form is not positive definite on the balance subspace "
             "(a weighted component has degree zero?)"
         )
-    point = _cone_point(shape, cone)
+    rows = _reduced_rows(shape, cone)
+    point = _interior(shape, rows)
     if point is None:
         raise EmptyConeError("the stability cone of this shape is empty")
 
     import numpy as np
 
-    # column j is the balanced vector e_slot - (m / m0) e_first of free slot j
-    free = shape.free_slots
-    size, d = shape.size, len(free)
-    n_mat = np.zeros((size, d))
-    for j, (first, slot, m0, m) in enumerate(free):
-        n_mat[[slot, first], j] = 1.0, -m / m0
-    a, b = _float_forms(qp)
-    a_red = n_mat.T @ a @ n_mat
-    b_red = n_mat.T @ (b[:, None] * n_mat)
-    # whitened coordinates u = L^T v, with B = L L^T, turn the quotient
-    # into u^T C u / u^T u; v = unwhiten @ u
-    chol = np.linalg.cholesky(0.5 * (b_red + b_red.T))
+    c_form, n_form, scale = qp.balanced_forms()
+    a_red = np.array(c_form, dtype=float) / 4
+    b_red = np.array(n_form, dtype=float) / scale
+    chol = np.linalg.cholesky(b_red)
     unwhiten = np.linalg.inv(chol).T
     c = unwhiten.T @ a_red @ unwhiten
     c = 0.5 * (c + c.T)
+    g = np.array(rows, dtype=float)
 
-    def peak_half(v: np.ndarray) -> np.ndarray:
-        return v * (0.5 / np.max(np.abs(n_mat @ v)))
-
-    def at_free_slots(w: Sequence) -> np.ndarray:
-        return peak_half(np.array([w[slot] for _, slot, _, _ in free], dtype=float))
-
-    _, scale = slot_degrees(shape.degrees, shape.step_counts)
-    rows = np.unique(np.array(cone, dtype=float) / scale, axis=0)
-    g = rows @ n_mat
+    def peak_half(x: np.ndarray) -> np.ndarray:
+        return x * (0.5 / max(map(abs, shape.from_balance(x))))
 
     # the interior point, and the balanced seed (never zero: its steps
     # strictly decrease) where it lies in the closed cone and is not the
     # interior point already, as it is when the seed lies inside
-    starts = [at_free_slots(point)]
-    seed = at_free_slots(_balanced_weights(shape, shape.seed_weights))
+    starts = [peak_half(np.array(point, dtype=float))]
+    seed = peak_half(np.array(_seed_coordinates(shape), dtype=float))
     if np.all(g @ seed <= _TOLERANCE) and not np.allclose(seed, starts[0]):
         starts.append(seed)
     walls = g @ unwhiten
@@ -268,18 +238,16 @@ def inner_minimize(qp: QuadraticPair, cone: ConeRows) -> InnerResult:
     descents = [_descend(c, walls, chol.T @ start) for start in starts]
     candidates = starts + [peak_half(unwhiten @ u) for u, _ in descents]
 
-    def quotient(v: np.ndarray) -> float:
-        return float(v @ a_red @ v) / float(v @ b_red @ v)
-
-    best_v, best_ratio = None, math.inf
-    for v in candidates:
-        if not np.all(g @ v <= _TOLERANCE):
+    best_x, best_ratio = None, math.inf
+    for x in candidates:
+        if not np.all(g @ x <= _TOLERANCE):
             continue
-        ratio = quotient(v)
+        ratio = float(x @ a_red @ x) / float(x @ b_red @ x)
         if ratio < best_ratio:
-            best_v, best_ratio = v, ratio
+            best_x, best_ratio = x, ratio
     boundary = all(blocked for _, blocked in descents)
-    return InnerResult(tuple(n_mat @ best_v), best_ratio, boundary, point)
+    weights = tuple(map(float, shape.from_balance(best_x)))
+    return InnerResult(weights, best_ratio, boundary, shape.from_balance(point))
 
 
 def _descend(c, walls, x):

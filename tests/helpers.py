@@ -73,9 +73,8 @@ def reference_balanced(weights, mults) -> tuple[Fraction, ...]:
 
 def reference_norm_value(shape, weights) -> Fraction:
     """The squared norm summed in ``Fraction``: sum mult * deg * w^2 over the slots."""
-    return sum(
-        (Fraction(x) ** 2 * b for x, b in zip(weights, shape.norm_diagonal())), Fraction(0)
-    )
+    diagonal = [m * Fraction(d) for mults, d in zip(shape.mults, shape.degrees) for m in mults]
+    return sum((Fraction(x) ** 2 * b for x, b in zip(weights, diagonal)), Fraction(0))
 
 
 def reference_rref(rows, width: int) -> tuple[tuple[Fraction, ...], ...]:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import filtstab.chern as chern
 import filtstab.filtration as filtration
@@ -252,6 +252,63 @@ class TestNormSq:
         )
         weights = data.draw(st.lists(rational_inputs(), min_size=shape.size, max_size=shape.size))
         assert shape.norm_value(weights) == reference_norm_value(shape, weights)
+
+
+@st.composite
+def pairs_in_balance_coordinates(draw):
+    """A quadratic pair at rank 1-4 on 1-3 components, with arbitrary integer
+    terms, and rational balance coordinates x for it."""
+    rank = draw(st.integers(1, 4))
+    mults = []
+    for _ in range(draw(st.integers(1, 3))):
+        ends = [0, *sorted(draw(st.sets(st.integers(1, rank - 1)))), rank] if rank > 1 else [0, 1]
+        mults.append(tuple(b - a for a, b in zip(ends, ends[1:])))
+    degrees = draw(st.lists(
+        st.fractions(-5, 5, max_denominator=6), min_size=len(mults), max_size=len(mults)
+    ))
+    shape = chern.WeightShape(tuple(map(len, mults)), tuple(mults), tuple(degrees), ())
+    slots = st.integers(0, shape.size - 1)
+    terms = draw(st.dictionaries(
+        st.tuples(slots, slots).map(sorted).map(tuple), st.integers(-6, 6).filter(bool),
+        max_size=12,
+    ))
+    x = draw(st.lists(
+        st.fractions(-6, 6, max_denominator=12),
+        min_size=len(shape.free_slots), max_size=len(shape.free_slots),
+    ))
+    return chern.QuadraticPair(shape, tuple(sorted((*pq, k) for pq, k in terms.items()))), x
+
+
+class TestBalancedForms:
+    @given(pairs_in_balance_coordinates())
+    @example((
+        chern.QuadraticPair(
+            chern.WeightShape((2, 2), ((3, 1), (2, 2)), (F(3, 2), F(1, 3)), ()),
+            ((0, 1, 2), (0, 2, -4), (1, 3, 6), (2, 2, 1)),
+        ),
+        [F(1, 2), F(-2, 3)],
+    ))
+    def test_forms_are_c2_and_the_norm_at_from_balance(self, pair_and_x):
+        # x^T C x = 4 c2 and x^T N x = s ||F||^2 at w = from_balance(x), also
+        # where the first step's multiplicity m0 is above 1
+        qp, x = pair_and_x
+        c, n, scale = qp.balanced_forms()
+        weights = qp.shape.from_balance(x)
+
+        def value(matrix):
+            return sum(a * b * matrix[i][j] for i, a in enumerate(x) for j, b in enumerate(x))
+
+        assert value(c) == 4 * qp.c2_value(weights)
+        assert value(n) == scale * qp.shape.norm_value(weights)
+        for matrix in (c, n):
+            assert all(type(e) is int for row in matrix for e in row)
+            assert [list(row) for row in zip(*matrix)] == [list(row) for row in matrix]
+
+    def test_the_triangle_forms(self):
+        config, fc = three_generic_lines()
+        c, n, scale = chern.assemble_quadratics(fc, config).balanced_forms()
+        assert c == ((-4, 4, 4), (4, -4, 4), (4, 4, -4))
+        assert (n, scale) == (((2, 0, 0), (0, 2, 0), (0, 0, 2)), 1)
 
 
 class TestJointMultiplicityCalls:

@@ -443,6 +443,18 @@ def test_blowup_of_a_non_object_document_exits_2(tmp_path, capsys, root):
     assert capsys.readouterr().err == "parse error: .: missing key 'arrangement'\n"
 
 
+def test_non_ascii_digits_are_no_rational_literal(tmp_path, capsys):
+    # fullwidth 3 and Arabic-Indic 1/2 would pass int(), but not the grammar
+    document = input_document(*three_generic_lines())
+    document["configuration"]["components"][0]["degree"] = "\uff13"
+    document["filtered_configuration"]["filtrations"][0]["steps"][0]["weight"] = "\u0661/\u0662"
+    path = write_document(tmp_path, "digits.json", document)
+    assert main(["chern", "--input", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        "parse error: configuration.components[0].degree: not a rational literal"
+    )
+
+
 def absent(monkeypatch, module):
     """Make ``importlib.util.find_spec`` report ``module`` as not installed."""
     real_find_spec = importlib.util.find_spec

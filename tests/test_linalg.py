@@ -39,7 +39,10 @@ class TestRationalLiterals:
     def test_parse(self, text, value):
         assert rational_from_string(text) == value
 
-    @pytest.mark.parametrize("text", ["1/0", "1.5", "abc", "1/-2", "", "1 / 2"])
+    # Arabic-Indic and fullwidth digits are Unicode decimals, which int() reads
+    @pytest.mark.parametrize(
+        "text", ["1/0", "1.5", "abc", "1/-2", "", "1 / 2", "\u0661/\u0662", "\uff13"]
+    )
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             rational_from_string(text)

@@ -197,8 +197,10 @@ class TestAssembleQuadratics:
             )
             assert qp.shape.norm_value(flat) == norm
 
-    def test_float_matrices_match_the_pairing(self):
-        # A[(i,s),(j,t)] = -1/2 * m^{ij}_{st} * D_i.D_j over ordered pairs
+    def test_balanced_forms_match_the_pairing(self):
+        # A[(i,s),(j,t)] = -1/2 * m^{ij}_{st} * D_i.D_j over ordered pairs; in
+        # the integer columns E_j = m0 times free slot j's basis vector,
+        # C = 4 E^T A E and N = s E^T diag(B) E
         rng = random.Random(223)
         for _ in range(25):
             rank = rng.randint(1, 3)
@@ -207,8 +209,6 @@ class TestAssembleQuadratics:
             fc = random_balanced_configuration(rng, rank, n)
             qp = assemble_quadratics(fc, config)
             dense, diagonal = pairing_forms(fc, config)
-            a, b = upsilon._float_forms(qp)
-            assert a.tolist() == [[float(x) for x in row] for row in dense]
             flat = qp.shape.seed_weights
             assert qp.c2_value(flat) == sum(
                 (dense[p][q] * flat[p] * flat[q]
@@ -218,7 +218,23 @@ class TestAssembleQuadratics:
             assert diagonal == [
                 m * d for mults, d in zip(qp.shape.mults, config.degrees) for m in mults
             ]
-            assert b.tolist() == [float(x) for x in diagonal]
+            columns = [
+                [m0 * x for x in vec]
+                for (_, _, m0, _), vec in zip(qp.shape.free_slots, free_slot_basis(qp.shape))
+            ]
+            c, n_form, scale = qp.balanced_forms()
+            slots = range(qp.shape.size)
+            assert c == tuple(
+                tuple(4 * sum(u[p] * dense[p][q] * v[q] for p in slots for q in slots)
+                      for v in columns)
+                for u in columns
+            )
+            assert n_form == tuple(
+                tuple(scale * sum(u[p] * diagonal[p] * v[p] for p in slots) for v in columns)
+                for u in columns
+            )
+            assert scale == degree_denominator(qp.shape)
+            assert all(type(x) is int for row in c + n_form for x in row)
 
     def test_one_elimination_per_crossing_pair(self, monkeypatch):
         # diagonal blocks come from the step multiplicities, and each
@@ -265,8 +281,8 @@ class TestAssembleQuadratics:
 
     def test_balanced_weights_are_their_free_slots(self):
         # a balanced w is sum w[slot] (e_slot - (m / m0) e_first), so the
-        # solve reads a start's coordinates at its free slots, with no
-        # least-squares projection
+        # solve reads a start's balance coordinates w[slot] / m0 at its free
+        # slots, with no least-squares projection
         rng = random.Random(17)
         multiplicities = set()
         for _ in range(200):
@@ -286,6 +302,29 @@ class TestAssembleQuadratics:
         assert max(multiplicities) > 1
 
 
+    def test_from_balance_is_the_free_slot_sum(self):
+        # from_balance(x) = sum x_j m0 (e_slot - (m / m0) e_first), balanced,
+        # in ints for int coordinates and in floats for float ones
+        rng = random.Random(19)
+        multiplicities = set()
+        for _ in range(200):
+            rank, n = rng.randint(1, 4), rng.randint(1, 4)
+            shape = shape_of(
+                random_balanced_configuration(rng, rank, n), random_divisor_config(rng, n)
+            )
+            x = [rng.randint(-9, 9) for _ in shape.free_slots]
+            expected = [F(0)] * shape.size
+            for xj, (_, _, m0, _), vec in zip(x, shape.free_slots, free_slot_basis(shape)):
+                expected = [e + xj * m0 * y for e, y in zip(expected, vec)]
+            w = shape.from_balance(x)
+            assert w == tuple(expected) and all(type(v) is int for v in w)
+            assert all(sum(map(mul, row, w)) == 0 for row in balance_rows(shape))
+            assert shape.from_balance([F(xj, 3) for xj in x]) == tuple(F(e, 3) for e in w)
+            assert shape.from_balance(list(map(float, x))) == tuple(map(float, w))
+            multiplicities.update(m0 for _, _, m0, _ in shape.free_slots)
+        assert max(multiplicities) > 1
+
+
 class TestInnerMinimize:
     def test_identical_forms_give_ratio_one(self):
         # self-intersection -2 with degree 1 makes A equal to B exactly
@@ -293,9 +332,8 @@ class TestInnerMinimize:
         fc = FilteredConfiguration(2, (two_step(span([(1, 0)], 2)),))
         qp = assemble_quadratics(fc, config)
         assert qp.terms == ((0, 0, -2), (1, 1, -2))
-        a, b = upsilon._float_forms(qp)
-        assert a.tolist() == [[1.0, 0.0], [0.0, 1.0]]
-        assert b.tolist() == [1.0, 1.0]
+        # w = (-x, x): 4 c2 = 8 x^2 and ||F||^2 = 2 x^2, so C / 4 = N / s
+        assert qp.balanced_forms() == (((8,),), ((2,),), 1)
         result = inner_minimize(qp, stability_cone(qp.shape, ()))
         assert result.ratio == pytest.approx(1.0, abs=1e-9)
         assert not result.boundary
@@ -375,28 +413,19 @@ class TestInnerMinimize:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "['numpy']\n"
 
-    def test_the_solve_reads_the_fraction_rows_as_doubles(self, monkeypatch):
-        # the first np.unique call of a solve receives the float cone rows;
-        # divided by L they are float(Fraction) of the Fraction rows, so
-        # the solve sees the doubles it saw before the rows were integers
-        seen = []
-        real_unique = np.unique
-
-        def recording(array, **kwargs):
-            seen.append(array.tolist())
-            return real_unique(array, **kwargs)
-
-        monkeypatch.setattr(np, "unique", recording)
-        config = search_configs()[1]
-        solved = 0
-        for qp, cone, incidences in search_problems(config, 2, 3):
-            if degree_denominator(qp.shape) > 1 and upsilon._cone_point(qp.shape, cone):
-                seen.clear()
-                inner_minimize(qp, cone)
-                reference = reference_stability_cone(qp.shape, incidences)
-                assert seen[0] == [[float(x) for x in row] for row in reference]
-                solved += 1
-        assert solved
+    def test_the_ratio_is_c2_over_the_norm_at_its_weights(self):
+        # the quotient of C/4 and N/s, here with s = L = 3, is the exact
+        # forms' ratio at the returned weights
+        config = DivisorConfiguration(
+            ("L1", "L2", "L3"), (F(1, 3), F(2, 3), F(1)), ((1, 1, 1),) * 3
+        )
+        fc = three_generic_lines()[1]
+        qp = assemble_quadratics(fc, config)
+        assert qp.balanced_forms()[2] == 3
+        result = inner_minimize(qp, stability_cone(qp.shape, candidates_for(fc).incidences))
+        w = [F(x) for x in result.weights]
+        exact = qp.c2_value(w) / qp.shape.norm_value(w)
+        assert exact != 0 and result.ratio == pytest.approx(float(exact), rel=1e-9)
 
     def test_three_lines_feasible_value(self):
         config, fc = three_generic_lines()
@@ -523,6 +552,21 @@ class TestExactCone:
         assert all(sum(map(mul, row, point)) < 0 for row in cone)
         assert not any(sum(map(mul, row, point)) for row in balance_rows(shape))
 
+    def test_a_seed_inside_comes_back_times_a_positive_integer(self, simplexes):
+        # its balance coordinates w[slot] / m0, scaled to integers, map back to
+        # the seed times a positive integer, also on shapes with m0 = 2
+        multiplicities = set()
+        for config in search_configs():
+            for qp, cone, _ in search_problems(config, 3, 3):
+                seed = upsilon._balanced_weights(qp.shape, qp.shape.seed_weights)
+                if all(sum(map(mul, row, seed)) < 0 for row in cone):
+                    point = upsilon._cone_point(qp.shape, cone)
+                    factor = next(F(p) / w for p, w in zip(point, seed) if w)
+                    assert factor > 0 and factor.denominator == 1
+                    assert point == tuple(factor * w for w in seed)
+                    multiplicities.update(m0 for _, _, m0, _ in qp.shape.free_slots)
+        assert simplexes == [] and max(multiplicities) > 1
+
     def test_the_point_depends_on_the_set_of_rows(self, simplexes):
         # reversed seed weights break every step-ordering row, so each
         # non-empty cone goes to the simplex, whose pivots follow row order
@@ -584,8 +628,13 @@ class TestExactCone:
         monkeypatch.setattr(upsilon, "integer_row", counted)
         for qp, cone, _ in search_problems(three_generic_lines()[0], 3, 3):
             before = len(scaled)
+            # the reduced rows are integers already, primitive and sorted
+            rows = upsilon._reduced_rows(qp.shape, cone)
+            assert len(scaled) == before
+            assert rows == sorted(set(rows))
+            assert all(math.gcd(*h) == 1 for h in rows)
             upsilon._cone_point(qp.shape, cone)
-            assert len(scaled) == before + 1
+            assert scaled[before:] == [upsilon._seed_coordinates(qp.shape)]
         assert scaled
 
     def test_an_empty_cone_is_no_solver_failure(self, no_float_solve):
@@ -848,9 +897,17 @@ class TestOuterSearch:
         flat = tuple(
             w for f in estimate.configuration.filtrations for w in f.weights()
         )
-        w = np.array([float(x) for x in flat])
-        a, b = upsilon._float_forms(qp)
-        float_ratio = float(w @ a @ w) / float(np.sum(b * w * w))
+        x = [flat[slot] / m0 for _, slot, m0, _ in qp.shape.free_slots]
+        assert qp.shape.from_balance(x) == flat
+        c, n, scale = qp.balanced_forms()
+
+        def value(matrix, v):
+            return sum(a * b * matrix[i][j] for i, a in enumerate(v) for j, b in enumerate(v))
+
+        # exact in the integer forms, and close in their doubles
+        assert value(c, x) / 4 / (value(n, x) / scale) == estimate.ratio
+        v = np.array([float(y) for y in x])
+        float_ratio = value(np.array(c) / 4, v) / value(np.array(n) / scale, v)
         exact = float(estimate.ratio)
         assert abs(float_ratio - exact) <= 1e-6 * max(1.0, abs(exact))
 
