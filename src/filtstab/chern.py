@@ -186,16 +186,15 @@ def c2_number(data: FilteredSystemData, config: DivisorConfiguration) -> ChernRe
 
     coefficients = c1_cycle(data, config)
     c1_sq = config.pairing(coefficients)
-    self_term = sum(
-        (
-            table.second_moment() * config.intersection[i][i]
-            for i, table in enumerate(data.component_tables)
-        ),
-        Fraction(0),
+    # each term summed in integers over its common denominator
+    moments, moment_scale = integer_row([t.second_moment() for t in data.component_tables])
+    self_term = Fraction(
+        sum(m * config.intersection[i][i] for i, m in enumerate(moments)), moment_scale
     )
-    crossing_term = sum(
-        (c2_local(table.entries) for table in data.crossing_tables), Fraction(0)
+    contributions, local_scale = integer_row(
+        [c2_local(t.entries) for t in data.crossing_tables]
     )
+    crossing_term = Fraction(sum(contributions), local_scale)
     c2 = Fraction(1, 2) * c1_sq - Fraction(1, 2) * self_term + crossing_term
     return ChernReport(coefficients, c1_sq, c2)
 

@@ -20,6 +20,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -62,15 +63,22 @@ EXIT_NO_STABLE = 4
 EXIT_INEQUALITY = 5
 
 
+def _integer(text: str) -> int:
+    """An ASCII integer ``[+-]?[0-9]+``, the type of every integer flag;
+    ``int`` alone also reads other Unicode digits and underscores."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _resolve_seed(args: argparse.Namespace) -> None:
     """Fill an absent ``--seed`` from ``FILTSTAB_SEED`` (0 when unset), read on each call."""
     if getattr(args, "seed", 0) is not None:
         return
-    text = os.environ.get(SEED_ENV_VAR, "0")
     try:
-        args.seed = int(text)
-    except ValueError:
-        raise DocumentParseError(f"not an integer: {text!r}", SEED_ENV_VAR) from None
+        args.seed = _integer(os.environ.get(SEED_ENV_VAR, "0"))
+    except argparse.ArgumentTypeError as error:
+        raise DocumentParseError(str(error), SEED_ENV_VAR) from None
 
 
 def _load_document(path: str) -> Any:
@@ -303,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     def add_samples(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help=(
+        sub.add_argument("--samples", type=_integer, default=DEFAULT_SAMPLES, help=(
             "random subspaces per dimension above rank 3; ranks 2 and 3 are exact "
             "and ignore it"
         ))
@@ -329,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="the rank picks the method: exact at ranks 2 and 3, sampled above",
     )
     add_samples(stability)
-    stability.add_argument("--seed", type=int, default=None)
+    stability.add_argument("--seed", type=_integer, default=None)
     stability.add_argument(
         "--depth", type=_retired("the closure runs a fixed number of rounds"),
         default=argparse.SUPPRESS, help=argparse.SUPPRESS,
@@ -341,11 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
         "upsilon", help="search for the minimal c2 / norm ratio"
     )
     upsilon.add_argument("--input", required=True)
-    upsilon.add_argument("--rank", type=int, required=True)
-    upsilon.add_argument("--budget", type=int, default=200)
-    upsilon.add_argument("--seed", type=int, default=None)
+    upsilon.add_argument("--rank", type=_integer, required=True)
+    upsilon.add_argument("--budget", type=_integer, default=200)
+    upsilon.add_argument("--seed", type=_integer, default=None)
     add_samples(upsilon)
-    upsilon.add_argument("--max-denominator", type=int, default=DEFAULT_MAX_DENOMINATOR)
+    upsilon.add_argument("--max-denominator", type=_integer, default=DEFAULT_MAX_DENOMINATOR)
     upsilon.add_argument(
         "--strategies",
         type=_retired("the search tries the document's configuration, then one fixed stream"),

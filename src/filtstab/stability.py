@@ -9,21 +9,23 @@ is non-negative; stability demands a strictly negative degree for every
 proper V.  The degree of a line depends only on the set of flag steps that
 contain it, and grows with that set; dually, the degree of a hyperplane
 grows with the set of flag steps it contains.  So lines reach their maximal
-degree at a generic line of some intersection of flag steps, and hyperplanes
-at a generic hyperplane through some sum of flag steps.  At ranks 2 and 3
-every proper subspace is a line or a hyperplane, so these finitely many,
-weight-independent candidates (:func:`_exact_subspaces`) decide stability
-exactly.  For higher rank the oracle is one-sided: witnesses of
-non-stability are exact certificates, while a clean sweep over the explored
-subspaces (the flag-step closure plus seeded random samples) only supports a
-heuristic verdict.  :func:`candidates_for` is the one place where the rank
-picks between the two.
+degree at a generic line of some member of the meet closure of the flag
+steps, which lies in exactly the steps containing that member, and
+hyperplanes at a generic hyperplane through some member of the sum
+closure, which contains exactly the steps inside it.  At ranks 2 and 3
+every proper subspace is a line or a hyperplane, so these members decide
+stability exactly, their incidences read from containment alone
+(:func:`_exact_candidates`); a generic subspace is built only for a
+witness.  Above rank 3 the oracle is one-sided: witnesses of non-stability
+are exact, while a clean sweep over the flag-step closure plus seeded
+random samples only supports a heuristic verdict.  :func:`candidates_for`
+is the one place where the rank picks between the two.
 
 Degrees are integer dot products over one flat slot layout, component i by
 component, step s by step, as in :class:`~filtstab.chern.WeightShape`.  A
 subspace V enters only through its graded incidence m_{i,s} = dim gr_s(V),
-the multiplicities of the flag F_i induced on V (one rank per flag, grown
-column by column, see :meth:`~filtstab.filtration.Filtration.step_mults`).
+the multiplicities of the flag F_i induced on V (above rank 3 one rank per
+flag, see :meth:`~filtstab.filtration.Filtration.step_mults`).
 With K_{i,s} = L deg(D_i) over the lcm L of the degree denominators
 (:func:`slot_degrees`, which the search's stability cone reads too) and the
 weights a = n / c over their own common denominator, the degree is
@@ -38,9 +40,10 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from operator import mul
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -151,19 +154,16 @@ def _incidence(subspace: Subspace, fc: FilteredConfiguration) -> tuple[int, ...]
     return tuple(m for f in fc.filtrations for m in f.incidence.step_mults(subspace))
 
 
-def _proper_flag_steps(fc: FilteredConfiguration) -> frozenset[Subspace]:
+def _proper_steps(flags: Iterable[Sequence[Subspace]]) -> frozenset[Subspace]:
     return frozenset(
-        space
-        for filt in fc.filtrations
-        for _, space in filt.steps
-        if 0 < space.dim < fc.rank
+        space for spaces in flags for space in spaces if 0 < space.dim < space.ambient_dim
     )
 
 
 def _closure(
     fc: FilteredConfiguration, depth: int, cap: int
 ) -> tuple[list[Subspace], bool]:
-    current = set(_proper_flag_steps(fc))
+    current = set(_proper_steps(_flags(fc)))
     capped = False
     for _ in range(depth):
         fresh: set[Subspace] = set()
@@ -230,59 +230,79 @@ def _generic_line(member: Subspace, steps: Iterable[Subspace]) -> Subspace:
 
 @dataclass(frozen=True)
 class Candidates:
-    """Subspaces whose degrees are evaluated for any weights on some flags.
+    """Members whose candidate subspaces are evaluated for any weights on some flags.
 
     ``flags`` holds the step spaces of each component's flag, the only
     input the candidates depend on, so one set serves every weighting of
-    those flags.  ``incidences[n]`` is the graded incidence of
-    ``subspaces[n]``: dim gr_s(V) of the flag F_i induced on V, for each
-    component i and step s, flat in slot order.
-    An ``exact`` set decides stability; any other is a flag-step closure,
-    and ``closure_capped`` records whether :data:`CLOSURE_CAP` truncated
-    it.  :func:`candidates_for` builds both kinds.
+    those flags.  ``incidences[n]`` is the graded incidence of the
+    candidate V = :meth:`subspace` (n): dim gr_s(V) of the flag F_i induced
+    on V, for each component i and step s, flat in slot order.
+    An ``exact`` set (:func:`_exact_candidates`) decides stability and
+    builds a candidate only when asked; any other is a flag-step closure,
+    and ``closure_capped`` records whether :data:`CLOSURE_CAP` truncated it.
     """
 
     flags: tuple[tuple[Subspace, ...], ...]
-    subspaces: tuple[Subspace, ...]
+    members: tuple[Subspace, ...]
     incidences: tuple[tuple[int, ...], ...]
     exact: bool
     closure_capped: bool
+    hyperplanes: int = 0
+
+    def subspace(self, n: int) -> Subspace:
+        """The candidate of ``members[n]``: a closure member itself, a generic
+        line (:func:`_generic_line`) of a line member, or the annihilator of
+        a generic line of a hyperplane member's annihilator, avoiding the
+        annihilated steps."""
+        member = self.members[n]
+        if not self.exact:
+            return member
+        steps = _proper_steps(self.flags)
+        if n < len(self.members) - self.hyperplanes:
+            return _generic_line(member, steps)
+        annihilated = [step.annihilator() for step in steps]
+        return _generic_line(member.annihilator(), annihilated).annihilator()
+
+    @cached_property
+    def subspaces(self) -> tuple[Subspace, ...]:
+        """Every candidate, in the order of ``incidences``."""
+        if not self.exact:
+            return self.members
+        return tuple(map(self.subspace, range(len(self.members))))
 
 
-def _generic_lines(steps: frozenset[Subspace], rank: int) -> list[Subspace]:
-    """A generic line in each member of the intersection closure of ``steps``.
+def _exact_candidates(flags: tuple[tuple[Subspace, ...], ...], rank: int) -> Candidates:
+    """The exact set at rank 2 or 3, its incidences read from containment.
 
-    The full space is added.  Up to rank 3 a line meets any subspace in
-    itself or zero, so one round over pairs of distinct planes closes it.
-    The meets and every containment test read the annihilator basis that
-    each step computes once (:meth:`~filtstab.linalg.Subspace.intersect`).
+    Line members close the flag steps under meets: the steps, the meets of
+    pairs of distinct step planes and the full space.  A generic line of M
+    meets a step S in itself when S contains M, else in zero.  Hyperplane
+    members (rank 3) close them under sums: the steps, the sums of pairs of
+    distinct step lines and the zero space.  A generic hyperplane through N
+    meets S in dim S - [S not inside N].  At rank 2 the hyperplanes are the
+    lines.  Each half is in :func:`~filtstab.linalg.sorted_subspaces` order;
+    the last ``hyperplanes`` members are the hyperplane half.
     """
+    steps = _proper_steps(flags)
     planes = [step for step in steps if step.dim == 2]
-    meets = steps | {a & b for a, b in combinations(planes, 2)} | {Subspace.full(rank)}
-    return [_generic_line(member, steps) for member in sorted_subspaces(meets)]
-
-
-def _exact_subspaces(fc: FilteredConfiguration) -> list[Subspace]:
-    """The finite set of lines and hyperplanes that decides stability at rank 2 or 3.
-
-    Lines: one generic line (:func:`_generic_line`) in each member of the
-    intersection closure of the proper flag steps, the full space included.
-    Any line V lies in exactly the flag steps containing the meet M of the
-    steps through V, and so does the generic line of M, so both have the
-    same degree.  Hyperplanes, at rank 3: dually, one generic hyperplane
-    through each member of the sum closure, the zero space included.
-    Taking annihilators reverses inclusion and turns sums into
-    intersections, so these are the annihilators of the generic lines of
-    the annihilated flag steps.  At rank 2 the hyperplanes are the lines
-    again and only the line half is built: the distinct flag lines plus one
-    generic line.
-    """
-    steps = _proper_flag_steps(fc)
-    subspaces = _generic_lines(steps, fc.rank)
-    if fc.rank == 3:
-        annihilated = frozenset(step.annihilator() for step in steps)
-        subspaces += [line.annihilator() for line in _generic_lines(annihilated, 3)]
-    return subspaces
+    lines = sorted_subspaces(
+        steps | {a & b for a, b in combinations(planes, 2)} | {Subspace.full(rank)}
+    )
+    step_lines = [step for step in steps if step.dim == 1]
+    hyperplanes = [] if rank < 3 else sorted_subspaces(
+        steps | {a + b for a, b in combinations(step_lines, 2)} | {Subspace.zero(rank)}
+    )
+    # dim(V ∩ S_s) of each candidate V with each step, then first differences
+    meet_dims = [[[int(v.contains(m)) for v in spaces] for spaces in flags] for m in lines]
+    meet_dims += [
+        [[v.dim - (not n.contains(v)) for v in spaces] for spaces in flags] for n in hyperplanes
+    ]
+    rows = tuple(
+        tuple(d - (s and dims[s - 1]) for dims in member for s, d in enumerate(dims))
+        for member in meet_dims
+    )
+    members = tuple(lines + hyperplanes)
+    return Candidates(flags, members, rows, True, False, len(hyperplanes))
 
 
 def candidates_for(fc: FilteredConfiguration) -> Candidates:
@@ -290,7 +310,7 @@ def candidates_for(fc: FilteredConfiguration) -> Candidates:
 
     The rank alone picks the method.  Rank 1 has no proper nonzero
     subspace: an empty exact set, and stability holds vacuously.  Ranks 2
-    and 3: the exact set of :func:`_exact_subspaces`.  Above rank 3, where
+    and 3: the exact set of :func:`_exact_candidates`.  Above rank 3, where
     no exact method is implemented: the proper flag steps closed under
     pairwise intersection and sum, :data:`CLOSURE_DEPTH` rounds at most,
     truncated at :data:`CLOSURE_CAP` members (``closure_capped``).  Closure
@@ -299,13 +319,14 @@ def candidates_for(fc: FilteredConfiguration) -> Candidates:
     steps drops flag steps too.  The set depends on the flags only and can
     be passed to :func:`check_stability` for every weighting of them.
     """
-    exact = fc.rank <= 3
-    if exact:
-        subspaces, capped = (_exact_subspaces(fc) if fc.rank > 1 else []), False
-    else:
-        subspaces, capped = _closure(fc, CLOSURE_DEPTH, CLOSURE_CAP)
-    incidences = tuple(_incidence(v, fc) for v in subspaces)
-    return Candidates(_flags(fc), tuple(subspaces), incidences, exact, capped)
+    flags = _flags(fc)
+    if fc.rank == 1:
+        return Candidates(flags, (), (), True, False)
+    if fc.rank <= 3:
+        return _exact_candidates(flags, fc.rank)
+    members, capped = _closure(fc, CLOSURE_DEPTH, CLOSURE_CAP)
+    incidences = tuple(_incidence(v, fc) for v in members)
+    return Candidates(flags, tuple(members), incidences, False, capped)
 
 
 def _flags(fc: FilteredConfiguration) -> tuple[tuple[Subspace, ...], ...]:
@@ -327,37 +348,33 @@ def _random_rows(
 
 
 def _verdict_from(
-    candidates: Sequence[Subspace],
+    subspace: Callable[[int], Subspace],
     numerators: Sequence[int],
     denominator: int,
     certainty: Certainty,
     metadata: dict,
 ) -> StabilityVerdict:
-    """The verdict from the degrees ``numerators[n] / denominator`` of ``candidates``.
+    """The verdict from the degrees ``numerators[n] / denominator`` of the candidates.
 
-    The witness is a candidate of maximal degree, the first in
-    :func:`~filtstab.linalg.sorted_subspaces` order among ties.
+    A stable verdict builds no candidate.  Otherwise ``subspace(n)`` builds
+    each candidate of maximal degree, and the witness is the first of them
+    in :func:`~filtstab.linalg.sorted_subspaces` order.
     """
     best_numerator = max(numerators)
-    best = sorted_subspaces(
-        c for c, n in zip(candidates, numerators) if n == best_numerator
-    )[0]
     best_degree = Fraction(best_numerator, denominator)
     observed = tuple(sorted(Fraction(n, denominator) for n in set(numerators)))
-    if best_degree > 0:
+    if best_degree < 0:
         return StabilityVerdict(
-            Status.UNSTABLE, Certainty.EXACT, best, best_degree, best_degree,
-            observed, metadata,
+            Status.STABLE, certainty, None, None, best_degree, observed, metadata
         )
-    if best_degree == 0:
-        # A degree-zero witness exactly certifies the failure of strict
-        # stability, so the verdict is exact even when found by sampling.
-        return StabilityVerdict(
-            Status.SEMISTABLE, Certainty.EXACT,
-            best, best_degree, best_degree, observed, metadata,
-        )
+    best = sorted_subspaces(
+        subspace(n) for n, numerator in enumerate(numerators) if numerator == best_numerator
+    )[0]
+    # A degree-zero witness exactly certifies the failure of strict
+    # stability, so the verdict is exact even when found by sampling.
+    status = Status.UNSTABLE if best_degree > 0 else Status.SEMISTABLE
     return StabilityVerdict(
-        Status.STABLE, certainty, None, None, best_degree, observed, metadata
+        status, Certainty.EXACT, best, best_degree, best_degree, observed, metadata
     )
 
 
@@ -372,14 +389,15 @@ def check_stability(
 
     The rank alone picks the method, through :func:`candidates_for`.  Rank 1
     is vacuously stable (verdict metadata mode ``"vacuous"``).  Ranks 2 and
-    3 are decided exactly and without sampling, from a finite set of lines
-    and (at rank 3) hyperplanes (mode ``"exact2"`` or ``"exact3"``);
-    ``samples`` and ``seed`` are ignored there.  Above rank 3 the check
-    explores the flag-step closure (:data:`CLOSURE_DEPTH` rounds) plus
-    ``samples`` seeded random subspaces of every intermediate dimension
-    (mode ``"heuristic"``); ``samples=0`` explores the closure only.
-    Destabilizing witnesses are exact at every rank; a stable verdict above
-    rank 3 is HEURISTIC.
+    3 are decided exactly and without sampling, from the stored incidences
+    of finitely many generic lines and (at rank 3) hyperplanes (mode
+    ``"exact2"`` or ``"exact3"``); ``samples`` and ``seed`` are ignored
+    there, and a subspace is built only for a witness, among the members of
+    maximal degree.  Above rank 3 the check explores the flag-step closure
+    (:data:`CLOSURE_DEPTH` rounds) plus ``samples`` seeded random subspaces
+    of every intermediate dimension (mode ``"heuristic"``); ``samples=0``
+    explores the closure only.  Destabilizing witnesses are exact at every
+    rank; a stable verdict above rank 3 is HEURISTIC.
 
     ``candidates`` passes the set of :func:`candidates_for` prebuilt, for
     instance once per flag shape; with its stored graded incidences each
@@ -395,17 +413,18 @@ def check_stability(
     elif candidates.flags != _flags(fc):
         raise ShapeMismatchError("candidates were built for other flags")
 
-    explored = list(candidates.subspaces)
     incidences = list(candidates.incidences)
     if candidates.exact:
-        if not explored:
+        if not incidences:
             # rank 1: no proper nonzero subspaces; the condition holds vacuously
             return StabilityVerdict(
                 Status.STABLE, Certainty.EXACT, None, None, None, (),
                 {"mode": "vacuous"},
             )
-        metadata = {"mode": f"exact{fc.rank}", "explored": len(explored)}
+        metadata = {"mode": f"exact{fc.rank}", "explored": len(incidences)}
+        subspace = candidates.subspace
     else:
+        explored = list(candidates.subspaces)
         rng = random.Random(seed)
         seen = set(explored)
         for dim in range(1, fc.rank):
@@ -420,13 +439,14 @@ def check_stability(
         metadata = {
             "mode": "heuristic",
             "explored": len(explored),
-            "closure_size": len(candidates.subspaces),
+            "closure_size": len(candidates.members),
             "closure_capped": candidates.closure_capped,
             "samples": samples,
             "seed": seed,
             "sample_height": SAMPLE_HEIGHT,
         }
+        subspace = explored.__getitem__
     coefficients, denominator = _degree_form(fc, config)
     numerators = [sum(map(mul, coefficients, x)) for x in incidences]
     certainty = Certainty.EXACT if candidates.exact else Certainty.HEURISTIC
-    return _verdict_from(explored, numerators, denominator, certainty, metadata)
+    return _verdict_from(subspace, numerators, denominator, certainty, metadata)

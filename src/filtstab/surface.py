@@ -19,7 +19,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import CoverageError, InvariantError
-from .linalg import as_fraction, rational_to_string, span
+from .linalg import as_fraction, integer_row, rational_to_string, span
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,11 @@ class DivisorConfiguration:
                 raise InvariantError(f"component {self.names[i]!r} has negative degree")
 
     def form(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        """Intersection number u^T M v of the cycles sum_i u_i D_i and sum_j v_j D_j."""
-        return sum(
-            (x * sum(map(mul, row, v)) for x, row in zip(u, self.intersection) if x),
-            Fraction(0),
-        )
+        """Intersection number u^T M v of the cycles sum_i u_i D_i and sum_j v_j D_j,
+        summed in integers over the common denominators of u and v."""
+        (us, u_scale), (vs, v_scale) = integer_row(u), integer_row(v)
+        total = sum(x * sum(map(mul, row, vs)) for x, row in zip(us, self.intersection) if x)
+        return Fraction(total, u_scale * v_scale)
 
     def pairing(self, coefficients: Sequence[Fraction]) -> Fraction:
         """Self-intersection number of the cycle sum_i c_i * D_i."""

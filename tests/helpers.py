@@ -30,7 +30,7 @@ from filtstab import (
     span,
 )
 from filtstab.linalg import rational_to_string
-from filtstab.stability import _moment_point, _proper_flag_steps
+from filtstab.stability import _moment_point
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -630,7 +630,7 @@ def reference_closure(
     fc: FilteredConfiguration, depth: int, cap: int
 ) -> tuple[list[Subspace], bool]:
     """The flag-step closure computing every pairwise meet and sum, capped."""
-    current = set(_proper_flag_steps(fc))
+    current = {s for f in fc.filtrations for _, s in f.steps if 0 < s.dim < fc.rank}
     capped = False
     for _ in range(depth):
         fresh: set[Subspace] = set()
@@ -694,6 +694,33 @@ def reference_generic_line(member: Subspace, steps) -> Subspace:
         if not any(reference_contains(step, [point], n) for step in avoid):
             return span([point], n)
     raise AssertionError("unreachable: more roots than the degree allows")
+
+
+def reference_form(config: DivisorConfiguration, u, v) -> Fraction:
+    """u^T M v, summed entry by entry in ``Fraction`` from a ``Fraction(0)`` start."""
+    total = Fraction(0)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            total += Fraction(x) * config.intersection[i][j] * Fraction(y)
+    return total
+
+
+def reference_c2_number(data, config: DivisorConfiguration) -> Fraction:
+    """c1^2 / 2 - sum_i M_ii sum_a a^2 m / 2 - sum over crossing tables of
+    sum a b m, each sum taken in ``Fraction`` from the table entries."""
+    c1 = [-sum((w * m for w, m in t.entries), Fraction(0)) for t in data.component_tables]
+    self_term = sum(
+        (
+            w * w * m * config.intersection[i][i]
+            for i, t in enumerate(data.component_tables)
+            for w, m in t.entries
+        ),
+        Fraction(0),
+    )
+    crossing_term = -sum(
+        (a * b * m for t in data.crossing_tables for a, b, m in t.entries), Fraction(0)
+    )
+    return reference_form(config, c1, c1) / 2 - self_term / 2 + crossing_term
 
 
 def reference_stability_cone(shape, incidences) -> tuple[tuple[Fraction, ...], ...]:

@@ -32,7 +32,10 @@ from filtstab.serialize import canonical_json, input_document
 from helpers import (
     random_balanced_configuration,
     random_divisor_config,
+    random_realizable_config,
     rational_inputs,
+    reference_c2_number,
+    reference_form,
     reference_norm_value,
 )
 
@@ -145,6 +148,48 @@ class TestC2Number:
         data = FilteredSystemData(2, tables, (bogus,))
         with pytest.raises(ShapeMismatchError):
             c2_number(data, config)
+
+
+    def test_matches_the_fraction_sums(self):
+        # balanced and unbalanced flags, on formal and realizable
+        # configurations with crossing points
+        rng = random.Random(109)
+        for _ in range(40):
+            rank = rng.randint(1, 3)
+            config = (
+                random_realizable_config(rng) if rng.random() < 0.5
+                else random_divisor_config(rng, rng.randint(1, 4))
+            )
+            n = config.n_components
+            fc = random_balanced_configuration(rng, rank, n)
+            shift = F(rng.randint(-3, 3), rng.randint(1, 4))
+            fc = FilteredConfiguration(rank, tuple(
+                Filtration(rank, tuple((w + shift * (i % 2), s) for w, s in f.steps))
+                for i, f in enumerate(fc.filtrations)
+            ))
+            data = derive_tables(fc, config)
+            report = c2_number(data, config)
+            assert report.c2 == reference_c2_number(data, config)
+            assert type(report.c2) is Fraction
+
+
+class TestForm:
+    def test_matches_the_fraction_sum(self):
+        rng = random.Random(113)
+        for _ in range(60):
+            config = random_divisor_config(rng, rng.randint(1, 5))
+            n = config.n_components
+
+            def vector():
+                return [
+                    rng.choice([rng.randint(-4, 4), F(rng.randint(-9, 9), rng.randint(1, 6))])
+                    for _ in range(n)
+                ]
+
+            u, v = vector(), vector()
+            assert config.form(u, v) == reference_form(config, u, v)
+            assert type(config.form(u, v)) is Fraction
+            assert config.pairing(u) == reference_form(config, u, u)
 
 
 class TestDeriveTables:

@@ -433,6 +433,37 @@ def test_seed_env_variable(tmp_path, monkeypatch, capsys):
     assert read_report(out)["manifest"]["options"]["seed"] == 77
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--budget", "\uff12"), ("--seed", "1_0"), ("--rank", " 2"), ("--samples", "\u0662")],
+    ids=["fullwidth", "underscore", "space", "arabic-indic"],
+)
+def test_integer_flags_read_ascii_digits_only(tmp_path, capsys, flag, value):
+    # int() alone reads any Unicode decimal and underscores
+    assert int(value.strip()) in (2, 10)
+    path = write_document(tmp_path, "triangle.json", input_document(three_generic_lines()[0]))
+    argv = ["upsilon", "--input", path, "--rank", "2", "--budget", "2", "--quiet"]
+    assert main([*argv, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: not an integer: {value!r}" in err
+
+
+def test_seed_env_variable_reads_ascii_digits_only(tmp_path, capsys, monkeypatch):
+    config, fc = three_generic_lines()
+    path = write_document(tmp_path, "tgl.json", input_document(config, fc))
+    out = tmp_path / "verdict.json"
+    monkeypatch.setenv("FILTSTAB_SEED", "\uff13")
+    assert main(["stability", "--input", path, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "parse error: FILTSTAB_SEED: not an integer: '\uff13'\n"
+    assert not out.exists()
+    # a negative seed is still an integer, from the flag and the variable
+    assert main(["stability", "--input", path, "--seed", "-1", "--output", str(out)]) == 0
+    assert read_report(out)["manifest"]["options"]["seed"] == -1
+    monkeypatch.setenv("FILTSTAB_SEED", "-3")
+    assert main(["stability", "--input", path, "--output", str(out)]) == 0
+    assert read_report(out)["manifest"]["options"]["seed"] == -3
+
+
 @pytest.mark.parametrize("root", [0, "x", []], ids=["number", "string", "list"])
 def test_blowup_of_a_non_object_document_exits_2(tmp_path, capsys, root):
     path = write_document(tmp_path, "root.json", root)

@@ -25,7 +25,7 @@ from filtstab import (
     shape_of,
     span,
 )
-from filtstab import linalg
+from filtstab import linalg, upsilon
 from filtstab.linalg import ChainIncidence, _rank_growth
 from helpers import (
     blown_up_r4,
@@ -321,6 +321,62 @@ def test_prebuilt_incidences_follow_reweighting(rank):
             assert check_stability(reweighted, config, candidates=found) == (
                 check_stability(reweighted, config)
             )
+
+
+def _special_position_shapes() -> list[FilteredConfiguration]:
+    """Rank-3 flags whose steps meet in special position, each flag weighted
+    len, len - 1, ... along its steps."""
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    full = Subspace.full(3)
+
+    def flag(*rows_per_step):
+        spaces = [span(rows, 3) for rows in rows_per_step] + [full]
+        return Filtration(3, tuple((F(len(spaces) - s), v) for s, v in enumerate(spaces)))
+
+    shared = [(e1, e2)]
+    return [
+        # flags that share a plane
+        FilteredConfiguration(3, (
+            flag([e1], *shared), flag([e2], *shared), flag(*shared), flag([e3]),
+        )),
+        # a step line inside another flag's plane
+        FilteredConfiguration(3, (flag([(1, 1, 0)]), flag([e1, e2]), flag([e3], [e3, e1]))),
+        # three step planes through one line
+        FilteredConfiguration(3, (
+            flag([e1, e2]), flag([e1, e3]), flag([e1], [e1, (0, 1, 1)]), flag([e2]),
+        )),
+        # repeated flags
+        FilteredConfiguration(3, (flag([e1], [e1, e2]),) * 3),
+        FilteredConfiguration(3, (flag([e1], [e1, e2]), flag([e1], [e1, e2]), flag([e3]))),
+    ]
+
+
+def _search_shapes(rank: int, seed: int) -> list[FilteredConfiguration]:
+    """The search's own coincident, generic and random shapes."""
+    rng = random.Random(seed)
+    shapes = []
+    for kind in upsilon.SHAPE_KINDS * 12:
+        fc = upsilon._make_shape(kind, rng, rank, rng.randint(1, 4))
+        if not fc.is_trivial:
+            shapes.append(fc)
+    return shapes
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_containment_incidences_match_the_rank_on_special_shapes(rank):
+    # the exact incidences are read from containment of flag steps; on
+    # shapes where containment is not generic they must still be the
+    # ranked incidences of the generic lines and hyperplanes built for them
+    shapes = _search_shapes(rank, 700 + rank)
+    if rank == 3:
+        shapes += _special_position_shapes()
+    for fc in shapes:
+        found = candidates_for(fc)
+        assert found.exact and len(found.incidences) == len(found.members)
+        assert found.incidences == tuple(
+            tuple(m for f in fc.filtrations for m in f.step_mults(v))
+            for v in found.subspaces
+        )
 
 
 def test_prebuilt_set_from_other_flags_rejected():

@@ -25,7 +25,6 @@ from filtstab.stability import (
     CLOSURE_DEPTH,
     _closure,
     _generic_line,
-    _generic_lines,
     _random_rows,
 )
 from helpers import (
@@ -155,7 +154,9 @@ class TestCandidateSubspaces:
             families = [frozenset(proper_steps(fc))]
             if rank == 3:
                 families.append(frozenset(s.annihilator() for s in families[0]))
-            for steps in families:
+            found = candidates_for(fc)
+            lines = len(found.members) - found.hyperplanes
+            for family, steps in enumerate(families):
                 members = closed_under(Subspace.intersect, steps | {Subspace.full(rank)})
                 members.discard(Subspace.zero(rank))
                 expected = [reference_generic_line(m, steps) for m in sorted_subspaces(members)]
@@ -168,9 +169,20 @@ class TestCandidateSubspaces:
                         if not reference_contains(step, member.rows, rank)
                     )
                     skipped_first_point += line != span(member.basis[:1], rank)
-                if rank <= 3:
-                    # there the members are the meets that _generic_lines closes over
-                    assert _generic_lines(steps, rank) == expected
+                if rank > 3:
+                    continue
+                # there the members are the line members of the exact set,
+                # and the annihilated ones those of its hyperplane members
+                if family == 0:
+                    assert list(found.members[:lines]) == sorted_subspaces(members)
+                    assert list(found.subspaces[:lines]) == expected
+                else:
+                    through = found.members[lines:]
+                    assert {n.annihilator() for n in through} == members
+                    assert found.subspaces[lines:] == tuple(
+                        reference_generic_line(n.annihilator(), steps).annihilator()
+                        for n in through
+                    )
         assert skipped_first_point
 
     def test_two_lines_closure(self):
@@ -267,6 +279,20 @@ class TestCandidateSubspaces:
         assert fractional
 
 
+def four_general_lines():
+    """Four flag lines in general position at rank 3: every line degree is
+    2/3 - 3*(1/3) = -1/3 or lower, every plane holds at most two flag lines
+    and stays negative as well, so the configuration is stable."""
+    names = ("A", "B", "C", "D")
+    ones = tuple(tuple(1 for _ in names) for _ in names)
+    config = DivisorConfiguration(names, (F(1),) * 4, ones)
+    lines = [span([v], 3) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))]
+    flags = tuple(
+        Filtration(3, ((F(2, 3), line), (F(-1, 3), Subspace.full(3)))) for line in lines
+    )
+    return config, FilteredConfiguration(3, flags)
+
+
 class TestCheckStabilityRank2:
     def test_all_trivial_semistable(self):
         config, _ = two_lines()
@@ -360,23 +386,7 @@ class TestCheckStabilityGeneral:
         assert verdict.witness == plane
 
     def test_rank3_stable_is_exact(self):
-        # four flag lines in general position: every line degree is
-        # 2/3 - 3*(1/3) = -1/3 or lower, every plane holds at most two
-        # flag lines and stays negative as well
-        names = ("A", "B", "C", "D")
-        ones = tuple(tuple(1 for _ in names) for _ in names)
-        config = DivisorConfiguration(names, (F(1),) * 4, ones)
-        lines = [
-            span([(1, 0, 0)], 3),
-            span([(0, 1, 0)], 3),
-            span([(0, 0, 1)], 3),
-            span([(1, 1, 1)], 3),
-        ]
-        flags = tuple(
-            Filtration(3, ((F(2, 3), line), (F(-1, 3), Subspace.full(3))))
-            for line in lines
-        )
-        fc = FilteredConfiguration(3, flags)
+        config, fc = four_general_lines()
         verdict = check_stability(fc, config, samples=100, seed=2)
         assert verdict.status is Status.STABLE
         assert verdict.certainty is Certainty.EXACT
@@ -563,6 +573,53 @@ class TestCheckStabilityRank3:
         found = candidates_for(fc).subspaces
         assert [c for c in found if parabolic_degree(c, fc, config) == 0] == [verdict.witness]
         assert brute_force_rank3(fc, config, height=2) == (Status.SEMISTABLE, 0)
+
+    def test_stable_verdict_builds_no_subspace(self, monkeypatch):
+        # the incidences come from containment, so a stable exact verdict
+        # needs no generic line or hyperplane
+        def refuse(*args):
+            raise AssertionError("built a generic subspace")
+
+        monkeypatch.setattr("filtstab.stability._generic_line", refuse)
+        for config, fc in (three_generic_lines(), four_general_lines()):
+            verdict = check_stability(fc, config)
+            assert verdict.status is Status.STABLE
+            assert verdict.certainty is Certainty.EXACT
+        with pytest.raises(AssertionError, match="built a generic subspace"):
+            candidates_for(fc).subspaces
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_witness_is_the_first_tied_reference_candidate(self, rank):
+        # a non-stable witness is built from the members of maximal degree
+        # only; it must be the first, in sorted_subspaces order, of the
+        # reference generic lines and hyperplanes of the tied members
+        rng = random.Random(310 + rank)
+        seen = set()
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            config = random_divisor_config(rng, n)
+            fc = random_balanced_configuration(
+                rng, rank, n, height=rng.randint(1, 2), nontrivial=True
+            )
+            verdict = check_stability(fc, config)
+            if verdict.status is Status.STABLE:
+                continue
+            found = candidates_for(fc)
+            steps = proper_steps(fc)
+            annihilated = {s.annihilator() for s in steps}
+            lines = len(found.members) - found.hyperplanes
+            references = [
+                reference_generic_line(member, steps) if index < lines
+                else reference_generic_line(member.annihilator(), annihilated).annihilator()
+                for index, member in enumerate(found.members)
+            ]
+            tied = [
+                v for v in references
+                if reference_parabolic_degree(v, fc, config) == verdict.witness_degree
+            ]
+            assert verdict.witness == sorted_subspaces(tied)[0]
+            seen.add((verdict.status, len(tied) > 1))
+        assert {tie for _, tie in seen} == {False, True}
 
     def test_no_sampling(self, monkeypatch):
         def refuse(*args, **kwargs):
