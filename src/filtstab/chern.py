@@ -241,7 +241,7 @@ class WeightShape:
         """The balance coordinates: (first, slot, m0, m) per step s >= 1, in slot order.
 
         first and slot are the slots of steps 0 and s, m0 and m their
-        multiplicities; a balanced w is :meth:`from_balance` of x_j = w[slot] / m0.
+        multiplicities; a balanced w is :meth:`from_balance` of :meth:`to_balance` (w).
         """
         return tuple(
             (offset, offset + s, mults[0], m)
@@ -261,6 +261,12 @@ class WeightShape:
             weights[slot] += m0 * value
             weights[first] -= m * value
         return tuple(weights)
+
+    def to_balance(self, weights: Sequence) -> tuple:
+        """The balance coordinates x_j = w[slot] / m0 over the :attr:`free_slots`
+        of balanced ``weights``, Fractions or floats: the inverse of
+        :meth:`from_balance` on the balance subspace."""
+        return tuple(weights[slot] / m0 for _, slot, m0, _ in self.free_slots)
 
     def norm_value(self, weights: Sequence[Fraction]) -> Fraction:
         """The squared norm sum mult * deg * w^2 over the slots, summed in

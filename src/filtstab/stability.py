@@ -40,7 +40,6 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -263,25 +262,22 @@ class Candidates:
         annihilated = [step.annihilator() for step in steps]
         return _generic_line(member.annihilator(), annihilated).annihilator()
 
-    @cached_property
-    def subspaces(self) -> tuple[Subspace, ...]:
-        """Every candidate, in the order of ``incidences``."""
-        if not self.exact:
-            return self.members
-        return tuple(map(self.subspace, range(len(self.members))))
-
 
 def _exact_candidates(flags: tuple[tuple[Subspace, ...], ...], rank: int) -> Candidates:
     """The exact set at rank 2 or 3, its incidences read from containment.
 
     Line members close the flag steps under meets: the steps, the meets of
     pairs of distinct step planes and the full space.  A generic line of M
-    meets a step S in itself when S contains M, else in zero.  Hyperplane
+    meets a step S in itself when S contains M, else in zero, so its
+    incidence is the unit vector at the first step containing M.  Hyperplane
     members (rank 3) close them under sums: the steps, the sums of pairs of
     distinct step lines and the zero space.  A generic hyperplane through N
-    meets S in dim S - [S not inside N].  At rank 2 the hyperplanes are the
-    lines.  Each half is in :func:`~filtstab.linalg.sorted_subspaces` order;
-    the last ``hyperplanes`` members are the hyperplane half.
+    meets S in dim S - [S not inside N], so its incidence is the step
+    multiplicities less 1 at the first step not inside N.  The steps of a
+    flag grow, so each test stops at that first step.  At rank 2 the
+    hyperplanes are the lines.  Each half is in
+    :func:`~filtstab.linalg.sorted_subspaces` order; the last
+    ``hyperplanes`` members are the hyperplane half.
     """
     steps = _proper_steps(flags)
     planes = [step for step in steps if step.dim == 2]
@@ -292,17 +288,24 @@ def _exact_candidates(flags: tuple[tuple[Subspace, ...], ...], rank: int) -> Can
     hyperplanes = [] if rank < 3 else sorted_subspaces(
         steps | {a + b for a, b in combinations(step_lines, 2)} | {Subspace.zero(rank)}
     )
-    # dim(V ∩ S_s) of each candidate V with each step, then first differences
-    meet_dims = [[[int(v.contains(m)) for v in spaces] for spaces in flags] for m in lines]
-    meet_dims += [
-        [[v.dim - (not n.contains(v)) for v in spaces] for spaces in flags] for n in hyperplanes
+    mults = [
+        [v.dim - (s and spaces[s - 1].dim) for s, v in enumerate(spaces)] for spaces in flags
     ]
-    rows = tuple(
-        tuple(d - (s and dims[s - 1]) for dims in member for s, d in enumerate(dims))
-        for member in meet_dims
-    )
+    rows = []
+    for m in lines:
+        row = []
+        for spaces in flags:
+            first = next(s for s, v in enumerate(spaces) if v.contains(m))
+            row += [int(s == first) for s in range(len(spaces))]
+        rows.append(tuple(row))
+    for n in hyperplanes:
+        row = []
+        for spaces, ks in zip(flags, mults):
+            first = next(s for s, v in enumerate(spaces) if not n.contains(v))
+            row += [k - (s == first) for s, k in enumerate(ks)]
+        rows.append(tuple(row))
     members = tuple(lines + hyperplanes)
-    return Candidates(flags, members, rows, True, False, len(hyperplanes))
+    return Candidates(flags, members, tuple(rows), True, False, len(hyperplanes))
 
 
 def candidates_for(fc: FilteredConfiguration) -> Candidates:
@@ -424,7 +427,7 @@ def check_stability(
         metadata = {"mode": f"exact{fc.rank}", "explored": len(incidences)}
         subspace = candidates.subspace
     else:
-        explored = list(candidates.subspaces)
+        explored = list(candidates.members)
         rng = random.Random(seed)
         seen = set(explored)
         for dim in range(1, fc.rank):

@@ -2,26 +2,25 @@
 
 With the flag subspaces frozen, both the second Chern number and the squared
 norm are quadratic forms in the step weights, and every candidate degree is
-linear in them: the stable weights of a shape form an open polyhedral cone,
-built once per shape as integer rows over the lcm L of the degree
-denominators (:func:`stability_cone`).  The inner problem is stated once,
-exactly, in the balance coordinates x of
+linear in them: the stable weights of a shape form an open polyhedral cone.
+The inner problem is stated once, exactly, in the balance coordinates x of
 :meth:`~filtstab.chern.WeightShape.from_balance`: the integer forms of
-:meth:`~filtstab.chern.QuadraticPair.balanced_forms` and the cone's reduced
-integer rows (:func:`_reduced_rows`).  Whether the cone is empty is decided
-from those rows in integers, and the same test gives a point y inside a
-non-empty cone.  There an active-set descent over the cone's faces reads the
-doubles of those integers (:func:`inner_minimize`, :func:`_descend`, the only
-numpy code, imported on the first non-empty cone, so importing the package
-does not load it), and :func:`rationalize` rounds the minimizer, re-balances
-it and steps exactly along y until it is strictly inside, so the stability,
-c2 and norm of every proposal are exact.  The outer loop walks one stream of
-flag shapes (a given start first and once, then seeded random, coincident
-and generic shapes in turn), keeps the best configuration that certifies
-stable, and reports its ratio as an upper bound, next to the lower bound 0.
-Distinct shapes often pose the same inner problem (at rank 2 it depends only
-on which flag lines coincide), so a search solves and rationalizes once per
-distinct (quadratic pair, set of cone rows).
+:meth:`~filtstab.chern.QuadraticPair.balanced_forms` and the cone's
+primitive integer rows (:func:`stability_cone`).  Whether the cone is empty
+is decided from those rows in integers, and the same test gives an integer
+point y inside a non-empty cone.  There an active-set descent over the
+cone's faces reads the doubles of those integers (:func:`inner_minimize`,
+:func:`_descend`, the only numpy code, imported on the first non-empty cone,
+so importing the package does not load it), and :func:`rationalize` rounds
+the minimizer, re-balances it and steps exactly along y until it is strictly
+inside, so the stability, c2 and norm of every proposal are exact.  The
+outer loop walks one stream of flag shapes (a given start first and once,
+then seeded random, coincident and generic shapes in turn), keeps the best
+configuration that certifies stable, and reports its ratio as an upper
+bound, next to the lower bound 0.  Distinct shapes often pose the same inner
+problem (at rank 2 it depends only on which flag lines coincide), so a
+search builds the cone, solves and rationalizes once per distinct (quadratic
+pair, set of candidate incidences).
 
 Weight vectors are flat tuples ordered component by component, step by step,
 as a :class:`WeightShape` records them.
@@ -87,78 +86,60 @@ ConeRows = tuple[tuple[int, ...], ...]
 
 
 def stability_cone(shape: WeightShape, incidences: Sequence[Sequence[int]]) -> ConeRows:
-    """Integer rows of the open cone {w : row . w < 0 for all rows} of a flag shape.
+    """Primitive integer rows h of the open stability cone {x : h . x < 0} of a
+    flag shape, in the balance coordinates x of
+    :meth:`~filtstab.chern.WeightShape.from_balance`, deduplicated and sorted:
+    the cone depends on the set of ``incidences`` only.
 
-    The rows are held over L, the lcm of the degree denominators, with
-    K_{i,s} = L deg(D_i) at every slot (:func:`~filtstab.stability.slot_degrees`).
-    A candidate subspace V gives the row g_V = K m elementwise, with
-    m_{i,s} = dim gr_s(V) its flat graded incidence, so g_V . w / L is the
-    parabolic degree of V by definition.  These rows come first, in the
-    order of ``incidences``; then one row L (w_{i,s+1} - w_{i,s}) per pair
-    of adjacent steps.  Scaling by L > 0 keeps the open cone as it is.
-    With the incidences of :func:`~filtstab.stability.candidates_for`,
-    weights at ranks 2 and 3 are stable exactly when they lie in the cone;
-    above, where the set is the flag-step closure, the cone contains the
-    stable weights.
+    A candidate V of flat graded incidence m_{i,s} = dim gr_s(V) has the
+    weight row K m, with K_{i,s} = L deg(D_i) over the lcm L of the degree
+    denominators (:func:`~filtstab.stability.slot_degrees`), so its product
+    with the weights over L is the parabolic degree of V; each pair of
+    adjacent steps has the weight row w_{i,s+1} - w_{i,s}.  A weight row r
+    reads h . x over the ``free_slots``, h = r[slot] m0 - r[first] m, and
+    making h primitive keeps its open half-space.  With the incidences of
+    :func:`~filtstab.stability.candidates_for`, balanced weights at ranks 2
+    and 3 are stable exactly when their x lies in the cone; above, where the
+    set is the flag-step closure, the cone contains the stable ones.
     """
-    degrees, scale = slot_degrees(shape.degrees, shape.step_counts)
+    degrees, _ = slot_degrees(shape.degrees, shape.step_counts)
     rows = [tuple(map(mul, degrees, incidence)) for incidence in incidences]
     for i, count in enumerate(shape.step_counts):
         for s in range(count - 1):
             row = [0] * shape.size
-            row[shape.slot(i, s)] = -scale
-            row[shape.slot(i, s + 1)] = scale
-            rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _reduced_rows(shape: WeightShape, cone: ConeRows) -> list[tuple[int, ...]]:
-    """The cone's rows in balance coordinates, primitive, deduplicated and sorted.
-
-    Over the ``shape.free_slots``, row . w = h . x at w = ``shape.from_balance(x)``
-    with h = r[slot] m0 - r[first] m; scaling h to be primitive keeps its
-    open half-space, and the sorted set depends on the set of rows only.
-    """
+            row[shape.slot(i, s)], row[shape.slot(i, s + 1)] = -1, 1
+            rows.append(row)
     reduced = set()
-    for r in cone:
+    for r in rows:
         h = [r[slot] * m0 - r[first] * m for first, slot, m0, m in shape.free_slots]
         content = math.gcd(*h) or 1
         reduced.add(tuple(x // content for x in h))
-    return sorted(reduced)
+    return tuple(sorted(reduced))
 
 
-def _seed_coordinates(shape: WeightShape) -> list[Fraction]:
-    """The balance coordinates x = w[slot] / m0 of the balanced seed weights."""
-    seed = _balanced_weights(shape, shape.seed_weights)
-    return [seed[slot] / m0 for _, slot, m0, _ in shape.free_slots]
+def _seed_coordinates(shape: WeightShape) -> tuple[Fraction, ...]:
+    """The balance coordinates of the balanced seed weights."""
+    return shape.to_balance(_balanced_weights(shape, shape.seed_weights))
 
 
-def _interior(shape: WeightShape, rows: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
-    """Integer balance coordinates x with h . x < 0 for every reduced row h, or None.
+def _interior(seed: Sequence[Fraction], cone: ConeRows) -> Optional[tuple[int, ...]]:
+    """Integer balance coordinates y with h . y < 0 for every row h, or None.
 
-    The seed's x, scaled to integers, when it satisfies all of them;
-    otherwise :func:`~filtstab.linalg.open_cone_point` finds one or proves,
-    in integers, that there is none.
+    The ``seed`` coordinates, scaled to integers, when they satisfy all of
+    them; otherwise :func:`~filtstab.linalg.open_cone_point` finds one or
+    proves, in integers, that there is none.
     """
-    point, _ = integer_row(_seed_coordinates(shape))
-    if all(sum(map(mul, h, point)) < 0 for h in rows):
+    point, _ = integer_row(seed)
+    if all(sum(map(mul, h, point)) < 0 for h in cone):
         return point
-    return open_cone_point(rows)
-
-
-def _cone_point(shape: WeightShape, cone: ConeRows) -> Optional[tuple[int, ...]]:
-    """Balanced integer weights inside the open ``cone``, or None if it has none:
-    :func:`_interior` of :func:`_reduced_rows`, mapped back by
-    ``shape.from_balance``, so a balanced seed inside comes back times a
-    positive integer."""
-    point = _interior(shape, _reduced_rows(shape, cone))
-    return None if point is None else shape.from_balance(point)
+    return open_cone_point(cone)
 
 
 @dataclass(frozen=True)
 class InnerResult:
-    """Minimizer data for one fixed flag shape, with the exact interior point
-    (:func:`_cone_point`) that :func:`rationalize` steps along."""
+    """Minimizer data for one fixed flag shape, with ``interior``, the integer
+    balance coordinates y strictly inside the cone (:func:`_interior`) that
+    :func:`rationalize` steps along."""
 
     weights: tuple[float, ...]
     ratio: float
@@ -172,17 +153,17 @@ def inner_minimize(qp: QuadraticPair, cone: ConeRows) -> InnerResult:
     The problem is read in the balance coordinates x of
     :meth:`~filtstab.chern.WeightShape.from_balance`: the quotient
     x^T (C/4) x / x^T (N/s) x of :meth:`~filtstab.chern.QuadraticPair.balanced_forms`
-    over the cone's :func:`_reduced_rows`, the float solve reading the doubles
-    of those integers.  Weights come back at peak 1/2 with every row . w <= 0,
-    up to float error; :func:`rationalize` makes them exact and strictly inside.
+    over the rows h of ``cone`` (:func:`stability_cone`), read as given, the
+    float solve reading the doubles of those integers.  Weights come back at
+    peak 1/2, their x with every h . x <= 0 up to float error;
+    :func:`rationalize` makes them exact and strictly inside.
 
     Three exact tests come first.  A shape whose flags are all trivial, or
     whose norm is not definite on the balance subspace (a component with two
     or more steps has degree 0), raises :class:`SingularFormError`.  A cone
     with no balanced point, decided in integers (:func:`_interior`), raises
     :class:`EmptyConeError`, so that error is a proof; on any other cone the
-    test gives the integer point y strictly inside, carried in weights as
-    ``interior``.
+    test gives the integer point y strictly inside, returned as ``interior``.
 
     The solve whitens the norm: with N/s = L L^T (Cholesky) and u = L^T x, the
     quotient is u^T C' u / u^T u.  :func:`_descend` runs over the rows, whitened
@@ -207,8 +188,8 @@ def inner_minimize(qp: QuadraticPair, cone: ConeRows) -> InnerResult:
             "norm form is not positive definite on the balance subspace "
             "(a weighted component has degree zero?)"
         )
-    rows = _reduced_rows(shape, cone)
-    point = _interior(shape, rows)
+    seed = _seed_coordinates(shape)
+    point = _interior(seed, cone)
     if point is None:
         raise EmptyConeError("the stability cone of this shape is empty")
 
@@ -221,7 +202,7 @@ def inner_minimize(qp: QuadraticPair, cone: ConeRows) -> InnerResult:
     unwhiten = np.linalg.inv(chol).T
     c = unwhiten.T @ a_red @ unwhiten
     c = 0.5 * (c + c.T)
-    g = np.array(rows, dtype=float)
+    g = np.array(cone, dtype=float)
 
     def peak_half(x: np.ndarray) -> np.ndarray:
         return x * (0.5 / max(map(abs, shape.from_balance(x))))
@@ -230,7 +211,7 @@ def inner_minimize(qp: QuadraticPair, cone: ConeRows) -> InnerResult:
     # strictly decrease) where it lies in the closed cone and is not the
     # interior point already, as it is when the seed lies inside
     starts = [peak_half(np.array(point, dtype=float))]
-    seed = peak_half(np.array(_seed_coordinates(shape), dtype=float))
+    seed = peak_half(np.array(seed, dtype=float))
     if np.all(g @ seed <= _TOLERANCE) and not np.allclose(seed, starts[0]):
         starts.append(seed)
     walls = g @ unwhiten
@@ -247,7 +228,7 @@ def inner_minimize(qp: QuadraticPair, cone: ConeRows) -> InnerResult:
             best_x, best_ratio = x, ratio
     boundary = all(blocked for _, blocked in descents)
     weights = tuple(map(float, shape.from_balance(best_x)))
-    return InnerResult(weights, best_ratio, boundary, shape.from_balance(point))
+    return InnerResult(weights, best_ratio, boundary, point)
 
 
 def _descend(c, walls, x):
@@ -312,14 +293,17 @@ def rationalize(
 
     Each coordinate moves to the nearest rational with denominator at most
     ``max_denominator``, and every component is shifted back onto its exact
-    balance constraint.  Where some row of ``cone`` is then >= 0, the point
-    x steps to x + t y along ``interior``, a balanced integer y with every
-    row . y < 0 (:class:`InnerResult`).  Each row r needs t > r . x / -r . y;
-    t is twice the largest of these bounds, read in integers over the
-    distinct rows, so every row, the step-ordering rows included, ends below
-    zero in exact arithmetic and no two steps merge.  When the largest bound
-    is 0 (x on a face, where r . x <= 0 for every row), any t > 0 is exact,
-    and t = 1 / (``max_denominator``^2 max |y|) lies below the rounding grid.
+    balance constraint, giving w with balance coordinates
+    x = ``shape.to_balance(w)``.  Where some row h of ``cone`` has h . x >= 0,
+    x steps to x + t y along ``interior``, the integer balance coordinates y
+    with every h . y < 0 (:class:`InnerResult`).  Each row needs
+    t > h . x / -h . y; t is twice the largest of these bounds, read in
+    integers, so every row, the step-ordering rows included, ends below zero
+    in exact arithmetic and no two steps merge.  When the largest bound is 0
+    (x on a face, where h . x <= 0 for every row), any t > 0 is exact, and
+    t = 1 / (``max_denominator``^2 max |Y|) lies below the rounding grid,
+    with Y = ``shape.from_balance(y)`` the weights of y.  The step is taken
+    in weights, w + t Y.
     """
     if len(weights) != shape.size:
         raise DimensionMismatchError(
@@ -336,19 +320,20 @@ def rationalize(
     out = _balanced_weights(shape, rounded)
     # x = numerators / scale; the largest bound is top / (under * scale),
     # kept as the integer pair (top, under > 0) and compared crosswise
-    numerators, scale = integer_row(out)
+    numerators, scale = integer_row(shape.to_balance(out))
     top, under = -1, 1
-    for row in set(cone):
+    for row in cone:
         p, q = sum(map(mul, row, numerators)), -sum(map(mul, row, interior))
         if p * under > top * q:
             top, under = p, q
     if top < 0:
         return out
+    step = shape.from_balance(interior)
     if top:
         t = Fraction(2 * top, under * scale)
     else:
-        t = Fraction(1, max_denominator**2 * max(map(abs, interior)))
-    return tuple(x + t * y for x, y in zip(out, interior))
+        t = Fraction(1, max_denominator**2 * max(map(abs, step)))
+    return tuple(w + t * y for w, y in zip(out, step))
 
 
 @dataclass(frozen=True)
@@ -464,9 +449,10 @@ def outer_search(
     cone is proven empty count as ``empty_cone``.
     The minimizer over the closed cone is rationalized at denominators up
     to ``max_denominator`` and stepped strictly inside the open cone
-    (:func:`rationalize`); both run once per distinct (quadratic pair, set
-    of cone rows) in this call, and a shape posing an already solved
-    problem reuses that outcome, failures included.  The rationalized
+    (:func:`rationalize`).  The cone is built, solved and rationalized once
+    per distinct (quadratic pair, set of candidate incidences) in this
+    call, and a shape posing an already solved problem reuses that outcome,
+    failures included.  The rationalized
     minimizer is kept when :func:`check_stability` (sampling with
     ``samples`` above rank 3) calls it stable, which at ranks 2 and 3 it
     always does; c2 and the norm come from the exact :class:`QuadraticPair`.
@@ -563,20 +549,21 @@ def _solve_shape(
 
     Returns the fields of an :class:`UpsilonEstimate` when the minimizer is
     stable, else None; ``counts`` records what happened either way.  The
-    solve and rounding read only the quadratic pair and the set of cone
-    rows, so ``solved`` keeps their outcome under that key, and a shape
-    posing a problem solved before in the same search reuses it; the
-    candidates, the cone, the stability check, c2, the norm and every count
-    are still computed for this shape.
+    cone, the solve and the rounding read only the quadratic pair and the
+    set of candidate incidences, so ``solved`` keeps their outcome under
+    that key, and a shape posing a problem solved before in the same search
+    reuses it (positive degrees make m -> K m one to one, so the key groups
+    shapes as the set of weight rows would).  The candidates, the stability
+    check, c2, the norm and every count are still computed for this shape.
     """
     qp = assemble_quadratics(shape_fc, config)
     shape = qp.shape
     # weight-independent, so built once for the cone and the final check
     candidates = candidates_for(shape_fc)
-    cone = stability_cone(shape, candidates.incidences)
-    key = (qp, frozenset(cone))
+    key = (qp, frozenset(candidates.incidences))
     outcome = solved.get(key)
     if outcome is None:
+        cone = stability_cone(shape, candidates.incidences)
         outcome = solved[key] = _solve_and_round(qp, cone, max_denominator)
     if isinstance(outcome, str):
         counts[outcome] += 1

@@ -7,7 +7,7 @@ import random
 import re
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -126,6 +126,12 @@ def sort_key(subspace: Subspace) -> tuple:
     return (subspace.dim, subspace.rows)
 
 
+def candidate_subspaces(candidates) -> tuple[Subspace, ...]:
+    """Every candidate of a set, each built by ``candidates.subspace(n)``, in
+    the order of ``candidates.incidences``."""
+    return tuple(map(candidates.subspace, range(len(candidates.incidences))))
+
+
 def reference_intersection(rows_a, rows_b, width: int) -> tuple[tuple[Fraction, ...], ...]:
     """RREF basis of span(rows_a) ∩ span(rows_b) by Zassenhaus over ``Fraction``."""
     zero = [Fraction(0)] * width
@@ -223,14 +229,14 @@ def pairing_forms(fc, config) -> tuple[list[list[Fraction]], list[Fraction]]:
     return a, b
 
 
-def reference_balance_nullspace(qp) -> list[tuple[Fraction, ...]]:
-    """Basis of the balance subspace of a quadratic pair, by elimination.
+def reference_balance_nullspace(shape) -> list[tuple[Fraction, ...]]:
+    """Basis of the balance subspace of a weight shape, by elimination.
 
     The reduced row echelon form of the balance rows, then one basis vector
     per free column, in column order.
     """
-    size = qp.shape.size
-    reduced = span(balance_rows(qp.shape), size).rows
+    size = shape.size
+    reduced = span(balance_rows(shape), size).rows
     pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
     basis = []
     for free in (c for c in range(size) if c not in pivots):
@@ -253,7 +259,7 @@ def reference_cone_width(qp, cone) -> float:
     import numpy as np
     from scipy.optimize import linprog
 
-    n_mat = np.array([[float(x) for x in v] for v in reference_balance_nullspace(qp)]).T
+    n_mat = np.array([[float(x) for x in v] for v in reference_balance_nullspace(qp.shape)]).T
     size, d = n_mat.shape
     rows = np.unique(np.array([[float(x) for x in row] for row in cone]), axis=0)
     g = rows @ n_mat
@@ -285,7 +291,7 @@ def reference_cone_minimum(qp, cone) -> float:
     """
     import numpy as np
 
-    basis = reference_balance_nullspace(qp)
+    basis = reference_balance_nullspace(qp.shape)
 
     def polar(value, u, v):
         both = tuple(x + y for x, y in zip(u, v))
@@ -746,6 +752,59 @@ def reference_stability_cone(shape, incidences) -> tuple[tuple[Fraction, ...], .
             rows.append(tuple(row))
     return tuple(rows)
 
+
+
+def reference_balanced_cone(shape, incidences) -> tuple[tuple[int, ...], ...]:
+    """The rows of :func:`reference_stability_cone` in balance coordinates.
+
+    A balanced w with x_j = w[slot_j] / m0 is sum_j x_j m0 v_j over the
+    basis v_j of :func:`reference_balance_nullspace`, whose free column (its
+    one entry 1) is slot_j, so row . w = h . x with h_j = m0 (row . v_j).
+    Each h is scaled to a primitive integer row in ``Fraction``; the
+    distinct rows come sorted.
+    """
+    basis = reference_balance_nullspace(shape)
+    first_mults = [mults[0] for mults in shape.mults for _ in mults]
+    reduced = set()
+    for row in reference_stability_cone(shape, incidences):
+        h = [
+            first_mults[v.index(1)] * sum((r * x for r, x in zip(row, v)), Fraction(0))
+            for v in basis
+        ]
+        scaled = [int(x * lcm(*(y.denominator for y in h))) for x in h]
+        content = gcd(*scaled) or 1
+        reduced.add(tuple(x // content for x in scaled))
+    return tuple(sorted(reduced))
+
+
+def reference_rationalize(weights, shape, cone, interior, max_denominator=64):
+    """Rationalize over weight rows, summed in ``Fraction``.
+
+    Each weight goes to the nearest rational with denominator at most
+    ``max_denominator`` and each component is re-balanced
+    (:func:`reference_balanced`), giving w.  When some row of ``cone``
+    (:func:`reference_stability_cone`) has row . w >= 0, w steps to w + t y
+    along the balanced weights ``interior`` y: t is twice the largest
+    row . w / -row . y over the rows, or 1 / (max_denominator^2 max |y|)
+    when that largest is 0.
+    """
+    rounded = [
+        w if isinstance(w, Fraction) else Fraction(float(w)).limit_denominator(max_denominator)
+        for w in weights
+    ]
+    out = [
+        w for offset, mults in zip(shape.offsets, shape.mults)
+        for w in reference_balanced(rounded[offset : offset + len(mults)], mults)
+    ]
+    least = max(
+        sum((r * w for r, w in zip(row, out)), Fraction(0))
+        / -sum((r * y for r, y in zip(row, interior)), Fraction(0))
+        for row in cone
+    )
+    if least < 0:
+        return tuple(out)
+    t = 2 * least or Fraction(1, max_denominator**2 * max(map(abs, interior)))
+    return tuple(w + t * y for w, y in zip(out, interior))
 
 def every_result(fc, config):
     """c2 by the tables and by the trivial route, the squared norm and the verdict."""

@@ -31,6 +31,7 @@ from helpers import (
     blown_up_r4,
     brute_force_rank2,
     brute_force_rank3,
+    candidate_subspaces,
     every_result,
     random_balanced_configuration,
     random_balanced_filtration,
@@ -114,7 +115,7 @@ class TestParabolicDegree:
         rng = random.Random(70 + rank)
         for _ in range(20):
             fc = random_balanced_configuration(rng, rank, 3, nontrivial=True)
-            subspaces = candidates_for(fc).subspaces
+            subspaces = candidate_subspaces(candidates_for(fc))
             degrees = [reference_parabolic_degree(v, fc, config) for v in subspaces]
             assert [parabolic_degree(v, fc, config) for v in subspaces] == degrees
             verdict = check_stability(fc, config)
@@ -175,11 +176,11 @@ class TestCandidateSubspaces:
                 # and the annihilated ones those of its hyperplane members
                 if family == 0:
                     assert list(found.members[:lines]) == sorted_subspaces(members)
-                    assert list(found.subspaces[:lines]) == expected
+                    assert list(candidate_subspaces(found)[:lines]) == expected
                 else:
                     through = found.members[lines:]
                     assert {n.annihilator() for n in through} == members
-                    assert found.subspaces[lines:] == tuple(
+                    assert candidate_subspaces(found)[lines:] == tuple(
                         reference_generic_line(n.annihilator(), steps).annihilator()
                         for n in through
                     )
@@ -264,7 +265,7 @@ class TestCandidateSubspaces:
         for n in (2, 3, 3, 4):
             flags = tuple(random_balanced_filtration(rng, 4, steps=4) for _ in range(n))
             fc = FilteredConfiguration(4, flags)
-            members = list(candidates_for(fc).subspaces)
+            members = list(candidates_for(fc).members)
             reference = sorted(
                 members,
                 key=lambda s: (s.dim, tuple(tuple(F(x) for x in row) for row in s.rows)),
@@ -490,7 +491,7 @@ class TestCheckStabilityRank3:
                 rng, 3, n, height=rng.randint(1, 3), nontrivial=True
             )
             steps = proper_steps(fc)
-            found = candidates_for(fc).subspaces
+            found = candidate_subspaces(candidates_for(fc))
             lines = [c for c in found if c.dim == 1]
             planes = [c for c in found if c.dim == 2]
             assert len(lines) + len(planes) == len(found)
@@ -539,13 +540,13 @@ class TestCheckStabilityRank3:
                 line = _generic_line(member.annihilator(), annihilated)
                 assert line.annihilator() == hyperplane
                 expected.add(hyperplane)
-            planes = {c for c in candidates_for(fc).subspaces if c.dim == 2}
+            planes = {c for c in candidate_subspaces(candidates_for(fc)) if c.dim == 2}
             assert planes == expected
 
     def test_rank2_candidates_are_flag_lines_plus_one_generic_line(self):
         config, fc = three_generic_lines()
         flag_lines = sorted(proper_steps(fc), key=sort_key)
-        found = candidates_for(fc).subspaces
+        found = candidate_subspaces(candidates_for(fc))
         assert list(found[:-1]) == flag_lines
         assert found[-1] not in flag_lines
         verdict = check_stability(fc, config)
@@ -570,7 +571,7 @@ class TestCheckStabilityRank3:
         assert verdict.certainty is Certainty.EXACT
         assert verdict.witness == span([(1, 0, 0)], 3)
         assert verdict.witness_degree == 0
-        found = candidates_for(fc).subspaces
+        found = candidate_subspaces(candidates_for(fc))
         assert [c for c in found if parabolic_degree(c, fc, config) == 0] == [verdict.witness]
         assert brute_force_rank3(fc, config, height=2) == (Status.SEMISTABLE, 0)
 
@@ -586,7 +587,7 @@ class TestCheckStabilityRank3:
             assert verdict.status is Status.STABLE
             assert verdict.certainty is Certainty.EXACT
         with pytest.raises(AssertionError, match="built a generic subspace"):
-            candidates_for(fc).subspaces
+            candidate_subspaces(candidates_for(fc))
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_witness_is_the_first_tied_reference_candidate(self, rank):

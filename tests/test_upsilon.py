@@ -55,10 +55,13 @@ from helpers import (
     random_balanced_configuration,
     random_balanced_weights_for,
     random_divisor_config,
+    candidate_subspaces,
     reference_balance_nullspace,
+    reference_balanced_cone,
     reference_cone_minimum,
     reference_cone_width,
     reference_phase1_empty,
+    reference_rationalize,
     reference_stability_cone,
 )
 
@@ -106,6 +109,12 @@ def search_problems(config, rank, seed, budget=40):
         cone = stability_cone(qp.shape, incidences)
         problems.setdefault((qp, frozenset(cone)), (cone, incidences))
     return [(qp, cone, incidences) for (qp, _), (cone, incidences) in problems.items()]
+
+
+def interior_point(shape, cone):
+    """The integer balance coordinates inside ``cone`` that the solve starts
+    from, as :func:`inner_minimize` finds them, or None for an empty cone."""
+    return upsilon._interior(upsilon._seed_coordinates(shape), cone)
 
 
 @pytest.fixture
@@ -276,7 +285,7 @@ class TestAssembleQuadratics:
             fc = random_balanced_configuration(rng, rank, n)
             qp = assemble_quadratics(fc, random_divisor_config(rng, n))
             basis = free_slot_basis(qp.shape)
-            assert basis == reference_balance_nullspace(qp)
+            assert basis == reference_balance_nullspace(qp.shape)
             assert len(basis) == qp.shape.size - n
 
     def test_balanced_weights_are_their_free_slots(self):
@@ -320,6 +329,9 @@ class TestAssembleQuadratics:
             assert w == tuple(expected) and all(type(v) is int for v in w)
             assert all(sum(map(mul, row, w)) == 0 for row in balance_rows(shape))
             assert shape.from_balance([F(xj, 3) for xj in x]) == tuple(F(e, 3) for e in w)
+            assert shape.to_balance(shape.from_balance([F(xj, 3) for xj in x])) == tuple(
+                F(xj, 3) for xj in x
+            )
             assert shape.from_balance(list(map(float, x))) == tuple(map(float, w))
             multiplicities.update(m0 for _, _, m0, _ in shape.free_slots)
         assert max(multiplicities) > 1
@@ -353,12 +365,13 @@ class TestInnerMinimize:
         # each minimum lies on the cone's boundary
         solved = 0
         for config in search_configs():
-            for qp, cone, _ in search_problems(config, 2, 3):
-                if upsilon._cone_point(qp.shape, cone) is not None:
+            for qp, cone, incidences in search_problems(config, 2, 3):
+                if interior_point(qp.shape, cone) is not None:
                     result = inner_minimize(qp, cone)
                     assert result.boundary
+                    weight_rows = reference_stability_cone(qp.shape, incidences)
                     assert result.ratio == pytest.approx(
-                        reference_cone_minimum(qp, cone), abs=1e-9
+                        reference_cone_minimum(qp, weight_rows), abs=1e-9
                     )
                     solved += 1
         assert solved == 5
@@ -366,12 +379,13 @@ class TestInnerMinimize:
     def test_the_descent_reaches_the_face_walk_minimum_at_rank_3(self):
         # the walk is slow at rank 3, so it covers two boundary problems
         solved = 0
-        for qp, cone, _ in search_problems(three_generic_lines()[0], 3, 3):
-            if solved < 2 and upsilon._cone_point(qp.shape, cone) is not None:
+        for qp, cone, incidences in search_problems(three_generic_lines()[0], 3, 3):
+            if solved < 2 and interior_point(qp.shape, cone) is not None:
                 result = inner_minimize(qp, cone)
                 if result.boundary:
+                    weight_rows = reference_stability_cone(qp.shape, incidences)
                     assert result.ratio == pytest.approx(
-                        reference_cone_minimum(qp, cone), abs=1e-9
+                        reference_cone_minimum(qp, weight_rows), abs=1e-9
                     )
                     solved += 1
         assert solved == 2
@@ -397,7 +411,7 @@ class TestInnerMinimize:
         for config in search_configs():
             for rank in (2, 3):
                 for qp, cone, _ in search_problems(config, rank, 3):
-                    if upsilon._cone_point(qp.shape, cone) is not None:
+                    if interior_point(qp.shape, cone) is not None:
                         inner_minimize(qp, cone)
         assert steps and max(steps) <= 12 < upsilon._DESCENT_STEPS
 
@@ -460,8 +474,8 @@ class TestInnerMinimize:
                 for f in fc.filtrations:
                     if len(f.steps) > 1:
                         assert f.weights() == balanced(upsilon._half_steps(len(f.steps)), f.mults)
-                assert all(sum(g * w for g, w in zip(row, weights)) < 0
-                           for row in stability_cone(qp.shape, ()))
+                x = qp.shape.to_balance(weights)
+                assert all(sum(map(mul, row, x)) < 0 for row in stability_cone(qp.shape, ()))
                 assert all(
                     sum(w * m for w, m in zip(weights[qp.shape.offsets[i]:], mults)) == 0
                     for i, mults in enumerate(qp.shape.mults)
@@ -477,18 +491,22 @@ class TestExactCone:
         outcomes = Counter()
         for config in search_configs():
             for seed in (3, 7):
-                for qp, cone, _ in search_problems(config, rank, seed):
-                    point = upsilon._cone_point(qp.shape, cone)
+                for qp, cone, incidences in search_problems(config, rank, seed):
+                    weight_rows = reference_stability_cone(qp.shape, incidences)
+                    point = interior_point(qp.shape, cone)
                     empty = point is None
-                    assert empty == (reference_cone_width(qp, cone) <= 1e-9)
+                    assert empty == (reference_cone_width(qp, weight_rows) <= 1e-9)
                     outcomes[empty] += 1
                     if point is not None:
-                        # balanced integer weights strictly inside every row
+                        # integer coordinates strictly inside every row, whose
+                        # weights are balanced and inside every weight row
                         assert all(type(x) is int for x in point)
-                        assert not any(
-                            sum(map(mul, row, point)) for row in balance_rows(qp.shape)
-                        )
                         assert all(sum(map(mul, row, point)) < 0 for row in cone)
+                        weights = qp.shape.from_balance(point)
+                        assert not any(
+                            sum(map(mul, row, weights)) for row in balance_rows(qp.shape)
+                        )
+                        assert all(sum(map(mul, row, weights)) < 0 for row in weight_rows)
         assert outcomes[True] and outcomes[False]
 
     def test_fraction_reference_agrees_and_divisions_are_exact(self, monkeypatch):
@@ -527,40 +545,51 @@ class TestExactCone:
         assert linalg.open_cone_point([]) == ()
 
     def test_a_zero_reduced_row_makes_the_cone_empty(self):
-        # w_0 + w_1 is the balance form of a two-step flag of multiplicities
-        # (1, 1), so its reduced row is zero and no balanced w has it < 0
+        # the whole plane's incidence (1, 1) gives the weight row K (w_0 + w_1),
+        # the balance form of a two-step flag of multiplicities (1, 1), so its
+        # row in x is zero and no balanced w has it < 0
         shape = dataclasses.replace(
             single_conic()[0].shape, seed_weights=(F(1, 2), F(-1, 2))
         )
-        cone = stability_cone(shape, ()) + ((1, 1),)
-        assert upsilon._cone_point(shape, stability_cone(shape, ())) == (1, -1)
-        assert upsilon._cone_point(shape, cone) is None
+        ordering = stability_cone(shape, ())
+        assert ordering == ((1,),)
+        assert interior_point(shape, ordering) == (-1,)
+        assert shape.from_balance((-1,)) == (1, -1)
+        cone = stability_cone(shape, ((1, 1),))
+        assert cone == ((0,), (1,))
+        assert interior_point(shape, cone) is None
         assert linalg.open_cone_point([(0, 0), (1, 0)]) is None
 
     def test_a_seed_outside_a_non_empty_cone_goes_to_the_simplex(self, simplexes):
         config, fc = three_generic_lines()
         qp = assemble_quadratics(fc, config)
-        cone = stability_cone(qp.shape, candidates_for(fc).incidences)
+        incidences = candidates_for(fc).incidences
+        cone = stability_cone(qp.shape, incidences)
         # the seed (1/2, -1/2) per flag lies inside, and comes back in integers
-        assert upsilon._cone_point(qp.shape, cone) == (1, -1) * 3
+        assert interior_point(qp.shape, cone) == (-1, -1, -1)
+        assert qp.shape.from_balance((-1, -1, -1)) == (1, -1) * 3
         assert simplexes == []
         # reversed weights break every step-ordering row
         reversed_seed = tuple(-w for w in qp.shape.seed_weights)
         shape = dataclasses.replace(qp.shape, seed_weights=reversed_seed)
-        point = upsilon._cone_point(shape, cone)
+        point = interior_point(shape, cone)
         assert len(simplexes) == 1
         assert all(sum(map(mul, row, point)) < 0 for row in cone)
-        assert not any(sum(map(mul, row, point)) for row in balance_rows(shape))
+        weights = shape.from_balance(point)
+        assert all(
+            sum(map(mul, row, weights)) < 0 for row in reference_stability_cone(shape, incidences)
+        )
 
     def test_a_seed_inside_comes_back_times_a_positive_integer(self, simplexes):
         # its balance coordinates w[slot] / m0, scaled to integers, map back to
         # the seed times a positive integer, also on shapes with m0 = 2
         multiplicities = set()
         for config in search_configs():
-            for qp, cone, _ in search_problems(config, 3, 3):
+            for qp, cone, incidences in search_problems(config, 3, 3):
                 seed = upsilon._balanced_weights(qp.shape, qp.shape.seed_weights)
-                if all(sum(map(mul, row, seed)) < 0 for row in cone):
-                    point = upsilon._cone_point(qp.shape, cone)
+                weight_rows = reference_stability_cone(qp.shape, incidences)
+                if all(sum(map(mul, row, seed)) < 0 for row in weight_rows):
+                    point = qp.shape.from_balance(interior_point(qp.shape, cone))
                     factor = next(F(p) / w for p, w in zip(point, seed) if w)
                     assert factor > 0 and factor.denominator == 1
                     assert point == tuple(factor * w for w in seed)
@@ -569,18 +598,19 @@ class TestExactCone:
 
     def test_the_point_depends_on_the_set_of_rows(self, simplexes):
         # reversed seed weights break every step-ordering row, so each
-        # non-empty cone goes to the simplex, whose pivots follow row order
+        # non-empty cone goes to the simplex, whose pivots follow row order;
+        # the cone's rows come sorted whatever the order of the incidences
         rng = random.Random(43)
         for config in search_configs():
             for rank in (2, 3):
-                for qp, cone, _ in search_problems(config, rank, 3):
+                for qp, cone, incidences in search_problems(config, rank, 3):
                     reversed_seed = tuple(-w for w in qp.shape.seed_weights)
                     shape = dataclasses.replace(qp.shape, seed_weights=reversed_seed)
-                    shuffled = list(cone)
+                    shuffled = list(incidences)
                     rng.shuffle(shuffled)
-                    point = upsilon._cone_point(shape, cone)
-                    assert upsilon._cone_point(shape, cone[::-1]) == point
-                    assert upsilon._cone_point(shape, tuple(shuffled)) == point
+                    point = interior_point(shape, cone)
+                    for other in (incidences[::-1], tuple(shuffled)):
+                        assert interior_point(shape, stability_cone(shape, other)) == point
         assert len(simplexes) > 100
 
     @pytest.mark.parametrize("rank", [2, 3])
@@ -590,32 +620,12 @@ class TestExactCone:
         ran = len(simplexes)
         real = upsilon.stability_cone
         monkeypatch.setattr(
-            upsilon, "stability_cone", lambda shape, incidences: real(shape, incidences)[::-1]
+            upsilon, "stability_cone", lambda shape, incidences: real(shape, incidences[::-1])
         )
         estimate = outer_search(config, rank=rank, budget=12, seed=21)
         assert len(simplexes) == 2 * ran > 0
         assert estimate.configuration == expected.configuration
         assert estimate.search_log == expected.search_log
-
-    @pytest.mark.parametrize("rank", [2, 3])
-    def test_rows_are_integers_over_the_degree_denominator(self, rank):
-        # divided by L, the integer rows are the Fraction rows exactly, and
-        # their float division gives the doubles float(Fraction) gives
-        scales = []
-        for config in search_configs():
-            for seed in (3, 7):
-                for qp, cone, incidences in search_problems(config, rank, seed):
-                    scale = degree_denominator(qp.shape)
-                    scales.append(scale)
-                    reference = reference_stability_cone(qp.shape, incidences)
-                    assert all(type(x) is int for row in cone for x in row)
-                    assert [[Fraction(x, scale) for x in row] for row in cone] == [
-                        list(row) for row in reference
-                    ]
-                    floats = np.array(cone, dtype=float) / scale
-                    assert floats.tolist() == [[float(x) for x in row] for row in reference]
-        # the blown-up triple has fractional degrees, so L > 1 is covered
-        assert len(scales) > 10 and max(scales) > 1
 
     def test_only_the_seed_row_is_scaled_to_integers(self, monkeypatch):
         scaled = []
@@ -626,15 +636,16 @@ class TestExactCone:
             return original(row)
 
         monkeypatch.setattr(upsilon, "integer_row", counted)
-        for qp, cone, _ in search_problems(three_generic_lines()[0], 3, 3):
+        for qp, _, incidences in search_problems(three_generic_lines()[0], 3, 3):
             before = len(scaled)
-            # the reduced rows are integers already, primitive and sorted
-            rows = upsilon._reduced_rows(qp.shape, cone)
+            # the cone's rows are integers already, primitive and sorted
+            cone = stability_cone(qp.shape, incidences)
             assert len(scaled) == before
-            assert rows == sorted(set(rows))
-            assert all(math.gcd(*h) == 1 for h in rows)
-            upsilon._cone_point(qp.shape, cone)
-            assert scaled[before:] == [upsilon._seed_coordinates(qp.shape)]
+            assert list(cone) == sorted(set(cone))
+            assert all(math.gcd(*h) == 1 for h in cone)
+            seed = upsilon._seed_coordinates(qp.shape)
+            upsilon._interior(seed, cone)
+            assert scaled[before:] == [seed]
         assert scaled
 
     def test_an_empty_cone_is_no_solver_failure(self, no_float_solve):
@@ -664,33 +675,59 @@ class TestStabilityCone:
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_candidate_rows_are_parabolic_degrees(self, rank):
+        # each candidate's weight row gives its parabolic degree, and the
+        # cone is those rows in balance coordinates
         for config, fc in self.shapes(rank, 30, 401 + rank):
             exact = candidates_for(fc)
             shape = shape_of(fc, config)
-            cone = stability_cone(shape, exact.incidences)
-            scale = degree_denominator(shape)
+            weight_rows = reference_stability_cone(shape, exact.incidences)
             flat = tuple(w for f in fc.filtrations for w in f.weights())
-            for subspace, row in zip(exact.subspaces, cone):
+            for subspace, row in zip(candidate_subspaces(exact), weight_rows):
                 value = sum(g * w for g, w in zip(row, flat))
-                assert Fraction(value, scale) == parabolic_degree(subspace, fc, config)
+                assert value == parabolic_degree(subspace, fc, config)
+            assert stability_cone(shape, exact.incidences) == reference_balanced_cone(
+                shape, exact.incidences
+            )
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_all_rows_negative_exactly_when_stable(self, rank):
         verdicts = set()
         for config, fc in self.shapes(rank, 200, 503 + rank):
-            cone = stability_cone(shape_of(fc, config), candidates_for(fc).incidences)
-            flat = tuple(w for f in fc.filtrations for w in f.weights())
+            shape = shape_of(fc, config)
+            cone = stability_cone(shape, candidates_for(fc).incidences)
+            x = shape.to_balance(tuple(w for f in fc.filtrations for w in f.weights()))
             stable = check_stability(fc, config).status is Status.STABLE
-            inside = all(sum(g * w for g, w in zip(row, flat)) < 0 for row in cone)
+            inside = all(sum(map(mul, row, x)) < 0 for row in cone)
             assert inside == stable
             verdicts.add(stable)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_rows_are_the_reference_balanced_cone(self, rank):
+        # on every shape of the search streams, in any order of the
+        # incidences: primitive integer rows, distinct and sorted, also where
+        # the degree denominator L > 1
+        rng = random.Random(47 + rank)
+        scales = []
+        for config in search_configs():
+            for seed in (3, 7):
+                for fc in search_shapes(config, rank, seed):
+                    shape = shape_of(fc, config)
+                    incidences = candidates_for(fc).incidences
+                    shuffled = list(incidences)
+                    rng.shuffle(shuffled)
+                    cone = stability_cone(shape, incidences)
+                    assert cone == reference_balanced_cone(shape, incidences)
+                    assert stability_cone(shape, shuffled) == cone
+                    assert all(type(x) is int for row in cone for x in row)
+                    scales.append(degree_denominator(shape))
+        assert len(scales) > 10 and max(scales) > 1
 
 
 def ordering_cone(shape):
     """The step-ordering rows of ``shape`` alone, and their exact interior point."""
     cone = stability_cone(shape, ())
-    return cone, upsilon._cone_point(shape, cone)
+    return cone, interior_point(shape, cone)
 
 
 def rounded_point(weights, shape, max_denominator=upsilon.DEFAULT_MAX_DENOMINATOR):
@@ -705,7 +742,7 @@ class TestRationalize:
         shape = shape_of(fc, config)
         cone = stability_cone(shape, candidates_for(fc).incidences)
         w = (F(1, 2), F(-1, 2)) * 3
-        assert rationalize(w, shape, cone, upsilon._cone_point(shape, cone), 64) == w
+        assert rationalize(w, shape, cone, interior_point(shape, cone), 64) == w
 
     def test_nearest_rational(self):
         config, fc = two_lines()
@@ -724,32 +761,36 @@ class TestRationalize:
 
     def test_ordering_collapse(self):
         # rounding at denominator 4 merges the first flag's steps at
-        # (0, 0); the step along y = (1, -1, 1, -1), of 1 / (4^2 max |y|)
-        # on this face, separates them again
+        # (0, 0); the step along y = (-1, -1), the weights (1, -1, 1, -1),
+        # of 1 / (4^2 max |y|) on this face, separates them again
         config, fc = two_lines()
         shape = shape_of(fc, config)
         cone, interior = ordering_cone(shape)
-        assert interior == (1, -1, 1, -1)
+        assert interior == (-1, -1)
+        assert shape.from_balance(interior) == (1, -1, 1, -1)
         assert rounded_point((0.26, 0.24, 0.5, -0.5), shape, 4) == (0, 0, F(1, 2), F(-1, 2))
         out = rationalize((0.26, 0.24, 0.5, -0.5), shape, cone, interior, 4)
         assert out == (F(1, 16), F(-1, 16), F(9, 16), F(-9, 16))
-        assert all(sum(map(mul, row, out)) < 0 for row in cone)
+        assert all(sum(map(mul, row, shape.to_balance(out))) < 0 for row in cone)
 
     def test_a_point_past_a_face_steps_twice_its_distance(self):
-        # (-1/8, 1/8) puts the ordering row (-1, 1) at 1/4, and y = (1, -1)
-        # at -2, so the least t is 1/8 and the step takes twice that
+        # (-1/8, 1/8) has x = 1/8, which puts the ordering row (1,) at 1/8,
+        # and y = (-1,) at -1, so the least t is 1/8 and the step takes
+        # twice that, along the weights (1, -1) of y
         config = DivisorConfiguration(("C",), (F(1),), ((1,),))
         fc = FilteredConfiguration(2, (two_step(span([(1, 0)], 2)),))
         shape = shape_of(fc, config)
         cone, interior = ordering_cone(shape)
-        assert interior == (1, -1)
+        assert cone == ((1,),) and interior == (-1,)
         out = rationalize((-0.125, 0.125), shape, cone, interior)
         assert out == (F(1, 8), F(-1, 8))
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_stream_minimizers_step_strictly_inside(self, rank):
         # y at peak 1/2 (inside), the solve's minimizer (mostly on a face
-        # once rounded) and that minimizer moved away from y (outside)
+        # once rounded) and that minimizer moved away from y (outside), on
+        # every problem of the streams: the step taken in balance coordinates
+        # is the one taken over the weight rows in Fraction
         kinds = Counter()
         for config in search_configs():
             seen = set()
@@ -757,29 +798,23 @@ class TestRationalize:
                 qp = assemble_quadratics(fc, config)
                 candidates = candidates_for(fc)
                 cone = stability_cone(qp.shape, candidates.incidences)
-                interior = upsilon._cone_point(qp.shape, cone)
-                if interior is None or (qp, frozenset(cone)) in seen:
+                interior = interior_point(qp.shape, cone)
+                if interior is None or (qp, cone) in seen:
                     continue
-                seen.add((qp, frozenset(cone)))
+                seen.add((qp, cone))
                 inner = inner_minimize(qp, cone)
                 assert inner.interior == interior
-                y = np.array(interior) / (2 * max(map(abs, interior)))
+                weight_rows = reference_stability_cone(qp.shape, candidates.incidences)
+                step = qp.shape.from_balance(interior)
+                y = np.array(step) / (2 * max(map(abs, step)))
                 w = np.array(inner.weights)
                 for weights in (y, w, w - y / 10):
                     rounded = rounded_point(weights, qp.shape)
-                    top = max(sum(map(mul, row, rounded)) for row in cone)
+                    top = max(sum(map(mul, row, rounded)) for row in weight_rows)
                     kinds["inside" if top < 0 else "face" if top == 0 else "outside"] += 1
                     out = rationalize(weights, qp.shape, cone, interior)
-                    # the step read in Fraction over every row, duplicates included
-                    least = max(
-                        sum(map(mul, row, rounded)) / -sum(map(mul, row, interior))
-                        for row in cone
-                    )
-                    t = 2 * least or F(1, 64**2 * max(map(abs, interior)))
-                    step = tuple(x + t * y for x, y in zip(rounded, interior))
-                    assert out == (rounded if top < 0 else step)
-                    numerators, _ = linalg.integer_row(out)
-                    assert all(sum(map(mul, row, numerators)) < 0 for row in cone)
+                    assert out == reference_rationalize(weights, qp.shape, weight_rows, step)
+                    assert all(sum(map(mul, row, out)) < 0 for row in weight_rows)
                     assert not any(sum(map(mul, row, out)) for row in balance_rows(qp.shape))
                     verdict = check_stability(
                         upsilon._with_weights(fc, qp.shape, out), config, candidates=candidates
@@ -789,6 +824,22 @@ class TestRationalize:
 
 
 class TestOuterSearch:
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_one_cone_per_solve(self, monkeypatch, rank):
+        # a shape posing a problem solved before builds no cone
+        calls = Counter()
+        for name in ("stability_cone", "inner_minimize"):
+            def counted(*args, real=getattr(upsilon, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(upsilon, name, counted)
+        shapes = sum(
+            outer_search(config, rank=rank, budget=12, seed=3).search_log["candidates"]
+            for config in search_configs()
+        )
+        assert 0 < calls["stability_cone"] == calls["inner_minimize"] < shapes
+
     def test_rank_one_finds_nothing(self):
         config = DivisorConfiguration(("C",), (F(1),), ((1,),))
         with pytest.raises(NoStableConfigurationError) as info:
