@@ -377,8 +377,32 @@ def _rank_growth(
     never computed, so one row costs one column up to its first nonzero
     pairing.  The rank of the first k columns is the number of returned
     indices below k.
+
+    One and two rows, which every line, plane and hyperplane (through its
+    one normal) of Q^4 takes, exit without elimination: one row grows at
+    its first nonzero pairing; two rows grow at their first nonzero column
+    of pairings (a, b), then at the first later column (c, d) with
+    a·d − b·c ≠ 0.
     """
     size = len(rows)
+    if size == 1:
+        row = rows[0]
+        for j, psi in enumerate(columns):
+            if sum(map(mul, psi, row)):
+                return [j]
+        return []
+    if size == 2:
+        top, bottom = rows
+        columns = iter(columns)
+        for j, psi in enumerate(columns):
+            a, b = sum(map(mul, psi, top)), sum(map(mul, psi, bottom))
+            if a or b:
+                for k, psi in enumerate(columns, j + 1):
+                    # a·d - b·c with (c, d) the pairings of column k
+                    if a * sum(map(mul, psi, bottom)) != b * sum(map(mul, psi, top)):
+                        return [j, k]
+                return [j]
+        return []
     grew: list[int] = []
     kept: list[tuple[int, list[int]]] = []  # (pivot row, reduced column)
     for j, psi in enumerate(columns):

@@ -340,11 +340,30 @@ def _random_rows(
     rng: random.Random, rank: int, dim: int, height: int
 ) -> tuple[list[list[int]], Subspace]:
     """``dim`` random integer rows in Q^rank with entries in [-height, height],
-    drawn row by row until they are independent, and their span."""
+    drawn row by row until they are independent, and their span.
+
+    Each entry reproduces ``rng.randint(-height, height)`` by drawing as
+    CPython's ``randint`` does, without its call layers: ``getrandbits(k)``
+    for k the bit length of the width 2·height + 1, drawn again while it is
+    not below the width.  So the rows, and the generator state afterwards,
+    are those of ``randint``.  ``test_random_rows_match_the_bounded_draw``
+    in ``tests/test_stability.py`` checks this against ``randint``, and the
+    step "The rank-4 sample stream on this Python" of the ``cold-start`` CI
+    job pins the three-planes sample verdict on Python 3.10-3.13.
+    """
+    width = 2 * height + 1
+    bits = width.bit_length()
+    draw = rng.getrandbits
     while True:
-        rows = [
-            [rng.randint(-height, height) for _ in range(rank)] for _ in range(dim)
-        ]
+        rows = []
+        for _ in range(dim):
+            row = []
+            for _ in range(rank):
+                x = draw(bits)
+                while x >= width:
+                    x = draw(bits)
+                row.append(x - height)
+            rows.append(row)
         spanned = span(rows, rank)
         if spanned.dim == dim:
             return rows, spanned

@@ -99,6 +99,24 @@ def reference_rref(rows, width: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(r) for r in work[:pivot_row])
 
 
+def reference_rank_growth(rows, columns) -> list[int]:
+    """The indices j at which the rank of the pairings (psi_j . row) grows.
+
+    The ``Fraction`` rank of every column prefix of the pairing matrix, each
+    ranked afresh by :func:`reference_rref`: the reference for
+    ``filtstab.linalg._rank_growth``, with no early exit and no shared
+    elimination.
+    """
+    pairings = [[sum(a * b for a, b in zip(psi, row)) for psi in columns] for row in rows]
+    grew, rank = [], 0
+    for k in range(1, len(columns) + 1):
+        here = len(reference_rref([row[:k] for row in pairings], k))
+        if here > rank:
+            grew.append(k - 1)
+            rank = here
+    return grew
+
+
 def assert_canonical(subspace: Subspace) -> None:
     """Assert that ``subspace.basis`` is the canonical integer basis.
 

@@ -41,6 +41,7 @@ from helpers import (
     reference_intersection_dim,
     reference_joint_step_multiplicities,
     reference_parabolic_degree,
+    reference_rank_growth,
     sort_key,
     three_planes,
 )
@@ -129,11 +130,51 @@ def test_chain_meets_match_intersection_dims(rank, height, seed):
         expected = tuple(reference_intersection_dim(v, s) for s in chain)
         assert tuple(accumulate(kernel.step_mults(v))) == expected
         assert tuple(v.intersection_dim(s) for s in chain) == expected
-        # both sides of the rank, whichever one step_mults picks for v
+        # both sides of the rank, whichever one step_mults picks for v, each
+        # also against the Fraction rank of every column prefix
         primal = _rank_growth(v.basis, kernel.functionals)
+        assert primal == reference_rank_growth(v.basis, kernel.functionals)
         assert tuple(v.dim - bisect_left(primal, c) for c in kernel.codims) == expected
-        dual = _rank_growth([n for _, n in v.normals()], kernel.basis)
+        normals = [n for _, n in v.normals()]
+        dual = _rank_growth(normals, kernel.basis)
+        assert dual == reference_rank_growth(normals, kernel.basis)
         assert tuple(s.dim - bisect_left(dual, s.dim) for s in chain) == expected
+
+
+@st.composite
+def _pairing_problems(draw):
+    """0-4 integer rows and a column list that may open with zero columns,
+    repeat or scale an earlier column, pair to zero with every row, or be
+    all zero."""
+    width = draw(st.integers(1, 5))
+    entries = st.integers(-4, 4)
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=4))
+    orthogonal = [v for _, v in span(rows, width).normals()] if rows else []
+    columns = [[0] * width for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("new", "zero", "copy", "orthogonal")))
+        if kind == "copy" and columns:
+            earlier = draw(st.sampled_from(columns))
+            factor = draw(st.sampled_from((1, -1, 2, -3)))
+            columns.append([factor * x for x in earlier])
+        elif kind == "orthogonal" and orthogonal:
+            columns.append(list(draw(st.sampled_from(orthogonal))))
+        elif kind == "zero":
+            columns.append([0] * width)
+        else:
+            columns.append(draw(st.lists(entries, min_size=width, max_size=width)))
+    return rows, columns
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pairing_problems())
+def test_rank_growth_matches_the_prefix_ranks(problem):
+    # the one- and two-row exits and the elimination for more rows, each
+    # against the Fraction rank of every column prefix
+    rows, columns = problem
+    assert _rank_growth(rows, columns) == reference_rank_growth(rows, columns)
+    # a one-pass iterator of columns gives the same indices
+    assert _rank_growth(rows, iter(columns)) == reference_rank_growth(rows, columns)
 
 
 @settings(max_examples=60, deadline=None)

@@ -445,10 +445,12 @@ def bounded_draw(rng, rank, dim, height):
 
 @pytest.mark.parametrize("seed", [0, 3, 21, 31])
 def test_random_rows_match_the_bounded_draw(seed):
-    # same rows, same span and the same generator state after each draw
+    # same rows, same span and the same generator state after each draw;
+    # the widths 15 and 17, and 31 and 33, straddle 16 and 32, where the
+    # bit count of the getrandbits rejection draw steps up
     for rank in range(1, 6):
         for dim in range(1, rank + 1):
-            for height in (1, 5, 7):
+            for height in (1, 5, 7, 8, 15, 16):
                 new, old = random.Random(seed), random.Random(seed)
                 for _ in range(10):
                     rows, spanned = _random_rows(new, rank, dim, height)
