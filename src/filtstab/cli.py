@@ -52,7 +52,7 @@ from .serialize import (
 )
 from .stability import DEFAULT_SAMPLES, check_stability
 from .surface import blow_up, crossing_points
-from .upsilon import DEFAULT_MAX_DENOMINATOR, outer_search
+from .upsilon import outer_search
 
 SEED_ENV_VAR = "FILTSTAB_SEED"
 
@@ -192,11 +192,7 @@ def _cmd_blowup(args: argparse.Namespace) -> dict:
 
 
 def _cmd_upsilon(args: argparse.Namespace) -> dict:
-    _check_counts(1, (
-        ("--rank", args.rank),
-        ("--budget", args.budget),
-        ("--max-denominator", args.max_denominator),
-    ))
+    _check_counts(1, (("--rank", args.rank), ("--budget", args.budget)))
     _check_counts(0, (("--samples", args.samples),))
     if importlib.util.find_spec("numpy") is None:  # imported by the float solve
         raise DocumentParseError(
@@ -223,7 +219,6 @@ def _cmd_upsilon(args: argparse.Namespace) -> dict:
             budget=args.budget,
             seed=args.seed,
             start=fc,
-            max_denominator=args.max_denominator,
             samples=args.samples,
             progress=progress,
         )
@@ -353,7 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     upsilon.add_argument("--budget", type=_integer, default=200)
     upsilon.add_argument("--seed", type=_integer, default=None)
     add_samples(upsilon)
-    upsilon.add_argument("--max-denominator", type=_integer, default=DEFAULT_MAX_DENOMINATOR)
+    upsilon.add_argument(
+        "--max-denominator",
+        type=_retired("rationalize rounds on the one grid upsilon.MAX_DENOMINATOR = 64"),
+        default=argparse.SUPPRESS, help=argparse.SUPPRESS,
+    )
     upsilon.add_argument(
         "--strategies",
         type=_retired("the search tries the document's configuration, then one fixed stream"),

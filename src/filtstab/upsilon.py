@@ -61,7 +61,8 @@ from .stability import (
 )
 from .surface import DivisorConfiguration
 
-DEFAULT_MAX_DENOMINATOR = 64
+# rationalize rounds each weight to the nearest rational of denominator at most this
+MAX_DENOMINATOR = 64
 # random flags are spanned by integer rows with entries in [-7, 7]
 FLAG_HEIGHT = 7
 # the kinds of generated shapes, cycled in this order after the start
@@ -287,13 +288,12 @@ def rationalize(
     shape: WeightShape,
     cone: ConeRows,
     interior: Sequence[int],
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
 ) -> tuple[Fraction, ...]:
     """Exact balanced weights strictly inside the open ``cone``, near ``weights``.
 
     Each coordinate moves to the nearest rational with denominator at most
-    ``max_denominator``, and every component is shifted back onto its exact
-    balance constraint, giving w with balance coordinates
+    :data:`MAX_DENOMINATOR`, and every component is shifted back onto its
+    exact balance constraint, giving w with balance coordinates
     x = ``shape.to_balance(w)``.  Where some row h of ``cone`` has h . x >= 0,
     x steps to x + t y along ``interior``, the integer balance coordinates y
     with every h . y < 0 (:class:`InnerResult`).  Each row needs
@@ -301,20 +301,17 @@ def rationalize(
     integers, so every row, the step-ordering rows included, ends below zero
     in exact arithmetic and no two steps merge.  When the largest bound is 0
     (x on a face, where h . x <= 0 for every row), any t > 0 is exact, and
-    t = 1 / (``max_denominator``^2 max |Y|) lies below the rounding grid,
-    with Y = ``shape.from_balance(y)`` the weights of y.  The step is taken
-    in weights, w + t Y.
+    t = 1 / (:data:`MAX_DENOMINATOR`^2 max |Y|) lies below the rounding
+    grid, with Y = ``shape.from_balance(y)`` the weights of y.  The step is
+    taken in weights, w + t Y.  The grid bounds the rounding only: the step
+    sets the denominators of the result.
     """
     if len(weights) != shape.size:
         raise DimensionMismatchError(
             f"{len(weights)} weights for a shape of size {shape.size}"
         )
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be positive")
     rounded = [
-        (w if isinstance(w, Fraction) else Fraction(float(w))).limit_denominator(
-            max_denominator
-        )
+        (w if isinstance(w, Fraction) else Fraction(float(w))).limit_denominator(MAX_DENOMINATOR)
         for w in weights
     ]
     out = _balanced_weights(shape, rounded)
@@ -332,7 +329,7 @@ def rationalize(
     if top:
         t = Fraction(2 * top, under * scale)
     else:
-        t = Fraction(1, max_denominator**2 * max(map(abs, step)))
+        t = Fraction(1, MAX_DENOMINATOR**2 * max(map(abs, step)))
     return tuple(w + t * y for w, y in zip(out, step))
 
 
@@ -434,7 +431,6 @@ def outer_search(
     budget: int,
     seed: int = 0,
     start: Optional[FilteredConfiguration] = None,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
     samples: int = DEFAULT_SAMPLES,
     progress: Optional[Callable[[int, int, Optional[Fraction]], None]] = None,
 ) -> UpsilonEstimate:
@@ -447,8 +443,8 @@ def outer_search(
     set, exact at ranks 2 and 3 and its flag-step closure above, is built
     once and gives both the shape's cone and the final check; shapes whose
     cone is proven empty count as ``empty_cone``.
-    The minimizer over the closed cone is rationalized at denominators up
-    to ``max_denominator`` and stepped strictly inside the open cone
+    The minimizer over the closed cone is rounded on the grid of
+    :data:`MAX_DENOMINATOR` and stepped strictly inside the open cone
     (:func:`rationalize`).  The cone is built, solved and rationalized once
     per distinct (quadratic pair, set of candidate incidences) in this
     call, and a shape posing an already solved problem reuses that outcome,
@@ -497,10 +493,7 @@ def outer_search(
         else:
             counts["candidates"] += 1
             candidate_seed = (seed * 1_000_003 + index) & 0x7FFFFFFF
-            found = _solve_shape(
-                shape_fc, config, counts, max_denominator, samples, candidate_seed,
-                solved,
-            )
+            found = _solve_shape(shape_fc, config, counts, samples, candidate_seed, solved)
             if found is not None and (best is None or _order(found) < _order(best)):
                 best = found
         if progress is not None:
@@ -519,28 +512,10 @@ def _order(estimate: dict) -> tuple:
     return estimate["ratio"], estimate["configuration"].sort_key()
 
 
-def _solve_and_round(
-    qp: QuadraticPair, cone: ConeRows, max_denominator: int
-) -> str | tuple[InnerResult, tuple[Fraction, ...]]:
-    """The inner solve and its rounding, with failures returned, not raised.
-
-    Gives the ``search_log`` count of a failed solve, or the
-    :class:`InnerResult` with its rationalized weights.
-    """
-    try:
-        inner = inner_minimize(qp, cone)
-    except SingularFormError:
-        return "skipped_singular"
-    except EmptyConeError:
-        return "empty_cone"
-    return inner, rationalize(inner.weights, qp.shape, cone, inner.interior, max_denominator)
-
-
 def _solve_shape(
     shape_fc: FilteredConfiguration,
     config: DivisorConfiguration,
     counts: dict[str, int],
-    max_denominator: int,
     samples: int,
     seed: int,
     solved: dict,
@@ -551,9 +526,10 @@ def _solve_shape(
     stable, else None; ``counts`` records what happened either way.  The
     cone, the solve and the rounding read only the quadratic pair and the
     set of candidate incidences, so ``solved`` keeps their outcome under
-    that key, and a shape posing a problem solved before in the same search
-    reuses it (positive degrees make m -> K m one to one, so the key groups
-    shapes as the set of weight rows would).  The candidates, the stability
+    that key (for a failed solve, the name of its count), and a shape
+    posing a problem solved before in the same search reuses it (positive
+    degrees make m -> K m one to one, so the key groups shapes as the set of
+    weight rows would).  The candidates, the stability
     check, c2, the norm and every count are still computed for this shape.
     """
     qp = assemble_quadratics(shape_fc, config)
@@ -564,7 +540,15 @@ def _solve_shape(
     outcome = solved.get(key)
     if outcome is None:
         cone = stability_cone(shape, candidates.incidences)
-        outcome = solved[key] = _solve_and_round(qp, cone, max_denominator)
+        try:
+            inner = inner_minimize(qp, cone)
+        except SingularFormError:
+            outcome = "skipped_singular"
+        except EmptyConeError:
+            outcome = "empty_cone"
+        else:
+            outcome = inner, rationalize(inner.weights, shape, cone, inner.interior)
+        solved[key] = outcome
     if isinstance(outcome, str):
         counts[outcome] += 1
         return None

@@ -795,19 +795,18 @@ def reference_balanced_cone(shape, incidences) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(reduced))
 
 
-def reference_rationalize(weights, shape, cone, interior, max_denominator=64):
+def reference_rationalize(weights, shape, cone, interior):
     """Rationalize over weight rows, summed in ``Fraction``.
 
-    Each weight goes to the nearest rational with denominator at most
-    ``max_denominator`` and each component is re-balanced
-    (:func:`reference_balanced`), giving w.  When some row of ``cone``
-    (:func:`reference_stability_cone`) has row . w >= 0, w steps to w + t y
-    along the balanced weights ``interior`` y: t is twice the largest
-    row . w / -row . y over the rows, or 1 / (max_denominator^2 max |y|)
-    when that largest is 0.
+    Each weight goes to the nearest rational with denominator at most 64
+    and each component is re-balanced (:func:`reference_balanced`), giving
+    w.  When some row of ``cone`` (:func:`reference_stability_cone`) has
+    row . w >= 0, w steps to w + t y along the balanced weights
+    ``interior`` y: t is twice the largest row . w / -row . y over the rows,
+    or 1 / (64^2 max |y|) when that largest is 0.
     """
     rounded = [
-        w if isinstance(w, Fraction) else Fraction(float(w)).limit_denominator(max_denominator)
+        w if isinstance(w, Fraction) else Fraction(float(w)).limit_denominator(64)
         for w in weights
     ]
     out = [
@@ -821,7 +820,7 @@ def reference_rationalize(weights, shape, cone, interior, max_denominator=64):
     )
     if least < 0:
         return tuple(out)
-    t = 2 * least or Fraction(1, max_denominator**2 * max(map(abs, interior)))
+    t = 2 * least or Fraction(1, 64**2 * max(map(abs, interior)))
     return tuple(w + t * y for w, y in zip(out, interior))
 
 def every_result(fc, config):

@@ -20,7 +20,6 @@ from filtstab.serialize import (
 )
 from filtstab.stability import DEFAULT_SAMPLES
 from filtstab.surface import DivisorConfiguration
-from filtstab.upsilon import DEFAULT_MAX_DENOMINATOR
 from helpers import non_surface_config, three_planes
 
 
@@ -275,6 +274,14 @@ def test_upsilon_strategies_flag(tmp_path, capsys):
     retired_flag_exits_2(tmp_path, capsys, argv, "--strategies", "random,generic")
 
 
+def test_upsilon_max_denominator_flag(tmp_path, capsys):
+    # retired: rationalize rounds on the one grid upsilon.MAX_DENOMINATOR
+    config, _ = three_generic_lines()
+    path = write_document(tmp_path, "triangle.json", input_document(config))
+    argv = ["upsilon", "--input", path, "--rank", "2", "--budget", "1"]
+    retired_flag_exits_2(tmp_path, capsys, argv, "--max-denominator", "64")
+
+
 def test_stability_depth_flag(tmp_path, capsys):
     # retired: the closure runs stability.CLOSURE_DEPTH rounds
     path = write_document(tmp_path, "planes.json", input_document(*three_planes()))
@@ -288,7 +295,6 @@ def test_stability_depth_flag(tmp_path, capsys):
         ("--rank", "0"),
         ("--strategies", "bogus"),
         ("--strategies", "user"),
-        ("--max-denominator", "0"),
     ],
 )
 def test_upsilon_bad_flag_exits_2(tmp_path, capsys, flag, value):
@@ -670,7 +676,6 @@ def test_parser_defaults_are_the_library_defaults():
     stability_args = parser.parse_args(["stability", "--input", "x.json"])
     upsilon_args = parser.parse_args(["upsilon", "--input", "x.json", "--rank", "2"])
     assert stability_args.samples == upsilon_args.samples == DEFAULT_SAMPLES
-    assert upsilon_args.max_denominator == DEFAULT_MAX_DENOMINATOR
 
 
 def test_interleaved_calls_match_calls_run_alone(tmp_path):

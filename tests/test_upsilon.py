@@ -70,9 +70,7 @@ F = Fraction
 
 def solve_shape(shape, config, counts, solved):
     """One shape through the search's solve and check, at the default settings."""
-    return upsilon._solve_shape(
-        shape, config, counts, upsilon.DEFAULT_MAX_DENOMINATOR, 2000, 0, solved
-    )
+    return upsilon._solve_shape(shape, config, counts, 2000, 0, solved)
 
 
 def two_step(line, top=F(1, 2)):
@@ -151,11 +149,15 @@ def free_slot_basis(shape):
     return basis
 
 
-def single_conic():
+def conic_shape():
     # its flag line has degree 2 * w_top > 0 for every strictly ordered
     # balanced weighting, so no weights are stable
     config = DivisorConfiguration(("Q",), (F(2),), ((4,),))
-    fc = FilteredConfiguration(2, (two_step(span([(1, 0)], 2)),))
+    return FilteredConfiguration(2, (two_step(span([(1, 0)], 2)),)), config
+
+
+def single_conic():
+    fc, config = conic_shape()
     qp = assemble_quadratics(fc, config)
     return qp, stability_cone(qp.shape, candidates_for(fc).incidences)
 
@@ -649,11 +651,13 @@ class TestExactCone:
         assert scaled
 
     def test_an_empty_cone_is_no_solver_failure(self, no_float_solve):
-        # EmptyConeError is a proof, raised before any float work
+        # EmptyConeError is a proof, raised before any float work, and the
+        # search counts it as such
         with pytest.raises(EmptyConeError):
             inner_minimize(*single_conic())
-        outcome = upsilon._solve_and_round(*single_conic(), upsilon.DEFAULT_MAX_DENOMINATOR)
-        assert outcome == "empty_cone"
+        counts = Counter()
+        assert solve_shape(*conic_shape(), counts, {}) is None
+        assert counts == {"empty_cone": 1}
 
 
 class TestStabilityCone:
@@ -730,9 +734,9 @@ def ordering_cone(shape):
     return cone, interior_point(shape, cone)
 
 
-def rounded_point(weights, shape, max_denominator=upsilon.DEFAULT_MAX_DENOMINATOR):
+def rounded_point(weights, shape):
     """``weights`` rounded and re-balanced, as :func:`rationalize` does before its step."""
-    rounded = [F(float(w)).limit_denominator(max_denominator) for w in weights]
+    rounded = [F(float(w)).limit_denominator(upsilon.MAX_DENOMINATOR) for w in weights]
     return upsilon._balanced_weights(shape, rounded)
 
 
@@ -742,35 +746,42 @@ class TestRationalize:
         shape = shape_of(fc, config)
         cone = stability_cone(shape, candidates_for(fc).incidences)
         w = (F(1, 2), F(-1, 2)) * 3
-        assert rationalize(w, shape, cone, interior_point(shape, cone), 64) == w
+        assert rationalize(w, shape, cone, interior_point(shape, cone)) == w
 
     def test_nearest_rational(self):
+        # each weight goes to the nearest rational of denominator at most
+        # 64, and these are inside the cone, so no step follows
         config, fc = two_lines()
         shape = shape_of(fc, config)
-        out = rationalize((0.4999999, -0.4999999, 0.5, -0.5), shape, *ordering_cone(shape), 10)
-        assert out == (F(1, 2), F(-1, 2), F(1, 2), F(-1, 2))
+        out = rationalize((0.3334, -0.3334, 0.2857, -0.2857), shape, *ordering_cone(shape))
+        assert out == (F(1, 3), F(-1, 3), F(2, 7), F(-2, 7))
 
     def test_balance_reprojection_is_exact(self):
+        # 0.26 and -0.27 round to 13/50 and -17/63, which sum to -31/3150;
+        # the shift of 31/6300 each balances them exactly, at a denominator
+        # past the rounding grid
         config, fc = two_lines()
         shape = shape_of(fc, config)
-        out = rationalize((0.52, -0.48, 0.26, -0.27), shape, *ordering_cone(shape), 50)
+        out = rationalize((0.52, -0.48, 0.26, -0.27), shape, *ordering_cone(shape))
+        assert out == (F(1, 2), F(-1, 2), F(1669, 6300), F(-1669, 6300))
         for i, mults in enumerate(shape.mults):
             base = shape.offsets[i]
             chunk = out[base : base + len(mults)]
             assert sum(w * m for w, m in zip(chunk, mults)) == 0
 
     def test_ordering_collapse(self):
-        # rounding at denominator 4 merges the first flag's steps at
-        # (0, 0); the step along y = (-1, -1), the weights (1, -1, 1, -1),
-        # of 1 / (4^2 max |y|) on this face, separates them again
+        # rounding merges the first flag's steps at (1/4, 1/4), re-balanced
+        # to (0, 0); the step along y = (-1, -1), the weights (1, -1, 1, -1),
+        # of 1 / (64^2 max |y|) on this face, separates them again
         config, fc = two_lines()
         shape = shape_of(fc, config)
         cone, interior = ordering_cone(shape)
         assert interior == (-1, -1)
         assert shape.from_balance(interior) == (1, -1, 1, -1)
-        assert rounded_point((0.26, 0.24, 0.5, -0.5), shape, 4) == (0, 0, F(1, 2), F(-1, 2))
-        out = rationalize((0.26, 0.24, 0.5, -0.5), shape, cone, interior, 4)
-        assert out == (F(1, 16), F(-1, 16), F(9, 16), F(-9, 16))
+        weights = (0.2501, 0.2499, 0.5, -0.5)
+        assert rounded_point(weights, shape) == (0, 0, F(1, 2), F(-1, 2))
+        out = rationalize(weights, shape, cone, interior)
+        assert out == (F(1, 4096), F(-1, 4096), F(2049, 4096), F(-2049, 4096))
         assert all(sum(map(mul, row, shape.to_balance(out))) < 0 for row in cone)
 
     def test_a_point_past_a_face_steps_twice_its_distance(self):
@@ -1132,6 +1143,19 @@ class TestSolveReuse:
             "semistable": 0, "unstable": 0, "bgi_rejected": 0, "skipped_trivial": 0,
             "skipped_singular": 0, "rounding_failures": 0, "empty_cone": 24,
             "boundary_hits": 16, "best_ratio": "8195/16793606",
+        }
+
+    def test_rank_3_triangle_search(self, solves):
+        # the rank-3 pin of the module entry point: the exact step along y
+        # sets the ratio's denominators, far past the rounding grid
+        config, _ = three_generic_lines()
+        estimate = outer_search(config, rank=3, budget=12, seed=3)
+        assert len(solves) == 9
+        assert estimate.search_log == {
+            "budget": 12, "seed": 3, "candidates": 12, "proposals": 5, "stable": 5,
+            "semistable": 0, "unstable": 0, "bgi_rejected": 0, "skipped_trivial": 0,
+            "skipped_singular": 0, "rounding_failures": 0, "empty_cone": 7,
+            "boundary_hits": 5, "best_ratio": "23045/78694413",
         }
 
     def test_a_reused_failure_is_counted_per_shape(self, solves):
